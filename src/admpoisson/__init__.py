@@ -9,11 +9,9 @@ from .tensors import (MulTensor, Tensor3, tensor3_product, transpose,
                       solve_linear, mat_inverse, left_mult_basis,
                       right_mult_basis, mult_of_vec, apply_mul)
 from .algebras import (AxiomReport, AdmPoissonAlgebra, PoissonAlgebra,
-                       check_adm_poisson, check_poisson,
-                       weak_associativity_holds,
-                       polarize, depolarize, polarize_raw, depolarize_raw)
+                       check_adm_poisson, check_poisson, polarize, depolarize, polarize_raw, depolarize_raw)
 from .representations import (Representation, check_representation,
-                              rep_consequence_holds, adjoint_rep, dual_rep,
+                              adjoint_rep, dual_rep,
                               semidirect, semidirect_raw,
                               PoissonRepresentation, rep_to_poisson_rep,
                               poisson_rep_to_rep)
@@ -30,7 +28,7 @@ from .yangbaxter import (RTensor, ybe_operator, check_ybe, coboundary_alpha,
 from .ooperators import (OOperatorCandidate, check_o_operator,
                          check_rota_baxter, rota_baxter_as_o_operator,
                          solution_from_o_operator, PreAdmPoisson,
-                         check_pre_adm_poisson, pre_adm_residuals,
+                         check_pre_adm_poisson,
                          subadjacent, subadjacent_raw, pre_rep,
                          PrePoisson, check_pre_poisson,
                          pre_to_prepoisson, prepoisson_to_pre,

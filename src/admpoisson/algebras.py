@@ -10,124 +10,39 @@ Leibniz).  All checks run over basis triples only; multilinearity makes that
 sufficient.
 """
 
-from .scalars import third, half
-from .tensors import (MulTensor, vec_sub, vec_add, vec_scale, vec_is_zero,
-                      bv_mul, vb_mul)
+from .scalars import half
+from .tensors import AxiomReport, Identity, check_identities
 
+# The defining identity at (x, y, z) = (e_i, e_j, e_k), output coordinate l.
+ADM_POISSON = Identity(
+    "adm-poisson", "ijk", "l",
+    "c:ijs c:skl",                                  # (x*y)*z
+    "c:jks c:isl + 1/3 c:kjs c:isl"                 # x*(y*z) + 1/3 x*(z*y)
+    " - 1/3 c:ijs c:ksl - 1/3 c:iks c:jsl"          # - 1/3 z*(x*y) - 1/3 y*(x*z)
+    " + 1/3 c:kis c:jsl")                           # + 1/3 y*(z*x)
 
-class AxiomReport:
-    """Verdict of an identity check, with a re-evaluatable first witness."""
-
-    __slots__ = ("holds", "witness")
-
-    def __init__(self, holds, witness=None):
-        assert holds == (witness is None)
-        self.holds = holds
-        self.witness = witness  # (identity name, index tuple, lhs vec, rhs vec)
-
-    @classmethod
-    def ok(cls):
-        return cls(True)
-
-    @classmethod
-    def fail(cls, name, idx, lhs, rhs):
-        return cls(False, (name, idx, lhs, rhs))
-
-    def __bool__(self):
-        return self.holds
-
-    def __repr__(self):
-        if self.holds:
-            return "AxiomReport(holds)"
-        name, idx, _, _ = self.witness
-        return f"AxiomReport(fails {name} at {idx})"
-
-
-def _c1_residual(m, i, j, k):
-    """lhs - rhs of the defining identity at (e_i, e_j, e_k); also both sides."""
-    t = third(m.p)
-    xy = m.prod(i, j)
-    lhs = vb_mul(m, xy, k)                      # (x*y)*z
-    rhs = bv_mul(m, i, m.prod(j, k))            # x*(y*z)
-    corr = vec_sub(vec_add(bv_mul(m, k, xy),                 # z*(x*y)
-                           bv_mul(m, j, m.prod(i, k))),      # y*(x*z)
-                   vec_add(bv_mul(m, i, m.prod(k, j)),       # x*(z*y)
-                           bv_mul(m, j, m.prod(k, i))))      # y*(z*x)
-    rhs = vec_sub(rhs, vec_scale(t, corr))
-    return lhs, rhs
+# The Poisson axioms for a bracket b and a product o, checked in this order.
+POISSON = (
+    (Identity("antisymmetry", "ij", "k", "b:ijk", "- b:jik"),),
+    (Identity("jacobi", "ijk", "l",
+              "b:ijs b:skl + b:jks b:sil + b:kis b:sjl"),),
+    (Identity("symmetry", "ij", "k", "o:ijk", "o:jik"),),
+    (Identity("associativity", "ijk", "l", "o:ijs o:skl", "o:jks o:isl"),),
+    (Identity("leibniz", "ijk", "l",
+              "o:jks b:isl",                        # [x, y o z]
+              "b:ijs o:skl + b:iks o:jsl"),),       # [x,y] o z + y o [x,z]
+)
 
 
 def check_adm_poisson(m):
     """Does a MulTensor satisfy the single admissible-Poisson identity?"""
-    for i in range(m.n):
-        for j in range(m.n):
-            for k in range(m.n):
-                lhs, rhs = _c1_residual(m, i, j, k)
-                if lhs != rhs:
-                    return AxiomReport.fail("adm-poisson", (i, j, k), lhs, rhs)
-    return AxiomReport.ok()
-
-
-def weak_associativity_holds(m):
-    """(x*y)*z - x*(y*z) = z*(y*x) - (z*y)*x on basis triples (a consequence)."""
-    for i in range(m.n):
-        for j in range(m.n):
-            for k in range(m.n):
-                lhs = vec_sub(vb_mul(m, m.prod(i, j), k),
-                              bv_mul(m, i, m.prod(j, k)))
-                rhs = vec_sub(bv_mul(m, k, m.prod(j, i)),
-                              vb_mul(m, m.prod(k, j), i))
-                if lhs != rhs:
-                    return False
-    return True
+    return check_identities(((ADM_POISSON,),), {"c": m.c}, m.p)
 
 
 def check_poisson(bracket, circ):
     """Antisymmetry + Jacobi + symmetry + associativity + Leibniz."""
     assert bracket.n == circ.n and bracket.p == circ.p
-    n = bracket.n
-    for i in range(n):
-        for j in range(n):
-            lhs = bracket.prod(i, j)
-            rhs = vec_neg_list(bracket.prod(j, i))
-            if lhs != rhs:
-                return AxiomReport.fail("antisymmetry", (i, j), lhs, rhs)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = vec_add(vb_mul(bracket, bracket.prod(i, j), k),
-                              vec_add(vb_mul(bracket, bracket.prod(j, k), i),
-                                      vb_mul(bracket, bracket.prod(k, i), j)))
-                rhs = [s - s for s in lhs]
-                if not vec_is_zero(lhs):
-                    return AxiomReport.fail("jacobi", (i, j, k), lhs, rhs)
-    for i in range(n):
-        for j in range(n):
-            lhs = circ.prod(i, j)
-            rhs = circ.prod(j, i)
-            if lhs != rhs:
-                return AxiomReport.fail("symmetry", (i, j), lhs, rhs)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = vb_mul(circ, circ.prod(i, j), k)
-                rhs = bv_mul(circ, i, circ.prod(j, k))
-                if lhs != rhs:
-                    return AxiomReport.fail("associativity", (i, j, k), lhs, rhs)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # [x, y o z] = [x,y] o z + y o [x,z]
-                lhs = bv_mul(bracket, i, circ.prod(j, k))
-                rhs = vec_add(vb_mul(circ, bracket.prod(i, j), k),
-                              bv_mul(circ, j, bracket.prod(i, k)))
-                if lhs != rhs:
-                    return AxiomReport.fail("leibniz", (i, j, k), lhs, rhs)
-    return AxiomReport.ok()
-
-
-def vec_neg_list(v):
-    return [-x for x in v]
+    return check_identities(POISSON, {"b": bracket.c, "o": circ.c}, bracket.p)
 
 
 class AdmPoissonAlgebra:
@@ -140,7 +55,6 @@ class AdmPoissonAlgebra:
             report = check_adm_poisson(star)
             if not report.holds:
                 raise ValueError(f"not an admissible-Poisson operation: {report!r}")
-            assert weak_associativity_holds(star)
         object.__setattr__(self, "star", star)
 
     def __setattr__(self, name, value):

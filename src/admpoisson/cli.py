@@ -16,13 +16,11 @@ from .representations import (Representation, check_representation,
                               adjoint_rep, dual_rep, semidirect_raw)
 from .matched import (MatchedPairData, check_matched_pair, bowtie_raw,
                       BilinearForm, check_invariant_form, manin_double)
-from .bialgebras import (Comultiplication, dual_structure,
-                         check_adm_bialgebra, PoissonComultiplicationPair,
-                         split_comultiplication, merge_comultiplication,
-                         check_poisson_bialgebra)
-from .yangbaxter import (RTensor, check_ybe, coboundary_alpha,
-                         check_coboundary_conditions, operator_form_check,
-                         cyclic_form_check)
+from .bialgebras import (dual_structure, check_adm_bialgebra,
+                         PoissonComultiplicationPair, split_comultiplication,
+                         merge_comultiplication, check_poisson_bialgebra)
+from .yangbaxter import (check_ybe, coboundary_alpha, check_coboundary_conditions,
+                         operator_form_check, cyclic_form_check)
 from .ooperators import (OOperatorCandidate, check_o_operator,
                          check_rota_baxter, solution_from_o_operator,
                          PreAdmPoisson, check_pre_adm_poisson,
@@ -48,72 +46,59 @@ def _fmt_witness(report):
     return f"FAIL {name} at {pos}: lhs={_fmt_value(lhs)} rhs={_fmt_value(rhs)}"
 
 
+def _failed(report):
+    """Print the witness of a failing report; whether it failed."""
+    if not report.holds:
+        print(_fmt_witness(report))
+    return not report.holds
+
+
 def _emit(report, ok_line):
-    if report.holds:
-        print(ok_line)
-        return 0
-    print(_fmt_witness(report))
-    return 1
+    if _failed(report):
+        return 1
+    print(ok_line)
+    return 0
+
+
+def _lookup(table, what, names, single_ok):
+    """The first of `names` in `table`, or its only entry if single_ok."""
+    for name in names:
+        if name in table:
+            return table[name]
+    if single_ok and len(table) == 1:
+        return next(iter(table.values()))
+    raise InputError(f"file does not define {what} named "
+                     f"{' or '.join(repr(n) for n in names)}")
 
 
 def _get_op(af, *names):
-    for name in names:
-        if name in af.ops:
-            return af.ops[name]
-    if len(af.ops) == 1 and len(names) == 1:
-        return next(iter(af.ops.values()))
-    raise InputError(f"file does not define an operation named "
-                     f"{' or '.join(repr(n) for n in names)}")
+    return _lookup(af.ops, "an operation", names, len(names) == 1)
 
 
 def _get_tensor(af, name="r"):
-    if name in af.tensors:
-        return af.tensors[name]
-    if len(af.tensors) == 1:
-        return next(iter(af.tensors.values()))
-    raise InputError(f"file does not define a tensor named {name!r}")
+    return _lookup(af.tensors, "a tensor", (name,), True)
 
 
 def _get_rep_family(af, *names):
-    for name in names:
-        if name in af.reps:
-            return af.reps[name]
-    raise InputError(f"file does not define a representation family named "
-                     f"{' or '.join(repr(n) for n in names)}")
+    return _lookup(af.reps, "a representation family", names, False)
 
 
 def _get_map(af, *names):
-    for name in names:
-        if name in af.maps:
-            return af.maps[name]
-    if len(af.maps) == 1:
-        return next(iter(af.maps.values()))
-    raise InputError(f"file does not define a map named "
-                     f"{' or '.join(repr(n) for n in names)}")
+    return _lookup(af.maps, "a map", names, True)
 
 
 def _get_comul(af, *names):
-    for name in names:
-        if name in af.comuls:
-            return af.comuls[name]
-    if len(af.comuls) == 1 and len(names) == 1:
-        return next(iter(af.comuls.values()))
-    raise InputError(f"file does not define a comultiplication named "
-                     f"{' or '.join(repr(n) for n in names)}")
-
-
-def _adm_algebra(af):
-    star = _get_op(af, "star")
-    report = check_adm_poisson(star)
-    return AdmPoissonAlgebra.raw(star), report
+    return _lookup(af.comuls, "a comultiplication", names, len(names) == 1)
 
 
 def _require_adm(af):
-    alg, report = _adm_algebra(af)
-    if not report.holds:
-        print(_fmt_witness(report))
-        return None
-    return alg
+    star = _get_op(af, "star")
+    return None if _failed(check_adm_poisson(star)) else AdmPoissonAlgebra.raw(star)
+
+
+def _file_rep(af, alg):
+    return Representation.raw(alg, _get_rep_family(af, "l", "L"),
+                              _get_rep_family(af, "r", "R"))
 
 
 def _poisson_algebra(af):
@@ -124,6 +109,11 @@ def _poisson_algebra(af):
     else:
         br, circ = polarize_raw(_get_op(af, "star"))
     return br, circ
+
+
+def _require_poisson(af):
+    br, circ = _poisson_algebra(af)
+    return None if _failed(check_poisson(br, circ)) else PoissonAlgebra.raw(br, circ)
 
 
 # ---------------------------------------------------------------- predicates
@@ -146,9 +136,7 @@ def _check_rep(af):
     alg = _require_adm(af)
     if alg is None:
         return 1
-    l = _get_rep_family(af, "l", "L")
-    r = _get_rep_family(af, "r", "R")
-    rep = Representation.raw(alg, l, r)
+    rep = _file_rep(af, alg)
     n = alg.n
     return _emit(check_representation(rep),
                  f"OK rep (dim {n}, module dim {rep.vdim}, "
@@ -177,18 +165,15 @@ def _matched_pair_data(af):
     p1 = AdmPoissonAlgebra.raw(s1)
     p2 = AdmPoissonAlgebra.raw(s2)
     for tag, m in (("star1", s1), ("star2", s2)):
-        rep = check_adm_poisson(m)
-        if not rep.holds:
-            name, idx, lhs, rhs = rep.witness
-            from .algebras import AxiomReport
-            return None, AxiomReport.fail(f"{tag}:{name}", idx, lhs, rhs)
-    return MatchedPairData(p1, p2, l1, r1, l2, r2), None
+        report = check_adm_poisson(m).tagged(tag)
+        if not report.holds:
+            return None, report
+    return MatchedPairData(p1, p2, l1, r1, l2, r2), report
 
 
 def _check_matched_pair(af):
-    mp, bad = _matched_pair_data(af)
-    if bad is not None:
-        print(_fmt_witness(bad))
+    mp, report = _matched_pair_data(af)
+    if _failed(report):
         return 1
     return _emit(check_matched_pair(mp),
                  f"OK matched-pair (dims {mp.p1.n}+{mp.p2.n}, "
@@ -218,12 +203,9 @@ def _check_bialgebra(af):
 
 
 def _check_poisson_bialgebra(af):
-    br, circ = _poisson_algebra(af)
-    report = check_poisson(br, circ)
-    if not report.holds:
-        print(_fmt_witness(report))
+    palg = _require_poisson(af)
+    if palg is None:
         return 1
-    palg = PoissonAlgebra.raw(br, circ)
     delta = _get_comul(af, "delta")
     Delta = _get_comul(af, "Delta")
     try:
@@ -232,7 +214,7 @@ def _check_poisson_bialgebra(af):
         print(f"FAIL comultiplication-symmetry at (1): {exc}")
         return 1
     return _emit(check_poisson_bialgebra(palg, pair),
-                 f"OK poisson-bialgebra (dim {br.n})")
+                 f"OK poisson-bialgebra (dim {palg.n})")
 
 
 def _check_ybe_kind(kind):
@@ -244,14 +226,10 @@ def _check_ybe_kind(kind):
                 return 1
             return _emit(check_ybe(alg, r, kind),
                          f"OK adm-pybe (dim {alg.n})")
-        br, circ = _poisson_algebra(af)
-        report = check_poisson(br, circ)
-        if not report.holds:
-            print(_fmt_witness(report))
+        palg = _require_poisson(af)
+        if palg is None:
             return 1
-        palg = PoissonAlgebra.raw(br, circ)
-        name = kind
-        return _emit(check_ybe(palg, r, kind), f"OK {name} (dim {br.n})")
+        return _emit(check_ybe(palg, r, kind), f"OK {kind} (dim {palg.n})")
     return run
 
 
@@ -274,24 +252,19 @@ def _o_operator_candidate(af):
     if not report.holds:
         return None, report
     alg = AdmPoissonAlgebra.raw(star)
-    l = _get_rep_family(af, "l", "L")
-    r = _get_rep_family(af, "r", "R")
-    rep = Representation.raw(alg, l, r)
-    rrep = check_representation(rep)
-    if not rrep.holds:
-        name, idx, lhs, rhs = rrep.witness
-        from .algebras import AxiomReport
-        return None, AxiomReport.fail(f"rep:{name}", idx, lhs, rhs)
+    rep = _file_rep(af, alg)
+    report = check_representation(rep).tagged("rep")
+    if not report.holds:
+        return None, report
     theta = _get_map(af, "theta")
     if len(theta) != alg.n or len(theta[0]) != rep.vdim:
         raise InputError("theta must be a dim x vdim matrix")
-    return OOperatorCandidate(alg, rep, theta), None
+    return OOperatorCandidate(alg, rep, theta), report
 
 
 def _check_o_operator(af):
-    cand, bad = _o_operator_candidate(af)
-    if bad is not None:
-        print(_fmt_witness(bad))
+    cand, report = _o_operator_candidate(af)
+    if _failed(report):
         return 1
     return _emit(check_o_operator(cand),
                  f"OK o-operator (dim {cand.alg.n}, module dim "
@@ -402,27 +375,18 @@ def _build_semidirect(af):
     alg = _require_adm(af)
     if alg is None:
         return None
-    l = _get_rep_family(af, "l", "L")
-    r = _get_rep_family(af, "r", "R")
-    rep = Representation.raw(alg, l, r)
-    report = check_representation(rep)
-    if not report.holds:
-        print(_fmt_witness(report))
+    rep = _file_rep(af, alg)
+    if _failed(check_representation(rep)):
         return None
-    big = semidirect_raw(alg.star, l, r)
+    big = semidirect_raw(alg.star, rep.l, rep.r)
     out = _new_file(af.p, big.n)
     out.ops["star"] = big
     return out
 
 
 def _build_bowtie(af):
-    mp, bad = _matched_pair_data(af)
-    if bad is not None:
-        print(_fmt_witness(bad))
-        return None
-    report = check_matched_pair(mp)
-    if not report.holds:
-        print(_fmt_witness(report))
+    mp, report = _matched_pair_data(af)
+    if _failed(report) or _failed(check_matched_pair(mp)):
         return None
     big = bowtie_raw(mp)
     out = _new_file(af.p, big.n)
@@ -436,15 +400,10 @@ def _build_manin_double(af):
         return None
     c = _get_comul(af, "alpha")
     dual = dual_structure(c)
-    report = check_adm_poisson(dual)
-    if not report.holds:
-        name, idx, lhs, rhs = report.witness
-        from .algebras import AxiomReport
-        print(_fmt_witness(AxiomReport.fail(f"dual:{name}", idx, lhs, rhs)))
+    if _failed(check_adm_poisson(dual).tagged("dual")):
         return None
     double, report = manin_double(alg, AdmPoissonAlgebra.raw(dual))
-    if not report.holds:
-        print(_fmt_witness(report))
+    if _failed(report):
         return None
     out = _new_file(af.p, double.n)
     out.ops["star"] = double.star
@@ -484,13 +443,8 @@ def _build_merge(af):
 
 
 def _build_solution_from_o(af):
-    cand, bad = _o_operator_candidate(af)
-    if bad is not None:
-        print(_fmt_witness(bad))
-        return None
-    report = check_o_operator(cand)
-    if not report.holds:
-        print(_fmt_witness(report))
+    cand, report = _o_operator_candidate(af)
+    if _failed(report) or _failed(check_o_operator(cand)):
         return None
     big, r = solution_from_o_operator(cand)
     out = _new_file(af.p, big.n)
@@ -500,13 +454,8 @@ def _build_solution_from_o(af):
 
 
 def _build_induced_pre(af):
-    cand, bad = _o_operator_candidate(af)
-    if bad is not None:
-        print(_fmt_witness(bad))
-        return None
-    report = check_o_operator(cand)
-    if not report.holds:
-        print(_fmt_witness(report))
+    cand, report = _o_operator_candidate(af)
+    if _failed(report) or _failed(check_o_operator(cand)):
         return None
     pre = induced_pre_from_o_operator(cand)
     out = _new_file(af.p, pre.n)
@@ -519,11 +468,7 @@ def _pre_structure(af):
     succ = _get_op(af, "succ")
     prec = _get_op(af, "prec")
     pre = PreAdmPoisson.raw(succ, prec)
-    report = check_pre_adm_poisson(pre)
-    if not report.holds:
-        print(_fmt_witness(report))
-        return None
-    return pre
+    return None if _failed(check_pre_adm_poisson(pre)) else pre
 
 
 def _build_subadjacent(af):
@@ -550,12 +495,8 @@ def _build_dual_rep(af):
     alg = _require_adm(af)
     if alg is None:
         return None
-    l = _get_rep_family(af, "l", "L")
-    r = _get_rep_family(af, "r", "R")
-    rep = Representation.raw(alg, l, r)
-    report = check_representation(rep)
-    if not report.holds:
-        print(_fmt_witness(report))
+    rep = _file_rep(af, alg)
+    if _failed(check_representation(rep)):
         return None
     d = dual_rep(rep, check=False)
     out = _new_file(af.p, alg.n, vdim=rep.vdim)
@@ -636,6 +577,10 @@ def _cmd_search(args):
     rep = None
     if args.algebra:
         af = _read(args.algebra)
+        if af.p != args.field:
+            field = "rational" if af.p == 0 else f"gf {af.p}"
+            raise InputError(f"{args.algebra}: field {field} does not match "
+                             f"--field {args.field}")
         algebra = _get_op(af, "star")
         if args.target == "o_operator":
             rep = (_get_rep_family(af, "l", "L"),
@@ -645,7 +590,7 @@ def _cmd_search(args):
             args.target, args.dim, p=args.field, count=args.count,
             seed=args.seed, nonzero_only=args.nonzero_only,
             skew=args.skew, algebra=algebra, rep=rep)
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc))
     found = 0
     try:

@@ -19,7 +19,7 @@ Indices are 1-based (e1, e2, ...). Printing is canonical and deterministic;
 parse(print(f)) == f and print(parse(text)) is a fixed point.
 """
 
-from .scalars import Scalar, check_characteristic, parse_scalar, zero
+from .scalars import check_characteristic, parse_scalar, zero
 from .tensors import MulTensor, mat_zero
 from .bialgebras import Comultiplication
 from .yangbaxter import RTensor
@@ -107,7 +107,7 @@ def parse_file(text):
     comul_names = set()
     comul_data = {}                 # name -> {(i, j, k): scalar}
     tensor_data = {}                # name -> {(i, j): scalar}
-    rep_data = {}                   # name -> {i: matrix}
+    rep_data = {}                   # name -> {i: (line number, matrix)}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -219,7 +219,7 @@ def parse_file(text):
             entry = rep_data.setdefault(name, {})
             if i in entry:
                 raise FormatError(lineno, f"duplicate rep matrix for {btok}")
-            entry[i] = mat
+            entry[i] = (lineno, mat)
             continue
 
         if head == "map":
@@ -289,13 +289,13 @@ def parse_file(text):
         af.tensors[name] = RTensor.from_entries(af.dim, entries, af.p)
 
     for name, by_index in rep_data.items():
-        widths = {len(m[0]) for m in by_index.values()}
-        heights = {len(m) for m in by_index.values()}
-        if len(widths) != 1 or widths != heights:
-            raise FormatError(1, f"rep {name!r} matrices disagree in size")
-        m = widths.pop()
+        m = len(next(iter(by_index.values()))[1])
+        for lineno, mat in by_index.values():
+            if len(mat) != m or len(mat[0]) != m:
+                raise FormatError(lineno, f"rep {name!r} matrices disagree in size")
         count = af.dim if af.rep_spaces[name] == "dim" else af.vdim
-        fam = [by_index.get(i, mat_zero(m, m, af.p)) for i in range(count)]
+        fam = [by_index[i][1] if i in by_index else mat_zero(m, m, af.p)
+               for i in range(count)]
         af.reps[name] = fam
 
     return af

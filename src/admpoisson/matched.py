@@ -10,11 +10,9 @@ three with the roles of the two algebras swapped).  The bowtie sum
 is admissible-Poisson exactly when the pair is matched.
 """
 
-from .scalars import third
-from .tensors import (MulTensor, mat_vec, column, vec_add, vec_sub, vec_scale,
-                      vec_zero, basis_vec, bv_mul, vb_mul, mat_inverse,
-                      mat_eq, transpose, sum_scalars)
-from .algebras import AxiomReport, AdmPoissonAlgebra, check_adm_poisson
+from .tensors import (MulTensor, AxiomReport, Identity, check_identities,
+                      vec_zero, mat_inverse, mat_eq, transpose, sum_scalars)
+from .algebras import AdmPoissonAlgebra
 from .representations import Representation, check_representation, \
     dual_endo_family, left_mult_basis, right_mult_basis
 
@@ -47,133 +45,53 @@ class MatchedPairData:
                                self.l1, self.r1)
 
 
-def _fam_apply(fam, coefs, v):
-    """(sum_t coefs_t fam[t]) applied to vector v."""
-    size = len(fam[0])
-    p = v[0].p
-    out = vec_zero(size, p)
-    for t, ct in enumerate(coefs):
-        if ct.is_zero():
-            continue
-        out = vec_add(out, vec_scale(ct, mat_vec(fam[t], v)))
-    return out
+# eq1-eq3 at x = e_i, y = e_j in P1 and a = f_a in P2, compared as P1
+# vectors [u]: c is the P1 product, l1/r1 act on P2 and l2/r2 act on P1.
+# With the roles of P1 and P2 swapped the same table gives match4-match6.
+_MATCH_TERMS = (
+    # r2(a)(x*y)
+    ("c:ijs r2:aus",
+     "l1:jta r2:tui + r2:asj c:isu + 1/3 r1:jta r2:tui + 1/3 l2:asj c:isu"
+     " - 1/3 c:ijs l2:aus - 1/3 r2:asi c:jsu - 1/3 l1:ita r2:tuj"
+     " + 1/3 l2:asi c:jsu + 1/3 r1:ita r2:tuj"),
+    # l2(a)(x*y)
+    ("c:ijs l2:aus",
+     "l2:asi c:sju + r1:ita l2:tuj + 1/3 l2:asi c:jsu - 1/3 c:jis l2:aus"
+     " + 1/3 r1:ita r2:tuj + 1/3 l2:asj c:isu + 1/3 r1:jta r2:tui"
+     " - 1/3 r2:asj c:isu - 1/3 l1:jta r2:tui"),
+    # (r2(a)x)*y
+    ("r2:asi c:sju",
+     "l2:asj c:isu - l1:ita l2:tuj + r1:jta r2:tui + 1/3 r2:asj c:isu"
+     " + 1/3 l1:jta r2:tui - 1/3 r2:asi c:jsu - 1/3 l1:ita r2:tuj"
+     " - 1/3 c:ijs l2:aus + 1/3 c:jis l2:aus"),
+)
 
 
-def _eq1_residual(star1, l1, r1, l2, r2, i, j, a, p):
-    """r2(a)(x*y) vs its matched-pair expansion; x=e_i, y=e_j, a=f_a."""
-    t = third(p)
-    n1 = star1.n
-    ei = basis_vec(n1, i, p)
-    ej = basis_vec(n1, j, p)
-    xy = star1.prod(i, j)
-    lhs = mat_vec(r2[a], xy)
-    l1y_a = column(l1[j], a)          # l1(y)a, a P2-vector
-    l1x_a = column(l1[i], a)
-    r1y_a = column(r1[j], a)
-    r1x_a = column(r1[i], a)
-    r2a_x = column(r2[a], i)          # r2(a)x, a P1-vector
-    r2a_y = column(r2[a], j)
-    l2a_x = column(l2[a], i)
-    l2a_y = column(l2[a], j)
-    rhs = vec_add(_fam_apply(r2, l1y_a, ei), bv_mul(star1, i, r2a_y))
-    corr = _fam_apply(r2, r1y_a, ei)
-    corr = vec_add(corr, bv_mul(star1, i, l2a_y))
-    corr = vec_sub(corr, mat_vec(l2[a], xy))
-    corr = vec_sub(corr, bv_mul(star1, j, r2a_x))
-    corr = vec_sub(corr, _fam_apply(r2, l1x_a, ej))
-    corr = vec_add(corr, bv_mul(star1, j, l2a_x))
-    corr = vec_add(corr, _fam_apply(r2, r1x_a, ej))
-    rhs = vec_add(rhs, vec_scale(t, corr))
-    return lhs, rhs
+def _match_identities(first):
+    return tuple((Identity(f"match{first + t}", "ija", "u", lhs, rhs),)
+                 for t, (lhs, rhs) in enumerate(_MATCH_TERMS))
 
 
-def _eq2_residual(star1, l1, r1, l2, r2, i, j, a, p):
-    """l2(a)(x*y) vs its matched-pair expansion."""
-    t = third(p)
-    n1 = star1.n
-    ei = basis_vec(n1, i, p)
-    ej = basis_vec(n1, j, p)
-    xy = star1.prod(i, j)
-    yx = star1.prod(j, i)
-    lhs = mat_vec(l2[a], xy)
-    r1x_a = column(r1[i], a)
-    r1y_a = column(r1[j], a)
-    l1y_a = column(l1[j], a)
-    l2a_x = column(l2[a], i)
-    l2a_y = column(l2[a], j)
-    r2a_y = column(r2[a], j)
-    rhs = vec_add(vb_mul(star1, l2a_x, j), _fam_apply(l2, r1x_a, ej))
-    corr = vec_sub(bv_mul(star1, j, l2a_x), mat_vec(l2[a], yx))
-    corr = vec_add(corr, _fam_apply(r2, r1x_a, ej))
-    corr = vec_add(corr, bv_mul(star1, i, l2a_y))
-    corr = vec_add(corr, _fam_apply(r2, r1y_a, ei))
-    corr = vec_sub(corr, bv_mul(star1, i, r2a_y))
-    corr = vec_sub(corr, _fam_apply(r2, l1y_a, ei))
-    rhs = vec_add(rhs, vec_scale(t, corr))
-    return lhs, rhs
-
-
-def _eq3_residual(star1, l1, r1, l2, r2, i, j, a, p):
-    """(r2(a)x)*y vs its matched-pair expansion."""
-    t = third(p)
-    n1 = star1.n
-    ei = basis_vec(n1, i, p)
-    ej = basis_vec(n1, j, p)
-    xy = star1.prod(i, j)
-    yx = star1.prod(j, i)
-    l1x_a = column(l1[i], a)
-    l1y_a = column(l1[j], a)
-    r1y_a = column(r1[j], a)
-    r2a_x = column(r2[a], i)
-    r2a_y = column(r2[a], j)
-    l2a_y = column(l2[a], j)
-    lhs = vb_mul(star1, r2a_x, j)
-    rhs = vec_sub(bv_mul(star1, i, l2a_y), _fam_apply(l2, l1x_a, ej))
-    rhs = vec_add(rhs, _fam_apply(r2, r1y_a, ei))
-    corr = vec_add(bv_mul(star1, i, r2a_y), _fam_apply(r2, l1y_a, ei))
-    corr = vec_sub(corr, bv_mul(star1, j, r2a_x))
-    corr = vec_sub(corr, _fam_apply(r2, l1x_a, ej))
-    corr = vec_sub(corr, mat_vec(l2[a], xy))
-    corr = vec_add(corr, mat_vec(l2[a], yx))
-    rhs = vec_add(rhs, vec_scale(t, corr))
-    return lhs, rhs
-
-
-_RESIDUALS = (_eq1_residual, _eq2_residual, _eq3_residual)
+MATCH_1_3, MATCH_4_6 = _match_identities(1), _match_identities(4)
 
 
 def check_matched_pair(mp):
     """All six compatibility identities; sub-representation failures are
     reported distinctly (witness names rep1/rep2)."""
-    p = mp.p1.p
-    rep1 = Representation.raw(mp.p1, mp.l1, mp.r1)
-    rep2 = Representation.raw(mp.p2, mp.l2, mp.r2)
-    rp1 = check_representation(rep1)
-    if not rp1.holds:
-        name, idx, lhs, rhs = rp1.witness
-        return AxiomReport.fail(f"rep1:{name}", idx, lhs, rhs)
-    rp2 = check_representation(rep2)
-    if not rp2.holds:
-        name, idx, lhs, rhs = rp2.witness
-        return AxiomReport.fail(f"rep2:{name}", idx, lhs, rhs)
-    star1, star2 = mp.p1.star, mp.p2.star
-    for which, res in enumerate(_RESIDUALS, start=1):
-        for i in range(mp.p1.n):
-            for j in range(mp.p1.n):
-                for a in range(mp.p2.n):
-                    lhs, rhs = res(star1, mp.l1, mp.r1, mp.l2, mp.r2, i, j, a, p)
-                    if lhs != rhs:
-                        return AxiomReport.fail(f"match{which}", (i, j, a),
-                                                lhs, rhs)
-    for which, res in enumerate(_RESIDUALS, start=4):
-        for a in range(mp.p2.n):
-            for b in range(mp.p2.n):
-                for i in range(mp.p1.n):
-                    lhs, rhs = res(star2, mp.l2, mp.r2, mp.l1, mp.r1, a, b, i, p)
-                    if lhs != rhs:
-                        return AxiomReport.fail(f"match{which}", (a, b, i),
-                                                lhs, rhs)
-    return AxiomReport.ok()
+    report = check_representation(
+        Representation.raw(mp.p1, mp.l1, mp.r1)).tagged("rep1")
+    if report.holds:
+        report = check_representation(
+            Representation.raw(mp.p2, mp.l2, mp.r2)).tagged("rep2")
+    if report.holds:
+        report = check_identities(MATCH_1_3, {"c": mp.p1.star.c, "l1": mp.l1,
+                                              "r1": mp.r1, "l2": mp.l2,
+                                              "r2": mp.r2}, mp.p1.p)
+    if report.holds:
+        report = check_identities(MATCH_4_6, {"c": mp.p2.star.c, "l1": mp.l2,
+                                              "r1": mp.r2, "l2": mp.l1,
+                                              "r2": mp.r1}, mp.p1.p)
+    return report
 
 
 def bowtie_raw(mp):

@@ -4,12 +4,13 @@ theta : V -> P is stored column-per-module-basis-vector:
 theta(v_j) = sum_i theta[i][j] e_i.
 """
 
-from .scalars import third, half, one, zero
-from .tensors import (MulTensor, mat_vec, mat_zero, mat_inverse, column,
-                      vec_add, apply_mul, bv_mul, vb_mul, left_mult_basis,
-                      right_mult_basis, mult_of_vec, sum_scalars, transpose)
-from .algebras import (AxiomReport, AdmPoissonAlgebra, check_adm_poisson,
-                       check_poisson, polarize_raw, depolarize_raw)
+from .scalars import half, one, zero
+from .tensors import (MulTensor, AxiomReport, Identity, check_identities,
+                      mat_vec, mat_zero, mat_inverse, column, vec_add,
+                      apply_mul, bv_mul, vb_mul, left_mult_basis,
+                      right_mult_basis, mult_of_vec, sum_scalars, transpose,
+                      mat_add, mat_is_zero)
+from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_rep, dual_rep,
                               semidirect_raw, check_representation)
 from .yangbaxter import RTensor
@@ -121,63 +122,36 @@ class PreAdmPoisson:
         return self.succ == other.succ and self.prec == other.prec
 
 
-def pre_adm_residuals(succ, prec, i, j, k):
-    """The three defining residuals A, B, C at the basis triple (x,y,z).
+# Products of the basis triple (x, y, z) = (e_i, e_j, e_k), coordinate l,
+# with x>y = succ (s) and x<y = prec (q).
+_X_Y_Z, _X_ZY = "s:jks s:isl", "q:kjs s:isl"            # x>(y>z), x>(z<y)
+_Y_XZ, _Y_ZX = "s:iks s:jsl", "q:kis s:jsl"             # y>(x>z), y>(z<x)
+_Z_XY = "s:ijs q:ksl + q:ijs q:ksl"                     # z<(x>y) + z<(x<y)
+_Z_YX = "s:jis q:ksl + q:jis q:ksl"                     # z<(y>x) + z<(y<x)
 
-    A = -(x>y)>z - (x<y)>z + x>(y>z)
-        + 1/3( x>(z<y) - z<(x>y) - z<(x<y) - y>(x>z) + y>(z<x) )
-    B = -x>(z<y) + (x>z)<y
-        + 1/3( -x>(y>z) + y>(x>z) + z<(x<y) + z<(x>y) - z<(y>x) - z<(y<x) )
-    C = -z<(x>y) - z<(x<y) + (z<x)<y
-        + 1/3( -z<(y>x) - z<(y<x) + y>(z<x) + x>(z<y) - x>(y>z) )
-    """
-    from .tensors import bv_mul, vb_mul, vec_add, vec_sub, vec_scale
-    t = third(succ.p)
-    sp = lambda a, b: succ.prod(a, b)      # e_a > e_b
-    pp = lambda a, b: prec.prod(a, b)      # e_a < e_b
-    s_bv = lambda a, v: bv_mul(succ, a, v)   # e_a > v
-    s_vb = lambda v, b: vb_mul(succ, v, b)   # v > e_b  (as vector > basis)
-    p_bv = lambda a, v: bv_mul(prec, a, v)
-    p_vb = lambda v, b: vb_mul(prec, v, b)
 
-    x_y_z = s_bv(i, sp(j, k))          # x>(y>z)
-    x_zy = s_bv(i, pp(k, j))           # x>(z<y)
-    y_xz = s_bv(j, sp(i, k))           # y>(x>z)
-    y_zx = s_bv(j, pp(k, i))           # y>(z<x)
-    z_xy_s = p_bv(k, sp(i, j))         # z<(x>y)
-    z_xy_p = p_bv(k, pp(i, j))         # z<(x<y)
-    z_yx_s = p_bv(k, sp(j, i))         # z<(y>x)
-    z_yx_p = p_bv(k, pp(j, i))         # z<(y<x)
+def _third(terms, sign):
+    """' sign 1/3 t' for each term t of 'a + b + ...'."""
+    return "".join(f" {sign} 1/3 {t}" for t in terms.split(" + "))
 
-    A = vec_sub(x_y_z, vec_add(s_vb(sp(i, j), k), s_vb(pp(i, j), k)))
-    corr = vec_sub(vec_add(x_zy, y_zx),
-                   vec_add(vec_add(z_xy_s, z_xy_p), y_xz))
-    A = vec_add(A, vec_scale(t, corr))
 
-    B = vec_sub(p_vb(sp(i, k), j), x_zy)
-    corr = vec_sub(vec_add(vec_add(y_xz, z_xy_p), z_xy_s),
-                   vec_add(vec_add(x_y_z, z_yx_s), z_yx_p))
-    B = vec_add(B, vec_scale(t, corr))
-
-    C = vec_sub(p_vb(pp(k, i), j), vec_add(z_xy_s, z_xy_p))
-    corr = vec_sub(vec_add(y_zx, x_zy),
-                   vec_add(vec_add(z_yx_s, z_yx_p), x_y_z))
-    C = vec_add(C, vec_scale(t, corr))
-    return A, B, C
+# The three defining residuals, one group: pre1 wins ties at a triple.
+PRE_ADM_POISSON = ((
+    Identity("pre1", "ijk", "l",
+             f"- s:ijs s:skl - q:ijs s:skl + {_X_Y_Z}" + _third(_X_ZY, "+")
+             + _third(_Z_XY, "-") + _third(_Y_XZ, "-") + _third(_Y_ZX, "+")),
+    Identity("pre2", "ijk", "l",
+             f"- {_X_ZY} + s:iks q:sjl" + _third(_X_Y_Z, "-")
+             + _third(_Y_XZ, "+") + _third(_Z_XY, "+") + _third(_Z_YX, "-")),
+    Identity("pre3", "ijk", "l",
+             "- s:ijs q:ksl - q:ijs q:ksl + q:kis q:sjl" + _third(_Z_YX, "-")
+             + _third(_Y_ZX, "+") + _third(_X_ZY, "+") + _third(_X_Y_Z, "-")),
+),)
 
 
 def check_pre_adm_poisson(pre):
-    succ, prec = pre.succ, pre.prec
-    n = succ.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                A, B, C = pre_adm_residuals(succ, prec, i, j, k)
-                for name, res in (("pre1", A), ("pre2", B), ("pre3", C)):
-                    if any(res):
-                        return AxiomReport.fail(name, (i, j, k), res,
-                                                [x - x for x in res])
-    return AxiomReport.ok()
+    return check_identities(PRE_ADM_POISSON, {"s": pre.succ.c, "q": pre.prec.c},
+                            pre.p)
 
 
 def subadjacent_raw(succ, prec):
@@ -232,42 +206,25 @@ class PrePoisson:
         return self.dot.n
 
 
+# Zinbiel (d), pre-Lie (a) and the two compatibilities at (e_i, e_j, e_k).
+PRE_POISSON = ((
+    # x.(y.z) = (y.x).z + (x.y).z
+    Identity("zinbiel", "ijk", "l", "d:jks d:isl", "d:jis d:skl + d:ijs d:skl"),
+    # x*(y*z) - (x*y)*z = y*(x*z) - (y*x)*z
+    Identity("pre-lie", "ijk", "l", "a:jks a:isl - a:ijs a:skl",
+             "a:iks a:jsl - a:jis a:skl"),
+    # (x*y - y*x).z = x*(y.z) - y.(x*z)
+    Identity("compat1", "ijk", "l", "a:ijs d:skl - a:jis d:skl",
+             "d:jks a:isl - a:iks d:jsl"),
+    # (x.y + y.x)*z = x.(y*z) + y.(x*z)
+    Identity("compat2", "ijk", "l", "d:ijs a:skl + d:jis a:skl",
+             "a:jks d:isl + a:iks d:jsl"),
+),)
+
+
 def check_pre_poisson(q):
     """Zinbiel + pre-Lie + the two mixed compatibility identities."""
-    from .tensors import bv_mul, vb_mul, vec_add, vec_sub
-    dot, ast = q.dot, q.ast
-    n = dot.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # Zinbiel: x.(y.z) = (y.x).z + (x.y).z
-                lhs = bv_mul(dot, i, dot.prod(j, k))
-                rhs = vec_add(vb_mul(dot, dot.prod(j, i), k),
-                              vb_mul(dot, dot.prod(i, j), k))
-                if lhs != rhs:
-                    return AxiomReport.fail("zinbiel", (i, j, k), lhs, rhs)
-                # pre-Lie: x*(y*z) - (x*y)*z = y*(x*z) - (y*x)*z
-                lhs = vec_sub(bv_mul(ast, i, ast.prod(j, k)),
-                              vb_mul(ast, ast.prod(i, j), k))
-                rhs = vec_sub(bv_mul(ast, j, ast.prod(i, k)),
-                              vb_mul(ast, ast.prod(j, i), k))
-                if lhs != rhs:
-                    return AxiomReport.fail("pre-lie", (i, j, k), lhs, rhs)
-                # (x*y - y*x).z = x*(y.z) - y.(x*z)
-                d = vec_sub(ast.prod(i, j), ast.prod(j, i))
-                lhs = vb_mul(dot, d, k)
-                rhs = vec_sub(bv_mul(ast, i, dot.prod(j, k)),
-                              bv_mul(dot, j, ast.prod(i, k)))
-                if lhs != rhs:
-                    return AxiomReport.fail("compat1", (i, j, k), lhs, rhs)
-                # (x.y + y.x)*z = x.(y*z) + y.(x*z)
-                s = vec_add(dot.prod(i, j), dot.prod(j, i))
-                lhs = vb_mul(ast, s, k)
-                rhs = vec_add(bv_mul(dot, i, ast.prod(j, k)),
-                              bv_mul(dot, j, ast.prod(i, k)))
-                if lhs != rhs:
-                    return AxiomReport.fail("compat2", (i, j, k), lhs, rhs)
-    return AxiomReport.ok()
+    return check_identities(PRE_POISSON, {"d": q.dot.c, "a": q.ast.c}, q.dot.p)
 
 
 def pre_to_prepoisson_raw(succ, prec):
@@ -322,16 +279,7 @@ def induced_pre_from_o_operator(c):
             prec_prod = column(rmat, j)       # r(theta v_i) v_j = v_j < v_i
             succ[i][j] = succ_prod
             prec[j][i] = prec_prod
-    pre = PreAdmPoisson(MulTensor(m, p, succ), MulTensor(m, p, prec))
-    # theta intertwines the sum product with the algebra product
-    star = c.alg.star
-    summed = subadjacent_raw(pre.succ, pre.prec)
-    for i in range(m):
-        for j in range(m):
-            lhs = mat_vec(theta, summed.prod(i, j))
-            rhs = apply_mul(star, column(theta, i), column(theta, j))
-            assert lhs == rhs, "theta failed to be a homomorphism"
-    return pre
+    return PreAdmPoisson(MulTensor(m, p, succ), MulTensor(m, p, prec))
 
 
 def canonical_solution(pre):
@@ -341,9 +289,7 @@ def canonical_solution(pre):
     n, p = pre.n, pre.p
     theta = [[one(p) if i == j else zero(p) for j in range(n)]
              for i in range(n)]
-    cand = OOperatorCandidate(rep.alg, rep, theta)
-    assert check_o_operator(cand).holds
-    return solution_from_o_operator(cand)
+    return solution_from_o_operator(OOperatorCandidate(rep.alg, rep, theta))
 
 
 def compatible_pre_from_invertible_o(c):
@@ -367,10 +313,7 @@ def compatible_pre_from_invertible_o(c):
             succ[i][j] = mat_vec(theta, w)
             w = mat_vec(rep.r[j], column(theta_inv, i))
             prec[i][j] = mat_vec(theta, w)
-    pre = PreAdmPoisson(MulTensor(n, p, succ), MulTensor(n, p, prec))
-    # the transported sum product is the original product
-    assert subadjacent_raw(pre.succ, pre.prec) == a.star
-    return pre
+    return PreAdmPoisson(MulTensor(n, p, succ), MulTensor(n, p, prec))
 
 
 def pre_from_symplectic(a, omega):
@@ -379,7 +322,7 @@ def pre_from_symplectic(a, omega):
     star = a.star
     n, p = star.n, star.p
     g = omega.gram
-    if not mat_is_zero_sym(g, p):
+    if not mat_is_zero(mat_add(g, transpose(g))):
         raise ValueError("omega must be skew-symmetric")
     ginv_t = mat_inverse(transpose(g), p)
     if ginv_t is None:
@@ -405,14 +348,7 @@ def pre_from_symplectic(a, omega):
             rhs = [sum_scalars(star.c[j][k][m] * g[i][m] for m in range(n))
                    for k in range(n)]
             prec[i][j] = mat_vec(ginv_t, rhs)
-    pre = PreAdmPoisson(MulTensor(n, p, succ), MulTensor(n, p, prec))
-    assert subadjacent_raw(pre.succ, pre.prec) == star
-    return pre
-
-
-def mat_is_zero_sym(g, p):
-    from .tensors import mat_add, mat_is_zero
-    return mat_is_zero(mat_add(g, transpose(g)))
+    return PreAdmPoisson(MulTensor(n, p, succ), MulTensor(n, p, prec))
 
 
 def rota_baxter_as_o_operator(a, R):

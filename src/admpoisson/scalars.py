@@ -5,6 +5,7 @@ Mixing modes (or moduli) raises ScalarModeError.  All arithmetic is exact;
 there are no floats anywhere in this package.
 """
 
+from functools import lru_cache
 from math import gcd
 
 
@@ -12,6 +13,7 @@ class ScalarModeError(TypeError):
     pass
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n):
     if n < 2:
         return False
@@ -126,19 +128,6 @@ class Scalar:
         if self.p:
             return f"Scalar({self.num}, p={self.p})"
         return f"Scalar({self.num}, {self.den})"
-
-
-def scalar_arith(a, b, kind):
-    """Dispatch helper: kind in {'add', 'sub', 'mul', 'div'}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 def zero(p=0):

@@ -5,9 +5,8 @@ as integers: digit t of the base-p expansion is c[i][j][k] with
 t = (i*n + j)*n + k, so index 0 is the zero algebra and enumeration by
 ascending integer is the deterministic exhaustive order.
 
-The dim-2 GF(5) sweep (5^8 candidates) is vectorized with numpy; every
-emitted hit is re-verified by the exact scalar checkers, and the vectorized
-route is independently cross-checked against them in the test suite.
+Exhaustive sweeps evaluate the identity tables on all candidates at once
+(identity_mask); every emitted hit is re-verified by the exact checker.
 """
 
 import random
@@ -15,13 +14,14 @@ import random
 import numpy as np
 
 from .scalars import Scalar, check_characteristic
-from .tensors import MulTensor, mat_zero
-from .algebras import (AdmPoissonAlgebra, check_adm_poisson, check_poisson,
-                       polarize_raw)
+from .tensors import MulTensor, mat_zero, identity_mask
+from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
+                       check_adm_poisson, check_poisson)
 from .representations import Representation, dual_rep
 from .yangbaxter import RTensor, ybe_operator
 from .ooperators import (OOperatorCandidate, check_o_operator, PreAdmPoisson,
-                         check_pre_adm_poisson, induced_pre_from_o_operator)
+                         PRE_ADM_POISSON, check_pre_adm_poisson,
+                         induced_pre_from_o_operator)
 from .fileformat import AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
@@ -50,57 +50,37 @@ def decode_mul(idx, n, p):
     return MulTensor.from_entries(n, entries, p)
 
 
+def tensor_arrays(n, p, ops=1):
+    """The structure tensors of all p**(ops*n**3) candidates in exhaustive
+    order, as `ops` residue arrays of shape (count, n, n, n); operation o
+    holds base-p digits o*n**3 ... (o+1)*n**3 - 1 of each index."""
+    cells = n ** 3
+    idx = np.arange(p ** (ops * cells), dtype=np.int64)
+    digits = np.empty((len(idx), ops * cells), dtype=np.int8 if p < 128 else np.int32)
+    for t in range(ops * cells):
+        digits[:, t] = (idx // p ** t) % p
+    return [digits[:, o * cells:(o + 1) * cells].reshape(-1, n, n, n) for o in range(ops)]
+
+
 def dim2_gf5_tensor_array():
     """All 5^8 structure tensors at dim 2 over GF(5), shape (5^8, 2, 2, 2)."""
-    N = 5 ** 8
-    idx = np.arange(N, dtype=np.int64)
-    C = np.empty((N, 2, 2, 2), dtype=np.int8)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                t = (i * 2 + j) * 2 + k
-                C[:, i, j, k] = (idx // (5 ** t)) % 5
-    return C
+    return tensor_arrays(2, 5)[0]
+
+
+def table_hits(groups, arrays, p):
+    """Ascending indices of the candidates on which every identity holds."""
+    mask = np.ones(len(next(iter(arrays.values()))), dtype=bool)
+    for group in groups:
+        for ident in group:
+            mask &= identity_mask(ident, arrays, p)
+    return [int(i) for i in np.nonzero(mask)[0]]
 
 
 def adm_mask_dim2_gf5(C=None):
-    """Boolean mask of the defining identity, cleared of 1/3 by scaling by 3:
-
-    3[(x*y)*z - x*(y*z)] + [-x*(z*y) + z*(x*y) + y*(x*z) - y*(z*x)] = 0.
-    """
+    """Boolean mask of the defining identity over all 5^8 dim-2 GF(5) tensors."""
     if C is None:
         C = dim2_gf5_tensor_array()
-    Cw = C.astype(np.int16)
-    res = 3 * (np.einsum('mijs,mskl->mijkl', Cw, Cw)       # (x*y)*z
-               - np.einsum('mjks,misl->mijkl', Cw, Cw))    # x*(y*z)
-    res -= np.einsum('mkjs,misl->mijkl', Cw, Cw)           # x*(z*y)
-    res += np.einsum('mijs,mksl->mijkl', Cw, Cw)           # z*(x*y)
-    res += np.einsum('miks,mjsl->mijkl', Cw, Cw)           # y*(x*z)
-    res -= np.einsum('mkis,mjsl->mijkl', Cw, Cw)           # y*(z*x)
-    res %= 5
-    return (res == 0).all(axis=(1, 2, 3, 4))
-
-
-def poisson_mask_dim2_gf5(C=None):
-    """Independent route: polarize (1/2 = 3 mod 5) and test the Poisson
-    axioms (Jacobi, associativity, Leibniz; the symmetry axioms hold by
-    construction of the polarized pair)."""
-    if C is None:
-        C = dim2_gf5_tensor_array()
-    Cw = C.astype(np.int16)
-    circ = (3 * (Cw + Cw.transpose(0, 2, 1, 3))) % 5
-    br = (3 * (Cw - Cw.transpose(0, 2, 1, 3))) % 5
-    T = np.einsum('mijs,mskl->mijkl', br, br)
-    jac = (T + T.transpose(0, 2, 3, 1, 4) + T.transpose(0, 3, 1, 2, 4)) % 5
-    ok = (jac == 0).all(axis=(1, 2, 3, 4))
-    assoc = (np.einsum('mijs,mskl->mijkl', circ, circ)
-             - np.einsum('mjks,misl->mijkl', circ, circ)) % 5
-    ok &= (assoc == 0).all(axis=(1, 2, 3, 4))
-    leib = (np.einsum('mjks,misl->mijkl', circ, br)       # [x, y o z]
-            - np.einsum('mijs,mskl->mijkl', br, circ)     # [x, y] o z
-            - np.einsum('miks,mjsl->mijkl', br, circ)) % 5  # y o [x, z]
-    ok &= (leib == 0).all(axis=(1, 2, 3, 4))
-    return ok
+    return identity_mask(ADM_POISSON, {"c": C}, 5)
 
 
 _CATALOG_CACHE = {}
@@ -116,11 +96,9 @@ def adm_catalog_indices(n, p):
     if space > MAX_EXHAUSTIVE:
         raise ValueError(f"space p^(n^3) = {space} exceeds exhaustive bound")
     if (n, p) == (2, 5):
-        mask = adm_mask_dim2_gf5()
-        hits = [int(i) for i in np.nonzero(mask)[0]]
+        hits = [int(i) for i in np.nonzero(adm_mask_dim2_gf5())[0]]
     else:
-        hits = [idx for idx in range(space)
-                if check_adm_poisson(decode_mul(idx, n, p)).holds]
+        hits = table_hits(((ADM_POISSON,),), {"c": tensor_arrays(n, p)[0]}, p)
     _CATALOG_CACHE[key] = hits
     return hits
 
@@ -134,10 +112,13 @@ class SearchSpec:
 
     def __init__(self, target, dim, p=5, count=None, seed=0,
                  nonzero_only=False, skew=False, algebra=None, rep=None):
-        assert target in self.TARGETS, f"unknown target {target!r}"
+        if target not in self.TARGETS:
+            raise ValueError(f"unknown target {target!r}")
         check_characteristic(p)
-        assert p != 0, "search runs over finite fields"
-        assert dim >= 1
+        if p == 0:
+            raise ValueError("search runs over finite fields")
+        if dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {dim}")
         self.target = target
         self.dim = dim
         self.p = p
@@ -156,44 +137,24 @@ def _mul_file(p, ops):
 
 
 def _limited(gen, count):
-    if count is None:
-        yield from gen
-        return
-    emitted = 0
-    for item in gen:
+    for emitted, item in enumerate(gen, start=1):
         yield item
-        emitted += 1
-        if emitted >= count:
+        if count is not None and emitted >= count:
             return
 
 
 def search(spec):
     """Yield verified instances as AlgebraFile objects, deterministically."""
-    yield from _limited(_search_inner(spec), spec.count)
-
-
-def _search_inner(spec):
-    p, n = spec.p, spec.dim
-    if spec.target == "adm_poisson":
-        yield from _search_adm(spec, p, n)
-    elif spec.target == "poisson":
-        yield from _search_poisson(spec, p, n)
-    elif spec.target == "adm_pybe_solution":
-        yield from _search_pybe(spec, p, n)
-    elif spec.target == "o_operator":
-        yield from _search_o_operator(spec, p)
-    elif spec.target == "pre_adm_poisson":
-        yield from _search_pre(spec, p, n)
+    run = {"adm_poisson": _search_adm, "poisson": _search_poisson,
+           "adm_pybe_solution": _search_pybe, "o_operator": _search_o_operator,
+           "pre_adm_poisson": _search_pre}[spec.target]
+    yield from _limited(run(spec, spec.p, spec.dim), spec.count)
 
 
 def _search_adm(spec, p, n):
     space = p ** (n ** 3)
     if space <= MAX_EXHAUSTIVE:
-        if (n, p) == (2, 5):
-            indices = adm_catalog_indices(2, 5)
-        else:
-            indices = range(space)
-        for idx in indices:
+        for idx in adm_catalog_indices(n, p):
             m = decode_mul(idx, n, p)
             if spec.nonzero_only and m.is_zero():
                 continue
@@ -217,7 +178,7 @@ def _search_poisson(spec, p, n):
     space = p ** (2 * n ** 3)
     if space <= MAX_EXHAUSTIVE:
         sub = p ** (n ** 3)
-        for idx in range(space):
+        for idx in table_hits(POISSON, dict(zip("bo", tensor_arrays(n, p, 2))), p):
             br = decode_mul(idx % sub, n, p)
             circ = decode_mul(idx // sub, n, p)
             if spec.nonzero_only and br.is_zero() and circ.is_zero():
@@ -252,27 +213,18 @@ def _search_poisson(spec, p, n):
 
 def iter_r_tensors(n, p, skew):
     """Deterministic enumeration of r in P (x) P (optionally skew)."""
-    if skew:
-        pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for idx in range(p ** len(pos)):
-            coeff = mat_zero(n, n, p)
-            rem = idx
-            for (i, j) in pos:
-                d = rem % p
-                rem //= p
-                coeff[i][j] = Scalar(d, 1, p)
-                coeff[j][i] = Scalar(-d, 1, p)
+    if not skew:
+        for coeff in iter_maps(n, n, p):
             yield RTensor(coeff, p)
-    else:
-        for idx in range(p ** (n * n)):
-            coeff = mat_zero(n, n, p)
-            rem = idx
-            for i in range(n):
-                for j in range(n):
-                    d = rem % p
-                    rem //= p
-                    coeff[i][j] = Scalar(d, 1, p)
-            yield RTensor(coeff, p)
+        return
+    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for idx in range(p ** len(pos)):
+        coeff = mat_zero(n, n, p)
+        for (i, j) in pos:
+            idx, d = divmod(idx, p)
+            coeff[i][j] = Scalar(d, 1, p)
+            coeff[j][i] = Scalar(-d, 1, p)
+        yield RTensor(coeff, p)
 
 
 def _search_pybe(spec, p, n):
@@ -305,7 +257,7 @@ def iter_maps(rows, cols, p):
         yield mat
 
 
-def _search_o_operator(spec, p):
+def _search_o_operator(spec, p, _dim):
     if spec.algebra is None or spec.rep is None:
         raise ValueError("o_operator search needs an algebra and a representation")
     star = spec.algebra
@@ -336,7 +288,7 @@ def _search_pre(spec, p, n):
     space = p ** (2 * n ** 3)
     if space <= MAX_EXHAUSTIVE:
         sub = p ** (n ** 3)
-        for idx in range(space):
+        for idx in table_hits(PRE_ADM_POISSON, dict(zip("sq", tensor_arrays(n, p, 2))), p):
             succ = decode_mul(idx % sub, n, p)
             prec = decode_mul(idx // sub, n, p)
             if spec.nonzero_only and succ.is_zero() and prec.is_zero():

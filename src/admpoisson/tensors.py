@@ -6,7 +6,12 @@ MulTensor holds the structure constants c[i][j][k] of one bilinear operation
 tensor power.  Everything is treated as immutable by convention.
 """
 
-from .scalars import Scalar, zero, one, check_characteristic
+from math import lcm
+from operator import add, sub
+
+import numpy as np
+
+from .scalars import Scalar, ScalarModeError, zero, one, check_characteristic
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -30,10 +35,6 @@ def vec_add(x, y):
 def vec_sub(x, y):
     assert len(x) == len(y)
     return [a - b for a, b in zip(x, y)]
-
-
-def vec_neg(x):
-    return [-a for a in x]
 
 
 def vec_scale(c, x):
@@ -107,10 +108,6 @@ def sum_scalars(it):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-# `dual_map` is the coordinate matrix of T* on dual bases.
-dual_map = transpose
 
 
 def dual_endo_family(fam):
@@ -198,6 +195,12 @@ def mat_inverse(a, p=0):
 # structure constants of one bilinear operation
 
 
+def _entrywise(f, x, y):
+    """f on matching entries of two n x n x n coefficient arrays."""
+    return [[[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(pa, pb)]
+            for pa, pb in zip(x, y)]
+
+
 class MulTensor:
     """Structure constants c[i][j][k]: e_i <> e_j = sum_k c[i][j][k] e_k."""
 
@@ -205,7 +208,8 @@ class MulTensor:
 
     def __init__(self, n, p=0, c=None):
         check_characteristic(p)
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"dimension must be at least 1, got {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         if c is None:
@@ -251,17 +255,11 @@ class MulTensor:
 
     def add(self, other):
         assert self.n == other.n and self.p == other.p
-        return MulTensor(self.n, self.p,
-                         [[[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(pa, pb)]
-                          for pa, pb in zip(self.c, other.c)])
+        return MulTensor(self.n, self.p, _entrywise(add, self.c, other.c))
 
     def sub(self, other):
         assert self.n == other.n and self.p == other.p
-        return MulTensor(self.n, self.p,
-                         [[[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(pa, pb)]
-                          for pa, pb in zip(self.c, other.c)])
+        return MulTensor(self.n, self.p, _entrywise(sub, self.c, other.c))
 
     def scale(self, s):
         return self.map_entries(lambda x: s * x)
@@ -402,21 +400,11 @@ class Tensor3:
 
     def add(self, other):
         assert self.n == other.n and self.p == other.p
-        return Tensor3(self.n, self.p,
-                       [[[a + b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(pa, pb)]
-                        for pa, pb in zip(self.t, other.t)])
+        return Tensor3(self.n, self.p, _entrywise(add, self.t, other.t))
 
     def sub(self, other):
         assert self.n == other.n and self.p == other.p
-        return Tensor3(self.n, self.p,
-                       [[[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(pa, pb)]
-                        for pa, pb in zip(self.t, other.t)])
-
-    def neg(self):
-        return Tensor3(self.n, self.p,
-                       [[[-x for x in row] for row in pl] for pl in self.t])
+        return Tensor3(self.n, self.p, _entrywise(sub, self.t, other.t))
 
     def scale(self, s):
         return Tensor3(self.n, self.p,
@@ -431,85 +419,233 @@ class Tensor3:
         return None
 
 
-def t3_swap(t, axis_a, axis_b):
-    """Transpose two tensor slots (0-based)."""
-    n, p = t.n, t.p
-    out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                idx = [i, j, k]
-                idx[axis_a], idx[axis_b] = idx[axis_b], idx[axis_a]
-                out[idx[0]][idx[1]][idx[2]] = t.t[i][j][k]
-    return Tensor3(n, p, out)
+# ---------------------------------------------------------------------------
+# identities as tables of signed einsum terms
 
 
-def t3_slot_apply(t, slot, m):
-    """Apply a matrix m to one tensor slot (id (x) ... (x) m (x) ... (x) id)."""
-    n, p = t.n, t.p
-    out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                coef = t.t[i][j][k]
-                if coef.is_zero():
-                    continue
-                idx = (i, j, k)
-                for a in range(n):
-                    f = m[a][idx[slot]]
-                    if f.is_zero():
-                        continue
-                    new = list(idx)
-                    new[slot] = a
-                    out[new[0]][new[1]][new[2]] = \
-                        out[new[0]][new[1]][new[2]] + f * coef
-    return Tensor3(n, p, out)
+class AxiomReport:
+    """Verdict of an identity check, with a re-evaluatable first witness."""
+
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds, witness=None):
+        assert holds == (witness is None)
+        self.holds = holds
+        self.witness = witness  # (identity name, index tuple, lhs, rhs)
+
+    @classmethod
+    def ok(cls):
+        return cls(True)
+
+    @classmethod
+    def fail(cls, name, idx, lhs, rhs):
+        return cls(False, (name, idx, lhs, rhs))
+
+    def tagged(self, tag):
+        """The same verdict, its witness name prefixed with 'tag:'."""
+        if self.holds:
+            return self
+        name, idx, lhs, rhs = self.witness
+        return AxiomReport.fail(f"{tag}:{name}", idx, lhs, rhs)
+
+    def __bool__(self):
+        return self.holds
+
+    def __repr__(self):
+        if self.holds:
+            return "AxiomReport(holds)"
+        name, idx, _, _ = self.witness
+        return f"AxiomReport(fails {name} at {idx})"
 
 
-SLOT_PATTERNS = ("12.13", "13.23", "23.12", "12.23", "23.13", "13.12")
+def _signed_terms(text):
+    """[(numerator, denominator, [(name, subscripts), ...]), ...] of a side."""
+    terms, sign, coef, factors = [], 1, (1, 1), []
+    for tok in text.split() + ["+"]:
+        if tok in ("+", "-"):
+            if factors:
+                terms.append((sign * coef[0], coef[1], factors))
+            sign, coef, factors = (1 if tok == "+" else -1), (1, 1), []
+        elif ":" in tok:
+            factors.append(tuple(tok.split(":")))
+        else:
+            num, _, den = tok.partition("/")
+            coef = (int(num), int(den or 1))
+    return terms
+
+
+class Terms:
+    """A sum of signed einsum terms over named operands onto the `out` axes.
+
+    Written like 'a:ijs b:skl - 1/3 a:kjs b:isl': each term is an optional
+    sign, an optional rational coefficient and its factors NAME:SUBSCRIPTS,
+    with repeated letters summed as in np.einsum.  Coefficients are stored
+    times `den`, which must clear them; the terms of `minus` are subtracted.
+    """
+
+    __slots__ = ("terms", "ranks", "degrees", "weight", "summed", "out_axes")
+
+    def __init__(self, text, out, den=1, minus=""):
+        signed = _signed_terms(text) + [(-a, b, f) for a, b, f in _signed_terms(minus)]
+        self.terms, self.ranks = [], {}
+        for num, cden, factors in signed:
+            if den % cden:
+                raise ValueError(f"coefficient {num}/{cden} in {text!r} is not cleared")
+            spec = ",".join("..." + subs for _, subs in factors) + "->..." + out
+            self.terms.append((num * (den // cden), [n for n, _ in factors], spec))
+            self.ranks.update((n, len(subs)) for n, subs in factors)
+        self.degrees = {len(factors) for _, _, factors in signed}
+        self.weight = sum(abs(k) for k, _, _ in self.terms)
+        self.summed = max((len(set("".join(subs for _, subs in f)) - set(out))
+                           for _, _, f in signed), default=0)
+        # where each output axis's size can be read: (operand, axis from the end)
+        self.out_axes = [next(((n, subs.index(c) - len(subs)) for _, _, f in signed
+                               for n, subs in f if c in subs), None) for c in out]
+
+
+class Identity:
+    """lhs = rhs as Terms over the axes `index` + `value`.
+
+    `index` names the axes a witness reports, in the order a failing index
+    is searched for; `value` names the axes of the reported lhs and rhs.
+    Both sides are stored times `den`, which clears every coefficient; every
+    term has `degree` factors, so scaling all operands by a common
+    denominator D scales both sides by D**degree.
+    """
+
+    __slots__ = ("name", "index", "lhs", "rhs", "residual", "den", "degree")
+
+    def __init__(self, name, index, value, lhs, rhs=""):
+        self.name, self.index = name, index
+        self.den = lcm(*(b for _, b, _ in _signed_terms(f"{lhs} + {rhs}")))
+        self.lhs = Terms(lhs, index + value, self.den)
+        self.rhs = Terms(rhs, index + value, self.den)
+        self.residual = Terms(lhs, index + value, self.den, minus=rhs)
+        if len(self.residual.degrees) != 1:
+            raise ValueError(f"{name}: terms differ in degree")
+        (self.degree,) = self.residual.degrees
+
+
+_INT_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64)]
+
+
+def evaluate_terms(sides, arrays, p):
+    """Each Terms of `sides` over integer operand arrays (with any leading
+    batch axes) as an exact integer array, reduced into [0, p) over GF(p).
+
+    Object arrays of Python ints (one structure, from exact_operands) are
+    evaluated as they are.  Integer arrays of residues in [0, p) (a batch of
+    GF(p) candidates) are evaluated in the narrowest signed type that holds
+    p and a bound on every partial sum of every side, so that the sides can
+    also be subtracted; above int64 it is Python ints.
+    """
+    ranks = {n: r for side in sides for n, r in side.ranks.items()}
+    dtype = object
+    if all(arrays[n].dtype != object for n in ranks):
+        size = max(max(arrays[n].shape[-r:]) for n, r in ranks.items())
+        bound = max(p, sum(side.weight * (p - 1) ** max(side.degrees, default=0)
+                           * size ** side.summed for side in sides))
+        dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
+    cast = {n: arrays[n].astype(dtype, copy=False) for n in ranks}
+    n, r = next(iter(ranks.items()))
+    axes = next(side.out_axes for side in sides if side.terms)
+    shape = arrays[n].shape[:arrays[n].ndim - r] + tuple(
+        arrays[name].shape[axis] for name, axis in axes)
+    term = np.empty(shape, dtype=dtype)
+    results = []
+    for side in sides:
+        total = np.zeros(shape, dtype=dtype)
+        for k, names, spec in side.terms:
+            np.einsum(spec, *(cast[name] for name in names), out=term)
+            term *= k
+            total += term
+        if p:
+            total %= p
+        results.append(total)
+    return results
+
+
+def exact_operands(operands, p):
+    """Nested lists of Scalars as Python-int object arrays scaled by one
+    common denominator D; returns (arrays, D)."""
+    objs = {name: np.array(data, dtype=object) for name, data in operands.items()}
+    if any(s.p != p for a in objs.values() for s in a.flat):
+        raise ScalarModeError(f"operands are not all over p={p}")
+    den = lcm(*(s.den for a in objs.values() for s in a.flat)) if p == 0 else 1
+    arrays = {name: np.array([s.num * (den // s.den) for s in a.flat],
+                             dtype=object).reshape(a.shape)
+              for name, a in objs.items()}
+    return arrays, den
+
+
+def _scalars(values, den, p):
+    if isinstance(values, list):
+        return [_scalars(v, den, p) for v in values]
+    return Scalar(int(values), den, p)
+
+
+def check_identities(groups, operands, p):
+    """The first failing identity of a sequence of groups, or ok.
+
+    Within a group the witness is the first index, in lexicographic order,
+    at which any identity fails; ties go to the identity listed first.
+    Its lhs and rhs are rebuilt as exact Scalars at that index.
+    """
+    arrays, den = exact_operands(operands, p)
+    for group in groups:
+        sides = [evaluate_terms((ident.lhs, ident.rhs), arrays, p)
+                 for ident in group]
+        failing = np.stack([(lhs != rhs).reshape(lhs.shape[:len(ident.index)] + (-1,))
+                            .any(-1) for ident, (lhs, rhs) in zip(group, sides)],
+                           axis=-1)
+        if failing.any():
+            *idx, which = np.unravel_index(failing.argmax(), failing.shape)
+            idx = tuple(int(i) for i in idx)
+            ident, (lhs, rhs) = group[which], sides[which]
+            scale = ident.den * den ** ident.degree
+            return AxiomReport.fail(ident.name, idx,
+                                    _scalars(lhs[idx].tolist(), scale, p),
+                                    _scalars(rhs[idx].tolist(), scale, p))
+    return AxiomReport.ok()
+
+
+def identity_mask(ident, arrays, p):
+    """Which rows of GF(p) residue arrays with one leading batch axis satisfy
+    `ident`."""
+    (res,) = evaluate_terms((ident.residual,), arrays, p)
+    return ~res.reshape(len(res), -1).any(axis=1)
+
+
+def evaluate_scalars(terms, operands, p):
+    """Terms over nested-Scalar operands, as nested lists of Scalars."""
+    arrays, den = exact_operands(operands, p)
+    (val,) = evaluate_terms((terms,), arrays, p)
+    return _scalars(val.tolist(), den ** max(terms.degrees), p)
+
+
+# ---------------------------------------------------------------------------
+# triple tensors from products of two rank-2 tensors
+
+# Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
+# slots; "12.13" is a in slots (1,2) times b in (1,3).  The shared slot
+# carries the product m, whose output index takes that slot's place.
+SLOT_PATTERNS = {
+    "12.13": "a:iy b:jz m:ijx",     # (e_ia * e_ib) (x) e_ja (x) e_jb
+    "13.23": "a:xi b:yj m:ijz",     # e_ia (x) e_ib (x) (e_ja * e_jb)
+    "23.12": "a:iz b:xj m:ijy",     # e_ib (x) (e_ia * e_jb) (x) e_ja
+    "12.23": "a:xi b:jz m:ijy",     # e_ia (x) (e_ja * e_ib) (x) e_jb
+    "23.13": "a:yi b:xj m:ijz",     # e_ib (x) e_ia (x) (e_ja * e_jb)
+    "13.12": "a:iz b:jy m:ijx",     # (e_ia * e_ib) (x) e_jb (x) e_ja
+}
+_SLOT_TERMS = {slots: Terms(text, "xyz") for slots, text in SLOT_PATTERNS.items()}
 
 
 def tensor3_product(ra, rb, m, slots):
-    """Componentwise product of two rank-2 tensors placed in triple-tensor slots.
-
-    `ra` and `rb` are n x n coefficient matrices (first factor = first index);
-    `slots` names where the left and right operands sit, e.g. "12.13" is the
-    product of the left operand in slots (1,2) with the right one in (1,3).
-    The shared slot carries the product under `m`; the formal placeholder in
-    the unused slot never materializes.
-    """
-    assert slots in SLOT_PATTERNS, f"unknown slot pattern {slots!r}"
-    n, p = m.n, m.p
-    assert len(ra) == n and len(rb) == n, "dimension mismatch"
-    out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-    nz_a = [(i, j, ra[i][j]) for i in range(n) for j in range(n)
-            if not ra[i][j].is_zero()]
-    nz_b = [(i, j, rb[i][j]) for i in range(n) for j in range(n)
-            if not rb[i][j].is_zero()]
-    for ia, ja, ca in nz_a:
-        for ib, jb, cb in nz_b:
-            f = ca * cb
-            if slots == "12.13":
-                # (e_ia * e_ib) (x) e_ja (x) e_jb
-                prod, fixed = m.c[ia][ib], lambda k: (k, ja, jb)
-            elif slots == "13.23":
-                # e_ia (x) e_ib (x) (e_ja * e_jb)
-                prod, fixed = m.c[ja][jb], lambda k: (ia, ib, k)
-            elif slots == "23.12":
-                # left in (2,3), right in (1,2): e_ib (x) (e_ia * e_jb) (x) e_ja
-                prod, fixed = m.c[ia][jb], lambda k: (ib, k, ja)
-            elif slots == "12.23":
-                # left in (1,2), right in (2,3): e_ia (x) (e_ja * e_ib) (x) e_jb
-                prod, fixed = m.c[ja][ib], lambda k: (ia, k, jb)
-            elif slots == "23.13":
-                # left in (2,3), right in (1,3): e_ib (x) e_ia (x) (e_ja * e_jb)
-                prod, fixed = m.c[ja][jb], lambda k: (ib, ia, k)
-            else:  # "13.12"
-                # left in (1,3), right in (1,2): (e_ia * e_ib) (x) e_jb (x) e_ja
-                prod, fixed = m.c[ia][ib], lambda k: (k, jb, ja)
-            for k in range(n):
-                if prod[k].is_zero():
-                    continue
-                x, y, z = fixed(k)
-                out[x][y][z] = out[x][y][z] + f * prod[k]
-    return Tensor3(n, p, out)
+    """Componentwise product of two rank-2 coefficient matrices placed in
+    triple-tensor slots (see SLOT_PATTERNS), as a Tensor3."""
+    if slots not in SLOT_PATTERNS:
+        raise ValueError(f"unknown slot pattern {slots!r}")
+    if len(ra) != m.n or len(rb) != m.n:
+        raise ValueError("dimension mismatch")
+    t = evaluate_scalars(_SLOT_TERMS[slots], {"a": ra, "b": rb, "m": m.c}, m.p)
+    return Tensor3(m.n, m.p, t)

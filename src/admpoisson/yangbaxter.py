@@ -12,15 +12,13 @@ r = sum r[i][j] e_i (x) e_j):
     "symmetric-part defect" (L(x) (x) id - id (x) R(x)) applied to S.
 """
 
-from .scalars import third, half, one
-from .tensors import (MulTensor, Tensor3, tensor3_product, t3_swap,
-                      t3_slot_apply, mat_add, mat_sub, mat_scale, mat_mul,
-                      mat_neg, mat_zero, mat_is_zero, mat_eq, mat_vec,
-                      mat_inverse, transpose, left_mult_basis,
-                      right_mult_basis, mult_of_vec, column, basis_vec,
-                      vec_zero, vec_add, vec_scale, apply_mul, solve_linear,
-                      sum_scalars)
-from .algebras import AxiomReport, polarize_raw
+from .scalars import third, half
+from .tensors import (Tensor3, AxiomReport, SLOT_PATTERNS, Terms, Identity,
+                      evaluate_scalars, check_identities, mat_add,
+                      mat_sub, mat_scale, mat_mul, mat_neg, mat_zero,
+                      mat_is_zero, mat_eq, mat_vec, mat_inverse, transpose,
+                      left_mult_basis, right_mult_basis, mult_of_vec, column,
+                      vec_zero, vec_add, apply_mul, solve_linear, sum_scalars)
 from .bialgebras import Comultiplication
 
 
@@ -88,20 +86,27 @@ class RTensor:
         return self.p == other.p and mat_eq(self.coeff, other.coeff)
 
 
+# The Yang-Baxter operators as signed sums of slot products of r with itself
+# (see SLOT_PATTERNS); A is P's formula applied to circ.
+_YBE_SLOTS = {
+    "P": "23.12 - 13.23 - 12.13",
+    "Q": "12.23 - 23.13 - 13.12",
+    "C": "23.12 + 23.13 + 13.12",
+}
+YBE_OPERATORS = {
+    which: Terms(" ".join(SLOT_PATTERNS.get(tok, tok) for tok in slots.split()), "xyz")
+    for which, slots in _YBE_SLOTS.items()}
+YBE_OPERATORS["A"] = YBE_OPERATORS["P"]
+
+
 def ybe_operator(mul, r, which):
     """P, Q, A or C as a Tensor3; `mul` is the relevant operation's tensor
     (the single operation for P/Q, circ for A, bracket for C)."""
-    rm = r.coeff
-    t3 = lambda pat: tensor3_product(rm, rm, mul, pat)
-    if which == "P":
-        return t3("23.12").sub(t3("13.23")).sub(t3("12.13"))
-    if which == "Q":
-        return t3("12.23").sub(t3("23.13")).sub(t3("13.12"))
-    if which == "A":
-        return t3("23.12").sub(t3("13.23")).sub(t3("12.13"))
-    if which == "C":
-        return t3("23.12").add(t3("23.13")).add(t3("13.12"))
-    raise ValueError(f"unknown operator {which!r}")
+    if which not in YBE_OPERATORS:
+        raise ValueError(f"unknown operator {which!r}")
+    t = evaluate_scalars(YBE_OPERATORS[which],
+                         {"a": r.coeff, "b": r.coeff, "m": mul.c}, mul.p)
+    return Tensor3(mul.n, mul.p, t)
 
 
 def _vanishes(t3, name):
@@ -160,73 +165,31 @@ def _sym_defect(star, r):
     return S, L, R, M, M_of
 
 
-def _t3_vm(pidx, M, n, p):
-    """e_p (x) M as a Tensor3 (M a matrix viewed in the last two slots)."""
-    t = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            t[pidx][u][v] = M[u][v]
-    return Tensor3(n, p, t)
-
-
-def _t3_mv(M, qidx, n, p):
-    """M (x) e_q as a Tensor3 (M in the first two slots)."""
-    t = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            t[u][v][qidx] = M[u][v]
-    return Tensor3(n, p, t)
-
-
-def _cosp_residual(star, r, i, L=None, R=None, Pt=None, Qt=None):
-    """The long coalgebra-condition residual at x = e_i.
-
-    Term structure (all built from S = r + tau(r), M(z) = L(z)S - S R(z)^T):
-      T1 = (R(x) (x) id (x) id - id (x) id (x) L(x)) P(r)
-      T2 = (id (x) R(x) (x) id - id (x) id (x) R(x)) P(r)
-      T3 = (R(x) (x) id (x) id - id (x) R(x) (x) id) Q(r)
-      A  = sum r[p][q] (R(x) on slot 1)(e_p (x) M(e_q))
-      B  = sum r[p][q] (R(x) on slot 2)(swap12(e_p (x) M(e_q)))
-      C  = sum r[p][q] (id + swap23)(L(e_p) M(x) (x) e_q)
-      D  = sum r[p][q] (id + swap12)(e_p (x) M(x * e_q))
-      E  = sum r[p][q] e_p (x) (R(e_q) M(x))
-      F  = sum r[p][q] (R(e_p) M(x)) (x) e_q
-    and the residual is T1 + 1/3 (T2 + T3 - A - B + C + D - E - F).
-    """
-    n, p = star.n, star.p
-    t = third(p)
-    S, Lfam, Rfam, Mfam, M_of = _sym_defect(star, r)
-    if L is None:
-        L, R = Lfam, Rfam
-    if Pt is None:
-        Pt = ybe_operator(star, r, "P")
-        Qt = ybe_operator(star, r, "Q")
-    Rx, Lx = R[i], L[i]
-    Mx = Mfam[i]
-    T1 = t3_slot_apply(Pt, 0, Rx).sub(t3_slot_apply(Pt, 2, Lx))
-    T2 = t3_slot_apply(Pt, 1, Rx).sub(t3_slot_apply(Pt, 2, Rx))
-    T3 = t3_slot_apply(Qt, 0, Rx).sub(t3_slot_apply(Qt, 1, Rx))
-    corr = T2.add(T3)
-    rm = r.coeff
-    for pp in range(n):
-        for q in range(n):
-            cpq = rm[pp][q]
-            if cpq.is_zero():
-                continue
-            Mq = Mfam[q]
-            termA = t3_slot_apply(_t3_vm(pp, Mq, n, p), 0, Rx)
-            termB = t3_slot_apply(t3_swap(_t3_vm(pp, Mq, n, p), 0, 1), 1, Rx)
-            Kp = mat_mul(L[pp], Mx)
-            base_c = _t3_mv(Kp, q, n, p)
-            termC = base_c.add(t3_swap(base_c, 1, 2))
-            Wq = M_of(star.prod(i, q))
-            base_d = _t3_vm(pp, Wq, n, p)
-            termD = base_d.add(t3_swap(base_d, 0, 1))
-            termE = _t3_vm(pp, mat_mul(R[q], Mx), n, p)
-            termF = _t3_mv(mat_mul(R[pp], Mx), q, n, p)
-            delta = termC.add(termD).sub(termA).sub(termB).sub(termE).sub(termF)
-            corr = corr.add(delta.scale(cpq))
-    return T1.add(corr.scale(t))
+# The coalgebra conditions at x = e_i, with index letters i (of x) and
+# a, b, c (of the triple tensor), over the operation m, P = P(r), Q = Q(r),
+# M[q] = M(e_q) and the contractions of r with m in _R_TIMES_M.  cosp2 is
+#   T1 + 1/3 (T2 + T3),  T1 = (R(x) (x) id (x) id - id (x) id (x) L(x)) P,
+#   T2 = (id (x) R(x) (x) id - id (x) id (x) R(x)) P,
+#   T3 = (R(x) (x) id (x) id - id (x) R(x) (x) id) Q;
+# cosp adds 1/3 (C + D - A - B - E - F), sums over r[p][q] of
+#   A = (R(x) on slot 1)(e_p (x) M(e_q)),  B = (R(x) on slot 2)(swap12 of the same),
+#   C = (id + swap23)(L(e_p) M(x) (x) e_q),  D = (id + swap12)(e_p (x) M(x * e_q)),
+#   E = e_p (x) R(e_q) M(x),  F = R(e_p) M(x) (x) e_q.
+_R_TIMES_M = {
+    "N": Terms("r:pq m:psa", "qsa"),
+    "Z": Terms("r:aq m:sqb", "asb"),
+    "W": Terms("r:pc m:spa", "csa"),
+}
+_COSP2 = ("m:sia P:sbc - m:isc P:abs + 1/3 m:sib P:asc - 1/3 m:sic P:abs"
+          " + 1/3 m:sia Q:sbc - 1/3 m:sib Q:asc")
+COSP = {
+    "cosp2": Identity("cosp2", "iab", "c", _COSP2),
+    "cosp": Identity("cosp", "iab", "c", _COSP2 +
+                     " - 1/3 N:qia M:qbc - 1/3 N:qib M:qac"     # A, B
+                     " + 1/3 N:csa M:isb + 1/3 N:bsa M:isc"     # C
+                     " + 1/3 Z:ais M:sbc + 1/3 Z:bis M:sac"     # D
+                     " - 1/3 Z:asb M:isc - 1/3 W:csa M:isb"),   # E, F
+}
 
 
 def check_coboundary_conditions(a, r, which):
@@ -265,56 +228,19 @@ def check_coboundary_conditions(a, r, which):
                     return AxiomReport.fail(which, (i, j), res[0],
                                             [x - x for x in res[0]])
         return AxiomReport.ok()
-    if which in ("cosp", "cosp2"):
-        Pt = ybe_operator(star, r, "P")
-        Qt = ybe_operator(star, r, "Q")
-        for i in range(n):
-            if which == "cosp":
-                res = _cosp_residual(star, r, i, L, R, Pt, Qt)
-            else:
-                T1 = t3_slot_apply(Pt, 0, R[i]).sub(t3_slot_apply(Pt, 2, L[i]))
-                T2 = t3_slot_apply(Pt, 1, R[i]).sub(t3_slot_apply(Pt, 2, R[i]))
-                T3 = t3_slot_apply(Qt, 0, R[i]).sub(t3_slot_apply(Qt, 1, R[i]))
-                res = T1.add(T2.add(T3).scale(t))
-            idx = res.first_nonzero()
-            if idx is not None:
-                val = res.t[idx[0]][idx[1]][idx[2]]
-                return AxiomReport.fail(which, (i,) + idx[:2], [val],
-                                        [val - val])
-        return AxiomReport.ok()
-    if which in ("corollary1a", "corollary1b"):
-        # polarized restatements: L = Lc + ad, R = Lc - ad
-        bracket, circ = polarize_raw(star)
-        ad = [left_mult_basis(bracket, i) for i in range(n)]
-        Lc = [left_mult_basis(circ, i) for i in range(n)]
-        Lpol = [mat_add(a_, b_) for a_, b_ in zip(Lc, ad)]
-        Rpol = [mat_sub(a_, b_) for a_, b_ in zip(Lc, ad)]
-        if which == "corollary1a":
-            for i in range(n):
-                res = mat_sub(mat_mul(Lpol[i], S),
-                              mat_mul(S, transpose(Rpol[i])))
-                if not mat_is_zero(res):
-                    return AxiomReport.fail("corollary1a", (i,), res[0],
-                                            [x - x for x in res[0]])
-            return AxiomReport.ok()
-        At = ybe_operator(circ, r, "A")
-        Ct = ybe_operator(bracket, r, "C")
-        Ppol = At.add(Ct)
-        Qpol = At.sub(Ct)
-        for i in range(n):
-            T1 = t3_slot_apply(Ppol, 0, Rpol[i]).sub(
-                t3_slot_apply(Ppol, 2, Lpol[i]))
-            T2 = t3_slot_apply(Ppol, 1, Rpol[i]).sub(
-                t3_slot_apply(Ppol, 2, Rpol[i]))
-            T3 = t3_slot_apply(Qpol, 0, Rpol[i]).sub(
-                t3_slot_apply(Qpol, 1, Rpol[i]))
-            res = T1.add(T2.add(T3).scale(t))
-            idx = res.first_nonzero()
-            if idx is not None:
-                val = res.t[idx[0]][idx[1]][idx[2]]
-                return AxiomReport.fail("corollary1b", (i,) + idx[:2], [val],
-                                        [val - val])
-        return AxiomReport.ok()
+    if which in COSP:
+        ident = COSP[which]
+        ops = {"m": star.c, "M": M,
+               "P": ybe_operator(star, r, "P").t, "Q": ybe_operator(star, r, "Q").t}
+        ops.update((name, evaluate_scalars(terms, {"r": r.coeff, "m": star.c}, p))
+                   for name, terms in _R_TIMES_M.items() if name in ident.lhs.ranks)
+        rep = check_identities([[ident]], {k: ops[k] for k in ident.lhs.ranks}, p)
+        if rep.holds:
+            return rep
+        # the witness is the first nonzero entry of the residual at (i, a, b)
+        _, idx, lhs, _ = rep.witness
+        val = next(x for x in lhs if not x.is_zero())
+        return AxiomReport.fail(which, idx, [val], [val - val])
     raise ValueError(f"unknown condition {which!r}")
 
 

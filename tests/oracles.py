@@ -3,15 +3,26 @@
 Everything here deliberately avoids the production code paths: the slot
 products are expanded symbolically with a formal unit, the identity checks
 are evaluated on random full vectors instead of basis triples, and counting
-is done by brute enumeration.  Agreement between these and the package is
-what the tests assert.
+is done by brute enumeration.  The last section keeps the hand-written
+scalar loops that the package's identity tables replaced, unchanged, so the
+tables can be compared with them verdict by verdict and witness by witness.
+Agreement between these and the package is what the tests assert.
 """
 
 import random
 
+import numpy as np
+
 from admpoisson.scalars import Scalar, zero, one, third
-from admpoisson.tensors import (MulTensor, Tensor3, apply_mul, vec_zero,
-                                vec_add, vec_sub, vec_scale)
+from admpoisson.tensors import (MulTensor, Tensor3, AxiomReport, SLOT_PATTERNS,
+                                apply_mul, vec_zero, vec_add, vec_sub,
+                                vec_scale, vec_is_zero, bv_mul, vb_mul,
+                                basis_vec, column, mat_vec, mat_add, mat_sub,
+                                mat_scale, mat_mul, mat_zero, mat_eq,
+                                mult_of_vec)
+from admpoisson.representations import Representation
+from admpoisson.yangbaxter import _sym_defect
+from admpoisson.search import dim2_gf5_tensor_array
 
 
 # ---------------------------------------------------------------------------
@@ -156,3 +167,629 @@ def brute_count_adm(n, p, check):
         if check(MulTensor(n, p, c)):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# the hand-written residual loops, as they were before the identity tables
+
+
+# algebras
+
+
+def _c1_residual(m, i, j, k):
+    """lhs - rhs of the defining identity at (e_i, e_j, e_k); also both sides."""
+    t = third(m.p)
+    xy = m.prod(i, j)
+    lhs = vb_mul(m, xy, k)                      # (x*y)*z
+    rhs = bv_mul(m, i, m.prod(j, k))            # x*(y*z)
+    corr = vec_sub(vec_add(bv_mul(m, k, xy),                 # z*(x*y)
+                           bv_mul(m, j, m.prod(i, k))),      # y*(x*z)
+                   vec_add(bv_mul(m, i, m.prod(k, j)),       # x*(z*y)
+                           bv_mul(m, j, m.prod(k, i))))      # y*(z*x)
+    rhs = vec_sub(rhs, vec_scale(t, corr))
+    return lhs, rhs
+
+
+def check_adm_poisson(m):
+    """Does a MulTensor satisfy the single admissible-Poisson identity?"""
+    for i in range(m.n):
+        for j in range(m.n):
+            for k in range(m.n):
+                lhs, rhs = _c1_residual(m, i, j, k)
+                if lhs != rhs:
+                    return AxiomReport.fail("adm-poisson", (i, j, k), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def weak_associativity_holds(m):
+    """(x*y)*z - x*(y*z) = z*(y*x) - (z*y)*x on basis triples (a consequence)."""
+    for i in range(m.n):
+        for j in range(m.n):
+            for k in range(m.n):
+                lhs = vec_sub(vb_mul(m, m.prod(i, j), k),
+                              bv_mul(m, i, m.prod(j, k)))
+                rhs = vec_sub(bv_mul(m, k, m.prod(j, i)),
+                              vb_mul(m, m.prod(k, j), i))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def check_poisson(bracket, circ):
+    """Antisymmetry + Jacobi + symmetry + associativity + Leibniz."""
+    assert bracket.n == circ.n and bracket.p == circ.p
+    n = bracket.n
+    for i in range(n):
+        for j in range(n):
+            lhs = bracket.prod(i, j)
+            rhs = vec_neg_list(bracket.prod(j, i))
+            if lhs != rhs:
+                return AxiomReport.fail("antisymmetry", (i, j), lhs, rhs)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = vec_add(vb_mul(bracket, bracket.prod(i, j), k),
+                              vec_add(vb_mul(bracket, bracket.prod(j, k), i),
+                                      vb_mul(bracket, bracket.prod(k, i), j)))
+                rhs = [s - s for s in lhs]
+                if not vec_is_zero(lhs):
+                    return AxiomReport.fail("jacobi", (i, j, k), lhs, rhs)
+    for i in range(n):
+        for j in range(n):
+            lhs = circ.prod(i, j)
+            rhs = circ.prod(j, i)
+            if lhs != rhs:
+                return AxiomReport.fail("symmetry", (i, j), lhs, rhs)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = vb_mul(circ, circ.prod(i, j), k)
+                rhs = bv_mul(circ, i, circ.prod(j, k))
+                if lhs != rhs:
+                    return AxiomReport.fail("associativity", (i, j, k), lhs, rhs)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                # [x, y o z] = [x,y] o z + y o [x,z]
+                lhs = bv_mul(bracket, i, circ.prod(j, k))
+                rhs = vec_add(vb_mul(circ, bracket.prod(i, j), k),
+                              bv_mul(circ, j, bracket.prod(i, k)))
+                if lhs != rhs:
+                    return AxiomReport.fail("leibniz", (i, j, k), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def vec_neg_list(v):
+    return [-x for x in v]
+
+
+# representations
+
+
+def check_representation(rep):
+    """Verify the three operator identities on every basis pair."""
+    star = rep.alg.star
+    n, p = star.n, star.p
+    t = third(p)
+    l, r = rep.l, rep.r
+    for i in range(n):
+        for j in range(n):
+            xy = star.prod(i, j)
+            yx = star.prod(j, i)
+            l_xy = mult_of_vec(l, xy) if any(xy) else mat_zero(rep.vdim, rep.vdim, p)
+            r_xy = mult_of_vec(r, xy) if any(xy) else mat_zero(rep.vdim, rep.vdim, p)
+            r_yx = mult_of_vec(r, yx) if any(yx) else mat_zero(rep.vdim, rep.vdim, p)
+            ll = mat_mul(l[i], l[j])
+            ll_rev = mat_mul(l[j], l[i])
+            lr = mat_mul(l[i], r[j])
+            lr_rev = mat_mul(l[j], r[i])
+            # c2
+            lhs = l_xy
+            rhs = mat_sub(ll, mat_scale(t, mat_sub(mat_add(r_xy, ll_rev),
+                                                   mat_add(lr, lr_rev))))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("c2", (i, j), lhs, rhs)
+            # c3
+            lhs = mat_mul(r[j], l[i])
+            rhs = mat_sub(lr, mat_scale(t, mat_sub(mat_add(ll_rev, r_xy),
+                                                   mat_add(ll, r_yx))))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("c3", (i, j), lhs, rhs)
+            # c4
+            lhs = mat_mul(r[j], r[i])
+            rhs = mat_sub(r_xy, mat_scale(t, mat_sub(mat_add(lr_rev, lr),
+                                                     mat_add(r_yx, ll))))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("c4", (i, j), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def rep_consequence_holds(rep):
+    """l(x*y) + r(x)r(y) = l(x)l(y) + r(y*x), a consequence of c2-c4."""
+    star = rep.alg.star
+    n = star.n
+    l, r = rep.l, rep.r
+    for i in range(n):
+        for j in range(n):
+            lhs = mat_add(mult_of_vec_or_zero(l, star.prod(i, j), rep.vdim, star.p),
+                          mat_mul(r[i], r[j]))
+            rhs = mat_add(mat_mul(l[i], l[j]),
+                          mult_of_vec_or_zero(r, star.prod(j, i), rep.vdim, star.p))
+            if not mat_eq(lhs, rhs):
+                return False
+    return True
+
+
+def mult_of_vec_or_zero(fam, x, m, p):
+    if all(c.is_zero() for c in x):
+        return mat_zero(m, m, p)
+    return mult_of_vec(fam, x)
+
+
+# matched
+
+
+def _fam_apply(fam, coefs, v):
+    """(sum_t coefs_t fam[t]) applied to vector v."""
+    size = len(fam[0])
+    p = v[0].p
+    out = vec_zero(size, p)
+    for t, ct in enumerate(coefs):
+        if ct.is_zero():
+            continue
+        out = vec_add(out, vec_scale(ct, mat_vec(fam[t], v)))
+    return out
+
+
+def _eq1_residual(star1, l1, r1, l2, r2, i, j, a, p):
+    """r2(a)(x*y) vs its matched-pair expansion; x=e_i, y=e_j, a=f_a."""
+    t = third(p)
+    n1 = star1.n
+    ei = basis_vec(n1, i, p)
+    ej = basis_vec(n1, j, p)
+    xy = star1.prod(i, j)
+    lhs = mat_vec(r2[a], xy)
+    l1y_a = column(l1[j], a)          # l1(y)a, a P2-vector
+    l1x_a = column(l1[i], a)
+    r1y_a = column(r1[j], a)
+    r1x_a = column(r1[i], a)
+    r2a_x = column(r2[a], i)          # r2(a)x, a P1-vector
+    r2a_y = column(r2[a], j)
+    l2a_x = column(l2[a], i)
+    l2a_y = column(l2[a], j)
+    rhs = vec_add(_fam_apply(r2, l1y_a, ei), bv_mul(star1, i, r2a_y))
+    corr = _fam_apply(r2, r1y_a, ei)
+    corr = vec_add(corr, bv_mul(star1, i, l2a_y))
+    corr = vec_sub(corr, mat_vec(l2[a], xy))
+    corr = vec_sub(corr, bv_mul(star1, j, r2a_x))
+    corr = vec_sub(corr, _fam_apply(r2, l1x_a, ej))
+    corr = vec_add(corr, bv_mul(star1, j, l2a_x))
+    corr = vec_add(corr, _fam_apply(r2, r1x_a, ej))
+    rhs = vec_add(rhs, vec_scale(t, corr))
+    return lhs, rhs
+
+
+def _eq2_residual(star1, l1, r1, l2, r2, i, j, a, p):
+    """l2(a)(x*y) vs its matched-pair expansion."""
+    t = third(p)
+    n1 = star1.n
+    ei = basis_vec(n1, i, p)
+    ej = basis_vec(n1, j, p)
+    xy = star1.prod(i, j)
+    yx = star1.prod(j, i)
+    lhs = mat_vec(l2[a], xy)
+    r1x_a = column(r1[i], a)
+    r1y_a = column(r1[j], a)
+    l1y_a = column(l1[j], a)
+    l2a_x = column(l2[a], i)
+    l2a_y = column(l2[a], j)
+    r2a_y = column(r2[a], j)
+    rhs = vec_add(vb_mul(star1, l2a_x, j), _fam_apply(l2, r1x_a, ej))
+    corr = vec_sub(bv_mul(star1, j, l2a_x), mat_vec(l2[a], yx))
+    corr = vec_add(corr, _fam_apply(r2, r1x_a, ej))
+    corr = vec_add(corr, bv_mul(star1, i, l2a_y))
+    corr = vec_add(corr, _fam_apply(r2, r1y_a, ei))
+    corr = vec_sub(corr, bv_mul(star1, i, r2a_y))
+    corr = vec_sub(corr, _fam_apply(r2, l1y_a, ei))
+    rhs = vec_add(rhs, vec_scale(t, corr))
+    return lhs, rhs
+
+
+def _eq3_residual(star1, l1, r1, l2, r2, i, j, a, p):
+    """(r2(a)x)*y vs its matched-pair expansion."""
+    t = third(p)
+    n1 = star1.n
+    ei = basis_vec(n1, i, p)
+    ej = basis_vec(n1, j, p)
+    xy = star1.prod(i, j)
+    yx = star1.prod(j, i)
+    l1x_a = column(l1[i], a)
+    l1y_a = column(l1[j], a)
+    r1y_a = column(r1[j], a)
+    r2a_x = column(r2[a], i)
+    r2a_y = column(r2[a], j)
+    l2a_y = column(l2[a], j)
+    lhs = vb_mul(star1, r2a_x, j)
+    rhs = vec_sub(bv_mul(star1, i, l2a_y), _fam_apply(l2, l1x_a, ej))
+    rhs = vec_add(rhs, _fam_apply(r2, r1y_a, ei))
+    corr = vec_add(bv_mul(star1, i, r2a_y), _fam_apply(r2, l1y_a, ei))
+    corr = vec_sub(corr, bv_mul(star1, j, r2a_x))
+    corr = vec_sub(corr, _fam_apply(r2, l1x_a, ej))
+    corr = vec_sub(corr, mat_vec(l2[a], xy))
+    corr = vec_add(corr, mat_vec(l2[a], yx))
+    rhs = vec_add(rhs, vec_scale(t, corr))
+    return lhs, rhs
+
+
+_RESIDUALS = (_eq1_residual, _eq2_residual, _eq3_residual)
+
+
+def check_matched_pair(mp):
+    """All six compatibility identities; sub-representation failures are
+    reported distinctly (witness names rep1/rep2)."""
+    p = mp.p1.p
+    rep1 = Representation.raw(mp.p1, mp.l1, mp.r1)
+    rep2 = Representation.raw(mp.p2, mp.l2, mp.r2)
+    rp1 = check_representation(rep1)
+    if not rp1.holds:
+        name, idx, lhs, rhs = rp1.witness
+        return AxiomReport.fail(f"rep1:{name}", idx, lhs, rhs)
+    rp2 = check_representation(rep2)
+    if not rp2.holds:
+        name, idx, lhs, rhs = rp2.witness
+        return AxiomReport.fail(f"rep2:{name}", idx, lhs, rhs)
+    star1, star2 = mp.p1.star, mp.p2.star
+    for which, res in enumerate(_RESIDUALS, start=1):
+        for i in range(mp.p1.n):
+            for j in range(mp.p1.n):
+                for a in range(mp.p2.n):
+                    lhs, rhs = res(star1, mp.l1, mp.r1, mp.l2, mp.r2, i, j, a, p)
+                    if lhs != rhs:
+                        return AxiomReport.fail(f"match{which}", (i, j, a),
+                                                lhs, rhs)
+    for which, res in enumerate(_RESIDUALS, start=4):
+        for a in range(mp.p2.n):
+            for b in range(mp.p2.n):
+                for i in range(mp.p1.n):
+                    lhs, rhs = res(star2, mp.l2, mp.r2, mp.l1, mp.r1, a, b, i, p)
+                    if lhs != rhs:
+                        return AxiomReport.fail(f"match{which}", (a, b, i),
+                                                lhs, rhs)
+    return AxiomReport.ok()
+
+
+# ooperators
+
+
+def pre_adm_residuals(succ, prec, i, j, k):
+    """The three defining residuals A, B, C at the basis triple (x,y,z).
+
+    A = -(x>y)>z - (x<y)>z + x>(y>z)
+        + 1/3( x>(z<y) - z<(x>y) - z<(x<y) - y>(x>z) + y>(z<x) )
+    B = -x>(z<y) + (x>z)<y
+        + 1/3( -x>(y>z) + y>(x>z) + z<(x<y) + z<(x>y) - z<(y>x) - z<(y<x) )
+    C = -z<(x>y) - z<(x<y) + (z<x)<y
+        + 1/3( -z<(y>x) - z<(y<x) + y>(z<x) + x>(z<y) - x>(y>z) )
+    """
+    t = third(succ.p)
+    sp = lambda a, b: succ.prod(a, b)      # e_a > e_b
+    pp = lambda a, b: prec.prod(a, b)      # e_a < e_b
+    s_bv = lambda a, v: bv_mul(succ, a, v)   # e_a > v
+    s_vb = lambda v, b: vb_mul(succ, v, b)   # v > e_b  (as vector > basis)
+    p_bv = lambda a, v: bv_mul(prec, a, v)
+    p_vb = lambda v, b: vb_mul(prec, v, b)
+
+    x_y_z = s_bv(i, sp(j, k))          # x>(y>z)
+    x_zy = s_bv(i, pp(k, j))           # x>(z<y)
+    y_xz = s_bv(j, sp(i, k))           # y>(x>z)
+    y_zx = s_bv(j, pp(k, i))           # y>(z<x)
+    z_xy_s = p_bv(k, sp(i, j))         # z<(x>y)
+    z_xy_p = p_bv(k, pp(i, j))         # z<(x<y)
+    z_yx_s = p_bv(k, sp(j, i))         # z<(y>x)
+    z_yx_p = p_bv(k, pp(j, i))         # z<(y<x)
+
+    A = vec_sub(x_y_z, vec_add(s_vb(sp(i, j), k), s_vb(pp(i, j), k)))
+    corr = vec_sub(vec_add(x_zy, y_zx),
+                   vec_add(vec_add(z_xy_s, z_xy_p), y_xz))
+    A = vec_add(A, vec_scale(t, corr))
+
+    B = vec_sub(p_vb(sp(i, k), j), x_zy)
+    corr = vec_sub(vec_add(vec_add(y_xz, z_xy_p), z_xy_s),
+                   vec_add(vec_add(x_y_z, z_yx_s), z_yx_p))
+    B = vec_add(B, vec_scale(t, corr))
+
+    C = vec_sub(p_vb(pp(k, i), j), vec_add(z_xy_s, z_xy_p))
+    corr = vec_sub(vec_add(y_zx, x_zy),
+                   vec_add(vec_add(z_yx_s, z_yx_p), x_y_z))
+    C = vec_add(C, vec_scale(t, corr))
+    return A, B, C
+
+
+def check_pre_adm_poisson(pre):
+    succ, prec = pre.succ, pre.prec
+    n = succ.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                A, B, C = pre_adm_residuals(succ, prec, i, j, k)
+                for name, res in (("pre1", A), ("pre2", B), ("pre3", C)):
+                    if any(res):
+                        return AxiomReport.fail(name, (i, j, k), res,
+                                                [x - x for x in res])
+    return AxiomReport.ok()
+
+
+def check_pre_poisson(q):
+    """Zinbiel + pre-Lie + the two mixed compatibility identities."""
+    dot, ast = q.dot, q.ast
+    n = dot.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                # Zinbiel: x.(y.z) = (y.x).z + (x.y).z
+                lhs = bv_mul(dot, i, dot.prod(j, k))
+                rhs = vec_add(vb_mul(dot, dot.prod(j, i), k),
+                              vb_mul(dot, dot.prod(i, j), k))
+                if lhs != rhs:
+                    return AxiomReport.fail("zinbiel", (i, j, k), lhs, rhs)
+                # pre-Lie: x*(y*z) - (x*y)*z = y*(x*z) - (y*x)*z
+                lhs = vec_sub(bv_mul(ast, i, ast.prod(j, k)),
+                              vb_mul(ast, ast.prod(i, j), k))
+                rhs = vec_sub(bv_mul(ast, j, ast.prod(i, k)),
+                              vb_mul(ast, ast.prod(j, i), k))
+                if lhs != rhs:
+                    return AxiomReport.fail("pre-lie", (i, j, k), lhs, rhs)
+                # (x*y - y*x).z = x*(y.z) - y.(x*z)
+                d = vec_sub(ast.prod(i, j), ast.prod(j, i))
+                lhs = vb_mul(dot, d, k)
+                rhs = vec_sub(bv_mul(ast, i, dot.prod(j, k)),
+                              bv_mul(dot, j, ast.prod(i, k)))
+                if lhs != rhs:
+                    return AxiomReport.fail("compat1", (i, j, k), lhs, rhs)
+                # (x.y + y.x)*z = x.(y*z) + y.(x*z)
+                s = vec_add(dot.prod(i, j), dot.prod(j, i))
+                lhs = vb_mul(ast, s, k)
+                rhs = vec_add(bv_mul(dot, i, ast.prod(j, k)),
+                              bv_mul(dot, j, ast.prod(i, k)))
+                if lhs != rhs:
+                    return AxiomReport.fail("compat2", (i, j, k), lhs, rhs)
+    return AxiomReport.ok()
+
+
+# tensors
+
+
+def tensor3_product(ra, rb, m, slots):
+    """Componentwise product of two rank-2 tensors placed in triple-tensor slots.
+
+    `ra` and `rb` are n x n coefficient matrices (first factor = first index);
+    `slots` names where the left and right operands sit, e.g. "12.13" is the
+    product of the left operand in slots (1,2) with the right one in (1,3).
+    The shared slot carries the product under `m`; the formal placeholder in
+    the unused slot never materializes.
+    """
+    assert slots in SLOT_PATTERNS, f"unknown slot pattern {slots!r}"
+    n, p = m.n, m.p
+    assert len(ra) == n and len(rb) == n, "dimension mismatch"
+    out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
+    nz_a = [(i, j, ra[i][j]) for i in range(n) for j in range(n)
+            if not ra[i][j].is_zero()]
+    nz_b = [(i, j, rb[i][j]) for i in range(n) for j in range(n)
+            if not rb[i][j].is_zero()]
+    for ia, ja, ca in nz_a:
+        for ib, jb, cb in nz_b:
+            f = ca * cb
+            if slots == "12.13":
+                # (e_ia * e_ib) (x) e_ja (x) e_jb
+                prod, fixed = m.c[ia][ib], lambda k: (k, ja, jb)
+            elif slots == "13.23":
+                # e_ia (x) e_ib (x) (e_ja * e_jb)
+                prod, fixed = m.c[ja][jb], lambda k: (ia, ib, k)
+            elif slots == "23.12":
+                # left in (2,3), right in (1,2): e_ib (x) (e_ia * e_jb) (x) e_ja
+                prod, fixed = m.c[ia][jb], lambda k: (ib, k, ja)
+            elif slots == "12.23":
+                # left in (1,2), right in (2,3): e_ia (x) (e_ja * e_ib) (x) e_jb
+                prod, fixed = m.c[ja][ib], lambda k: (ia, k, jb)
+            elif slots == "23.13":
+                # left in (2,3), right in (1,3): e_ib (x) e_ia (x) (e_ja * e_jb)
+                prod, fixed = m.c[ja][jb], lambda k: (ib, ia, k)
+            else:  # "13.12"
+                # left in (1,3), right in (1,2): (e_ia * e_ib) (x) e_jb (x) e_ja
+                prod, fixed = m.c[ia][ib], lambda k: (k, jb, ja)
+            for k in range(n):
+                if prod[k].is_zero():
+                    continue
+                x, y, z = fixed(k)
+                out[x][y][z] = out[x][y][z] + f * prod[k]
+    return Tensor3(n, p, out)
+
+
+# yangbaxter
+
+
+def ybe_operator(mul, r, which):
+    """P, Q, A or C as a Tensor3; `mul` is the relevant operation's tensor
+    (the single operation for P/Q, circ for A, bracket for C)."""
+    rm = r.coeff
+    t3 = lambda pat: tensor3_product(rm, rm, mul, pat)
+    if which == "P":
+        return t3("23.12").sub(t3("13.23")).sub(t3("12.13"))
+    if which == "Q":
+        return t3("12.23").sub(t3("23.13")).sub(t3("13.12"))
+    if which == "A":
+        return t3("23.12").sub(t3("13.23")).sub(t3("12.13"))
+    if which == "C":
+        return t3("23.12").add(t3("23.13")).add(t3("13.12"))
+    raise ValueError(f"unknown operator {which!r}")
+
+
+def t3_swap(t, axis_a, axis_b):
+    """Transpose two tensor slots (0-based)."""
+    n, p = t.n, t.p
+    out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                idx = [i, j, k]
+                idx[axis_a], idx[axis_b] = idx[axis_b], idx[axis_a]
+                out[idx[0]][idx[1]][idx[2]] = t.t[i][j][k]
+    return Tensor3(n, p, out)
+
+
+def t3_slot_apply(t, slot, m):
+    """Apply a matrix m to one tensor slot (id (x) ... (x) m (x) ... (x) id)."""
+    n, p = t.n, t.p
+    out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                coef = t.t[i][j][k]
+                if coef.is_zero():
+                    continue
+                idx = (i, j, k)
+                for a in range(n):
+                    f = m[a][idx[slot]]
+                    if f.is_zero():
+                        continue
+                    new = list(idx)
+                    new[slot] = a
+                    out[new[0]][new[1]][new[2]] = \
+                        out[new[0]][new[1]][new[2]] + f * coef
+    return Tensor3(n, p, out)
+
+
+def _t3_vm(pidx, M, n, p):
+    """e_p (x) M as a Tensor3 (M a matrix viewed in the last two slots)."""
+    t = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            t[pidx][u][v] = M[u][v]
+    return Tensor3(n, p, t)
+
+
+def _t3_mv(M, qidx, n, p):
+    """M (x) e_q as a Tensor3 (M in the first two slots)."""
+    t = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            t[u][v][qidx] = M[u][v]
+    return Tensor3(n, p, t)
+
+
+def _cosp_residual(star, r, i, L=None, R=None, Pt=None, Qt=None):
+    """The long coalgebra-condition residual at x = e_i.
+
+    Term structure (all built from S = r + tau(r), M(z) = L(z)S - S R(z)^T):
+      T1 = (R(x) (x) id (x) id - id (x) id (x) L(x)) P(r)
+      T2 = (id (x) R(x) (x) id - id (x) id (x) R(x)) P(r)
+      T3 = (R(x) (x) id (x) id - id (x) R(x) (x) id) Q(r)
+      A  = sum r[p][q] (R(x) on slot 1)(e_p (x) M(e_q))
+      B  = sum r[p][q] (R(x) on slot 2)(swap12(e_p (x) M(e_q)))
+      C  = sum r[p][q] (id + swap23)(L(e_p) M(x) (x) e_q)
+      D  = sum r[p][q] (id + swap12)(e_p (x) M(x * e_q))
+      E  = sum r[p][q] e_p (x) (R(e_q) M(x))
+      F  = sum r[p][q] (R(e_p) M(x)) (x) e_q
+    and the residual is T1 + 1/3 (T2 + T3 - A - B + C + D - E - F).
+    """
+    n, p = star.n, star.p
+    t = third(p)
+    S, Lfam, Rfam, Mfam, M_of = _sym_defect(star, r)
+    if L is None:
+        L, R = Lfam, Rfam
+    if Pt is None:
+        Pt = ybe_operator(star, r, "P")
+        Qt = ybe_operator(star, r, "Q")
+    Rx, Lx = R[i], L[i]
+    Mx = Mfam[i]
+    T1 = t3_slot_apply(Pt, 0, Rx).sub(t3_slot_apply(Pt, 2, Lx))
+    T2 = t3_slot_apply(Pt, 1, Rx).sub(t3_slot_apply(Pt, 2, Rx))
+    T3 = t3_slot_apply(Qt, 0, Rx).sub(t3_slot_apply(Qt, 1, Rx))
+    corr = T2.add(T3)
+    rm = r.coeff
+    for pp in range(n):
+        for q in range(n):
+            cpq = rm[pp][q]
+            if cpq.is_zero():
+                continue
+            Mq = Mfam[q]
+            termA = t3_slot_apply(_t3_vm(pp, Mq, n, p), 0, Rx)
+            termB = t3_slot_apply(t3_swap(_t3_vm(pp, Mq, n, p), 0, 1), 1, Rx)
+            Kp = mat_mul(L[pp], Mx)
+            base_c = _t3_mv(Kp, q, n, p)
+            termC = base_c.add(t3_swap(base_c, 1, 2))
+            Wq = M_of(star.prod(i, q))
+            base_d = _t3_vm(pp, Wq, n, p)
+            termD = base_d.add(t3_swap(base_d, 0, 1))
+            termE = _t3_vm(pp, mat_mul(R[q], Mx), n, p)
+            termF = _t3_mv(mat_mul(R[pp], Mx), q, n, p)
+            delta = termC.add(termD).sub(termA).sub(termB).sub(termE).sub(termF)
+            corr = corr.add(delta.scale(cpq))
+    return T1.add(corr.scale(t))
+
+
+def check_cosp(a, r, which):
+    """The cosp and cosp2 branches of check_coboundary_conditions."""
+    star = a.star
+    n, p = star.n, star.p
+    t = third(p)
+    S, L, R, M, M_of = _sym_defect(star, r)
+    Pt = ybe_operator(star, r, "P")
+    Qt = ybe_operator(star, r, "Q")
+    for i in range(n):
+        if which == "cosp":
+            res = _cosp_residual(star, r, i, L, R, Pt, Qt)
+        else:
+            T1 = t3_slot_apply(Pt, 0, R[i]).sub(t3_slot_apply(Pt, 2, L[i]))
+            T2 = t3_slot_apply(Pt, 1, R[i]).sub(t3_slot_apply(Pt, 2, R[i]))
+            T3 = t3_slot_apply(Qt, 0, R[i]).sub(t3_slot_apply(Qt, 1, R[i]))
+            res = T1.add(T2.add(T3).scale(t))
+        idx = res.first_nonzero()
+        if idx is not None:
+            val = res.t[idx[0]][idx[1]][idx[2]]
+            return AxiomReport.fail(which, (i,) + idx[:2], [val],
+                                    [val - val])
+    return AxiomReport.ok()
+
+
+# search
+
+
+def adm_mask_dim2_gf5(C=None):
+    """Boolean mask of the defining identity, cleared of 1/3 by scaling by 3:
+
+    3[(x*y)*z - x*(y*z)] + [-x*(z*y) + z*(x*y) + y*(x*z) - y*(z*x)] = 0.
+    """
+    if C is None:
+        C = dim2_gf5_tensor_array()
+    Cw = C.astype(np.int16)
+    res = 3 * (np.einsum('mijs,mskl->mijkl', Cw, Cw)       # (x*y)*z
+               - np.einsum('mjks,misl->mijkl', Cw, Cw))    # x*(y*z)
+    res -= np.einsum('mkjs,misl->mijkl', Cw, Cw)           # x*(z*y)
+    res += np.einsum('mijs,mksl->mijkl', Cw, Cw)           # z*(x*y)
+    res += np.einsum('miks,mjsl->mijkl', Cw, Cw)           # y*(x*z)
+    res -= np.einsum('mkis,mjsl->mijkl', Cw, Cw)           # y*(z*x)
+    res %= 5
+    return (res == 0).all(axis=(1, 2, 3, 4))
+
+
+def poisson_mask_dim2_gf5(C=None):
+    """Independent route: polarize (1/2 = 3 mod 5) and test the Poisson
+    axioms (Jacobi, associativity, Leibniz; the symmetry axioms hold by
+    construction of the polarized pair)."""
+    if C is None:
+        C = dim2_gf5_tensor_array()
+    Cw = C.astype(np.int16)
+    circ = (3 * (Cw + Cw.transpose(0, 2, 1, 3))) % 5
+    br = (3 * (Cw - Cw.transpose(0, 2, 1, 3))) % 5
+    T = np.einsum('mijs,mskl->mijkl', br, br)
+    jac = (T + T.transpose(0, 2, 3, 1, 4) + T.transpose(0, 3, 1, 2, 4)) % 5
+    ok = (jac == 0).all(axis=(1, 2, 3, 4))
+    assoc = (np.einsum('mijs,mskl->mijkl', circ, circ)
+             - np.einsum('mjks,misl->mijkl', circ, circ)) % 5
+    ok &= (assoc == 0).all(axis=(1, 2, 3, 4))
+    leib = (np.einsum('mjks,misl->mijkl', circ, br)       # [x, y o z]
+            - np.einsum('mijs,mskl->mijkl', br, circ)     # [x, y] o z
+            - np.einsum('miks,mjsl->mijkl', br, circ)) % 5  # y o [x, z]
+    ok &= (leib == 0).all(axis=(1, 2, 3, 4))
+    return ok

@@ -32,12 +32,12 @@ from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    solution_from_o_operator, PreAdmPoisson,
                                    check_pre_adm_poisson, canonical_solution)
 from admpoisson.search import (encode_mul, decode_mul, dim2_gf5_tensor_array,
-                               adm_mask_dim2_gf5, poisson_mask_dim2_gf5,
+                               adm_mask_dim2_gf5,
                                iter_r_tensors, iter_maps, SearchSpec, search)
 from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
 
-from oracles import rand_mul, rand_mat, rand_vec
+from oracles import rand_mul, rand_mat, rand_vec, poisson_mask_dim2_gf5
 
 P = 5
 CORPUS = Path(__file__).parent / "corpus"

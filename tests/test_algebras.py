@@ -5,13 +5,12 @@ import pytest
 from admpoisson.scalars import Scalar, of
 from admpoisson.tensors import MulTensor, vec_is_zero
 from admpoisson.algebras import (check_adm_poisson, check_poisson,
-                                 weak_associativity_holds,
                                  AdmPoissonAlgebra, PoissonAlgebra,
                                  polarize, depolarize, polarize_raw,
                                  depolarize_raw, AxiomReport)
 
 from oracles import (rand_mul, rand_triple, adm_identity_on_vectors,
-                     poisson_identities_on_vectors)
+                     poisson_identities_on_vectors, weak_associativity_holds)
 
 
 def idempotent_dim1(p=0):

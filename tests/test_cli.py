@@ -213,6 +213,41 @@ def test_search_cli_field_mismatch(capsys):
     assert code == 2
 
 
+def test_search_cli_algebra_over_other_field(capsys):
+    # a rational file under a GF(5) search is an input error, not a crash
+    code, out, err = run(capsys, "search", "o_operator", "--field", "5",
+                         "--algebra", CORPUS / "rep_theta.alg")
+    assert code == 2
+    assert err.startswith("error: ") and "does not match --field 5" in err
+
+
+def test_search_cli_rejects_dim_0(capsys):
+    code, out, err = run(capsys, "search", "adm_poisson", "--dim", "0")
+    assert code == 2
+    assert re.match(r"error: \S", err)
+    assert "# total" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "adm_poisson", "--dim", "0"],
+    ["search", "o_operator", "--field", "5", "--algebra",
+     str(CORPUS / "rep_theta.alg")],
+])
+def test_search_validation_holds_under_python_O(argv):
+    # validation must not rely on assert, which `python -O` strips
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "admpoisson.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert re.match(r"error: \S", proc.stderr)
+    assert "# total" not in proc.stdout
+
+
 def test_console_entry_point():
     import shutil
     import subprocess

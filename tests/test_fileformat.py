@@ -130,6 +130,18 @@ def test_errors_carry_line_numbers(text, line):
     assert exc.value.lineno == line
 
 
+def test_rep_size_mismatch_reports_its_line():
+    text = ("field rational\ndim 2\nrep L e1 = [1,0 ; 0,1]\n"
+            "rep L e2 = [1,2,3 ; 4,5,6 ; 7,8,9]\n")
+    with pytest.raises(FormatError) as exc:
+        parse_file(text)
+    assert exc.value.lineno == 4
+    assert "rep 'L' matrices disagree in size" in str(exc.value)
+    with pytest.raises(FormatError) as exc:       # one non-square matrix
+        parse_file("field rational\ndim 1\n\nrep L e1 = [1,2]\n")
+    assert exc.value.lineno == 4
+
+
 def test_missing_headers():
     with pytest.raises(FormatError):
         parse_file("")

@@ -1,0 +1,328 @@
+"""The identity tables give the same verdicts and witnesses as the loops.
+
+Every checker that evaluates an identity table is compared with the
+hand-written scalar loop it replaced (kept in oracles.py): the verdict and
+the whole witness (name, index, lhs, rhs) must be equal, and so must every
+Tensor3 built from the slot-product tables.  Inputs are valid structures
+(from constructions that are valid by theorem, then a random change of
+basis) and the same structures with one entry perturbed, at dims 1-4 over
+Q (with non-unit denominators), GF(5), GF(10007) and GF(2^31 - 1).
+"""
+
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import oracles
+from admpoisson.scalars import Scalar
+from admpoisson.tensors import (MulTensor, SLOT_PATTERNS, mat_inverse,
+                                tensor3_product)
+from admpoisson.algebras import (POISSON, AdmPoissonAlgebra, check_adm_poisson,
+                                 check_poisson, polarize_raw)
+from admpoisson.representations import (Representation, adjoint_rep,
+                                        check_representation, dual_rep)
+from admpoisson.matched import (MatchedPairData, check_matched_pair,
+                                manin_pair_data)
+from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson, PrePoisson,
+                                   check_pre_adm_poisson, check_pre_poisson,
+                                   prepoisson_to_pre_raw)
+from admpoisson.yangbaxter import (RTensor, check_coboundary_conditions,
+                                   ybe_operator)
+from admpoisson.search import (adm_catalog_indices, decode_mul, table_hits,
+                               tensor_arrays)
+
+FIELDS = [0, 5, 10007, 2 ** 31 - 1]
+DIMS = [1, 2, 3, 4]
+# down-closed monomial sets x^a y^b without the unit: the other monomials
+# span an ideal, so truncated products stay associative and Poisson
+MONOMIALS = {1: [(1, 0)], 2: [(1, 0), (0, 1)], 3: [(1, 0), (0, 1), (1, 1)],
+             4: [(1, 0), (0, 1), (2, 0), (1, 1)]}
+
+
+def scalar(rng, p, nonzero=False):
+    while True:
+        if p:
+            s = Scalar(rng.randrange(p), 1, p)
+        else:
+            s = Scalar(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+        if not (nonzero and s.is_zero()):
+            return s
+
+
+def matrix(rng, rows, cols, p):
+    return [[scalar(rng, p) for _ in range(cols)] for _ in range(rows)]
+
+
+def invertible(rng, n, p):
+    while True:
+        m = matrix(rng, n, n, p)
+        inv = mat_inverse(m, p)
+        if inv is not None:
+            return m, inv
+
+
+def rebase(ops, rng, p):
+    """The same structures on the basis given by the columns of a random
+    invertible matrix: c'[i][j][k] = sum inv[k][w] c[u][v][w] P[u][i] P[v][j]."""
+    n = ops[0].n
+    P, inv = invertible(rng, n, p)
+    out = []
+    for m in ops:
+        c = [[[sum((inv[k][w] * m.c[u][v][w] * P[u][i] * P[v][j]
+                    for u in range(n) for v in range(n) for w in range(n)),
+                   Scalar(0, 1, p)) for k in range(n)]
+              for j in range(n)] for i in range(n)]
+        out.append(MulTensor(n, p, c))
+    return out
+
+
+def perturb(m, rng):
+    """m with one random entry changed."""
+    c = [[list(row) for row in pl] for pl in m.c]
+    i, j, k = (rng.randrange(m.n) for _ in range(3))
+    c[i][j][k] = c[i][j][k] + scalar(rng, m.p, nonzero=True)
+    return MulTensor(m.n, m.p, c)
+
+
+def perturb_family(fam, rng, p):
+    fam = [[list(row) for row in mat] for mat in fam]
+    mat = fam[rng.randrange(len(fam))]
+    row = mat[rng.randrange(len(mat))]
+    col = rng.randrange(len(row))
+    row[col] = row[col] + scalar(rng, p, nonzero=True)
+    return fam
+
+
+def poisson_star(n, p, rng):
+    """mu*circ + lam*bracket from a truncated monomial algebra with its
+    log-canonical bracket {x^a, x^b} = (a1 b2 - a2 b1) x^(a+b)."""
+    mons = MONOMIALS[n]
+    mu, lam = scalar(rng, p), scalar(rng, p)
+    entries = {}
+    for i, a in enumerate(mons):
+        for j, b in enumerate(mons):
+            s = (a[0] + b[0], a[1] + b[1])
+            if s in mons:
+                k = mons.index(s)
+                entries[(i, j, k)] = mu + lam * Scalar(a[0] * b[1] - a[1] * b[0], 1, p)
+    return MulTensor.from_entries(n, entries, p)
+
+
+def valid_algebra(n, p, rng):
+    return rebase([poisson_star(n, p, rng)], rng, p)[0]
+
+
+def algebras(p, rng, per_dim=2):
+    """(star, expected verdict or None) pairs: valid and perturbed."""
+    out = []
+    for n in DIMS:
+        for _ in range(per_dim):
+            m = valid_algebra(n, p, rng)
+            out.append((m, True))
+            out.append((perturb(m, rng), None))
+    return out
+
+
+def same(new, old):
+    assert new.holds == old.holds
+    assert new.witness == old.witness
+    return new
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_adm_poisson_and_poisson(p):
+    rng = random.Random(1000 + p % 997)
+    seen = Counter()
+    for m, expect in algebras(p, rng):
+        r = same(check_adm_poisson(m), oracles.check_adm_poisson(m))
+        if expect:
+            assert r.holds
+        br, circ = polarize_raw(m)
+        r = same(check_poisson(br, circ), oracles.check_poisson(br, circ))
+        seen[r.witness[0] if r.witness else "ok"] += 1
+        # unpolarized pairs exercise antisymmetry and symmetry too
+        r = same(check_poisson(m, circ), oracles.check_poisson(m, circ))
+        seen[r.witness[0] if r.witness else "ok"] += 1
+        r = same(check_poisson(br, m), oracles.check_poisson(br, m))
+        seen[r.witness[0] if r.witness else "ok"] += 1
+    assert seen["ok"] and seen["antisymmetry"] and seen["symmetry"]
+
+
+def test_catalog_algebras(catalog_muls):
+    for m in catalog_muls[::7]:
+        same(check_adm_poisson(m), oracles.check_adm_poisson(m))
+        same(check_poisson(*polarize_raw(m)),
+             oracles.check_poisson(*polarize_raw(m)))
+        rep = adjoint_rep(AdmPoissonAlgebra.raw(m))
+        same(check_representation(rep), oracles.check_representation(rep))
+
+
+def test_catalog_mask_gives_the_same_769_indices(catalog_gf5):
+    old = [int(i) for i in np.nonzero(oracles.adm_mask_dim2_gf5())[0]]
+    assert catalog_gf5 == old == adm_catalog_indices(2, 5)
+    assert len(old) == 769
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_exhaustive_sweep_masks_match_the_loops(p):
+    # candidate idx holds its first operation in the low base-p digits
+    pairs = [(decode_mul(i % p, 1, p), decode_mul(i // p, 1, p)) for i in range(p * p)]
+    arrays = tensor_arrays(1, p, 2)
+    for idx in (0, 1, p, p * p - 1):
+        assert [int(a[idx].flat[0]) for a in arrays] == \
+            [m.c[0][0][0].num for m in pairs[idx]]
+    assert table_hits(POISSON, dict(zip("bo", arrays)), p) == \
+        [i for i, (b, o) in enumerate(pairs) if oracles.check_poisson(b, o).holds]
+    assert table_hits(PRE_ADM_POISSON, dict(zip("sq", arrays)), p) == \
+        [i for i, (s, q) in enumerate(pairs)
+         if oracles.check_pre_adm_poisson(PreAdmPoisson.raw(s, q)).holds]
+    assert adm_catalog_indices(1, p) == \
+        [i for i in range(p) if oracles.check_adm_poisson(decode_mul(i, 1, p)).holds]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_representation(p):
+    rng = random.Random(2000 + p % 997)
+    names = Counter()
+    for m, expect in algebras(p, rng, per_dim=1):
+        if not expect:
+            continue
+        alg = AdmPoissonAlgebra.raw(m)
+        adj = adjoint_rep(alg)
+        for rep in (adj, dual_rep(adj, check=False)):
+            assert same(check_representation(rep),
+                        oracles.check_representation(rep)).holds
+            for _ in range(3):
+                l, r = rep.l, rep.r
+                if rng.random() < 0.5:
+                    l = perturb_family(l, rng, p)
+                else:
+                    r = perturb_family(r, rng, p)
+                bad = Representation.raw(alg, l, r)
+                w = same(check_representation(bad),
+                         oracles.check_representation(bad)).witness
+                names[w[0] if w else "ok"] += 1
+    assert names["c2"] and names["c3"] + names["c4"]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_matched_pair(p):
+    rng = random.Random(3000 + p % 997)
+    names = Counter()
+    for n in DIMS:
+        a = AdmPoissonAlgebra.raw(valid_algebra(n, p, rng))
+        b = AdmPoissonAlgebra.raw(valid_algebra(n, p, rng))
+        zero = AdmPoissonAlgebra.raw(MulTensor(n, p))
+        adj = adjoint_rep(a)
+        none = [[[Scalar(0, 1, p)] * n for _ in range(n)] for _ in range(n)]
+        # a acting on a zero algebra: the bowtie is the semidirect product
+        mp = MatchedPairData(a, zero, adj.l, adj.r, none, none)
+        assert same(check_matched_pair(mp), oracles.check_matched_pair(mp)).holds
+        for cand in (manin_pair_data(a, b),
+                     MatchedPairData(a, zero, adj.l, adj.r,
+                                     perturb_family(none, rng, p), none),
+                     MatchedPairData(a, zero, adj.l, adj.r, none,
+                                     perturb_family(none, rng, p)),
+                     MatchedPairData(a, b, adj.l, adj.r,
+                                     perturb_family(adj.l, rng, p), adj.r)):
+            w = same(check_matched_pair(cand), oracles.check_matched_pair(cand)).witness
+            names[w[0] if w else "ok"] += 1
+    assert sum(v for k, v in names.items() if k.startswith("match")) >= 2
+
+
+def test_matched_pair_catalog(catalog_muls):
+    holds = 0
+    for a in catalog_muls[1::13]:
+        for b in catalog_muls[1::29]:
+            mp = manin_pair_data(AdmPoissonAlgebra.raw(a), AdmPoissonAlgebra.raw(b))
+            holds += same(check_matched_pair(mp), oracles.check_matched_pair(mp)).holds
+    assert holds >= 1
+
+
+def prepoisson_pairs(n, p, rng):
+    """(Zinbiel, 0) and (0, pre-Lie) on t, t^2, ..., t^n (truncated):
+    t^a . t^b = b/(a+b) t^(a+b) and t^a * t^b = b t^(a+b-1)."""
+    zin = MulTensor.from_entries(n, {(a - 1, b - 1, a + b - 1): Scalar(b, a + b, p)
+                                     for a in range(1, n + 1)
+                                     for b in range(1, n + 1) if a + b <= n}, p)
+    prelie = MulTensor.from_entries(n, {(a - 1, b - 1, a + b - 2): Scalar(b, 1, p)
+                                        for a in range(1, n + 1)
+                                        for b in range(1, n + 1) if a + b - 1 <= n}, p)
+    zero = MulTensor(n, p)
+    return [rebase([zin, zero], rng, p), rebase([zero, prelie], rng, p)]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_pre_structures(p):
+    rng = random.Random(4000 + p % 997)
+    names = Counter()
+    for n in DIMS:
+        for dot, ast in prepoisson_pairs(n, p, rng):
+            q = PrePoisson.raw(dot, ast)
+            assert same(check_pre_poisson(q), oracles.check_pre_poisson(q)).holds
+            pre = PreAdmPoisson.raw(*prepoisson_to_pre_raw(dot, ast))
+            assert same(check_pre_adm_poisson(pre),
+                        oracles.check_pre_adm_poisson(pre)).holds
+            for _ in range(3):
+                bad = PrePoisson.raw(perturb(dot, rng), ast) if rng.random() < 0.5 \
+                    else PrePoisson.raw(dot, perturb(ast, rng))
+                w = same(check_pre_poisson(bad), oracles.check_pre_poisson(bad)).witness
+                names[w[0] if w else "ok"] += 1
+                bad = PreAdmPoisson.raw(perturb(pre.succ, rng), pre.prec) \
+                    if rng.random() < 0.5 else PreAdmPoisson.raw(pre.succ, perturb(pre.prec, rng))
+                w = same(check_pre_adm_poisson(bad),
+                         oracles.check_pre_adm_poisson(bad)).witness
+                names[w[0] if w else "ok"] += 1
+    assert names["pre1"] and names["zinbiel"] + names["pre-lie"]
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_slot_products_and_ybe_operators(p):
+    rng = random.Random(5000 + p % 997)
+    for n in DIMS:
+        m = valid_algebra(n, p, rng)
+        ra, rb = matrix(rng, n, n, p), matrix(rng, n, n, p)
+        for slots in SLOT_PATTERNS:
+            assert tensor3_product(ra, rb, m, slots) == \
+                oracles.tensor3_product(ra, rb, m, slots)
+        r = RTensor(ra, p)
+        for which in "PQAC":
+            assert ybe_operator(m, r, which) == oracles.ybe_operator(m, r, which)
+
+
+def sparse_mul(rng, n, p, density, ann0=False):
+    """Random structure constants, each nonzero with probability `density`;
+    with ann0, e_0 annihilates everything, so no condition fails at x = e_0."""
+    return MulTensor(n, p, [[[scalar(rng, p) if rng.random() < density and
+                              not (ann0 and 0 in (i, j)) else Scalar(0, 1, p)
+                              for _ in range(n)] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_coboundary_coalgebra_conditions(p):
+    rng = random.Random(6000 + p % 997)
+    seen = Counter()
+    for n in DIMS:
+        # r on the annihilator monomials (the last ones) makes every term vanish
+        m = poisson_star(n, p, rng)
+        ann = [k for k in range(n) if not any(m.c[k][j][w].num or m.c[j][k][w].num
+                                              for j in range(n) for w in range(n))]
+        cases = [(m, [[scalar(rng, p) if u in ann and v in ann else Scalar(0, 1, p)
+                       for v in range(n)] for u in range(n)], True)]
+        # sparse inputs hold, or fail at scattered indices
+        for density in (0.1, 0.2, 0.4):
+            for ann0 in (False, True):
+                cases.append((sparse_mul(rng, n, p, density, ann0),
+                              [[scalar(rng, p) if rng.random() < 0.4 else Scalar(0, 1, p)
+                                for _ in range(n)] for _ in range(n)], None))
+        for star, coeff, expect in cases:
+            a, r = AdmPoissonAlgebra.raw(star), RTensor(coeff, p)
+            for which in ("cosp", "cosp2"):
+                w = same(check_coboundary_conditions(a, r, which),
+                         oracles.check_cosp(a, r, which))
+                if expect:
+                    assert w.holds
+                seen[w.witness[1][0] > 0 if w.witness else "ok"] += 1
+    assert seen["ok"] and seen[True] and seen[False]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from admpoisson.scalars import Scalar, of, one, zero
-from admpoisson.tensors import MulTensor, mat_identity, mat_zero
+from admpoisson.tensors import (MulTensor, mat_identity, mat_zero, mat_vec,
+                                apply_mul, column)
 from admpoisson.algebras import AdmPoissonAlgebra, check_adm_poisson
 from admpoisson.representations import adjoint_rep, dual_rep, Representation
 from admpoisson.yangbaxter import check_ybe
@@ -142,10 +143,33 @@ def test_induced_pre_from_o_operator():
             induced_pre_from_o_operator(bad)
 
 
+def test_induced_pre_makes_theta_a_homomorphism(catalog_muls):
+    # theta(u > v + u < v) = theta(u) * theta(v) on the module basis
+    found = 0
+    for star in catalog_muls[::97]:
+        a = AdmPoissonAlgebra.raw(star)
+        rep = adjoint_rep(a)
+        for theta in iter_maps(2, 2, 5):
+            cand = OOperatorCandidate(a, rep, theta)
+            if not check_o_operator(cand).holds:
+                continue
+            pre = induced_pre_from_o_operator(cand)
+            summed = subadjacent_raw(pre.succ, pre.prec)
+            for i in range(2):
+                for j in range(2):
+                    assert mat_vec(theta, summed.prod(i, j)) == \
+                        apply_mul(star, column(theta, i), column(theta, j))
+            found += 1
+    assert found >= 20
+
+
 def test_canonical_solution_passes_pybe():
     succ = MulTensor.from_entries(1, {(0, 0, 0): 2}, 5)
     prec = MulTensor.from_entries(1, {(0, 0, 0): 3}, 5)
     pre = PreAdmPoisson(succ, prec)
+    rep = pre_rep(pre)        # the identity map is an O-operator over it
+    assert check_o_operator(OOperatorCandidate(rep.alg, rep,
+                                               mat_identity(1, 5))).holds
     big, r = canonical_solution(pre)
     assert big.n == 2
     assert r.is_skew()

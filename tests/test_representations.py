@@ -6,14 +6,14 @@ from admpoisson.scalars import Scalar, of
 from admpoisson.tensors import mat_eq, transpose, mat_zero
 from admpoisson.algebras import AdmPoissonAlgebra, check_adm_poisson
 from admpoisson.representations import (Representation, check_representation,
-                                        rep_consequence_holds, adjoint_rep,
+                                        adjoint_rep,
                                         dual_rep, semidirect, semidirect_raw,
                                         PoissonRepresentation,
                                         rep_to_poisson_rep,
                                         poisson_rep_to_rep)
 from admpoisson.search import decode_mul
 
-from oracles import rand_mat
+from oracles import rand_mat, rep_consequence_holds
 from test_algebras import idempotent_dim1, solvable_lie_dim2, comm_assoc_dim2
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from admpoisson.scalars import (Scalar, ScalarModeError, check_characteristic,
                                 zero, one, of, half, third, parse_scalar,
-                                scalar_arith)
+                                _is_prime)
 
 
 rationals = st.builds(Scalar,
@@ -98,14 +98,21 @@ def test_parse_fraction_mod_p():
     assert parse_scalar("-1/2", 5) == Scalar(2, 1, 5)
 
 
-def test_scalar_arith_dispatch():
-    a, b = of(3, 4), of(1, 2)
-    assert scalar_arith(a, b, "add") == of(5, 4)
-    assert scalar_arith(a, b, "sub") == of(1, 4)
-    assert scalar_arith(a, b, "mul") == of(3, 8)
-    assert scalar_arith(a, b, "div") == of(3, 2)
-    with pytest.raises(ValueError):
-        scalar_arith(a, b, "pow")
+def test_large_prime_is_validated_once():
+    for _ in range(2):          # the second round hits the primality cache
+        with pytest.raises(ValueError):
+            Scalar(3, 1, 4)
+        with pytest.raises(ValueError):
+            Scalar(1, 1, 9)
+    p = 2 ** 31 - 1
+    _is_prime.cache_clear()
+    a, b = Scalar(p - 2, 1, p), Scalar(123456789, 1, p)
+    prod = a
+    for _ in range(100):
+        prod = prod * b
+    assert prod == Scalar((p - 2) * pow(123456789, 100, p), 1, p)
+    assert prod.num == (p - 2) * pow(123456789, 100, p) % p
+    assert _is_prime.cache_info().misses == 1
 
 
 def test_immutability_and_hash():
