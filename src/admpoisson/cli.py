@@ -1,7 +1,8 @@
 """Command-line front end: check predicates, build constructions, search.
 
 Exit codes: 0 = predicate holds / construction succeeded, 1 = predicate
-fails (first witness printed), 2 = input or usage error. Output is plain
+fails (first witness printed), 2 = input or usage error, 3 = a sampled
+search found fewer instances than --count asked for. Output is plain
 text, one report per line; witness indices are printed 1-based to match
 the file format's e1-style basis naming.
 """
@@ -592,7 +593,7 @@ def _cmd_search(args):
             skew=args.skew, algebra=algebra, rep=rep)
     except ValueError as exc:
         raise InputError(str(exc))
-    found = 0
+    found, code = 0, 0
     try:
         for af in searchmod.search(spec):
             found += 1
@@ -601,8 +602,11 @@ def _cmd_search(args):
             print()
     except ValueError as exc:
         raise InputError(str(exc))
+    except searchmod.SearchShortfall as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 3
     print(f"# total {found}")
-    return 0
+    return code
 
 
 def make_parser():

@@ -5,11 +5,15 @@ as integers: digit t of the base-p expansion is c[i][j][k] with
 t = (i*n + j)*n + k, so index 0 is the zero algebra and enumeration by
 ascending integer is the deterministic exhaustive order.
 
-Exhaustive sweeps evaluate the identity tables on all candidates at once
-(identity_mask); every emitted hit is re-verified by the exact checker.
+Candidates are screened in batches of CHUNK by the identity tables
+(identity_mask), with the candidate axis innermost.  Exhaustive sweeps
+take the batches in ascending order and yield each batch's hits before
+building the next; sampled searches screen batches of random draws.
+Every emitted hit is re-verified by the exact checker.
 """
 
 import random
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .ooperators import (OOperatorCandidate, check_o_operator, PreAdmPoisson,
 from .fileformat import AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
+CHUNK = 4096            # candidates screened at a time
 
 
 def encode_mul(m):
@@ -50,57 +55,54 @@ def decode_mul(idx, n, p):
     return MulTensor.from_entries(n, entries, p)
 
 
-def tensor_arrays(n, p, ops=1):
-    """The structure tensors of all p**(ops*n**3) candidates in exhaustive
-    order, as `ops` residue arrays of shape (count, n, n, n); operation o
-    holds base-p digits o*n**3 ... (o+1)*n**3 - 1 of each index."""
+def digit_arrays(indices, n, p, ops=1):
+    """The structure tensors of the candidates `indices`, batch-last: `ops`
+    residue arrays of shape (n, n, n, len(indices)); operation o holds
+    base-p digits o*n**3 ... (o+1)*n**3 - 1 of each index."""
     cells = n ** 3
-    idx = np.arange(p ** (ops * cells), dtype=np.int64)
-    digits = np.empty((len(idx), ops * cells), dtype=np.int8 if p < 128 else np.int32)
+    wide = p ** (ops * cells) > np.iinfo(np.int64).max
+    rem = np.array(indices, dtype=object if wide else np.int64)
+    digits = np.empty((ops * cells, len(rem)), dtype=rem.dtype)
     for t in range(ops * cells):
-        digits[:, t] = (idx // p ** t) % p
-    return [digits[:, o * cells:(o + 1) * cells].reshape(-1, n, n, n) for o in range(ops)]
+        digits[t] = rem % p
+        rem //= p
+    return [digits[o * cells:(o + 1) * cells].reshape(n, n, n, -1) for o in range(ops)]
 
 
-def dim2_gf5_tensor_array():
-    """All 5^8 structure tensors at dim 2 over GF(5), shape (5^8, 2, 2, 2)."""
-    return tensor_arrays(2, 5)[0]
-
-
-def table_hits(groups, arrays, p):
-    """Ascending indices of the candidates on which every identity holds."""
-    mask = np.ones(len(next(iter(arrays.values()))), dtype=bool)
+def table_mask(groups, names, indices, n, p):
+    """Which of the candidates `indices` satisfy every identity of `groups`;
+    operand names[o] is operation o."""
+    arrays = dict(zip(names, digit_arrays(indices, n, p, len(names))))
+    mask = np.ones(len(indices), dtype=bool)
     for group in groups:
         for ident in group:
             mask &= identity_mask(ident, arrays, p)
-    return [int(i) for i in np.nonzero(mask)[0]]
+    return mask
 
 
-def adm_mask_dim2_gf5(C=None):
-    """Boolean mask of the defining identity over all 5^8 dim-2 GF(5) tensors."""
-    if C is None:
-        C = dim2_gf5_tensor_array()
-    return identity_mask(ADM_POISSON, {"c": C}, 5)
-
-
-_CATALOG_CACHE = {}
+def table_hits(groups, names, n, p):
+    """Ascending indices of all candidates at (n, p) that satisfy every
+    identity of `groups`, one CHUNK at a time."""
+    space = p ** (len(names) * n ** 3)
+    for start in range(0, space, CHUNK):
+        indices = np.arange(start, min(start + CHUNK, space))
+        yield from indices[table_mask(groups, names, indices, n, p)].tolist()
 
 
 def adm_catalog_indices(n, p):
-    """Ascending encodings of all adm-Poisson multiplications at (n, p);
-    only spaces within the exhaustive bound are supported."""
-    key = (n, p)
-    if key in _CATALOG_CACHE:
-        return _CATALOG_CACHE[key]
+    """Ascending encodings of all adm-Poisson multiplications at (n, p), as
+    they are found; only spaces within the exhaustive bound are supported."""
     space = p ** (n ** 3)
     if space > MAX_EXHAUSTIVE:
         raise ValueError(f"space p^(n^3) = {space} exceeds exhaustive bound")
-    if (n, p) == (2, 5):
-        hits = [int(i) for i in np.nonzero(adm_mask_dim2_gf5())[0]]
-    else:
-        hits = table_hits(((ADM_POISSON,),), {"c": tensor_arrays(n, p)[0]}, p)
-    _CATALOG_CACHE[key] = hits
-    return hits
+    yield from table_hits(((ADM_POISSON,),), "c", n, p)
+
+
+class SearchShortfall(Exception):
+    """A sampled search used up its attempts before finding `count` hits."""
+
+    def __init__(self, found, count, attempts):
+        super().__init__(f"found {found} of {count} after {attempts} attempts")
 
 
 class SearchSpec:
@@ -119,6 +121,8 @@ class SearchSpec:
             raise ValueError("search runs over finite fields")
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
+        if count is not None and count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         self.target = target
         self.dim = dim
         self.p = p
@@ -136,19 +140,15 @@ def _mul_file(p, ops):
     return af
 
 
-def _limited(gen, count):
-    for emitted, item in enumerate(gen, start=1):
-        yield item
-        if count is not None and emitted >= count:
-            return
-
-
 def search(spec):
-    """Yield verified instances as AlgebraFile objects, deterministically."""
+    """Yield verified instances as AlgebraFile objects, deterministically.
+
+    A sampled search that runs out of attempts before it finds spec.count
+    instances raises SearchShortfall after yielding those it found."""
     run = {"adm_poisson": _search_adm, "poisson": _search_poisson,
            "adm_pybe_solution": _search_pybe, "o_operator": _search_o_operator,
            "pre_adm_poisson": _search_pre}[spec.target]
-    yield from _limited(run(spec, spec.p, spec.dim), spec.count)
+    yield from islice(run(spec, spec.p, spec.dim), spec.count)
 
 
 def _search_adm(spec, p, n):
@@ -165,20 +165,24 @@ def _search_adm(spec, p, n):
         rng = random.Random(spec.seed)
         if spec.count is None:
             raise ValueError("space too large without a sample count")
-        for _ in range(spec.count * 10000):
-            idx = rng.randrange(space)
-            m = decode_mul(idx, n, p)
-            if spec.nonzero_only and m.is_zero():
-                continue
-            if check_adm_poisson(m).holds:
-                yield _mul_file(p, {"star": m})
+        attempts, found = spec.count * 10000, 0
+        for start in range(0, attempts, CHUNK):
+            draws = [rng.randrange(space) for _ in range(min(CHUNK, attempts - start))]
+            for i in np.flatnonzero(table_mask(((ADM_POISSON,),), "c", draws, n, p)):
+                m = decode_mul(draws[i], n, p)
+                if spec.nonzero_only and m.is_zero():
+                    continue
+                if check_adm_poisson(m).holds:
+                    found += 1
+                    yield _mul_file(p, {"star": m})
+        raise SearchShortfall(found, spec.count, attempts)
 
 
 def _search_poisson(spec, p, n):
     space = p ** (2 * n ** 3)
     if space <= MAX_EXHAUSTIVE:
         sub = p ** (n ** 3)
-        for idx in table_hits(POISSON, dict(zip("bo", tensor_arrays(n, p, 2))), p):
+        for idx in table_hits(POISSON, "bo", n, p):
             br = decode_mul(idx % sub, n, p)
             circ = decode_mul(idx // sub, n, p)
             if spec.nonzero_only and br.is_zero() and circ.is_zero():
@@ -190,7 +194,8 @@ def _search_poisson(spec, p, n):
         rng = random.Random(spec.seed)
         if spec.count is None:
             raise ValueError("space too large without a sample count")
-        for _ in range(spec.count * 10000):
+        attempts, found = spec.count * 10000, 0
+        for _ in range(attempts):
             br_e, circ_e = {}, {}
             for i in range(n):
                 for j in range(i, n):
@@ -208,7 +213,9 @@ def _search_poisson(spec, p, n):
             if spec.nonzero_only and br.is_zero() and circ.is_zero():
                 continue
             if check_poisson(br, circ).holds:
+                found += 1
                 yield _mul_file(p, {"bracket": br, "circ": circ})
+        raise SearchShortfall(found, spec.count, attempts)
 
 
 def iter_r_tensors(n, p, skew):
@@ -288,7 +295,7 @@ def _search_pre(spec, p, n):
     space = p ** (2 * n ** 3)
     if space <= MAX_EXHAUSTIVE:
         sub = p ** (n ** 3)
-        for idx in table_hits(PRE_ADM_POISSON, dict(zip("sq", tensor_arrays(n, p, 2))), p):
+        for idx in table_hits(PRE_ADM_POISSON, "sq", n, p):
             succ = decode_mul(idx % sub, n, p)
             prec = decode_mul(idx // sub, n, p)
             if spec.nonzero_only and succ.is_zero() and prec.is_zero():
@@ -317,7 +324,10 @@ def _search_pre(spec, p, n):
                 if key in seen:
                     continue
                 seen.add(key)
-                assert check_pre_adm_poisson(pre).holds
+                report = check_pre_adm_poisson(pre)
+                if not report.holds:
+                    raise RuntimeError(f"induced pre-structure fails {report.witness[0]} "
+                                       f"at {report.witness[1]}")
                 yield _mul_file(p, {"succ": pre.succ, "prec": pre.prec})
 
 

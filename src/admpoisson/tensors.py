@@ -481,6 +481,8 @@ class Terms:
     sign, an optional rational coefficient and its factors NAME:SUBSCRIPTS,
     with repeated letters summed as in np.einsum.  Coefficients are stored
     times `den`, which must clear them; the terms of `minus` are subtracted.
+    Operand axes past the subscripts (the candidate axis of a batch) are
+    carried through, last, to the output.
     """
 
     __slots__ = ("terms", "ranks", "degrees", "weight", "summed", "out_axes")
@@ -491,15 +493,15 @@ class Terms:
         for num, cden, factors in signed:
             if den % cden:
                 raise ValueError(f"coefficient {num}/{cden} in {text!r} is not cleared")
-            spec = ",".join("..." + subs for _, subs in factors) + "->..." + out
+            spec = ",".join(subs + "..." for _, subs in factors) + "->" + out + "..."
             self.terms.append((num * (den // cden), [n for n, _ in factors], spec))
             self.ranks.update((n, len(subs)) for n, subs in factors)
         self.degrees = {len(factors) for _, _, factors in signed}
         self.weight = sum(abs(k) for k, _, _ in self.terms)
         self.summed = max((len(set("".join(subs for _, subs in f)) - set(out))
                            for _, _, f in signed), default=0)
-        # where each output axis's size can be read: (operand, axis from the end)
-        self.out_axes = [next(((n, subs.index(c) - len(subs)) for _, _, f in signed
+        # where each output axis's size can be read: (operand, axis)
+        self.out_axes = [next(((n, subs.index(c)) for _, _, f in signed
                                for n, subs in f if c in subs), None) for c in out]
 
 
@@ -529,40 +531,27 @@ class Identity:
 _INT_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64)]
 
 
-def evaluate_terms(sides, arrays, p):
-    """Each Terms of `sides` over integer operand arrays (with any leading
-    batch axes) as an exact integer array, reduced into [0, p) over GF(p).
-
-    Object arrays of Python ints (one structure, from exact_operands) are
-    evaluated as they are.  Integer arrays of residues in [0, p) (a batch of
-    GF(p) candidates) are evaluated in the narrowest signed type that holds
-    p and a bound on every partial sum of every side, so that the sides can
-    also be subtracted; above int64 it is Python ints.
-    """
-    ranks = {n: r for side in sides for n, r in side.ranks.items()}
-    dtype = object
-    if all(arrays[n].dtype != object for n in ranks):
-        size = max(max(arrays[n].shape[-r:]) for n, r in ranks.items())
-        bound = max(p, sum(side.weight * (p - 1) ** max(side.degrees, default=0)
-                           * size ** side.summed for side in sides))
-        dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
-    cast = {n: arrays[n].astype(dtype, copy=False) for n in ranks}
-    n, r = next(iter(ranks.items()))
-    axes = next(side.out_axes for side in sides if side.terms)
-    shape = arrays[n].shape[:arrays[n].ndim - r] + tuple(
-        arrays[name].shape[axis] for name, axis in axes)
+def _sum_terms(side, arrays, shape, dtype, p):
+    """One Terms over `arrays` cast to `dtype`, reduced into [0, p) over GF(p)."""
+    total = np.zeros(shape, dtype=dtype)
     term = np.empty(shape, dtype=dtype)
-    results = []
-    for side in sides:
-        total = np.zeros(shape, dtype=dtype)
-        for k, names, spec in side.terms:
-            np.einsum(spec, *(cast[name] for name in names), out=term)
-            term *= k
-            total += term
-        if p:
-            total %= p
-        results.append(total)
-    return results
+    for k, names, spec in side.terms:
+        # into a buffer of our own: a one-factor einsum may return a view
+        np.einsum(spec, *(arrays[name] for name in names), out=term)
+        term *= k
+        total += term
+    if p:
+        total %= p
+    return total
+
+
+def evaluate_terms(sides, arrays, p):
+    """Each Terms of `sides` over one structure's operands (Python-int object
+    arrays, from exact_operands) as exact integers, reduced into [0, p) over
+    GF(p)."""
+    axes = next(side.out_axes for side in sides if side.terms)
+    shape = tuple(arrays[name].shape[axis] for name, axis in axes)
+    return [_sum_terms(side, arrays, shape, object, p) for side in sides]
 
 
 def exact_operands(operands, p):
@@ -610,10 +599,22 @@ def check_identities(groups, operands, p):
 
 
 def identity_mask(ident, arrays, p):
-    """Which rows of GF(p) residue arrays with one leading batch axis satisfy
-    `ident`."""
-    (res,) = evaluate_terms((ident.residual,), arrays, p)
-    return ~res.reshape(len(res), -1).any(axis=1)
+    """Which candidates of a GF(p) batch satisfy `ident`.
+
+    Each operand holds residues in [0, p) with the candidate axis last, so
+    that every einsum runs its inner loop along the batch.  The residual is
+    evaluated in the narrowest signed type that holds p and a bound on every
+    partial sum (Python ints above int64), which bounds the batch's memory.
+    """
+    side = ident.residual
+    size = max(max(arrays[name].shape[:r]) for name, r in side.ranks.items())
+    bound = max(p, side.weight * (p - 1) ** ident.degree * size ** side.summed)
+    dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
+    cast = {name: arrays[name].astype(dtype, copy=False) for name in side.ranks}
+    batch = next(iter(cast.values())).shape[-1]
+    shape = tuple(cast[name].shape[axis] for name, axis in side.out_axes) + (batch,)
+    res = _sum_terms(side, cast, shape, dtype, p)
+    return ~res.reshape(-1, batch).any(axis=0)
 
 
 def evaluate_scalars(terms, operands, p):

@@ -11,7 +11,7 @@ from admpoisson.search import adm_catalog_indices, decode_mul
 @pytest.fixture(scope="session")
 def catalog_gf5():
     """Encodings of every dim-2 GF(5) admissible-Poisson multiplication."""
-    return adm_catalog_indices(2, 5)
+    return list(adm_catalog_indices(2, 5))
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from admpoisson.tensors import (MulTensor, Tensor3, AxiomReport, SLOT_PATTERNS,
                                 mult_of_vec)
 from admpoisson.representations import Representation
 from admpoisson.yangbaxter import _sym_defect
-from admpoisson.search import dim2_gf5_tensor_array
+from admpoisson.search import decode_mul
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +753,31 @@ def check_cosp(a, r, which):
 
 
 # search
+
+
+def dim2_gf5_tensor_array():
+    """All 5^8 structure tensors at dim 2 over GF(5) in exhaustive order,
+    batch-first: shape (5^8, 2, 2, 2)."""
+    idx = np.arange(5 ** 8, dtype=np.int64)
+    digits = np.empty((len(idx), 8), dtype=np.int8)
+    for t in range(8):
+        digits[:, t] = (idx // 5 ** t) % 5
+    return digits.reshape(-1, 2, 2, 2)
+
+
+def sample_adm_poisson(spec):
+    """The sampled adm-Poisson search one candidate at a time, each checked
+    by the scalar loop, without the count limit."""
+    n, p = spec.dim, spec.p
+    space = p ** (n ** 3)
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count * 10000):
+        idx = rng.randrange(space)
+        m = decode_mul(idx, n, p)
+        if spec.nonzero_only and m.is_zero():
+            continue
+        if check_adm_poisson(m).holds:
+            yield m
 
 
 def adm_mask_dim2_gf5(C=None):

@@ -11,8 +11,8 @@ from pathlib import Path
 
 from admpoisson.scalars import Scalar
 from admpoisson.tensors import MulTensor, mat_inverse
-from admpoisson.algebras import (AdmPoissonAlgebra, PoissonAlgebra,
-                                 check_adm_poisson, check_poisson,
+from admpoisson.algebras import (ADM_POISSON, AdmPoissonAlgebra,
+                                 PoissonAlgebra, check_adm_poisson, check_poisson,
                                  polarize_raw, depolarize_raw)
 from admpoisson.representations import (Representation, check_representation,
                                         adjoint_rep, dual_rep, semidirect_raw)
@@ -31,13 +31,13 @@ from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
 from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    solution_from_o_operator, PreAdmPoisson,
                                    check_pre_adm_poisson, canonical_solution)
-from admpoisson.search import (encode_mul, decode_mul, dim2_gf5_tensor_array,
-                               adm_mask_dim2_gf5,
+from admpoisson.search import (encode_mul, decode_mul, table_mask,
                                iter_r_tensors, iter_maps, SearchSpec, search)
 from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
 
-from oracles import rand_mul, rand_mat, rand_vec, poisson_mask_dim2_gf5
+from oracles import (rand_mul, rand_mat, rand_vec, dim2_gf5_tensor_array,
+                     poisson_mask_dim2_gf5)
 
 P = 5
 CORPUS = Path(__file__).parent / "corpus"
@@ -60,14 +60,13 @@ def test_polarization_equivalence(capsys):
         assert check_adm_poisson(m).holds == \
             check_poisson(*polarize_raw(m)).holds
     # dim 2 exhaustive via the two independent vectorized routes
-    C = dim2_gf5_tensor_array()
-    adm = adm_mask_dim2_gf5(C)
-    poi = poisson_mask_dim2_gf5(C)
+    import numpy as np
+    adm = table_mask(((ADM_POISSON,),), "c", np.arange(5 ** 8), 2, 5)
+    poi = poisson_mask_dim2_gf5(dim2_gf5_tensor_array())
     assert (adm == poi).all(), "vectorized routes disagree"
     n_pass = int(adm.sum())
     # exact spot-check of both masks against the scalar checkers
     rng = random.Random(1001)
-    import numpy as np
     sample = ([0, 1, 5 ** 8 - 1] + [int(i) for i in np.nonzero(adm)[0][:40]]
               + [rng.randrange(5 ** 8) for _ in range(80)])
     for idx in sample:

@@ -228,10 +228,29 @@ def test_search_cli_rejects_dim_0(capsys):
     assert "# total" not in out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_search_cli_rejects_count_below_1(capsys, count):
+    code, out, err = run(capsys, "search", "adm_poisson", "--count", count)
+    assert code == 2
+    assert err == f"error: count must be at least 1, got {count}\n"
+    assert out == ""
+
+
+def test_search_cli_reports_shortfall(capsys):
+    # 20,000 random dim-3 candidates over GF(5) hold no adm-Poisson algebra
+    code, out, err = run(capsys, "search", "adm_poisson", "--dim", "3",
+                         "--count", "2")
+    assert code == 3
+    assert err == "error: found 0 of 2 after 20000 attempts\n"
+    assert out == "# total 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "adm_poisson", "--dim", "0"],
     ["search", "o_operator", "--field", "5", "--algebra",
      str(CORPUS / "rep_theta.alg")],
+    ["search", "adm_poisson", "--count", "0"],
+    ["search", "adm_poisson", "--count", "-3"],
 ])
 def test_search_validation_holds_under_python_O(argv):
     # validation must not rely on assert, which `python -O` strips

@@ -30,8 +30,8 @@ from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson, PrePoisson,
                                    prepoisson_to_pre_raw)
 from admpoisson.yangbaxter import (RTensor, check_coboundary_conditions,
                                    ybe_operator)
-from admpoisson.search import (adm_catalog_indices, decode_mul, table_hits,
-                               tensor_arrays)
+from admpoisson.search import (adm_catalog_indices, decode_mul, digit_arrays,
+                               table_hits)
 
 FIELDS = [0, 5, 10007, 2 ** 31 - 1]
 DIMS = [1, 2, 3, 4]
@@ -161,7 +161,7 @@ def test_catalog_algebras(catalog_muls):
 
 def test_catalog_mask_gives_the_same_769_indices(catalog_gf5):
     old = [int(i) for i in np.nonzero(oracles.adm_mask_dim2_gf5())[0]]
-    assert catalog_gf5 == old == adm_catalog_indices(2, 5)
+    assert catalog_gf5 == old == list(adm_catalog_indices(2, 5))
     assert len(old) == 769
 
 
@@ -169,16 +169,16 @@ def test_catalog_mask_gives_the_same_769_indices(catalog_gf5):
 def test_exhaustive_sweep_masks_match_the_loops(p):
     # candidate idx holds its first operation in the low base-p digits
     pairs = [(decode_mul(i % p, 1, p), decode_mul(i // p, 1, p)) for i in range(p * p)]
-    arrays = tensor_arrays(1, p, 2)
+    arrays = digit_arrays(np.arange(p * p), 1, p, 2)
     for idx in (0, 1, p, p * p - 1):
-        assert [int(a[idx].flat[0]) for a in arrays] == \
+        assert [int(a[..., idx].flat[0]) for a in arrays] == \
             [m.c[0][0][0].num for m in pairs[idx]]
-    assert table_hits(POISSON, dict(zip("bo", arrays)), p) == \
+    assert list(table_hits(POISSON, "bo", 1, p)) == \
         [i for i, (b, o) in enumerate(pairs) if oracles.check_poisson(b, o).holds]
-    assert table_hits(PRE_ADM_POISSON, dict(zip("sq", arrays)), p) == \
+    assert list(table_hits(PRE_ADM_POISSON, "sq", 1, p)) == \
         [i for i, (s, q) in enumerate(pairs)
          if oracles.check_pre_adm_poisson(PreAdmPoisson.raw(s, q)).holds]
-    assert adm_catalog_indices(1, p) == \
+    assert list(adm_catalog_indices(1, p)) == \
         [i for i in range(p) if oracles.check_adm_poisson(decode_mul(i, 1, p)).holds]
 
 

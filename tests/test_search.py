@@ -1,21 +1,25 @@
 import random
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from admpoisson.scalars import Scalar
-from admpoisson.tensors import MulTensor
-from admpoisson.algebras import (AdmPoissonAlgebra, check_adm_poisson,
-                                 check_poisson, polarize_raw)
+from admpoisson.tensors import AxiomReport, MulTensor
+from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
+                                 check_adm_poisson, check_poisson, polarize_raw)
 from admpoisson.representations import adjoint_rep
 from admpoisson.yangbaxter import ybe_operator, RTensor
-from admpoisson.ooperators import (PreAdmPoisson, check_pre_adm_poisson,
-                                   check_o_operator, OOperatorCandidate)
-from admpoisson.search import (encode_mul, decode_mul, dim2_gf5_tensor_array,
-                               adm_mask_dim2_gf5,
-                               adm_catalog_indices, SearchSpec, search,
-                               iter_r_tensors, iter_maps)
+from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson,
+                                   check_pre_adm_poisson, check_o_operator,
+                                   OOperatorCandidate)
+from admpoisson import search as searchmod
+from admpoisson.search import (encode_mul, decode_mul, table_mask, table_hits,
+                               adm_catalog_indices, SearchSpec, SearchShortfall,
+                               search, iter_r_tensors, iter_maps)
 
-from oracles import rand_mul, brute_count_adm, poisson_mask_dim2_gf5
+from oracles import (rand_mul, brute_count_adm, dim2_gf5_tensor_array,
+                     poisson_mask_dim2_gf5, sample_adm_poisson)
 
 
 def test_encode_decode_roundtrip():
@@ -36,9 +40,8 @@ def test_decode_order_is_base_p_digits():
 
 def test_masks_against_exact_checkers():
     rng = random.Random(81)
-    C = dim2_gf5_tensor_array()
-    adm = adm_mask_dim2_gf5(C)
-    poi = poisson_mask_dim2_gf5(C)
+    adm = table_mask(((ADM_POISSON,),), "c", np.arange(5 ** 8), 2, 5)
+    poi = poisson_mask_dim2_gf5(dim2_gf5_tensor_array())
     for idx in [0, 1, 31, 5 ** 8 - 1] + [rng.randrange(5 ** 8)
                                          for _ in range(60)]:
         m = decode_mul(idx, 2, 5)
@@ -48,7 +51,7 @@ def test_masks_against_exact_checkers():
 
 def test_catalog_counts(catalog_gf5):
     # dim 1 by brute force; dim 2 count is pinned and mask-verified
-    assert len(adm_catalog_indices(1, 5)) == \
+    assert len(list(adm_catalog_indices(1, 5))) == \
         brute_count_adm(1, 5, lambda m: check_adm_poisson(m).holds)
     assert len(catalog_gf5) == 769
     assert catalog_gf5 == sorted(catalog_gf5)
@@ -144,3 +147,77 @@ def test_search_rejects_bad_spec():
         SearchSpec("adm_poisson", 1, p=0)
     with pytest.raises(ValueError):
         list(search(SearchSpec("adm_pybe_solution", 1, p=5)))  # no algebra
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            SearchSpec("adm_poisson", 1, count=count)
+
+
+TABLES = {"adm_poisson": (((ADM_POISSON,),), "c"),
+          "poisson": (POISSON, "bo"),
+          "pre_adm_poisson": (PRE_ADM_POISSON, "sq")}
+
+
+@pytest.mark.parametrize("target,n,p,chunks", [
+    (target, 1, p, [1, 2, 3, 10, p * p, p * p + 1])
+    for target in TABLES for p in (5, 7, 13)] + [
+    ("adm_poisson", 2, 5, [1000, 4097, 5 ** 8 // 3 + 1])])
+def test_streamed_sweep_matches_the_unchunked_mask(monkeypatch, target, n, p, chunks):
+    groups, names = TABLES[target]
+    space = p ** (len(names) * n ** 3)
+    want = np.flatnonzero(table_mask(groups, names, np.arange(space), n, p)).tolist()
+    assert want
+    for chunk in chunks:
+        monkeypatch.setattr(searchmod, "CHUNK", chunk)
+        assert list(table_hits(groups, names, n, p)) == want
+
+
+@pytest.mark.parametrize("p", [257, 2 ** 31 - 1])
+def test_batch_mask_over_wide_spaces(p):
+    # 257**8 indices overflow int64; at 2**31-1 the residual does too
+    rng = random.Random(p)
+    draws = [0, 1] + [rng.randrange(p ** 8) for _ in range(40)]
+    mask = table_mask(((ADM_POISSON,),), "c", draws, 2, p)
+    assert mask[:2].all()
+    for idx, ok in zip(draws, mask):
+        assert bool(ok) == check_adm_poisson(decode_mul(idx, 2, p)).holds
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+@pytest.mark.parametrize("nonzero_only", [False, True])
+def test_batched_sampler_matches_the_per_candidate_loop(monkeypatch, seed,
+                                                         nonzero_only):
+    spec = SearchSpec("adm_poisson", 2, p=7, count=2, seed=seed,
+                      nonzero_only=nonzero_only)
+    want = list(islice(sample_adm_poisson(spec), spec.count))
+    assert len(want) == 2
+    # hits fall in the first batch, and across batches of 1000 draws
+    for chunk in (searchmod.CHUNK, 1000):
+        monkeypatch.setattr(searchmod, "CHUNK", chunk)
+        assert [h.ops["star"] for h in search(spec)] == want
+
+
+def test_sampled_search_reports_its_shortfall():
+    spec = SearchSpec("adm_poisson", 3, p=5, count=1)
+    with pytest.raises(SearchShortfall, match="^found 0 of 1 after 10000 attempts$"):
+        list(search(spec))
+
+
+def test_count_1_builds_only_the_first_chunk(monkeypatch):
+    built = []
+    digit_arrays = searchmod.digit_arrays
+
+    def recording(indices, *args):
+        built.append((int(indices[0]), len(indices)))
+        return digit_arrays(indices, *args)
+    monkeypatch.setattr(searchmod, "digit_arrays", recording)
+    hits = list(search(SearchSpec("adm_poisson", 2, p=5, count=1)))
+    assert len(hits) == 1 and hits[0].ops["star"].is_zero()
+    assert built == [(0, searchmod.CHUNK)]
+
+
+def test_pre_search_reports_a_failed_recheck(monkeypatch):
+    # the re-check of an induced pre-structure is not an assert (python -O)
+    monkeypatch.setattr(searchmod, "check_pre_adm_poisson",
+                        lambda pre: AxiomReport.fail("pre1", (0, 0, 0), [], []))
+    with pytest.raises(RuntimeError, match="fails pre1 at"):
+        list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=1)))
