@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .scalars import check_characteristic
+from .tensors import ShapeError
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, check_adm_poisson,
                        check_poisson, polarize_raw, depolarize_raw)
 from .representations import (Representation, check_representation,
@@ -650,7 +651,7 @@ def run_command(argv):
         if args.command == "build":
             return _cmd_build(args)
         return _cmd_search(args)
-    except InputError as exc:
+    except (InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

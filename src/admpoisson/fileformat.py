@@ -19,10 +19,20 @@ Indices are 1-based (e1, e2, ...). Printing is canonical and deterministic;
 parse(print(f)) == f and print(parse(text)) is a fixed point.
 """
 
-from .scalars import check_characteristic, parse_scalar, zero
+from math import isqrt
+
+from .scalars import check_characteristic, _parse, zero
 from .tensors import MulTensor, mat_zero
 from .bialgebras import Comultiplication
 from .yangbaxter import RTensor
+
+# The largest identity output, an index triple times a value axis, has
+# dim**4 entries; MAX_DIM keeps it at MAX_OUTPUT_ENTRIES (MAX_DIM = 32).
+# A larger `dim` or `vdim` is rejected before anything is allocated.
+MAX_OUTPUT_ENTRIES = 2 ** 20
+MAX_DIM = isqrt(isqrt(MAX_OUTPUT_ENTRIES))
+# "e1" .. "e32" by 0-based index; other spellings take the checked path
+_BASIS_INDEX = {f"e{i + 1}": i for i in range(MAX_DIM)}
 
 
 class FormatError(ValueError):
@@ -70,17 +80,22 @@ def _mats_eq(a, b):
 
 
 def _parse_basis(tok, size, lineno, label="basis vector"):
-    if not tok.startswith("e") or not tok[1:].isdigit():
+    i = _BASIS_INDEX.get(tok, size)
+    if i < size:
+        return i
+    digits = tok[1:]
+    if not (tok.startswith("e") and digits.isascii() and digits.isdecimal()):
         raise FormatError(lineno, f"expected {label} like 'e1', got {tok!r}")
-    i = int(tok[1:])
-    if not 1 <= i <= size:
+    # compare lengths first: int() refuses very long digit strings
+    if len(digits.lstrip("0")) > len(str(size)) or not 1 <= int(digits) <= size:
         raise FormatError(lineno, f"index {tok} out of range (size {size})")
-    return i - 1
+    return int(digits) - 1
 
 
 def _parse_scalar(tok, p, lineno):
+    # p was validated on the field line
     try:
-        return parse_scalar(tok, p)
+        return _parse(tok, p)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(lineno, f"bad scalar {tok!r}: {exc}")
 
@@ -126,9 +141,11 @@ def parse_file(text):
                 raise FormatError(lineno, "duplicate field declaration")
             if words[1:] == ["rational"]:
                 af.p = 0
-            elif len(words) == 3 and words[1] == "gf" and words[2].isdigit():
-                p = int(words[2])
+            elif (len(words) == 3 and words[1] == "gf" and words[2].isascii()
+                  and words[2].isdecimal()):
                 try:
+                    # int() raises ValueError on very long digit strings
+                    p = int(words[2])
                     check_characteristic(p)
                 except ValueError as exc:
                     raise FormatError(lineno, str(exc))
@@ -139,11 +156,17 @@ def parse_file(text):
             continue
 
         if head == "dim" or head == "vdim":
-            if len(words) != 2 or not words[1].isdigit() or int(words[1]) < 1:
+            # ASCII digits only: int() also reads other scripts' digits
+            digits = words[1].lstrip("0") if len(words) == 2 else ""
+            if not (digits.isascii() and digits.isdecimal()):
                 raise FormatError(lineno, f"bad {head} declaration {line!r}")
             if getattr(af, head) is not None:
                 raise FormatError(lineno, f"duplicate {head} declaration")
-            setattr(af, head, int(words[1]))
+            # compare lengths first: int() refuses very long digit strings
+            if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+                raise FormatError(lineno, f"{head} {words[1]} exceeds the largest "
+                                          f"supported dimension {MAX_DIM}")
+            setattr(af, head, int(digits))
             continue
 
         if not field_seen:

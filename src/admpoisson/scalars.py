@@ -38,32 +38,40 @@ def check_characteristic(p):
         raise ValueError(f"characteristic {p} not supported (need 1/2 and 1/3)")
 
 
+def _canonical(num, den, p):
+    """(num, den) of num/den in lowest terms with den > 0 over Q, or as a
+    residue in [0, p) with den 1 over GF(p)."""
+    if p:
+        if den % p == 0:
+            raise ZeroDivisionError(f"denominator {den} is 0 mod {p}")
+        if den != 1:
+            num = num * pow(den, p - 2, p)
+        return num % p, 1
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return num, den
+
+
 class Scalar:
-    """An exact rational (p=0) or an element of GF(p), always canonical."""
+    """An exact rational (p=0) or an element of GF(p), always canonical.
+
+    The public constructor validates p; results of arithmetic and of the
+    package's own conversions reuse the p of their operands unvalidated."""
 
     __slots__ = ("num", "den", "p")
 
     def __init__(self, num, den=1, p=0):
         check_characteristic(p)
-        if p:
-            if den % p == 0:
-                raise ZeroDivisionError(f"denominator {den} is 0 mod {p}")
-            if den != 1:
-                num = num * pow(den, p - 2, p)
-            object.__setattr__(self, "num", num % p)
-            object.__setattr__(self, "den", 1)
-        else:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                num, den = -num, -den
-            g = gcd(abs(num), den)
-            if g > 1:
-                num //= g
-                den //= g
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
-        object.__setattr__(self, "p", p)
+        num, den = _canonical(num, den, p)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_p(self, p)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -76,34 +84,38 @@ class Scalar:
 
     def __add__(self, other):
         self._need_same_mode(other)
-        if self.p:
-            return Scalar(self.num + other.num, 1, self.p)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        p = self.p
+        if p:
+            return _make((self.num + other.num) % p, 1, p)
+        return _exact(self.num * other.den + other.num * self.den,
+                      self.den * other.den, 0)
 
     def __sub__(self, other):
         self._need_same_mode(other)
-        if self.p:
-            return Scalar(self.num - other.num, 1, self.p)
-        return Scalar(self.num * other.den - other.num * self.den,
-                      self.den * other.den)
+        p = self.p
+        if p:
+            return _make((self.num - other.num) % p, 1, p)
+        return _exact(self.num * other.den - other.num * self.den,
+                      self.den * other.den, 0)
 
     def __mul__(self, other):
         self._need_same_mode(other)
-        if self.p:
-            return Scalar(self.num * other.num, 1, self.p)
-        return Scalar(self.num * other.num, self.den * other.den)
+        p = self.p
+        if p:
+            return _make(self.num * other.num % p, 1, p)
+        return _exact(self.num * other.num, self.den * other.den, 0)
 
     def __truediv__(self, other):
         self._need_same_mode(other)
         if other.num == 0:
             raise ZeroDivisionError("scalar division by zero")
-        if self.p:
-            return Scalar(self.num * pow(other.num, self.p - 2, self.p), 1, self.p)
-        return Scalar(self.num * other.den, self.den * other.num)
+        p = self.p
+        if p:
+            return _make(self.num * pow(other.num, p - 2, p) % p, 1, p)
+        return _exact(self.num * other.den, self.den * other.num, 0)
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, self.p)
+        return _make(-self.num % self.p if self.p else -self.num, self.den, self.p)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -130,12 +142,39 @@ class Scalar:
         return f"Scalar({self.num}, {self.den})"
 
 
+# the slots' own setters, which Scalar.__setattr__ does not intercept
+_set_num, _set_den, _set_p = Scalar.num.__set__, Scalar.den.__set__, Scalar.p.__set__
+_new = object.__new__
+
+
+def _make(num, den, p):
+    """The Scalar with canonical parts num, den over a p that was validated
+    where its field entered the program."""
+    s = _new(Scalar)
+    _set_num(s, num)
+    _set_den(s, den)
+    _set_p(s, p)
+    return s
+
+
+def _exact(num, den, p):
+    """num/den over an already validated p, brought to canonical form."""
+    return _make(*_canonical(num, den, p), p)
+
+
+@lru_cache(maxsize=64)
+def _constant(value, p):
+    return Scalar(value, 1, p)
+
+
 def zero(p=0):
-    return Scalar(0, 1, p)
+    """The zero of Q (p = 0) or GF(p): one shared immutable instance per p."""
+    return _constant(0, p)
 
 
 def one(p=0):
-    return Scalar(1, 1, p)
+    """The one of Q (p = 0) or GF(p): one shared immutable instance per p."""
+    return _constant(1, p)
 
 
 def of(num, den=1, p=0):
@@ -152,8 +191,14 @@ def third(p=0):
 
 def parse_scalar(text, p=0):
     """Parse '7', '-3/4' (rationals) or the same read mod p (GF mode)."""
+    check_characteristic(p)
+    return _parse(text, p)
+
+
+def _parse(text, p):
+    """parse_scalar over a p that is already validated."""
     text = text.strip()
     if "/" in text:
         num_s, den_s = text.split("/", 1)
-        return Scalar(int(num_s), int(den_s), p)
-    return Scalar(int(text), 1, p)
+        return _exact(int(num_s), int(den_s), p)
+    return _exact(int(text), 1, p)

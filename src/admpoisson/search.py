@@ -264,14 +264,16 @@ def iter_maps(rows, cols, p):
         yield mat
 
 
-def _search_o_operator(spec, p, _dim):
+def _search_o_operator(spec, p, n):
     if spec.algebra is None or spec.rep is None:
         raise ValueError("o_operator search needs an algebra and a representation")
     star = spec.algebra
+    if star.n != n or star.p != p:
+        raise ValueError("fixed algebra must match the search dim and field")
     alg = AdmPoissonAlgebra(star)
     l, r = spec.rep
     rep = Representation(alg, l, r)
-    n, m = star.n, rep.vdim
+    m = rep.vdim
     space = p ** (n * m)
     if space > MAX_EXHAUSTIVE:
         raise ValueError("theta space too large")

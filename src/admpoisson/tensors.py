@@ -11,7 +11,8 @@ from operator import add, sub
 
 import numpy as np
 
-from .scalars import Scalar, ScalarModeError, zero, one, check_characteristic
+from .scalars import (Scalar, ScalarModeError, zero, one, check_characteristic,
+                      _exact)
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -485,7 +486,7 @@ class Terms:
     carried through, last, to the output.
     """
 
-    __slots__ = ("terms", "ranks", "degrees", "weight", "summed", "out_axes")
+    __slots__ = ("terms", "ranks", "degrees", "weight", "summed", "out_axes", "joined")
 
     def __init__(self, text, out, den=1, minus=""):
         signed = _signed_terms(text) + [(-a, b, f) for a, b, f in _signed_terms(minus)]
@@ -503,6 +504,25 @@ class Terms:
         # where each output axis's size can be read: (operand, axis)
         self.out_axes = [next(((n, subs.index(c)) for _, _, f in signed
                                for n, subs in f if c in subs), None) for c in out]
+        self.joined = _joined_axes([f for _, _, f in signed], out)
+
+
+def _joined_axes(terms, out):
+    """The operand axes (name, axis) in groups that must have one size: an
+    output letter joins its axes in every term, a summed letter within its
+    term, and groups sharing an axis are one group."""
+    by_letter = {}
+    for t, factors in enumerate(terms):
+        for name, subs in factors:
+            for axis, c in enumerate(subs):
+                by_letter.setdefault(c if c in out else (t, c), set()).add((name, axis))
+    groups = []
+    for axes in by_letter.values():
+        for group in [g for g in groups if g & axes]:
+            groups.remove(group)
+            axes |= group
+        groups.append(axes)
+    return [sorted(g) for g in groups]
 
 
 class Identity:
@@ -528,7 +548,34 @@ class Identity:
         (self.degree,) = self.residual.degrees
 
 
+class ShapeError(ValueError):
+    """Operands whose axis sizes disagree where an identity joins them."""
+
+
 _INT_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64)]
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _overflow_bound(side, maxabs, size, p):
+    """A bound on every partial sum of `side`, and on p, over operands whose
+    entries are at most `maxabs` in absolute value and whose axes have at
+    most `size` entries: weight * maxabs**degree * size**summed."""
+    degree = max(side.degrees, default=0)
+    return max(p, side.weight * maxabs ** degree * size ** side.summed)
+
+
+def _check_sizes(side, shapes):
+    """Raise ShapeError unless the operand axes of each joined group of
+    `side` have one size."""
+    for group in side.joined:
+        sizes = [(shapes[name][axis] if axis < len(shapes[name]) else None, name)
+                 for name, axis in group]
+        for size, name in sizes:
+            if size is None:
+                raise ShapeError(f"operand {name!r} has too few axes")
+            if size != sizes[0][0]:
+                raise ShapeError(f"operand sizes disagree: {sizes[0][1]!r} has "
+                                 f"{sizes[0][0]} where {name!r} has {size}")
 
 
 def _sum_terms(side, arrays, shape, dtype, p):
@@ -546,31 +593,47 @@ def _sum_terms(side, arrays, shape, dtype, p):
 
 
 def evaluate_terms(sides, arrays, p):
-    """Each Terms of `sides` over one structure's operands (Python-int object
-    arrays, from exact_operands) as exact integers, reduced into [0, p) over
-    GF(p)."""
+    """Each Terms of `sides` over one structure's operands (from
+    exact_operands, in their dtype) as exact integers, reduced into [0, p)
+    over GF(p)."""
+    dtype = next(iter(arrays.values())).dtype
     axes = next(side.out_axes for side in sides if side.terms)
     shape = tuple(arrays[name].shape[axis] for name, axis in axes)
-    return [_sum_terms(side, arrays, shape, object, p) for side in sides]
+    return [_sum_terms(side, arrays, shape, dtype, p) for side in sides]
 
 
-def exact_operands(operands, p):
-    """Nested lists of Scalars as Python-int object arrays scaled by one
-    common denominator D; returns (arrays, D)."""
-    objs = {name: np.array(data, dtype=object) for name, data in operands.items()}
-    if any(s.p != p for a in objs.values() for s in a.flat):
+def exact_operands(operands, p, sides):
+    """One structure's operands (nested lists of Scalars) as integer arrays
+    scaled by one common denominator D, for evaluating `sides`; returns
+    (arrays, D).
+
+    Raises ShapeError when the operands' axis sizes do not fit the letters
+    of `sides`.  The arrays are int64 when _overflow_bound of every side
+    fits in int64, with maxabs the largest |entry| after D is cleared, and
+    Python-int object arrays otherwise."""
+    items, shapes = {}, {}
+    for name, data in operands.items():
+        a = np.array(data, dtype=object)
+        items[name], shapes[name] = a.ravel().tolist(), a.shape
+    for side in sides:
+        _check_sizes(side, shapes)
+    if {s.p for flat in items.values() for s in flat} != {p}:
         raise ScalarModeError(f"operands are not all over p={p}")
-    den = lcm(*(s.den for a in objs.values() for s in a.flat)) if p == 0 else 1
-    arrays = {name: np.array([s.num * (den // s.den) for s in a.flat],
-                             dtype=object).reshape(a.shape)
-              for name, a in objs.items()}
+    den = 1 if p else lcm(*(s.den for flat in items.values() for s in flat))
+    nums = {name: [s.num * (den // s.den) for s in flat] for name, flat in items.items()}
+    maxabs = max(max(map(abs, flat), default=0) for flat in nums.values())
+    size = max(max(shape, default=1) for shape in shapes.values())
+    bound = max(_overflow_bound(side, maxabs, size, p) for side in sides)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    arrays = {name: np.array(flat, dtype=dtype).reshape(shapes[name])
+              for name, flat in nums.items()}
     return arrays, den
 
 
 def _scalars(values, den, p):
     if isinstance(values, list):
         return [_scalars(v, den, p) for v in values]
-    return Scalar(int(values), den, p)
+    return _exact(values, den, p)
 
 
 def check_identities(groups, operands, p):
@@ -580,7 +643,8 @@ def check_identities(groups, operands, p):
     at which any identity fails; ties go to the identity listed first.
     Its lhs and rhs are rebuilt as exact Scalars at that index.
     """
-    arrays, den = exact_operands(operands, p)
+    arrays, den = exact_operands(operands, p, [ident.residual for group in groups
+                                               for ident in group])
     for group in groups:
         sides = [evaluate_terms((ident.lhs, ident.rhs), arrays, p)
                  for ident in group]
@@ -603,12 +667,12 @@ def identity_mask(ident, arrays, p):
 
     Each operand holds residues in [0, p) with the candidate axis last, so
     that every einsum runs its inner loop along the batch.  The residual is
-    evaluated in the narrowest signed type that holds p and a bound on every
-    partial sum (Python ints above int64), which bounds the batch's memory.
+    evaluated in the narrowest signed type that holds _overflow_bound
+    (Python ints above int64), which bounds the batch's memory.
     """
     side = ident.residual
     size = max(max(arrays[name].shape[:r]) for name, r in side.ranks.items())
-    bound = max(p, side.weight * (p - 1) ** ident.degree * size ** side.summed)
+    bound = _overflow_bound(side, p - 1, size, p)
     dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
     cast = {name: arrays[name].astype(dtype, copy=False) for name in side.ranks}
     batch = next(iter(cast.values())).shape[-1]
@@ -619,7 +683,7 @@ def identity_mask(ident, arrays, p):
 
 def evaluate_scalars(terms, operands, p):
     """Terms over nested-Scalar operands, as nested lists of Scalars."""
-    arrays, den = exact_operands(operands, p)
+    arrays, den = exact_operands(operands, p, [terms])
     (val,) = evaluate_terms((terms,), arrays, p)
     return _scalars(val.tolist(), den ** max(terms.degrees), p)
 

@@ -14,7 +14,7 @@ r = sum r[i][j] e_i (x) e_j):
 
 from .scalars import third, half
 from .tensors import (Tensor3, AxiomReport, SLOT_PATTERNS, Terms, Identity,
-                      evaluate_scalars, check_identities, mat_add,
+                      ShapeError, evaluate_scalars, check_identities, mat_add,
                       mat_sub, mat_scale, mat_mul, mat_neg, mat_zero,
                       mat_is_zero, mat_eq, mat_vec, mat_inverse, transpose,
                       left_mult_basis, right_mult_basis, mult_of_vec, column,
@@ -134,35 +134,22 @@ def check_ybe(alg, r, kind):
     raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
 
 
+# alpha(e_i) = r L(e_i)^T - R(e_i) r, and the symmetric-part defect
+# M(e_i) = L(e_i) S - S R(e_i)^T with S = r + tau(r), as matrices [a][b].
+COBOUNDARY_ALPHA = Terms("r:ak m:ikb - m:kia r:kb", "iab")
+SYM_DEFECT = Terms("m:ika r:kb + m:ika r:bk - r:ak m:kib - r:ka m:kib", "iab")
+
+
 def coboundary_alpha(a, r):
     """alpha(x) = (id (x) L(x) - R(x) (x) id) r, as a comultiplication."""
     star = a.star
-    n, p = star.n, star.p
-    assert r.n == n, "dimension mismatch"
-    rm = r.coeff
-    mats = []
-    for i in range(n):
-        L = left_mult_basis(star, i)
-        R = right_mult_basis(star, i)
-        mats.append(mat_sub(mat_mul(rm, transpose(L)), mat_mul(R, rm)))
-    return Comultiplication(n, p, mats)
+    return Comultiplication(star.n, star.p, evaluate_scalars(
+        COBOUNDARY_ALPHA, {"m": star.c, "r": r.coeff}, star.p))
 
 
-def _sym_defect(star, r):
-    """x -> M(x) = L(x) S - S R(x)^T on basis elements, plus S itself."""
-    n, p = star.n, star.p
-    S = mat_add(r.coeff, transpose(r.coeff))
-    L = [left_mult_basis(star, i) for i in range(n)]
-    R = [right_mult_basis(star, i) for i in range(n)]
-
-    def M_of(coefs):
-        Lx = mult_of_vec(L, coefs)
-        Rx = mult_of_vec(R, coefs)
-        return mat_sub(mat_mul(Lx, S), mat_mul(S, transpose(Rx)))
-
-    M = [mat_sub(mat_mul(L[i], S), mat_mul(S, transpose(R[i])))
-         for i in range(n)]
-    return S, L, R, M, M_of
+def sym_defect(star, r):
+    """M(e_i) = L(e_i) S - S R(e_i)^T for each basis element e_i."""
+    return evaluate_scalars(SYM_DEFECT, {"m": star.c, "r": r.coeff}, star.p)
 
 
 # The coalgebra conditions at x = e_i, with index letters i (of x) and
@@ -197,9 +184,7 @@ def check_coboundary_conditions(a, r, which):
     a bialgebra (or their symmetric-part / polarized variants)."""
     star = a.star
     n, p = star.n, star.p
-    t = third(p)
-    assert r.n == n, "dimension mismatch"
-    S, L, R, M, M_of = _sym_defect(star, r)
+    M = sym_defect(star, r)
     if which == "con1":
         for i in range(n):
             if not mat_is_zero(M[i]):
@@ -207,12 +192,15 @@ def check_coboundary_conditions(a, r, which):
                                         [x - x for x in M[i][0]])
         return AxiomReport.ok()
     if which in ("eqv1", "eqv2", "eqv3"):
+        t = third(p)
+        L = [left_mult_basis(star, i) for i in range(n)]
+        R = [right_mult_basis(star, i) for i in range(n)]
         for i in range(n):
             for j in range(n):
                 if which == "eqv1":
                     res = mat_sub(mat_add(mat_mul(M[j], transpose(L[i])),
                                           mat_mul(M[i], transpose(L[j]))),
-                                  M_of(star.prod(i, j)))
+                                  mult_of_vec(M, star.prod(i, j)))
                 elif which == "eqv2":
                     res = mat_sub(mat_add(mat_mul(M[j], transpose(L[i])),
                                           mat_mul(M[i], transpose(L[j]))),
@@ -223,7 +211,7 @@ def check_coboundary_conditions(a, r, which):
                          zip(star.prod(i, j), star.prod(j, i))]
                     res = mat_add(mat_sub(mat_mul(R[i], M[j]),
                                           mat_mul(M[j], transpose(L[i]))),
-                                  mat_scale(t, M_of(d)))
+                                  mat_scale(t, mult_of_vec(M, d)))
                 if not mat_is_zero(res):
                     return AxiomReport.fail(which, (i, j), res[0],
                                             [x - x for x in res[0]])
@@ -244,11 +232,18 @@ def check_coboundary_conditions(a, r, which):
     raise ValueError(f"unknown condition {which!r}")
 
 
+def _same_size(star, r):
+    if r.n != star.n:
+        raise ShapeError(f"operand sizes disagree: r has {r.n} where the "
+                         f"operation has {star.n}")
+
+
 def operator_form_check(a, r):
     """For skew r:  r#(a*) * r#(b*) = r#( R(r#(a*))^T b* + L(r#(b*))^T a* )."""
     if not r.is_skew():
         raise ValueError("operator form requires a skew-symmetric r")
     star = a.star
+    _same_size(star, r)
     n, p = star.n, star.p
     sharp = r.sharp()
     L = [left_mult_basis(star, k) for k in range(n)]
@@ -277,6 +272,7 @@ def cyclic_form_check(a, r):
     if omega is None:
         raise ValueError("cyclic form requires a nondegenerate r")
     star = a.star
+    _same_size(star, r)
     n = star.n
 
     def w(prod_vec, k):
@@ -305,7 +301,9 @@ def coboundary_correspondence(a, r):
     """
     star = a.star
     n, p = star.n, star.p
-    S, L, R, M, M_of = _sym_defect(star, r)
+    S = mat_add(r.coeff, transpose(r.coeff))
+    L = [left_mult_basis(star, i) for i in range(n)]
+    R = [right_mult_basis(star, i) for i in range(n)]
     nvars = n * n
     rows = []
     rhs = []

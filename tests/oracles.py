@@ -19,9 +19,10 @@ from admpoisson.tensors import (MulTensor, Tensor3, AxiomReport, SLOT_PATTERNS,
                                 vec_scale, vec_is_zero, bv_mul, vb_mul,
                                 basis_vec, column, mat_vec, mat_add, mat_sub,
                                 mat_scale, mat_mul, mat_zero, mat_eq,
-                                mult_of_vec)
+                                mult_of_vec, transpose, left_mult_basis,
+                                right_mult_basis, mat_is_zero)
 from admpoisson.representations import Representation
-from admpoisson.yangbaxter import _sym_defect
+from admpoisson.bialgebras import Comultiplication
 from admpoisson.search import decode_mul
 
 
@@ -606,6 +607,73 @@ def tensor3_product(ra, rb, m, slots):
 
 
 # yangbaxter
+
+
+def coboundary_alpha(a, r):
+    """alpha(x) = (id (x) L(x) - R(x) (x) id) r, as a comultiplication."""
+    star = a.star
+    n, p = star.n, star.p
+    assert r.n == n, "dimension mismatch"
+    rm = r.coeff
+    mats = []
+    for i in range(n):
+        L = left_mult_basis(star, i)
+        R = right_mult_basis(star, i)
+        mats.append(mat_sub(mat_mul(rm, transpose(L)), mat_mul(R, rm)))
+    return Comultiplication(n, p, mats)
+
+
+def _sym_defect(star, r):
+    """x -> M(x) = L(x) S - S R(x)^T on basis elements, plus S itself."""
+    n, p = star.n, star.p
+    S = mat_add(r.coeff, transpose(r.coeff))
+    L = [left_mult_basis(star, i) for i in range(n)]
+    R = [right_mult_basis(star, i) for i in range(n)]
+
+    def M_of(coefs):
+        Lx = mult_of_vec(L, coefs)
+        Rx = mult_of_vec(R, coefs)
+        return mat_sub(mat_mul(Lx, S), mat_mul(S, transpose(Rx)))
+
+    M = [mat_sub(mat_mul(L[i], S), mat_mul(S, transpose(R[i])))
+         for i in range(n)]
+    return S, L, R, M, M_of
+
+
+def check_coboundary_conditions(a, r, which):
+    """The con1 and eqv1-eqv3 branches of check_coboundary_conditions, on
+    the loop-built M."""
+    star = a.star
+    n, p = star.n, star.p
+    t = third(p)
+    S, L, R, M, M_of = _sym_defect(star, r)
+    if which == "con1":
+        for i in range(n):
+            if not mat_is_zero(M[i]):
+                return AxiomReport.fail("con1", (i,), M[i][0],
+                                        [x - x for x in M[i][0]])
+        return AxiomReport.ok()
+    for i in range(n):
+        for j in range(n):
+            if which == "eqv1":
+                res = mat_sub(mat_add(mat_mul(M[j], transpose(L[i])),
+                                      mat_mul(M[i], transpose(L[j]))),
+                              M_of(star.prod(i, j)))
+            elif which == "eqv2":
+                res = mat_sub(mat_add(mat_mul(M[j], transpose(L[i])),
+                                      mat_mul(M[i], transpose(L[j]))),
+                              mat_add(mat_mul(L[i], M[j]),
+                                      mat_mul(M[i], transpose(R[j]))))
+            else:
+                d = [x - y for x, y in
+                     zip(star.prod(i, j), star.prod(j, i))]
+                res = mat_add(mat_sub(mat_mul(R[i], M[j]),
+                                      mat_mul(M[j], transpose(L[i]))),
+                              mat_scale(t, M_of(d)))
+            if not mat_is_zero(res):
+                return AxiomReport.fail(which, (i, j), res[0],
+                                        [x - x for x in res[0]])
+    return AxiomReport.ok()
 
 
 def ybe_operator(mul, r, which):

@@ -267,6 +267,65 @@ def test_search_validation_holds_under_python_O(argv):
     assert "# total" not in proc.stdout
 
 
+MISMATCHED = {
+    # a bracket on vdim beside a circ on dim
+    "poisson.alg": "field rational\ndim 2\nvdim 3\nop bracket vdim\nop circ\n"
+                   "bracket: e1 e2 = 1 e3\ncirc: e1 e1 = 1 e1\n",
+    # an operation on vdim beside a dim-sized r
+    "r.alg": "field rational\ndim 2\nvdim 3\nop star vdim\nstar: e1 e1 = 1 e1\n"
+             "tensor r: e1 e2 = 1\ntensor r: e2 e1 = -1\n",
+    "unital.alg": "field gf 5\ndim 2\nvdim 2\nop star\nstar: e1 e1 = 1 e1\n"
+                  "star: e1 e2 = 1 e2\nstar: e2 e1 = 1 e2\n"
+                  "rep L e1 = [1,0 ; 0,1]\nrep L e2 = [0,0 ; 1,0]\n"
+                  "rep R e1 = [1,0 ; 0,1]\nrep R e2 = [0,0 ; 1,0]\n",
+}
+MISMATCHED_ARGV = [
+    ["check", "poisson", "poisson.alg"],
+    ["check", "adm-pybe", "r.alg"],
+    ["check", "cosp", "r.alg"],
+    ["check", "con1", "r.alg"],
+    ["check", "eqv3", "r.alg"],
+    ["check", "operator-form", "r.alg"],
+    ["build", "coboundary-alpha", "r.alg"],
+    ["search", "o_operator", "--dim", "3", "--field", "5", "--algebra", "unital.alg"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_mismatched_operand_sizes_are_input_errors(tmp_path, flags):
+    # one interpreter, with and without the asserts that -O strips, runs
+    # every case in process and reports (exit code, stdout, stderr)
+    import json
+    import os
+    import subprocess
+    import sys
+    for name, text in MISMATCHED.items():
+        (tmp_path / name).write_text(text)
+    script = ("import contextlib, io, json, sys\n"
+              "from admpoisson.cli import run_command\n"
+              "out = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    o, e = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):\n"
+              "        code = run_command(argv)\n"
+              "    out.append([code, o.getvalue(), e.getvalue()])\n"
+              "print(json.dumps(out))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", script,
+                           json.dumps(MISMATCHED_ARGV)], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for argv, (code, out, err) in zip(MISMATCHED_ARGV, results):
+        assert code == 2, argv
+        assert out == "", argv
+        assert re.fullmatch(r"error: \S[^\n]*\n", err), argv
+    assert results[0][2] == "error: operand sizes disagree: 'b' has 3 where 'o' has 2\n"
+    assert results[-1][2] == "error: fixed algebra must match the search dim and field\n"
+
+
 def test_console_entry_point():
     import shutil
     import subprocess

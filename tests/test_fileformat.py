@@ -6,8 +6,9 @@ from admpoisson.scalars import Scalar, of, one, zero
 from admpoisson.tensors import MulTensor, mat_identity
 from admpoisson.yangbaxter import RTensor
 from admpoisson.bialgebras import Comultiplication
-from admpoisson.fileformat import (AlgebraFile, FormatError, parse_file,
-                                   print_file, read_file, write_file)
+from admpoisson.fileformat import (MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile,
+                                   FormatError, parse_file, print_file,
+                                   read_file, write_file)
 
 from oracles import rand_mul, rand_mat
 
@@ -123,6 +124,13 @@ def test_repeated_terms_accumulate():
     ("field rational\ndim 1\nrep l e1 = [1,2 ; 3]\n", 3),  # ragged matrix
     ("field rational\ndim 1\nwibble\n", 3),       # unknown statement
     ("field rational\ndim 1\nop x vdim\n", 3),    # vdim op without vdim
+    ("field rational\ndim ²\n", 2),              # not a decimal number
+    ("field rational\ndim \uff10\n", 2),          # fullwidth zero
+    ("field rational\ndim 2\nvdim \u0660\n", 3),  # Arabic-Indic zero
+    ("field gf \u0665\ndim 1\n", 1),             # Arabic-Indic five
+    ("field gf 1" + "0" * 5000 + "\ndim 1\n", 1),  # over int()'s digit limit
+    ("field rational\ndim 2\nop star\nstar: e\u00b2 e1 = 1 e1\n", 4),
+    ("field rational\ndim 2\nop star\nstar: e1 e1 = 1 e" + "9" * 5000 + "\n", 4),
 ])
 def test_errors_carry_line_numbers(text, line):
     with pytest.raises(FormatError) as exc:
@@ -140,6 +148,18 @@ def test_rep_size_mismatch_reports_its_line():
     with pytest.raises(FormatError) as exc:       # one non-square matrix
         parse_file("field rational\ndim 1\n\nrep L e1 = [1,2]\n")
     assert exc.value.lineno == 4
+
+
+@pytest.mark.parametrize("line", [f"dim {MAX_DIM + 1}", "dim 1000000000000000",
+                                  "vdim " + "9" * 5000])
+def test_dimensions_above_the_cap_are_rejected_at_their_line(line):
+    # the largest identity output, MAX_DIM**4 entries, stays within the cap
+    assert MAX_DIM ** 4 <= MAX_OUTPUT_ENTRIES < (MAX_DIM + 1) ** 4
+    header = "field rational\n" + ("dim 1\n" if line.startswith("vdim") else "")
+    with pytest.raises(FormatError) as exc:
+        parse_file(f"{header}{line}\nop star\n")
+    assert exc.value.lineno == header.count("\n") + 1
+    assert f"exceeds the largest supported dimension {MAX_DIM}" in str(exc.value)
 
 
 def test_missing_headers():

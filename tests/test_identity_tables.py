@@ -7,6 +7,9 @@ Tensor3 built from the slot-product tables.  Inputs are valid structures
 (from constructions that are valid by theorem, then a random change of
 basis) and the same structures with one entry perturbed, at dims 1-4 over
 Q (with non-unit denominators), GF(5), GF(10007) and GF(2^31 - 1).
+One structure is evaluated in int64 when its overflow bound allows, so the
+same comparisons run on structures whose bound sits just below and just
+above 2^63.
 """
 
 import random
@@ -17,10 +20,11 @@ import pytest
 
 import oracles
 from admpoisson.scalars import Scalar
-from admpoisson.tensors import (MulTensor, SLOT_PATTERNS, mat_inverse,
+from admpoisson.tensors import (MulTensor, SLOT_PATTERNS, Terms, _overflow_bound,
+                                evaluate_scalars, exact_operands, mat_inverse,
                                 tensor3_product)
-from admpoisson.algebras import (POISSON, AdmPoissonAlgebra, check_adm_poisson,
-                                 check_poisson, polarize_raw)
+from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
+                                 check_adm_poisson, check_poisson, polarize_raw)
 from admpoisson.representations import (Representation, adjoint_rep,
                                         check_representation, dual_rep)
 from admpoisson.matched import (MatchedPairData, check_matched_pair,
@@ -28,8 +32,8 @@ from admpoisson.matched import (MatchedPairData, check_matched_pair,
 from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson, PrePoisson,
                                    check_pre_adm_poisson, check_pre_poisson,
                                    prepoisson_to_pre_raw)
-from admpoisson.yangbaxter import (RTensor, check_coboundary_conditions,
-                                   ybe_operator)
+from admpoisson.yangbaxter import (YBE_OPERATORS, RTensor, check_coboundary_conditions,
+                                   coboundary_alpha, sym_defect, ybe_operator)
 from admpoisson.search import (adm_catalog_indices, decode_mul, digit_arrays,
                                table_hits)
 
@@ -319,10 +323,172 @@ def test_coboundary_coalgebra_conditions(p):
                                 for _ in range(n)] for _ in range(n)], None))
         for star, coeff, expect in cases:
             a, r = AdmPoissonAlgebra.raw(star), RTensor(coeff, p)
-            for which in ("cosp", "cosp2"):
+            assert sym_defect(star, r) == oracles._sym_defect(star, r)[3]
+            assert coboundary_alpha(a, r) == oracles.coboundary_alpha(a, r)
+            for which in ("con1", "eqv1", "eqv2", "eqv3", "cosp", "cosp2"):
+                oracle = (oracles.check_cosp if which.startswith("cosp")
+                          else oracles.check_coboundary_conditions)
                 w = same(check_coboundary_conditions(a, r, which),
-                         oracles.check_cosp(a, r, which))
+                         oracle(a, r, which))
                 if expect:
                     assert w.holds
                 seen[w.witness[1][0] > 0 if w.witness else "ok"] += 1
     assert seen["ok"] and seen[True] and seen[False]
+
+
+# ---------------------------------------------------------------------------
+# one structure on both sides of the int64 overflow bound
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+# down-closed monomial sets whose truncated products are not all zero
+BOUND_MONOMIALS = {2: [(1, 0), (2, 0)], 3: [(1, 0), (0, 1), (1, 1)]}
+
+
+def largest_int64_maxabs(sides, n, p):
+    """The largest |entry| at which `sides` are evaluated in int64 at dim n."""
+    lo, hi = 0, INT64_MAX
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if max(_overflow_bound(side, mid, n, p) for side in sides) <= INT64_MAX:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def unit_pair(n):
+    """(bracket, circ) entries of a truncated monomial Poisson algebra with
+    its log-canonical bracket: every entry is -1, 0 or 1."""
+    mons = BOUND_MONOMIALS[n]
+    bracket, circ = {}, {}
+    for i, a in enumerate(mons):
+        for j, b in enumerate(mons):
+            s = (a[0] + b[0], a[1] + b[1])
+            if s in mons:
+                circ[(i, j, mons.index(s))] = 1
+                if a[0] * b[1] - a[1] * b[0]:
+                    bracket[(i, j, mons.index(s))] = a[0] * b[1] - a[1] * b[0]
+    return bracket, circ
+
+
+def scaled(n, entries, lam, den, p):
+    return MulTensor.from_entries(
+        n, {key: Scalar(v * lam, den, p) for key, v in entries.items()}, p)
+
+
+def coprime_scale(limit, den, upward):
+    """The largest lam <= limit (or the smallest lam > limit) prime to den."""
+    lam = limit + 1 if upward else limit
+    while np.gcd(lam, den) != 1:
+        lam += 1 if upward else -1
+    return lam
+
+
+def dtype_of(operands, p, sides):
+    arrays, _ = exact_operands(operands, p, sides)
+    return next(iter(arrays.values())).dtype
+
+
+@pytest.mark.parametrize("p,den", [(0, 7), (0, 1), (2 ** 31 - 1, 1)])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("upward", [False, True])
+def test_one_structure_on_both_sides_of_the_int64_bound(p, den, n, upward):
+    """Just below the bound the checks run in int64, just above on Python
+    ints; both give the loops' verdicts and whole witnesses.  Every |entry|
+    after the common denominator den is cleared is at most lam, and equal
+    to lam somewhere, so lam is the bound's maxabs."""
+    rng = random.Random(7000 + 10 * n + upward + p % 97)
+    want = np.int64 if not upward else object
+    bracket, circ = unit_pair(n)
+    if p:                       # residues of -1 entries would exceed lam
+        bracket = {}
+    verdicts = []
+
+    # the adm-Poisson identity: circ + bracket, a perturbation, random
+    # entries, and all entries at the maximum, where the partial sums peak,
+    # with and without one entry zeroed
+    star = {key: circ.get(key, 0) + bracket.get(key, 0) for key in {**circ, **bracket}}
+    top = max(map(abs, star.values()))
+    noise = {key: rng.randint(0, top) for key in np.ndindex(n, n, n)}
+    noise[(0, 0, 0)] = top
+    full = dict.fromkeys(np.ndindex(n, n, n), top)
+    lam = coprime_scale(largest_int64_maxabs([ADM_POISSON.residual], n, p) // top,
+                        den, upward)
+    for entries in (star, {**star, (n - 1, 0, 0): top}, noise, full,
+                    {**full, (0, n - 1, 0): 0}):
+        m = scaled(n, entries, lam, den, p)
+        assert dtype_of({"c": m.c}, p, [ADM_POISSON.residual]) == want
+        verdicts.append(same(check_adm_poisson(m), oracles.check_adm_poisson(m)).holds)
+    assert verdicts[0] and not verdicts[1] and not verdicts[4]
+
+    # the Poisson axioms on (bracket, circ), with circ perturbed, and on a
+    # zero bracket beside circ with all entries at the maximum but one
+    sides = [ident.residual for group in POISSON for ident in group]
+    lam = coprime_scale(largest_int64_maxabs(sides, n, p), den, upward)
+    ones = dict.fromkeys(full, 1)
+    for b, o in ((bracket, circ), (bracket, {**circ, (0, n - 1, 0): 1}),
+                 ({}, ones), ({}, {**ones, (0, n - 1, 0): 0})):
+        b, o = scaled(n, b, lam, den, p), scaled(n, o, lam, den, p)
+        assert dtype_of({"b": b.c, "o": o.c}, p, sides) == want
+        verdicts.append(same(check_poisson(b, o), oracles.check_poisson(b, o)).holds)
+    assert verdicts[5] and not verdicts[6] and verdicts[7] and not verdicts[8]
+
+    # a Yang-Baxter operator, of degree 3, on a random r
+    lam = coprime_scale(largest_int64_maxabs([YBE_OPERATORS["P"]], n, p), den, upward)
+    m = scaled(n, circ, lam, den, p)
+    r = RTensor([[Scalar(lam * rng.choice([0, 1]), den, p) for _ in range(n)]
+                 for _ in range(n)], p)
+    assert dtype_of({"a": r.coeff, "b": r.coeff, "m": m.c}, p,
+                    [YBE_OPERATORS["P"]]) == want
+    assert ybe_operator(m, r, "P") == oracles.ybe_operator(m, r, "P")
+
+
+@pytest.mark.parametrize("text,out", [
+    ("a:ijk b:jkl", "il"),                        # degree 2, two summed letters
+    ("a:ijk b:jkl + 2 a:jik b:kjl", "il"),        # weight 3
+    ("a:ijk b:klm a:lmj", "i"),                   # degree 3, four summed letters
+])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("den", [1, 7])
+def test_partial_sums_reach_the_int64_bound(text, out, n, den):
+    """With every entry at the largest int64-safe maxabs lam, every output
+    entry is weight * lam**degree * n**summed, the bound itself, so the sums
+    come within a factor of 2 of 2^63; one step up they run on Python ints.
+    Both results are exact."""
+    terms = Terms(text, out)
+    (degree,) = terms.degrees
+    limit = largest_int64_maxabs([terms], n, 0)
+    for lam, want in ((coprime_scale(limit, den, False), np.int64),
+                      (coprime_scale(limit, den, True), object)):
+        ops = {name: np.full((n,) * rank, Scalar(lam, den), dtype=object).tolist()
+               for name, rank in terms.ranks.items()}
+        peak = terms.weight * lam ** degree * n ** terms.summed
+        assert INT64_MAX // 2 < peak
+        assert dtype_of(ops, 0, [terms]) == want
+        got = np.array(evaluate_scalars(terms, ops, 0), dtype=object)
+        assert got.shape == (n,) * len(out)
+        assert all(s == Scalar(peak, den ** degree) for s in got.ravel())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ten_digit_rationals_stay_exact(n):
+    """Q with 10-digit numerators and non-unit denominators is far above the
+    bound; the checks run on Python ints and agree with the loops."""
+    rng = random.Random(7100 + n)
+
+    def big():
+        num, den = rng.randrange(10 ** 9, 10 ** 10), rng.choice([1, 3, 7, 11])
+        while np.gcd(num, den) != 1:
+            num += 1
+        return Scalar(rng.choice([-1, 1]) * num, den)
+
+    bracket, circ = unit_pair(n)
+    star = MulTensor.from_entries(n, {key: big() * Scalar(v) for key, v in
+                                      {**circ, **bracket}.items()})
+    assert dtype_of({"c": star.c}, 0, [ADM_POISSON.residual]) == object
+    same(check_adm_poisson(star), oracles.check_adm_poisson(star))
+    dense = MulTensor(n, 0, [[[big() for _ in range(n)] for _ in range(n)]
+                             for _ in range(n)])
+    assert not same(check_adm_poisson(dense), oracles.check_adm_poisson(dense)).holds
+    br, circ_t = polarize_raw(dense)
+    assert not same(check_poisson(br, circ_t), oracles.check_poisson(br, circ_t)).holds

@@ -115,6 +115,37 @@ def test_large_prime_is_validated_once():
     assert _is_prime.cache_info().misses == 1
 
 
+def test_arithmetic_does_not_validate_p_again(monkeypatch):
+    import admpoisson.scalars as scalars
+    p = 2 ** 31 - 1
+    a, b = Scalar(p - 2, 1, p), Scalar(123456789, 1, p)
+    x, y = of(-3, 4), of(5, 6)
+    constants = zero(p), one(p), zero(), one()
+    calls = []
+    monkeypatch.setattr(scalars, "check_characteristic", calls.append)
+    for u, v in ((a, b), (x, y)):
+        u + v, u - v, u * v, u / v, -u
+    assert (zero(p), one(p), zero(), one()) == constants
+    assert calls == []
+    assert Scalar(1, 2, 7) == Scalar(4, 1, 7) and calls == [7, 7]
+
+
+def test_cached_zero_and_one_are_shared_and_immutable():
+    for p in (0, 5, 10007):
+        z, o = zero(p), one(p)
+        assert z is zero(p) and o is one(p)
+        assert z == Scalar(0, 1, p) and o == Scalar(1, 1, p)
+        for attr in ("num", "den", "p"):
+            with pytest.raises(AttributeError):
+                setattr(z, attr, 7)
+            with pytest.raises(AttributeError):
+                setattr(o, attr, 7)
+        assert (z + o, o + o, z - o) == (o, of(2, 1, p), of(-1, 1, p))
+        assert (z.num, z.den, o.num, o.den) == (0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        zero(4)
+
+
 def test_immutability_and_hash():
     a = of(1, 2)
     with pytest.raises(AttributeError):

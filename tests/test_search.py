@@ -123,6 +123,15 @@ def test_search_o_operator_matches_direct(catalog_gf5):
     assert got == want and len(got) >= 1
 
 
+def test_search_o_operator_rejects_another_dim(catalog_gf5):
+    star = decode_mul(catalog_gf5[100], 2, 5)
+    rep = adjoint_rep(AdmPoissonAlgebra(star))
+    for dim in (1, 3):
+        spec = SearchSpec("o_operator", dim, p=5, algebra=star, rep=(rep.l, rep.r))
+        with pytest.raises(ValueError, match="must match the search dim"):
+            list(search(spec))
+
+
 def test_search_pre_dim1_exhaustive():
     hits = list(search(SearchSpec("pre_adm_poisson", 1, p=5)))
     pairs = [(h.ops["succ"].c[0][0][0].num, h.ops["prec"].c[0][0][0].num)
