@@ -7,11 +7,9 @@ convention (M (x) id) alpha(x) = M A_x, (id (x) M) alpha(x) = A_x M^T and
 tau(alpha(x)) = A_x^T, which the pair-condition residuals below exploit.
 """
 
-from .scalars import third, half
-from .tensors import (MulTensor, mat_add, mat_sub, mat_scale, mat_mul,
-                      mat_zero, mat_is_zero, mat_eq, transpose,
-                      left_mult_basis, right_mult_basis, vec_zero,
-                      sum_scalars)
+from .scalars import half
+from .tensors import (MulTensor, Identity, check_identities, mat_add, mat_sub,
+                      mat_scale, transpose, vec_zero)
 from .algebras import AxiomReport
 
 
@@ -39,15 +37,6 @@ class Comultiplication:
                 val = Scalar(val, 1, p)
             a[i][j][k] = val
         return cls(n, p, a)
-
-    def of_vec(self, coefs):
-        """Coefficient matrix of alpha(x) for x = sum coefs_i e_i."""
-        out = mat_zero(self.n, self.n, self.p)
-        for i, ci in enumerate(coefs):
-            if ci.is_zero():
-                continue
-            out = mat_add(out, mat_scale(ci, self.a[i]))
-        return out
 
     def is_zero(self):
         return all(x.is_zero() for pl in self.a for row in pl for x in row)
@@ -97,90 +86,56 @@ def comult_of_mul(m):
     return Comultiplication(n, p, a)
 
 
-def _coalgebra_residual(c, i):
-    """Direct coassociativity-type residual of alpha at e_i.
-
-    With U[p][q][s] = sum_m a[i][p][m] a[m][q][s] ("apply alpha to the second
-    leg") and V[p][q][s] = sum_m a[i][m][s] a[m][p][q] ("to the first leg"),
-    the condition reads, for every (p,q,s),
-
-        U - V + 1/3( U[p][s][q] - U[q][p][s] - U[s][p][q] + U[q][s][p] ) = 0.
-    """
-    n, p = c.n, c.p
-    t = third(p)
-    a = c.a
-    U = [[[sum_scalars(a[i][pp][m] * a[m][q][s] for m in range(n))
-           for s in range(n)] for q in range(n)] for pp in range(n)]
-    V = [[[sum_scalars(a[i][m][s] * a[m][pp][q] for m in range(n))
-           for s in range(n)] for q in range(n)] for pp in range(n)]
-    for pp in range(n):
-        for q in range(n):
-            for s in range(n):
-                res = U[pp][q][s] - V[pp][q][s] + t * (
-                    U[pp][s][q] - U[q][pp][s] - U[s][pp][q] + U[q][s][pp])
-                if not res.is_zero():
-                    return (pp, q, s), res
-    return None
+# The coassociativity-type condition at x = e_i, coordinate (p, q, s) of
+# the triple tensor, with U[p][q][s] = sum_m a[i][p][m] a[m][q][s] (alpha
+# applied to the second leg) and V[p][q][s] = sum_m a[i][m][s] a[m][p][q]
+# (to the first leg):
+#   U - V + 1/3( U[p][s][q] - U[q][p][s] - U[s][p][q] + U[q][s][p] ) = 0.
+COALGEBRA = Identity("coalgebra", "ipq", "s",
+                     "a:ipm a:mqs - a:ims a:mpq + 1/3 a:ipm a:msq"
+                     " - 1/3 a:iqm a:mps - 1/3 a:ism a:mpq + 1/3 a:iqm a:msp")
 
 
 def check_coalgebra(c):
     """Direct residual check of the coassociativity-type condition."""
-    for i in range(c.n):
-        hit = _coalgebra_residual(c, i)
-        if hit is not None:
-            (pp, q, s), res = hit
-            return AxiomReport.fail("coalgebra", (i, pp, q), [res], [res - res])
-    return AxiomReport.ok()
+    return check_identities(((COALGEBRA,),), {"a": c.a}, c.p).first_entry()
 
 
-def _bialgebra_residuals(star, c, i, j):
-    """The three pair-condition residual matrices E, F, G at (e_i, e_j)."""
-    n, p = star.n, star.p
-    t = third(p)
-    L = [left_mult_basis(star, k) for k in range(n)]
-    R = [right_mult_basis(star, k) for k in range(n)]
-    Ai, Aj = c.a[i], c.a[j]
-    a_xy = c.of_vec(star.prod(i, j))
-    a_yx = c.of_vec(star.prod(j, i))
-    RjAi = mat_mul(R[j], Ai)
-    AjLiT = mat_mul(Aj, transpose(L[i]))
-    LiAj = mat_mul(L[i], Aj)
-    LjAi = mat_mul(L[j], Ai)
-    RiAj = mat_mul(R[i], Aj)
-    AiLjT = mat_mul(Ai, transpose(L[j]))
-    base = mat_add(mat_sub(RjAi, a_xy), AjLiT)
-    # E: first compatibility
-    corr = mat_sub(mat_add(LjAi, LiAj), mat_add(AiLjT, RiAj))
-    corr = mat_add(corr, transpose(mat_sub(mat_add(LiAj, LjAi), a_xy)))
-    E = mat_add(base, mat_scale(t, corr))
-    # F: second compatibility
-    corr = mat_sub(mat_add(LiAj, LjAi), a_yx)
-    corr = mat_add(corr, transpose(mat_sub(mat_add(LiAj, LjAi),
-                                           mat_add(RjAi, AjLiT))))
-    F = mat_add(base, mat_scale(t, corr))
-    # G: third compatibility
-    G = mat_add(mat_sub(LjAi, mat_mul(Ai, transpose(R[j]))),
-                transpose(mat_sub(LiAj, mat_mul(Aj, transpose(R[i])))))
-    corr = mat_sub(mat_add(RjAi, AjLiT), mat_add(AiLjT, RiAj))
-    corr = mat_add(corr, transpose(mat_sub(a_yx, a_xy)))
-    G = mat_add(G, mat_scale(t, corr))
-    return E, F, G
+def _T(terms):
+    """The transposed matrix of each term: the value letters u, v swapped."""
+    return terms.translate(str.maketrans("uv", "vu"))
+
+
+# Products of the matrices L(e_.), R(e_.) of the operation m with A_. = a[.]
+# and a_xy = alpha(e_i * e_j), a_yx = alpha(e_j * e_i), as [u][v] at (e_i, e_j).
+_RjAi, _RiAj = "m:tju a:itv", "m:tiu a:jtv"          # R_j A_i, R_i A_j
+_LiAj, _LjAi = "m:itu a:jtv", "m:jtu a:itv"          # L_i A_j, L_j A_i
+_AjLi, _AiLj = "a:jut m:itv", "a:iut m:jtv"          # A_j L_i^T, A_i L_j^T
+_AiRj, _AjRi = "a:iut m:tjv", "a:jut m:tiv"          # A_i R_j^T, A_j R_i^T
+_A_XY, _A_YX = "m:ijs a:suv", "m:jis a:suv"
+_BASE = f"{_RjAi} - {_A_XY} + {_AjLi}"
+# The three pair-condition residuals E, F, G; one group, so defbi1 wins
+# ties at a pair.
+DEFBI = (
+    Identity("defbi1", "ij", "uv",
+             f"{_BASE} + 1/3 {_LjAi} + 1/3 {_LiAj} - 1/3 {_AiLj} - 1/3 {_RiAj}"
+             f" + 1/3 {_T(_LiAj)} + 1/3 {_T(_LjAi)} - 1/3 {_T(_A_XY)}"),
+    Identity("defbi2", "ij", "uv",
+             f"{_BASE} + 1/3 {_LiAj} + 1/3 {_LjAi} - 1/3 {_A_YX} + 1/3 {_T(_LiAj)}"
+             f" + 1/3 {_T(_LjAi)} - 1/3 {_T(_RjAi)} - 1/3 {_T(_AjLi)}"),
+    Identity("defbi3", "ij", "uv",
+             f"{_LjAi} - {_AiRj} + {_T(_LiAj)} - {_T(_AjRi)} + 1/3 {_RjAi}"
+             f" + 1/3 {_AjLi} - 1/3 {_AiLj} - 1/3 {_RiAj} + 1/3 {_T(_A_YX)}"
+             f" - 1/3 {_T(_A_XY)}"),
+)
 
 
 def check_adm_bialgebra(a, c):
     """Coalgebra condition plus the three mixed compatibility identities."""
-    star = a.star
-    co = check_coalgebra(c)
-    if not co.holds:
-        return co
-    for i in range(star.n):
-        for j in range(star.n):
-            E, F, G = _bialgebra_residuals(star, c, i, j)
-            for name, res in (("defbi1", E), ("defbi2", F), ("defbi3", G)):
-                if not mat_is_zero(res):
-                    return AxiomReport.fail(name, (i, j), res[0],
-                                            [x - x for x in res[0]])
-    return AxiomReport.ok()
+    report = check_coalgebra(c)
+    if report.holds:
+        report = check_identities((DEFBI,), {"m": a.star.c, "a": c.a}, a.p)
+    return report
 
 
 class PoissonComultiplicationPair:
@@ -218,6 +173,24 @@ def merge_comultiplication(pair):
     return pair.delta.add(pair.Delta)
 
 
+# (ii)-(iv) at (x, y) = (e_i, e_j) as matrices [u][v], over the bracket b
+# (ad = L_b), circ o (L_o), delta d and Delta D; one group, in this order.
+POISSON_BIALGEBRA = (
+    # delta([x,y]) = (ad(x) (x) id + id (x) ad(x)) delta(y) - (x <-> y)
+    Identity("lie-cocycle", "ij", "uv", "b:ijs d:suv",
+             "b:itu d:jtv + d:jut b:itv - b:jtu d:itv - d:iut b:jtv"),
+    # Delta(x o y) = (id (x) L_o(x)) Delta(y) + (L_o(y) (x) id) Delta(x)
+    Identity("infinitesimal", "ij", "uv", "o:ijs D:suv", "D:jut o:itv + o:jtu D:itv"),
+    Identity("mixed1", "ij", "uv", "o:ijs d:suv",
+             "o:itu d:jtv + o:jtu d:itv + D:jut b:itv + D:iut b:jtv"),
+    Identity("mixed2", "ij", "uv", "b:ijs D:suv",
+             "b:itu D:jtv + D:jut b:itv + o:jtu d:itv - d:iut o:jtv"),
+)
+# (v) (id (x) Delta) delta(x) = (delta (x) id) Delta(x)
+#     + (tau (x) id)(id (x) delta) Delta(x), at x = e_i, coordinate (p, q, s)
+CO_LEIBNIZ = Identity("co-leibniz", "ipq", "s", "d:ipm D:mqs", "D:ims d:mpq + D:iqm d:mps")
+
+
 def check_poisson_bialgebra(palg, pair):
     """The displayed Poisson-bialgebra conditions, checked coordinatewise.
 
@@ -227,63 +200,15 @@ def check_poisson_bialgebra(palg, pair):
     compatibilities, (v) the co-Leibniz identity.
     """
     from .algebras import check_poisson
-    bracket, circ = palg.bracket, palg.circ
-    n, p = bracket.n, bracket.p
     delta, Delta = pair.delta, pair.Delta
     # (i) dual structures: bundle delta/Delta duals into one Poisson check
     dual = check_poisson(dual_structure(delta), dual_structure(Delta))
     if not dual.holds:
         name, idx, lhs, rhs = dual.witness
         return AxiomReport.fail(f"dual-{name}", idx, lhs, rhs)
-    ad = [left_mult_basis(bracket, i) for i in range(n)]
-    Lc = [left_mult_basis(circ, i) for i in range(n)]
-    D = [delta.a[i] for i in range(n)]
-    D2 = [Delta.a[i] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            # (ii) delta([x,y]) = (ad(x) (x) id + id (x) ad(x)) delta(y)
-            #                   - (ad(y) (x) id + id (x) ad(y)) delta(x)
-            lhs = delta.of_vec(bracket.prod(i, j))
-            rhs = mat_sub(mat_add(mat_mul(ad[i], D[j]),
-                                  mat_mul(D[j], transpose(ad[i]))),
-                          mat_add(mat_mul(ad[j], D[i]),
-                                  mat_mul(D[i], transpose(ad[j]))))
-            if not mat_eq(lhs, rhs):
-                return AxiomReport.fail("lie-cocycle", (i, j), lhs[0], rhs[0])
-            # (iii) Delta(x o y) = (id (x) Lc(x)) Delta(y) + (Rc(y) (x) id) Delta(x)
-            lhs = Delta.of_vec(circ.prod(i, j))
-            rhs = mat_add(mat_mul(D2[j], transpose(Lc[i])),
-                          mat_mul(Lc[j], D2[i]))
-            if not mat_eq(lhs, rhs):
-                return AxiomReport.fail("infinitesimal", (i, j), lhs[0], rhs[0])
-            # (iv) first mixed compatibility
-            lhs = delta.of_vec(circ.prod(i, j))
-            rhs = mat_add(mat_add(mat_mul(Lc[i], D[j]), mat_mul(Lc[j], D[i])),
-                          mat_add(mat_mul(D2[j], transpose(ad[i])),
-                                  mat_mul(D2[i], transpose(ad[j]))))
-            if not mat_eq(lhs, rhs):
-                return AxiomReport.fail("mixed1", (i, j), lhs[0], rhs[0])
-            # (iv) second mixed compatibility
-            lhs = Delta.of_vec(bracket.prod(i, j))
-            rhs = mat_add(mat_add(mat_mul(ad[i], D2[j]),
-                                  mat_mul(D2[j], transpose(ad[i]))),
-                          mat_sub(mat_mul(Lc[j], D[i]),
-                                  mat_mul(D[i], transpose(Lc[j]))))
-            if not mat_eq(lhs, rhs):
-                return AxiomReport.fail("mixed2", (i, j), lhs[0], rhs[0])
-    # (v) co-Leibniz: (id (x) Delta) delta(x) = (delta (x) id) Delta(x)
-    #                 + (tau (x) id)(id (x) delta) Delta(x)
-    for i in range(n):
-        for pp in range(n):
-            for q in range(n):
-                for s in range(n):
-                    lhs = sum_scalars(delta.a[i][pp][m] * Delta.a[m][q][s]
-                                      for m in range(n))
-                    rhs = sum_scalars(Delta.a[i][m][s] * delta.a[m][pp][q]
-                                      for m in range(n))
-                    rhs = rhs + sum_scalars(Delta.a[i][q][m] * delta.a[m][pp][s]
-                                            for m in range(n))
-                    if lhs != rhs:
-                        return AxiomReport.fail("co-leibniz", (i, pp, q),
-                                                [lhs], [rhs])
-    return AxiomReport.ok()
+    ops = {"b": palg.bracket.c, "o": palg.circ.c, "d": delta.a, "D": Delta.a}
+    report = check_identities((POISSON_BIALGEBRA,), ops, palg.p)
+    if report.holds:
+        report = check_identities(((CO_LEIBNIZ,),), {"d": delta.a, "D": Delta.a},
+                                  palg.p).first_entry()
+    return report

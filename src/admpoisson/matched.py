@@ -11,25 +11,19 @@ is admissible-Poisson exactly when the pair is matched.
 """
 
 from .tensors import (MulTensor, AxiomReport, Identity, check_identities,
-                      vec_zero, mat_inverse, mat_eq, transpose, sum_scalars)
+                      vec_zero, mat_inverse, mat_eq, transpose)
 from .algebras import AdmPoissonAlgebra
 from .representations import Representation, check_representation, \
     dual_endo_family, left_mult_basis, right_mult_basis
 
 
 class MatchedPairData:
-    """Two algebras plus the four action families (shape-checked only)."""
+    """Two algebras plus the four action families (unchecked: check_matched_pair
+    rejects families whose sizes disagree)."""
 
     __slots__ = ("p1", "p2", "l1", "r1", "l2", "r2")
 
     def __init__(self, p1, p2, l1, r1, l2, r2):
-        n1, n2 = p1.n, p2.n
-        assert len(l1) == n1 and len(r1) == n1, "l1/r1 indexed by P1 basis"
-        assert len(l2) == n2 and len(r2) == n2, "l2/r2 indexed by P2 basis"
-        for m in list(l1) + list(r1):
-            assert len(m) == n2 and all(len(row) == n2 for row in m)
-        for m in list(l2) + list(r2):
-            assert len(m) == n1 and all(len(row) == n1 for row in m)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "l1", l1)
@@ -150,27 +144,20 @@ class BilinearForm:
         return mat_inverse(self.gram, self.p) is not None
 
 
+# B(x*y, z) = B(x, y*z) at (x, y, z) = (e_i, e_j, e_k), over the gram matrix g.
+INVARIANCE = Identity("invariance", "ijk", "", "m:ijs g:sk", "m:jks g:is")
+
+
 def check_invariant_form(a, form, require_symmetric=False,
                          require_nondegenerate=False):
     """B(x*y, z) = B(x, y*z) on basis triples, plus requested flags."""
-    star = a.star
-    n = star.n
-    assert form.n == n, "dimension mismatch"
     g = form.gram
     if require_symmetric and not form.is_symmetric():
         return AxiomReport.fail("form-symmetric", (0, 0),
                                 g[0], transpose(g)[0])
     if require_nondegenerate and not form.is_nondegenerate():
         return AxiomReport.fail("form-nondegenerate", (0,), g[0], g[0][:])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = sum_scalars(star.c[i][j][m] * g[m][k] for m in range(n))
-                rhs = sum_scalars(star.c[j][k][m] * g[i][m] for m in range(n))
-                if lhs != rhs:
-                    return AxiomReport.fail("invariance", (i, j, k),
-                                            [lhs], [rhs])
-    return AxiomReport.ok()
+    return check_identities(((INVARIANCE,),), {"m": a.star.c, "g": g}, a.p)
 
 
 def standard_form(n, p=0):
@@ -187,13 +174,11 @@ def manin_pair_data(alg, algstar):
     """The candidate matched pair: each algebra acts on the other's dual
     by the transposed right/left multiplication families (the dual of the
     adjoint representation)."""
-    assert alg.n == algstar.n, "dimension mismatch"
     s, sd = alg.star, algstar.star
-    n = alg.n
-    l1 = dual_endo_family([right_mult_basis(s, i) for i in range(n)])
-    r1 = dual_endo_family([left_mult_basis(s, i) for i in range(n)])
-    l2 = dual_endo_family([right_mult_basis(sd, a) for a in range(n)])
-    r2 = dual_endo_family([left_mult_basis(sd, a) for a in range(n)])
+    l1 = dual_endo_family([right_mult_basis(s, i) for i in range(s.n)])
+    r1 = dual_endo_family([left_mult_basis(s, i) for i in range(s.n)])
+    l2 = dual_endo_family([right_mult_basis(sd, a) for a in range(sd.n)])
+    r2 = dual_endo_family([left_mult_basis(sd, a) for a in range(sd.n)])
     return MatchedPairData(alg, algstar, l1, r1, l2, r2)
 
 

@@ -5,15 +5,13 @@ theta(v_j) = sum_i theta[i][j] e_i.
 """
 
 from .scalars import half, one, zero
-from .tensors import (MulTensor, AxiomReport, Identity, check_identities,
-                      mat_vec, mat_zero, mat_inverse, column, vec_add,
-                      apply_mul, bv_mul, vb_mul, left_mult_basis,
-                      right_mult_basis, mult_of_vec, sum_scalars, transpose,
-                      mat_add, mat_is_zero)
+from .tensors import (MulTensor, Identity, check_identities, mat_vec, mat_zero,
+                      mat_inverse, column, left_mult_basis, right_mult_basis,
+                      mult_of_vec, sum_scalars, transpose, mat_add, mat_is_zero)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_rep, dual_rep,
                               semidirect_raw, check_representation)
-from .yangbaxter import RTensor
+from .yangbaxter import RTensor, CYCLIC_FORM
 
 
 class OOperatorCandidate:
@@ -23,9 +21,6 @@ class OOperatorCandidate:
 
     def __init__(self, alg, rep, theta):
         assert rep.alg == alg, "representation must be over the algebra"
-        assert len(theta) == alg.n, "theta rows indexed by algebra basis"
-        assert all(len(row) == rep.vdim for row in theta), \
-            "theta columns indexed by module basis"
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "theta", theta)
@@ -34,38 +29,29 @@ class OOperatorCandidate:
         raise AttributeError("OOperatorCandidate is immutable")
 
 
+# theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) at the module
+# basis pair (u, v) = (v_i, v_j), coordinate z, over the operation c.
+_O_OPERATOR = ("t:xi t:yj c:xyz", "t:xi l:xaj t:za + t:yj r:yai t:za")
+O_OPERATOR = Identity("o-operator", "ij", "z", *_O_OPERATOR)
+# R(x) * R(y) = R( R(x)*y + x*R(y) ): the same identity with theta = R over
+# the adjoint action (l, r) = (L, R).
+ROTA_BAXTER = Identity("rota-baxter", "ij", "z", *_O_OPERATOR)
+
+
 def check_o_operator(c):
     """theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) on basis pairs."""
     star = c.alg.star
-    m = c.rep.vdim
-    for i in range(m):
-        for j in range(m):
-            tu = column(c.theta, i)
-            tv = column(c.theta, j)
-            lhs = apply_mul(star, tu, tv)
-            inner = vec_add(column(mult_of_vec(c.rep.l, tu), j),
-                            column(mult_of_vec(c.rep.r, tv), i))
-            rhs = mat_vec(c.theta, inner)
-            if lhs != rhs:
-                return AxiomReport.fail("o-operator", (i, j), lhs, rhs)
-    return AxiomReport.ok()
+    return check_identities(((O_OPERATOR,),), {"t": c.theta, "c": star.c,
+                                               "l": c.rep.l, "r": c.rep.r}, star.p)
 
 
 def check_rota_baxter(a, R):
     """R(x) * R(y) = R( R(x)*y + x*R(y) ), i.e. weight-zero Rota-Baxter."""
     star = a.star
-    n = star.n
-    assert len(R) == n and all(len(row) == n for row in R), "R must be n x n"
-    for i in range(n):
-        for j in range(n):
-            u = column(R, i)
-            v = column(R, j)
-            lhs = apply_mul(star, u, v)
-            inner = vec_add(vb_mul(star, u, j), bv_mul(star, i, v))
-            rhs = mat_vec(R, inner)
-            if lhs != rhs:
-                return AxiomReport.fail("rota-baxter", (i, j), lhs, rhs)
-    return AxiomReport.ok()
+    L = [left_mult_basis(star, i) for i in range(star.n)]
+    Rm = [right_mult_basis(star, i) for i in range(star.n)]
+    return check_identities(((ROTA_BAXTER,),), {"t": R, "c": star.c, "l": L, "r": Rm},
+                            star.p)
 
 
 def solution_from_o_operator(c, check=False):
@@ -93,7 +79,6 @@ class PreAdmPoisson:
     __slots__ = ("succ", "prec")
 
     def __init__(self, succ, prec, check=True):
-        assert succ.n == prec.n and succ.p == prec.p
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "prec", prec)
         if check:
@@ -186,7 +171,6 @@ class PrePoisson:
     __slots__ = ("dot", "ast")
 
     def __init__(self, dot, ast, check=True):
-        assert dot.n == ast.n and dot.p == ast.p
         object.__setattr__(self, "dot", dot)
         object.__setattr__(self, "ast", ast)
         if check:
@@ -329,15 +313,8 @@ def pre_from_symplectic(a, omega):
         raise ValueError("omega must be nondegenerate")
     # the defining relations only produce a pre-structure when the form is
     # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = sum_scalars(
-                    star.c[x][y][m] * g[m][z]
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j))
-                    for m in range(n))
-                if not total.is_zero():
-                    raise ValueError("omega is not cyclic on products")
+    if not check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": g}, p).holds:
+        raise ValueError("omega is not cyclic on products")
     succ = [[None] * n for _ in range(n)]
     prec = [[None] * n for _ in range(n)]
     for i in range(n):

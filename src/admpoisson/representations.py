@@ -19,19 +19,16 @@ from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, polarize,
 
 
 class Representation:
-    """Per-basis matrices l(e_i), r(e_i) acting on an m-dimensional module."""
+    """Per-basis matrices l(e_i), r(e_i) acting on an m-dimensional module.
+
+    check_representation raises ShapeError when the family sizes disagree
+    with the algebra or with each other."""
 
     __slots__ = ("alg", "vdim", "l", "r")
 
     def __init__(self, alg, l, r, check=True):
-        n = alg.n
-        assert len(l) == n and len(r) == n, "family length must equal dim"
-        m = len(l[0])
-        for mat in list(l) + list(r):
-            assert len(mat) == m and all(len(row) == m for row in mat), \
-                "module matrices must be square of one size"
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "vdim", m)
+        object.__setattr__(self, "vdim", len(l[0]) if l else 0)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", r)
         if check:
@@ -127,8 +124,6 @@ class PoissonRepresentation:
     __slots__ = ("palg", "vdim", "s_bracket", "s_circ")
 
     def __init__(self, palg, s_bracket, s_circ, check=True):
-        n = palg.n
-        assert len(s_bracket) == n and len(s_circ) == n
         object.__setattr__(self, "palg", palg)
         object.__setattr__(self, "vdim", len(s_bracket[0]))
         object.__setattr__(self, "s_bracket", s_bracket)

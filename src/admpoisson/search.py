@@ -9,7 +9,8 @@ Candidates are screened in batches of CHUNK by the identity tables
 (identity_mask), with the candidate axis innermost.  Exhaustive sweeps
 take the batches in ascending order and yield each batch's hits before
 building the next; sampled searches screen batches of random draws.
-Every emitted hit is re-verified by the exact checker.
+O-operator maps theta are screened the same way, over a fixed algebra
+and action.  Every emitted hit is re-verified by the exact checker.
 """
 
 import random
@@ -23,8 +24,8 @@ from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                        check_adm_poisson, check_poisson)
 from .representations import Representation, dual_rep
 from .yangbaxter import RTensor, ybe_operator
-from .ooperators import (OOperatorCandidate, check_o_operator, PreAdmPoisson,
-                         PRE_ADM_POISSON, check_pre_adm_poisson,
+from .ooperators import (OOperatorCandidate, O_OPERATOR, check_o_operator,
+                         PreAdmPoisson, PRE_ADM_POISSON, check_pre_adm_poisson,
                          induced_pre_from_o_operator)
 from .fileformat import AlgebraFile
 
@@ -55,17 +56,23 @@ def decode_mul(idx, n, p):
     return MulTensor.from_entries(n, entries, p)
 
 
+def base_p_digits(indices, cells, p):
+    """Base-p digits 0 .. cells-1 of each index, shape (cells, len(indices))."""
+    wide = p ** cells > np.iinfo(np.int64).max
+    rem = np.array(indices, dtype=object if wide else np.int64)
+    digits = np.empty((cells, len(rem)), dtype=rem.dtype)
+    for t in range(cells):
+        digits[t] = rem % p
+        rem //= p
+    return digits
+
+
 def digit_arrays(indices, n, p, ops=1):
     """The structure tensors of the candidates `indices`, batch-last: `ops`
     residue arrays of shape (n, n, n, len(indices)); operation o holds
     base-p digits o*n**3 ... (o+1)*n**3 - 1 of each index."""
     cells = n ** 3
-    wide = p ** (ops * cells) > np.iinfo(np.int64).max
-    rem = np.array(indices, dtype=object if wide else np.int64)
-    digits = np.empty((ops * cells, len(rem)), dtype=rem.dtype)
-    for t in range(ops * cells):
-        digits[t] = rem % p
-        rem //= p
+    digits = base_p_digits(indices, ops * cells, p)
     return [digits[o * cells:(o + 1) * cells].reshape(n, n, n, -1) for o in range(ops)]
 
 
@@ -87,6 +94,28 @@ def table_hits(groups, names, n, p):
     for start in range(0, space, CHUNK):
         indices = np.arange(start, min(start + CHUNK, space))
         yield from indices[table_mask(groups, names, indices, n, p)].tolist()
+
+
+def _residues(data):
+    """Nested lists of GF(p) Scalars as an int64 array of their residues."""
+    a = np.array(data, dtype=object)
+    return np.array([s.num for s in a.ravel()], dtype=np.int64).reshape(a.shape)
+
+
+def o_operator_hits(star, l, r, p):
+    """Ascending indices of the maps theta that are O-operators over the
+    operation star and the action (l, r), one CHUNK at a time; theta has
+    one row per basis element of star, one column per module basis element,
+    and entry (i, j) is base-p digit i*cols + j of its index (as iter_maps).
+    The fixed operands are broadcast along the batch of thetas."""
+    n, m = star.n, len(l[0])
+    fixed = {name: _residues(data)[..., None]
+             for name, data in (("c", star.c), ("l", l), ("r", r))}
+    space = p ** (n * m)
+    for start in range(0, space, CHUNK):
+        indices = np.arange(start, min(start + CHUNK, space))
+        theta = base_p_digits(indices, n * m, p).reshape(n, m, -1)
+        yield from indices[identity_mask(O_OPERATOR, {"t": theta, **fixed}, p)].tolist()
 
 
 def adm_catalog_indices(n, p):
@@ -252,16 +281,19 @@ def _search_pybe(spec, p, n):
             yield af
 
 
+def decode_map(idx, rows, cols, p):
+    """The rows x cols matrix whose entry (i, j) is base-p digit i*cols + j
+    of idx."""
+    mat = mat_zero(rows, cols, p)
+    for t in range(rows * cols):
+        idx, d = divmod(idx, p)
+        mat[t // cols][t % cols] = Scalar(d, 1, p)
+    return mat
+
+
 def iter_maps(rows, cols, p):
     for idx in range(p ** (rows * cols)):
-        mat = mat_zero(rows, cols, p)
-        rem = idx
-        for i in range(rows):
-            for j in range(cols):
-                d = rem % p
-                rem //= p
-                mat[i][j] = Scalar(d, 1, p)
-        yield mat
+        yield decode_map(idx, rows, cols, p)
 
 
 def _search_o_operator(spec, p, n):
@@ -277,11 +309,11 @@ def _search_o_operator(spec, p, n):
     space = p ** (n * m)
     if space > MAX_EXHAUSTIVE:
         raise ValueError("theta space too large")
-    for theta in iter_maps(n, m, p):
-        if spec.nonzero_only and all(c.is_zero() for row in theta for c in row):
+    for idx in o_operator_hits(star, l, r, p):
+        if spec.nonzero_only and idx == 0:
             continue
-        cand = OOperatorCandidate(alg, rep, theta)
-        if check_o_operator(cand).holds:
+        theta = decode_map(idx, n, m, p)
+        if check_o_operator(OOperatorCandidate(alg, rep, theta)).holds:
             af = AlgebraFile(p=p, dim=n, vdim=m)
             af.ops["star"] = star
             af.reps["l"] = l
@@ -315,8 +347,8 @@ def _search_pre(spec, p, n):
         if dual is not None:
             reps.append(dual)
         for rep in reps:
-            for theta in iter_maps(n, rep.vdim, p):
-                cand = OOperatorCandidate(alg, rep, theta)
+            for idx in o_operator_hits(star, rep.l, rep.r, p):
+                cand = OOperatorCandidate(alg, rep, decode_map(idx, n, rep.vdim, p))
                 if not check_o_operator(cand).holds:
                     continue
                 pre = induced_pre_from_o_operator(cand)

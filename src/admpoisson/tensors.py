@@ -28,24 +28,6 @@ def basis_vec(n, i, p=0):
     return v
 
 
-def vec_add(x, y):
-    assert len(x) == len(y)
-    return [a + b for a, b in zip(x, y)]
-
-
-def vec_sub(x, y):
-    assert len(x) == len(y)
-    return [a - b for a, b in zip(x, y)]
-
-
-def vec_scale(c, x):
-    return [c * a for a in x]
-
-
-def vec_is_zero(x):
-    return all(a.is_zero() for a in x)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -198,6 +180,8 @@ def mat_inverse(a, p=0):
 
 def _entrywise(f, x, y):
     """f on matching entries of two n x n x n coefficient arrays."""
+    if len(x) != len(y):
+        raise ShapeError(f"operand sizes disagree: {len(x)} and {len(y)}")
     return [[[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(pa, pb)]
             for pa, pb in zip(x, y)]
 
@@ -255,11 +239,9 @@ class MulTensor:
                          [[[f(x) for x in row] for row in pl] for pl in self.c])
 
     def add(self, other):
-        assert self.n == other.n and self.p == other.p
         return MulTensor(self.n, self.p, _entrywise(add, self.c, other.c))
 
     def sub(self, other):
-        assert self.n == other.n and self.p == other.p
         return MulTensor(self.n, self.p, _entrywise(sub, self.c, other.c))
 
     def scale(self, s):
@@ -287,32 +269,6 @@ def apply_mul(m, x, y):
             for k in range(m.n):
                 if not row[k].is_zero():
                     out[k] = out[k] + f * row[k]
-    return out
-
-
-def bv_mul(m, i, y):
-    """e_i <> y for a coordinate vector y."""
-    out = vec_zero(m.n, m.p)
-    for j, yj in enumerate(y):
-        if yj.is_zero():
-            continue
-        row = m.c[i][j]
-        for k in range(m.n):
-            if not row[k].is_zero():
-                out[k] = out[k] + yj * row[k]
-    return out
-
-
-def vb_mul(m, x, j):
-    """x <> e_j for a coordinate vector x."""
-    out = vec_zero(m.n, m.p)
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        row = m.c[i][j]
-        for k in range(m.n):
-            if not row[k].is_zero():
-                out[k] = out[k] + xi * row[k]
     return out
 
 
@@ -400,11 +356,9 @@ class Tensor3:
         return self.n == other.n and self.p == other.p and self.t == other.t
 
     def add(self, other):
-        assert self.n == other.n and self.p == other.p
         return Tensor3(self.n, self.p, _entrywise(add, self.t, other.t))
 
     def sub(self, other):
-        assert self.n == other.n and self.p == other.p
         return Tensor3(self.n, self.p, _entrywise(sub, self.t, other.t))
 
     def scale(self, s):
@@ -448,6 +402,15 @@ class AxiomReport:
             return self
         name, idx, lhs, rhs = self.witness
         return AxiomReport.fail(f"{tag}:{name}", idx, lhs, rhs)
+
+    def first_entry(self):
+        """The same verdict, its witness cut to the first entry at which the
+        lhs and rhs vectors differ, as one-entry lists."""
+        if self.holds:
+            return self
+        name, idx, lhs, rhs = self.witness
+        k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        return AxiomReport.fail(name, idx, [lhs[k]], [rhs[k]])
 
     def __bool__(self):
         return self.holds
@@ -641,7 +604,8 @@ def check_identities(groups, operands, p):
 
     Within a group the witness is the first index, in lexicographic order,
     at which any identity fails; ties go to the identity listed first.
-    Its lhs and rhs are rebuilt as exact Scalars at that index.
+    Its lhs and rhs are rebuilt as exact Scalars at that index (one-entry
+    lists when the identity has no value axes).
     """
     arrays, den = exact_operands(operands, p, [ident.residual for group in groups
                                                for ident in group])
@@ -657,8 +621,8 @@ def check_identities(groups, operands, p):
             ident, (lhs, rhs) = group[which], sides[which]
             scale = ident.den * den ** ident.degree
             return AxiomReport.fail(ident.name, idx,
-                                    _scalars(lhs[idx].tolist(), scale, p),
-                                    _scalars(rhs[idx].tolist(), scale, p))
+                                    _scalars(np.atleast_1d(lhs[idx]).tolist(), scale, p),
+                                    _scalars(np.atleast_1d(rhs[idx]).tolist(), scale, p))
     return AxiomReport.ok()
 
 
@@ -666,16 +630,18 @@ def identity_mask(ident, arrays, p):
     """Which candidates of a GF(p) batch satisfy `ident`.
 
     Each operand holds residues in [0, p) with the candidate axis last, so
-    that every einsum runs its inner loop along the batch.  The residual is
-    evaluated in the narrowest signed type that holds _overflow_bound
-    (Python ints above int64), which bounds the batch's memory.
+    that every einsum runs its inner loop along the batch; an operand that
+    is the same for every candidate has a last axis of size 1 and is
+    broadcast.  The residual is evaluated in the narrowest signed type that
+    holds _overflow_bound (Python ints above int64), which bounds the
+    batch's memory.
     """
     side = ident.residual
     size = max(max(arrays[name].shape[:r]) for name, r in side.ranks.items())
     bound = _overflow_bound(side, p - 1, size, p)
     dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
     cast = {name: arrays[name].astype(dtype, copy=False) for name in side.ranks}
-    batch = next(iter(cast.values())).shape[-1]
+    batch = max(a.shape[-1] for a in cast.values())
     shape = tuple(cast[name].shape[axis] for name, axis in side.out_axes) + (batch,)
     res = _sum_terms(side, cast, shape, dtype, p)
     return ~res.reshape(-1, batch).any(axis=0)

@@ -12,13 +12,12 @@ r = sum r[i][j] e_i (x) e_j):
     "symmetric-part defect" (L(x) (x) id - id (x) R(x)) applied to S.
 """
 
-from .scalars import third, half
-from .tensors import (Tensor3, AxiomReport, SLOT_PATTERNS, Terms, Identity,
-                      ShapeError, evaluate_scalars, check_identities, mat_add,
-                      mat_sub, mat_scale, mat_mul, mat_neg, mat_zero,
-                      mat_is_zero, mat_eq, mat_vec, mat_inverse, transpose,
-                      left_mult_basis, right_mult_basis, mult_of_vec, column,
-                      vec_zero, vec_add, apply_mul, solve_linear, sum_scalars)
+from .scalars import half
+from .tensors import (Tensor3, SLOT_PATTERNS, Terms, Identity, evaluate_scalars,
+                      check_identities, mat_add, mat_sub, mat_scale, mat_mul,
+                      mat_neg, mat_zero, mat_is_zero, mat_eq, mat_inverse,
+                      transpose, left_mult_basis, right_mult_basis, vec_zero,
+                      solve_linear)
 from .bialgebras import Comultiplication
 
 
@@ -93,10 +92,16 @@ _YBE_SLOTS = {
     "Q": "12.23 - 23.13 - 13.12",
     "C": "23.12 + 23.13 + 13.12",
 }
-YBE_OPERATORS = {
-    which: Terms(" ".join(SLOT_PATTERNS.get(tok, tok) for tok in slots.split()), "xyz")
-    for which, slots in _YBE_SLOTS.items()}
+_YBE_TERMS = {which: " ".join(SLOT_PATTERNS.get(tok, tok) for tok in slots.split())
+              for which, slots in _YBE_SLOTS.items()}
+YBE_OPERATORS = {which: Terms(text, "xyz") for which, text in _YBE_TERMS.items()}
 YBE_OPERATORS["A"] = YBE_OPERATORS["P"]
+# Each equation: its operator vanishes on the named operation.
+YBE = {
+    "adm_pybe": ("star", Identity("adm-pybe", "xyz", "", _YBE_TERMS["P"])),
+    "cybe": ("bracket", Identity("cybe", "xyz", "", _YBE_TERMS["C"])),
+    "aybe": ("circ", Identity("aybe", "xyz", "", _YBE_TERMS["P"])),
+}
 
 
 def ybe_operator(mul, r, which):
@@ -109,35 +114,24 @@ def ybe_operator(mul, r, which):
     return Tensor3(mul.n, mul.p, t)
 
 
-def _vanishes(t3, name):
-    idx = t3.first_nonzero()
-    if idx is None:
-        return AxiomReport.ok()
-    i, j, k = idx
-    val = t3.t[i][j][k]
-    return AxiomReport.fail(name, idx, [val], [val - val])
-
-
 def check_ybe(alg, r, kind):
     """adm_pybe on an AdmPoissonAlgebra; cybe/aybe/pybe on a PoissonAlgebra."""
-    if kind == "adm_pybe":
-        return _vanishes(ybe_operator(alg.star, r, "P"), "adm-pybe")
-    if kind == "cybe":
-        return _vanishes(ybe_operator(alg.bracket, r, "C"), "cybe")
-    if kind == "aybe":
-        return _vanishes(ybe_operator(alg.circ, r, "A"), "aybe")
     if kind == "pybe":
         rep = check_ybe(alg, r, "cybe")
-        if not rep.holds:
-            return rep
-        return check_ybe(alg, r, "aybe")
-    raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
+        return check_ybe(alg, r, "aybe") if rep.holds else rep
+    if kind not in YBE:
+        raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
+    op, ident = YBE[kind]
+    mul = getattr(alg, op)
+    return check_identities(((ident,),), {"a": r.coeff, "b": r.coeff, "m": mul.c},
+                            mul.p)
 
 
 # alpha(e_i) = r L(e_i)^T - R(e_i) r, and the symmetric-part defect
 # M(e_i) = L(e_i) S - S R(e_i)^T with S = r + tau(r), as matrices [a][b].
 COBOUNDARY_ALPHA = Terms("r:ak m:ikb - m:kia r:kb", "iab")
-SYM_DEFECT = Terms("m:ika r:kb + m:ika r:bk - r:ak m:kib - r:ka m:kib", "iab")
+_SYM_DEFECT = "m:ika r:kb + m:ika r:bk - r:ak m:kib - r:ka m:kib"
+SYM_DEFECT = Terms(_SYM_DEFECT, "iab")
 
 
 def coboundary_alpha(a, r):
@@ -179,63 +173,48 @@ COSP = {
 }
 
 
+CON1 = Identity("con1", "i", "ab", _SYM_DEFECT)
+# eqv1-eqv3 at (x, y) = (e_i, e_j) over m and M[q] = M(e_q), as [a][b]:
+#   eqv1  M(y) L(x)^T + M(x) L(y)^T - M(x*y),
+#   eqv2  M(y) L(x)^T + M(x) L(y)^T - L(x) M(y) - M(x) R(y)^T,
+#   eqv3  R(x) M(y) - M(y) L(x)^T + 1/3 M(x*y - y*x).
+EQV = {
+    "eqv1": Identity("eqv1", "ij", "ab", "M:jat m:itb + M:iat m:jtb - m:ijs M:sab"),
+    "eqv2": Identity("eqv2", "ij", "ab",
+                     "M:jat m:itb + M:iat m:jtb - m:ita M:jtb - M:iat m:tjb"),
+    "eqv3": Identity("eqv3", "ij", "ab",
+                     "m:tia M:jtb - M:jat m:itb + 1/3 m:ijs M:sab - 1/3 m:jis M:sab"),
+}
+
+
 def check_coboundary_conditions(a, r, which):
     """The displayed conditions on r that make the coboundary comultiplication
     a bialgebra (or their symmetric-part / polarized variants)."""
     star = a.star
-    n, p = star.n, star.p
-    M = sym_defect(star, r)
+    p = star.p
     if which == "con1":
-        for i in range(n):
-            if not mat_is_zero(M[i]):
-                return AxiomReport.fail("con1", (i,), M[i][0],
-                                        [x - x for x in M[i][0]])
-        return AxiomReport.ok()
-    if which in ("eqv1", "eqv2", "eqv3"):
-        t = third(p)
-        L = [left_mult_basis(star, i) for i in range(n)]
-        R = [right_mult_basis(star, i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if which == "eqv1":
-                    res = mat_sub(mat_add(mat_mul(M[j], transpose(L[i])),
-                                          mat_mul(M[i], transpose(L[j]))),
-                                  mult_of_vec(M, star.prod(i, j)))
-                elif which == "eqv2":
-                    res = mat_sub(mat_add(mat_mul(M[j], transpose(L[i])),
-                                          mat_mul(M[i], transpose(L[j]))),
-                                  mat_add(mat_mul(L[i], M[j]),
-                                          mat_mul(M[i], transpose(R[j]))))
-                else:
-                    d = [x - y for x, y in
-                         zip(star.prod(i, j), star.prod(j, i))]
-                    res = mat_add(mat_sub(mat_mul(R[i], M[j]),
-                                          mat_mul(M[j], transpose(L[i]))),
-                                  mat_scale(t, mult_of_vec(M, d)))
-                if not mat_is_zero(res):
-                    return AxiomReport.fail(which, (i, j), res[0],
-                                            [x - x for x in res[0]])
-        return AxiomReport.ok()
-    if which in COSP:
-        ident = COSP[which]
-        ops = {"m": star.c, "M": M,
-               "P": ybe_operator(star, r, "P").t, "Q": ybe_operator(star, r, "Q").t}
-        ops.update((name, evaluate_scalars(terms, {"r": r.coeff, "m": star.c}, p))
-                   for name, terms in _R_TIMES_M.items() if name in ident.lhs.ranks)
-        rep = check_identities([[ident]], {k: ops[k] for k in ident.lhs.ranks}, p)
-        if rep.holds:
-            return rep
-        # the witness is the first nonzero entry of the residual at (i, a, b)
-        _, idx, lhs, _ = rep.witness
-        val = next(x for x in lhs if not x.is_zero())
-        return AxiomReport.fail(which, idx, [val], [val - val])
-    raise ValueError(f"unknown condition {which!r}")
+        return check_identities(((CON1,),), {"m": star.c, "r": r.coeff}, p)
+    if which not in EQV and which not in COSP:
+        raise ValueError(f"unknown condition {which!r}")
+    M = sym_defect(star, r)
+    if which in EQV:
+        return check_identities(((EQV[which],),), {"m": star.c, "M": M}, p)
+    ident = COSP[which]
+    ops = {"m": star.c, "M": M,
+           "P": ybe_operator(star, r, "P").t, "Q": ybe_operator(star, r, "Q").t}
+    ops.update((name, evaluate_scalars(terms, {"r": r.coeff, "m": star.c}, p))
+               for name, terms in _R_TIMES_M.items() if name in ident.lhs.ranks)
+    # the witness is the first nonzero entry of the residual at (i, a, b)
+    return check_identities([[ident]], {k: ops[k] for k in ident.lhs.ranks},
+                            p).first_entry()
 
 
-def _same_size(star, r):
-    if r.n != star.n:
-        raise ShapeError(f"operand sizes disagree: r has {r.n} where the "
-                         f"operation has {star.n}")
+# At (i, j) = (f_i, f_j) with r#(f_i) = r[i][.]:
+#   r#(f_i) * r#(f_j) = r#( R(r#(f_i))^T f_j + L(r#(f_j))^T f_i ).
+OPERATOR_FORM = Identity("operator-form", "ij", "z", "r:ix r:jy m:xyz",
+                         "r:ik m:bkj r:bz + r:jk m:kbi r:bz")
+# w(x*y, z) + w(y*z, x) + w(z*x, y) = 0 at (x, y, z) = (e_i, e_j, e_k).
+CYCLIC_FORM = Identity("cyclic-form", "ijk", "", "m:ijs w:sk + m:jks w:si + m:kis w:sj")
 
 
 def operator_form_check(a, r):
@@ -243,24 +222,7 @@ def operator_form_check(a, r):
     if not r.is_skew():
         raise ValueError("operator form requires a skew-symmetric r")
     star = a.star
-    _same_size(star, r)
-    n, p = star.n, star.p
-    sharp = r.sharp()
-    L = [left_mult_basis(star, k) for k in range(n)]
-    R = [right_mult_basis(star, k) for k in range(n)]
-    for i in range(n):
-        u = column(sharp, i)       # r#(f_i)
-        for j in range(n):
-            v = column(sharp, j)
-            lhs = apply_mul(star, u, v)
-            Ru = mult_of_vec(R, u)
-            Lv = mult_of_vec(L, v)
-            # R(u)^T f_j is row j of R(u); L(v)^T f_i is row i of L(v)
-            w = vec_add(list(Ru[j]), list(Lv[i]))
-            rhs = mat_vec(sharp, w)
-            if lhs != rhs:
-                return AxiomReport.fail("operator-form", (i, j), lhs, rhs)
-    return AxiomReport.ok()
+    return check_identities(((OPERATOR_FORM,),), {"m": star.c, "r": r.coeff}, star.p)
 
 
 def cyclic_form_check(a, r):
@@ -272,22 +234,7 @@ def cyclic_form_check(a, r):
     if omega is None:
         raise ValueError("cyclic form requires a nondegenerate r")
     star = a.star
-    _same_size(star, r)
-    n = star.n
-
-    def w(prod_vec, k):
-        return sum_scalars(prod_vec[m] * omega[m][k] for m in range(n))
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = w(star.prod(i, j), k)
-                total = total + w(star.prod(j, k), i)
-                total = total + w(star.prod(k, i), j)
-                if not total.is_zero():
-                    return AxiomReport.fail("cyclic-form", (i, j, k),
-                                            [total], [total - total])
-    return AxiomReport.ok()
+    return check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": omega}, star.p)
 
 
 def coboundary_correspondence(a, r):

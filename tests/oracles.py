@@ -15,14 +15,14 @@ import numpy as np
 
 from admpoisson.scalars import Scalar, zero, one, third
 from admpoisson.tensors import (MulTensor, Tensor3, AxiomReport, SLOT_PATTERNS,
-                                apply_mul, vec_zero, vec_add, vec_sub,
-                                vec_scale, vec_is_zero, bv_mul, vb_mul,
-                                basis_vec, column, mat_vec, mat_add, mat_sub,
-                                mat_scale, mat_mul, mat_zero, mat_eq,
-                                mult_of_vec, transpose, left_mult_basis,
+                                ShapeError, apply_mul, vec_zero, basis_vec, column,
+                                mat_vec, mat_add, mat_sub, mat_scale, mat_mul,
+                                mat_zero, mat_eq, mat_inverse, mult_of_vec,
+                                sum_scalars, transpose, left_mult_basis,
                                 right_mult_basis, mat_is_zero)
+from admpoisson.algebras import check_poisson
 from admpoisson.representations import Representation
-from admpoisson.bialgebras import Comultiplication
+from admpoisson.bialgebras import Comultiplication, dual_structure
 from admpoisson.search import decode_mul
 
 
@@ -172,6 +172,53 @@ def brute_count_adm(n, p, check):
 
 # ---------------------------------------------------------------------------
 # the hand-written residual loops, as they were before the identity tables
+
+
+# helpers the loops use
+
+
+def vec_add(x, y):
+    assert len(x) == len(y)
+    return [a + b for a, b in zip(x, y)]
+
+
+def vec_sub(x, y):
+    assert len(x) == len(y)
+    return [a - b for a, b in zip(x, y)]
+
+
+def vec_scale(c, x):
+    return [c * a for a in x]
+
+
+def vec_is_zero(x):
+    return all(a.is_zero() for a in x)
+
+
+def bv_mul(m, i, y):
+    """e_i <> y for a coordinate vector y."""
+    out = vec_zero(m.n, m.p)
+    for j, yj in enumerate(y):
+        if yj.is_zero():
+            continue
+        row = m.c[i][j]
+        for k in range(m.n):
+            if not row[k].is_zero():
+                out[k] = out[k] + yj * row[k]
+    return out
+
+
+def vb_mul(m, x, j):
+    """x <> e_j for a coordinate vector x."""
+    out = vec_zero(m.n, m.p)
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        row = m.c[i][j]
+        for k in range(m.n):
+            if not row[k].is_zero():
+                out[k] = out[k] + xi * row[k]
+    return out
 
 
 # algebras
@@ -459,6 +506,29 @@ def check_matched_pair(mp):
     return AxiomReport.ok()
 
 
+def check_invariant_form(a, form, require_symmetric=False,
+                         require_nondegenerate=False):
+    """B(x*y, z) = B(x, y*z) on basis triples, plus requested flags."""
+    star = a.star
+    n = star.n
+    assert form.n == n, "dimension mismatch"
+    g = form.gram
+    if require_symmetric and not form.is_symmetric():
+        return AxiomReport.fail("form-symmetric", (0, 0),
+                                g[0], transpose(g)[0])
+    if require_nondegenerate and not form.is_nondegenerate():
+        return AxiomReport.fail("form-nondegenerate", (0,), g[0], g[0][:])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum_scalars(star.c[i][j][m] * g[m][k] for m in range(n))
+                rhs = sum_scalars(star.c[j][k][m] * g[i][m] for m in range(n))
+                if lhs != rhs:
+                    return AxiomReport.fail("invariance", (i, j, k),
+                                            [lhs], [rhs])
+    return AxiomReport.ok()
+
+
 # ooperators
 
 
@@ -554,6 +624,227 @@ def check_pre_poisson(q):
                               bv_mul(dot, j, ast.prod(i, k)))
                 if lhs != rhs:
                     return AxiomReport.fail("compat2", (i, j, k), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def check_o_operator(c):
+    """theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) on basis pairs."""
+    star = c.alg.star
+    m = c.rep.vdim
+    for i in range(m):
+        for j in range(m):
+            tu = column(c.theta, i)
+            tv = column(c.theta, j)
+            lhs = apply_mul(star, tu, tv)
+            inner = vec_add(column(mult_of_vec(c.rep.l, tu), j),
+                            column(mult_of_vec(c.rep.r, tv), i))
+            rhs = mat_vec(c.theta, inner)
+            if lhs != rhs:
+                return AxiomReport.fail("o-operator", (i, j), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def check_rota_baxter(a, R):
+    """R(x) * R(y) = R( R(x)*y + x*R(y) ), i.e. weight-zero Rota-Baxter."""
+    star = a.star
+    n = star.n
+    assert len(R) == n and all(len(row) == n for row in R), "R must be n x n"
+    for i in range(n):
+        for j in range(n):
+            u = column(R, i)
+            v = column(R, j)
+            lhs = apply_mul(star, u, v)
+            inner = vec_add(vb_mul(star, u, j), bv_mul(star, i, v))
+            rhs = mat_vec(R, inner)
+            if lhs != rhs:
+                return AxiomReport.fail("rota-baxter", (i, j), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def cyclic_on_products(a, g):
+    """The cyclic test of pre_from_symplectic on the gram matrix g."""
+    star = a.star
+    n = star.n
+    # the defining relations only produce a pre-structure when the form is
+    # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = sum_scalars(
+                    star.c[x][y][m] * g[m][z]
+                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j))
+                    for m in range(n))
+                if not total.is_zero():
+                    return False
+    return True
+
+
+# bialgebras
+
+
+def comul_of_vec(c, coefs):
+    """Coefficient matrix of alpha(x) for x = sum coefs_i e_i."""
+    out = mat_zero(c.n, c.n, c.p)
+    for i, ci in enumerate(coefs):
+        if ci.is_zero():
+            continue
+        out = mat_add(out, mat_scale(ci, c.a[i]))
+    return out
+
+
+def _coalgebra_residual(c, i):
+    """Direct coassociativity-type residual of alpha at e_i.
+
+    With U[p][q][s] = sum_m a[i][p][m] a[m][q][s] ("apply alpha to the second
+    leg") and V[p][q][s] = sum_m a[i][m][s] a[m][p][q] ("to the first leg"),
+    the condition reads, for every (p,q,s),
+
+        U - V + 1/3( U[p][s][q] - U[q][p][s] - U[s][p][q] + U[q][s][p] ) = 0.
+    """
+    n, p = c.n, c.p
+    t = third(p)
+    a = c.a
+    U = [[[sum_scalars(a[i][pp][m] * a[m][q][s] for m in range(n))
+           for s in range(n)] for q in range(n)] for pp in range(n)]
+    V = [[[sum_scalars(a[i][m][s] * a[m][pp][q] for m in range(n))
+           for s in range(n)] for q in range(n)] for pp in range(n)]
+    for pp in range(n):
+        for q in range(n):
+            for s in range(n):
+                res = U[pp][q][s] - V[pp][q][s] + t * (
+                    U[pp][s][q] - U[q][pp][s] - U[s][pp][q] + U[q][s][pp])
+                if not res.is_zero():
+                    return (pp, q, s), res
+    return None
+
+
+def check_coalgebra(c):
+    """Direct residual check of the coassociativity-type condition."""
+    for i in range(c.n):
+        hit = _coalgebra_residual(c, i)
+        if hit is not None:
+            (pp, q, s), res = hit
+            return AxiomReport.fail("coalgebra", (i, pp, q), [res], [res - res])
+    return AxiomReport.ok()
+
+
+def _bialgebra_residuals(star, c, i, j):
+    """The three pair-condition residual matrices E, F, G at (e_i, e_j)."""
+    n, p = star.n, star.p
+    t = third(p)
+    L = [left_mult_basis(star, k) for k in range(n)]
+    R = [right_mult_basis(star, k) for k in range(n)]
+    Ai, Aj = c.a[i], c.a[j]
+    a_xy = comul_of_vec(c, star.prod(i, j))
+    a_yx = comul_of_vec(c, star.prod(j, i))
+    RjAi = mat_mul(R[j], Ai)
+    AjLiT = mat_mul(Aj, transpose(L[i]))
+    LiAj = mat_mul(L[i], Aj)
+    LjAi = mat_mul(L[j], Ai)
+    RiAj = mat_mul(R[i], Aj)
+    AiLjT = mat_mul(Ai, transpose(L[j]))
+    base = mat_add(mat_sub(RjAi, a_xy), AjLiT)
+    # E: first compatibility
+    corr = mat_sub(mat_add(LjAi, LiAj), mat_add(AiLjT, RiAj))
+    corr = mat_add(corr, transpose(mat_sub(mat_add(LiAj, LjAi), a_xy)))
+    E = mat_add(base, mat_scale(t, corr))
+    # F: second compatibility
+    corr = mat_sub(mat_add(LiAj, LjAi), a_yx)
+    corr = mat_add(corr, transpose(mat_sub(mat_add(LiAj, LjAi),
+                                           mat_add(RjAi, AjLiT))))
+    F = mat_add(base, mat_scale(t, corr))
+    # G: third compatibility
+    G = mat_add(mat_sub(LjAi, mat_mul(Ai, transpose(R[j]))),
+                transpose(mat_sub(LiAj, mat_mul(Aj, transpose(R[i])))))
+    corr = mat_sub(mat_add(RjAi, AjLiT), mat_add(AiLjT, RiAj))
+    corr = mat_add(corr, transpose(mat_sub(a_yx, a_xy)))
+    G = mat_add(G, mat_scale(t, corr))
+    return E, F, G
+
+
+def check_adm_bialgebra(a, c):
+    """Coalgebra condition plus the three mixed compatibility identities."""
+    star = a.star
+    co = check_coalgebra(c)
+    if not co.holds:
+        return co
+    for i in range(star.n):
+        for j in range(star.n):
+            E, F, G = _bialgebra_residuals(star, c, i, j)
+            for name, res in (("defbi1", E), ("defbi2", F), ("defbi3", G)):
+                if not mat_is_zero(res):
+                    return AxiomReport.fail(name, (i, j), res[0],
+                                            [x - x for x in res[0]])
+    return AxiomReport.ok()
+
+
+def check_poisson_bialgebra(palg, pair):
+    """The displayed Poisson-bialgebra conditions, checked coordinatewise.
+
+    (i) the duals of delta/Delta are a Lie / commutative associative algebra,
+    (ii) delta is a 1-cocycle of the bracket, (iii) Delta satisfies the
+    infinitesimal-bialgebra identity over circ, (iv) the two mixed
+    compatibilities, (v) the co-Leibniz identity.
+    """
+    bracket, circ = palg.bracket, palg.circ
+    n, p = bracket.n, bracket.p
+    delta, Delta = pair.delta, pair.Delta
+    # (i) dual structures: bundle delta/Delta duals into one Poisson check
+    dual = check_poisson(dual_structure(delta), dual_structure(Delta))
+    if not dual.holds:
+        name, idx, lhs, rhs = dual.witness
+        return AxiomReport.fail(f"dual-{name}", idx, lhs, rhs)
+    ad = [left_mult_basis(bracket, i) for i in range(n)]
+    Lc = [left_mult_basis(circ, i) for i in range(n)]
+    D = [delta.a[i] for i in range(n)]
+    D2 = [Delta.a[i] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            # (ii) delta([x,y]) = (ad(x) (x) id + id (x) ad(x)) delta(y)
+            #                   - (ad(y) (x) id + id (x) ad(y)) delta(x)
+            lhs = comul_of_vec(delta, bracket.prod(i, j))
+            rhs = mat_sub(mat_add(mat_mul(ad[i], D[j]),
+                                  mat_mul(D[j], transpose(ad[i]))),
+                          mat_add(mat_mul(ad[j], D[i]),
+                                  mat_mul(D[i], transpose(ad[j]))))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("lie-cocycle", (i, j), lhs[0], rhs[0])
+            # (iii) Delta(x o y) = (id (x) Lc(x)) Delta(y) + (Rc(y) (x) id) Delta(x)
+            lhs = comul_of_vec(Delta, circ.prod(i, j))
+            rhs = mat_add(mat_mul(D2[j], transpose(Lc[i])),
+                          mat_mul(Lc[j], D2[i]))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("infinitesimal", (i, j), lhs[0], rhs[0])
+            # (iv) first mixed compatibility
+            lhs = comul_of_vec(delta, circ.prod(i, j))
+            rhs = mat_add(mat_add(mat_mul(Lc[i], D[j]), mat_mul(Lc[j], D[i])),
+                          mat_add(mat_mul(D2[j], transpose(ad[i])),
+                                  mat_mul(D2[i], transpose(ad[j]))))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("mixed1", (i, j), lhs[0], rhs[0])
+            # (iv) second mixed compatibility
+            lhs = comul_of_vec(Delta, bracket.prod(i, j))
+            rhs = mat_add(mat_add(mat_mul(ad[i], D2[j]),
+                                  mat_mul(D2[j], transpose(ad[i]))),
+                          mat_sub(mat_mul(Lc[j], D[i]),
+                                  mat_mul(D[i], transpose(Lc[j]))))
+            if not mat_eq(lhs, rhs):
+                return AxiomReport.fail("mixed2", (i, j), lhs[0], rhs[0])
+    # (v) co-Leibniz: (id (x) Delta) delta(x) = (delta (x) id) Delta(x)
+    #                 + (tau (x) id)(id (x) delta) Delta(x)
+    for i in range(n):
+        for pp in range(n):
+            for q in range(n):
+                for s in range(n):
+                    lhs = sum_scalars(delta.a[i][pp][m] * Delta.a[m][q][s]
+                                      for m in range(n))
+                    rhs = sum_scalars(Delta.a[i][m][s] * delta.a[m][pp][q]
+                                      for m in range(n))
+                    rhs = rhs + sum_scalars(Delta.a[i][q][m] * delta.a[m][pp][s]
+                                            for m in range(n))
+                    if lhs != rhs:
+                        return AxiomReport.fail("co-leibniz", (i, pp, q),
+                                                [lhs], [rhs])
     return AxiomReport.ok()
 
 
@@ -673,6 +964,89 @@ def check_coboundary_conditions(a, r, which):
             if not mat_is_zero(res):
                 return AxiomReport.fail(which, (i, j), res[0],
                                         [x - x for x in res[0]])
+    return AxiomReport.ok()
+
+
+def _vanishes(t3, name):
+    idx = t3.first_nonzero()
+    if idx is None:
+        return AxiomReport.ok()
+    i, j, k = idx
+    val = t3.t[i][j][k]
+    return AxiomReport.fail(name, idx, [val], [val - val])
+
+
+def check_ybe(alg, r, kind):
+    """adm_pybe on an AdmPoissonAlgebra; cybe/aybe/pybe on a PoissonAlgebra."""
+    if kind == "adm_pybe":
+        return _vanishes(ybe_operator(alg.star, r, "P"), "adm-pybe")
+    if kind == "cybe":
+        return _vanishes(ybe_operator(alg.bracket, r, "C"), "cybe")
+    if kind == "aybe":
+        return _vanishes(ybe_operator(alg.circ, r, "A"), "aybe")
+    if kind == "pybe":
+        rep = check_ybe(alg, r, "cybe")
+        if not rep.holds:
+            return rep
+        return check_ybe(alg, r, "aybe")
+    raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
+
+
+def _same_size(star, r):
+    if r.n != star.n:
+        raise ShapeError(f"operand sizes disagree: r has {r.n} where the "
+                         f"operation has {star.n}")
+
+
+def operator_form_check(a, r):
+    """For skew r:  r#(a*) * r#(b*) = r#( R(r#(a*))^T b* + L(r#(b*))^T a* )."""
+    if not r.is_skew():
+        raise ValueError("operator form requires a skew-symmetric r")
+    star = a.star
+    _same_size(star, r)
+    n, p = star.n, star.p
+    sharp = r.sharp()
+    L = [left_mult_basis(star, k) for k in range(n)]
+    R = [right_mult_basis(star, k) for k in range(n)]
+    for i in range(n):
+        u = column(sharp, i)       # r#(f_i)
+        for j in range(n):
+            v = column(sharp, j)
+            lhs = apply_mul(star, u, v)
+            Ru = mult_of_vec(R, u)
+            Lv = mult_of_vec(L, v)
+            # R(u)^T f_j is row j of R(u); L(v)^T f_i is row i of L(v)
+            w = vec_add(list(Ru[j]), list(Lv[i]))
+            rhs = mat_vec(sharp, w)
+            if lhs != rhs:
+                return AxiomReport.fail("operator-form", (i, j), lhs, rhs)
+    return AxiomReport.ok()
+
+
+def cyclic_form_check(a, r):
+    """For skew nondegenerate r: the inverse form omega = r^{-1} satisfies
+    omega(x*y, z) + omega(y*z, x) + omega(z*x, y) = 0."""
+    if not r.is_skew():
+        raise ValueError("cyclic form requires a skew-symmetric r")
+    omega = mat_inverse(r.coeff, r.p)
+    if omega is None:
+        raise ValueError("cyclic form requires a nondegenerate r")
+    star = a.star
+    _same_size(star, r)
+    n = star.n
+
+    def w(prod_vec, k):
+        return sum_scalars(prod_vec[m] * omega[m][k] for m in range(n))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = w(star.prod(i, j), k)
+                total = total + w(star.prod(j, k), i)
+                total = total + w(star.prod(k, i), j)
+                if not total.is_zero():
+                    return AxiomReport.fail("cyclic-form", (i, j, k),
+                                            [total], [total - total])
     return AxiomReport.ok()
 
 

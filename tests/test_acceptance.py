@@ -22,8 +22,7 @@ from admpoisson.matched import (MatchedPairData, check_matched_pair,
 from admpoisson.bialgebras import (Comultiplication, comult_of_mul,
                                    dual_structure, check_adm_bialgebra,
                                    split_comultiplication,
-                                   merge_comultiplication,
-                                   _bialgebra_residuals)
+                                   merge_comultiplication)
 from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
                                    coboundary_alpha,
                                    check_coboundary_conditions,
@@ -37,7 +36,7 @@ from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
 
 from oracles import (rand_mul, rand_mat, rand_vec, dim2_gf5_tensor_array,
-                     poisson_mask_dim2_gf5)
+                     poisson_mask_dim2_gf5, _bialgebra_residuals)
 
 P = 5
 CORPUS = Path(__file__).parent / "corpus"

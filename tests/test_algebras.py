@@ -3,13 +3,13 @@ import random
 import pytest
 
 from admpoisson.scalars import Scalar, of
-from admpoisson.tensors import MulTensor, vec_is_zero
+from admpoisson.tensors import MulTensor
 from admpoisson.algebras import (check_adm_poisson, check_poisson,
                                  AdmPoissonAlgebra, PoissonAlgebra,
                                  polarize, depolarize, polarize_raw,
                                  depolarize_raw, AxiomReport)
 
-from oracles import (rand_mul, rand_triple, adm_identity_on_vectors,
+from oracles import (rand_mul, rand_triple, adm_identity_on_vectors, vec_is_zero,
                      poisson_identities_on_vectors, weak_associativity_holds)
 
 

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admpoisson.cli import run_command, PREDICATES, CONSTRUCTIONS
 from admpoisson.fileformat import parse_file, print_file, read_file
@@ -73,6 +76,30 @@ def test_witness_format(capsys):
     assert m, line
     assert all(int(x) >= 1 for x in m.group(2).split(","))
     assert line == "FAIL adm-poisson at (1,1,2): lhs=[1, 0] rhs=[-1/3, 0]"
+
+
+# failing checks whose residual vanishes in row 0 of the witness matrix
+ROW0_FILES = {
+    "poisson-bialgebra": "field gf 5\ndim 2\nop bracket\nop circ\ncirc: e1 e1 = 1 e1\n"
+                         "comul delta\ncomul Delta\nDelta: e1 = 1 e2 e2\n",
+    "bialgebra": "field gf 5\ndim 2\nop star\nstar: e1 e1 = 1 e1\n"
+                 "comul alpha\nalpha: e1 = 1 e2 e2\n",
+}
+
+
+@pytest.mark.parametrize("pred,line", [
+    ("poisson-bialgebra",
+     "FAIL infinitesimal at (1,1): lhs=[[0, 0], [0, 1]] rhs=[[0, 0], [0, 0]]"),
+    ("bialgebra", "FAIL defbi1 at (1,1): lhs=[[0, 0], [0, 2]] rhs=[[0, 0], [0, 0]]"),
+])
+def test_matrix_witness_prints_the_whole_matrix(capsys, tmp_path, pred, line):
+    path = tmp_path / "row0.alg"
+    path.write_text(ROW0_FILES[pred])
+    code, out, err = run(capsys, "check", pred, path)
+    assert code == 1
+    assert out == line + "\n"
+    lhs, rhs = re.fullmatch(r"FAIL \S+ at \S+ lhs=(.*) rhs=(.*)", line).groups()
+    assert lhs != rhs
 
 
 def test_bad_format_is_exit_2(capsys):
@@ -278,6 +305,16 @@ MISMATCHED = {
                   "star: e1 e2 = 1 e2\nstar: e2 e1 = 1 e2\n"
                   "rep L e1 = [1,0 ; 0,1]\nrep L e2 = [0,0 ; 1,0]\n"
                   "rep R e1 = [1,0 ; 0,1]\nrep R e2 = [0,0 ; 1,0]\n",
+    # one matrix per vdim basis element beside a dim-sized operation
+    "rep.alg": "field gf 5\ndim 2\nvdim 1\nop star\nstar: e1 e1 = 1 e1\n"
+               "rep l vdim e1 = [1,0 ; 0,1]\nrep r vdim e1 = [1,0 ; 0,1]\n"
+               "map theta = [1,0 ; 0,1]\n",
+    # an operation on vdim beside dim-sized comultiplications
+    "comul.alg": "field rational\ndim 2\nvdim 3\nop star vdim\nstar: e1 e1 = 1 e1\n"
+                 "comul alpha\ncomul delta\ncomul Delta\n",
+    # each pair of operations on dim and vdim
+    "pairs.alg": "field gf 5\ndim 2\nvdim 1\nop succ\nop prec vdim\nop bracket\n"
+                 "op circ vdim\nop dot\nop ast vdim\n",
 }
 MISMATCHED_ARGV = [
     ["check", "poisson", "poisson.alg"],
@@ -287,6 +324,20 @@ MISMATCHED_ARGV = [
     ["check", "eqv3", "r.alg"],
     ["check", "operator-form", "r.alg"],
     ["build", "coboundary-alpha", "r.alg"],
+    ["check", "rep", "rep.alg"],
+    ["check", "o-operator", "rep.alg"],
+    ["build", "semidirect", "rep.alg"],
+    ["build", "dual-rep", "rep.alg"],
+    ["build", "solution-from-o", "rep.alg"],
+    ["build", "induced-pre", "rep.alg"],
+    ["check", "bialgebra", "comul.alg"],
+    ["check", "poisson-bialgebra", "comul.alg"],
+    ["build", "manin-double", "comul.alg"],
+    ["check", "pre-adm", "pairs.alg"],
+    ["check", "pre-poisson", "pairs.alg"],
+    ["build", "depolarize", "pairs.alg"],
+    ["build", "subadjacent", "pairs.alg"],
+    ["build", "canonical-solution", "pairs.alg"],
     ["search", "o_operator", "--dim", "3", "--field", "5", "--algebra", "unital.alg"],
 ]
 
@@ -324,6 +375,73 @@ def test_mismatched_operand_sizes_are_input_errors(tmp_path, flags):
         assert re.fullmatch(r"error: \S[^\n]*\n", err), argv
     assert results[0][2] == "error: operand sizes disagree: 'b' has 3 where 'o' has 2\n"
     assert results[-1][2] == "error: fixed algebra must match the search dim and field\n"
+
+
+@st.composite
+def grammar_files(draw):
+    """Parseable files from the line grammar, with operations, families,
+    maps and tensors sized by dim or vdim at random, so that operand sizes
+    often disagree."""
+    dim = draw(st.integers(1, 2))
+    vdim = draw(st.none() | st.integers(1, 3))
+    lines = [f"field {draw(st.sampled_from(['rational', 'gf 5', 'gf 7']))}", f"dim {dim}"]
+    spaces = {"dim": dim}
+    if vdim:
+        lines.append(f"vdim {vdim}")
+        spaces["vdim"] = vdim
+    coef = st.sampled_from(["1", "-1", "2", "1/2"])
+
+    def basis(n):
+        return st.integers(1, n).map("e{}".format)
+
+    def matrix(rows, cols):
+        return "[" + " ; ".join(",".join(draw(coef) for _ in range(cols))
+                                for _ in range(rows)) + "]"
+
+    names = st.sampled_from(["star", "star1", "star2", "bracket", "circ", "succ", "prec",
+                             "dot", "ast"])
+    for name in draw(st.lists(names, unique=True, max_size=4)):
+        space = draw(st.sampled_from(sorted(spaces)))
+        n = spaces[space]
+        lines.append(f"op {name}" + (" vdim" if space == "vdim" else ""))
+        for (i, j), (c, k) in draw(st.dictionaries(st.tuples(basis(n), basis(n)),
+                                                   st.tuples(coef, basis(n)),
+                                                   max_size=3)).items():
+            lines.append(f"{name}: {i} {j} = {c} {k}")
+    for name in draw(st.lists(st.sampled_from(["alpha", "delta", "Delta"]), unique=True)):
+        lines.append(f"comul {name}")
+        for i, (c, j, k) in draw(st.dictionaries(basis(dim), st.tuples(
+                coef, basis(dim), basis(dim)), max_size=2)).items():
+            lines.append(f"{name}: {i} = {c} {j} {k}")
+    for (i, j), c in draw(st.dictionaries(st.tuples(basis(dim), basis(dim)), coef,
+                                          max_size=3)).items():
+        lines.append(f"tensor r: {i} {j} = {c}")
+    reps = st.sampled_from(["l", "r", "L", "R", "l1", "r1", "l2", "r2"])
+    for name in draw(st.lists(reps, unique=True, max_size=4)):
+        space = draw(st.sampled_from(sorted(spaces)))
+        size = draw(st.integers(1, 3))
+        for i in draw(st.sets(st.integers(1, spaces[space]), min_size=1)):
+            tag = " vdim" if space == "vdim" else ""
+            lines.append(f"rep {name}{tag} e{i} = {matrix(size, size)}")
+    for name in draw(st.lists(st.sampled_from(["theta", "R", "form", "B"]), unique=True)):
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        lines.append(f"map {name} = {matrix(rows, cols)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(grammar_files())
+def test_every_command_answers_with_an_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "grammar.alg"
+    path.write_text(text)
+    argvs = [["check", pred, str(path)] for pred in sorted(PREDICATES)]
+    argvs += [["build", cons, str(path)] for cons in sorted(CONSTRUCTIONS)]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_command(argv)
+        assert code in (0, 1, 2), (argv, text)
+        assert code != 2 or re.fullmatch(r"error: \S[^\n]*\n", err.getvalue()), (argv, text)
 
 
 def test_console_entry_point():

@@ -1,6 +1,8 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admpoisson.scalars import Scalar, of, one, zero
 from admpoisson.tensors import MulTensor, mat_identity
@@ -174,3 +176,33 @@ def test_read_write_files(tmp_path):
     path = tmp_path / "x.alg"
     write_file(path, af)
     assert read_file(path) == af
+
+
+CORPUS_TEXTS = [path.read_text() for path in
+                sorted((Path(__file__).parent / "corpus").glob("*.alg"))] + [SAMPLE]
+CORPUS_LINES = [line for text in CORPUS_TEXTS for line in text.splitlines()]
+
+
+@st.composite
+def mangled_files(draw):
+    """A corpus file with up to three lines replaced by, or with inserted,
+    arbitrary text, lines of other files or their tails."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        cut = draw(st.integers(0, 20))
+        tails = st.sampled_from(CORPUS_LINES).map(lambda line: line[cut:])
+        piece = draw(st.text(max_size=12) | tails)
+        lines[at:at + draw(st.integers(0, 1))] = [piece]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | mangled_files())
+def test_parse_raises_only_format_errors_and_print_parse_is_idempotent(text):
+    try:
+        af = parse_file(text)
+    except FormatError:
+        return
+    printed = print_file(af)
+    assert print_file(parse_file(printed)) == printed

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from admpoisson.scalars import Scalar, of
-from admpoisson.tensors import mat_eq, transpose, mat_zero
+from admpoisson.tensors import ShapeError, mat_eq, transpose, mat_zero
 from admpoisson.algebras import AdmPoissonAlgebra, check_adm_poisson
 from admpoisson.representations import (Representation, check_representation,
                                         adjoint_rep,
@@ -79,12 +79,18 @@ def test_semidirect_contains_factor_and_square_zero():
 
 
 def test_rep_shape_validation():
+    # the identity table's operand-size check, which python -O keeps
     a = AdmPoissonAlgebra(idempotent_dim1())
-    with pytest.raises(AssertionError):
-        Representation.raw(a, [], [])
-    bad_l = [[[of(1), of(0)]]]  # non-square
-    with pytest.raises(AssertionError):
-        Representation.raw(a, bad_l, bad_l)
+    one = [[[of(1)]]]
+    cases = [([], []),
+             ([[[of(1), of(0)]]],) * 2,                   # non-square
+             (one + one, one + one),                      # two matrices for dim 1
+             (one, [[[of(1), of(0)], [of(0), of(1)]]])]   # l and r of two sizes
+    for l, r in cases:
+        with pytest.raises(ShapeError):
+            check_representation(Representation.raw(a, l, r))
+        with pytest.raises(ShapeError):
+            Representation(a, l, r)
 
 
 def test_invalid_rep_rejected():

@@ -8,7 +8,7 @@ from admpoisson.scalars import Scalar
 from admpoisson.tensors import AxiomReport, MulTensor
 from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                                  check_adm_poisson, check_poisson, polarize_raw)
-from admpoisson.representations import adjoint_rep
+from admpoisson.representations import Representation, adjoint_rep
 from admpoisson.yangbaxter import ybe_operator, RTensor
 from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson,
                                    check_pre_adm_poisson, check_o_operator,
@@ -16,9 +16,10 @@ from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson,
 from admpoisson import search as searchmod
 from admpoisson.search import (encode_mul, decode_mul, table_mask, table_hits,
                                adm_catalog_indices, SearchSpec, SearchShortfall,
-                               search, iter_r_tensors, iter_maps)
+                               search, iter_r_tensors, iter_maps, o_operator_hits)
 
-from oracles import (rand_mul, brute_count_adm, dim2_gf5_tensor_array,
+import oracles
+from oracles import (rand_mat, rand_mul, brute_count_adm, dim2_gf5_tensor_array,
                      poisson_mask_dim2_gf5, sample_adm_poisson)
 
 
@@ -121,6 +122,25 @@ def test_search_o_operator_matches_direct(catalog_gf5):
     want = [theta for theta in iter_maps(2, 2, 5)
             if check_o_operator(OOperatorCandidate(alg, rep, theta)).holds]
     assert got == want and len(got) >= 1
+
+
+@pytest.mark.parametrize("n,m,p", [(1, 1, 7), (1, 1, 10007), (1, 3, 5), (2, 1, 7),
+                                   (2, 2, 5)])
+def test_o_operator_screen_matches_the_loop(monkeypatch, catalog_gf5, n, m, p):
+    # thetas in iter_maps order over an algebra and an action (adjoint when
+    # m == n, random otherwise), screened in batches of several sizes
+    rng = random.Random(n * 100 + m * 10 + p)
+    star = decode_mul(rng.choice(catalog_gf5), 2, 5) if (n, p) == (2, 5) \
+        else rand_mul(rng, n, p)
+    alg = AdmPoissonAlgebra.raw(star)
+    rep = adjoint_rep(alg) if m == n else Representation.raw(
+        alg, [rand_mat(rng, m, m, p) for _ in range(n)], [rand_mat(rng, m, m, p)] * n)
+    want = [idx for idx, theta in enumerate(iter_maps(n, m, p))
+            if oracles.check_o_operator(OOperatorCandidate(alg, rep, theta)).holds]
+    assert want[0] == 0
+    for chunk in (1, 7, searchmod.CHUNK):
+        monkeypatch.setattr(searchmod, "CHUNK", chunk)
+        assert list(o_operator_hits(star, rep.l, rep.r, p)) == want
 
 
 def test_search_o_operator_rejects_another_dim(catalog_gf5):

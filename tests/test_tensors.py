@@ -3,17 +3,17 @@ import random
 import pytest
 
 from admpoisson.scalars import Scalar, zero, one, of
-from admpoisson.tensors import (vec_zero, basis_vec, vec_add, MulTensor,
+from admpoisson.tensors import (vec_zero, basis_vec, MulTensor,
                                 Tensor3, mat_identity, mat_mul, mat_vec,
                                 mat_inverse, solve_linear, transpose,
                                 dual_endo_family, mat_eq, mat_is_zero,
-                                apply_mul, bv_mul, vb_mul, left_mult,
+                                apply_mul, left_mult,
                                 right_mult, left_mult_basis, right_mult_basis,
                                 mult_of_vec, tensor3_product, SLOT_PATTERNS,
                                 column)
 
-from oracles import (rand_mat, rand_mul, rand_vec, slot_product_oracle,
-                     t3_slot_apply, t3_swap)
+from oracles import (bv_mul, vb_mul, rand_mat, rand_mul, rand_vec,
+                     slot_product_oracle, t3_slot_apply, t3_swap)
 
 
 def test_mat_mul_and_vec_agree():
