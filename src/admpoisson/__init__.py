@@ -5,9 +5,7 @@ a finite-field search."""
 
 from .scalars import (Scalar, ScalarModeError, check_characteristic,
                       zero, one, of, half, third, parse_scalar)
-from .tensors import (MulTensor, Tensor3, tensor3_product, transpose,
-                      solve_linear, mat_inverse, left_mult_basis,
-                      right_mult_basis, mult_of_vec, apply_mul)
+from .tensors import MulTensor, Tensor3, solve
 from .algebras import (AxiomReport, AdmPoissonAlgebra, PoissonAlgebra,
                        check_adm_poisson, check_poisson, polarize, depolarize, polarize_raw, depolarize_raw)
 from .representations import (Representation, check_representation,

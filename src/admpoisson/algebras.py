@@ -11,7 +11,7 @@ sufficient.
 """
 
 from .scalars import half
-from .tensors import AxiomReport, Identity, check_identities
+from .tensors import AxiomReport, Identity, MulTensor, check_identities, objects
 
 # The defining identity at (x, y, z) = (e_i, e_j, e_k), output coordinate l.
 ADM_POISSON = Identity(
@@ -83,7 +83,6 @@ class PoissonAlgebra:
     __slots__ = ("bracket", "circ")
 
     def __init__(self, bracket, circ, check=True):
-        assert bracket.n == circ.n and bracket.p == circ.p
         if check:
             report = check_poisson(bracket, circ)
             if not report.holds:
@@ -115,15 +114,16 @@ class PoissonAlgebra:
 def polarize_raw(star):
     """(bracket, circ) = (skew part, symmetric part) of star, no validation."""
     h = half(star.p)
-    opp = star.op()
-    bracket = star.sub(opp).scale(h)
-    circ = star.add(opp).scale(h)
-    return bracket, circ
+    c = objects(star.c)
+    opp = c.transpose(1, 0, 2)
+    return (MulTensor(star.n, star.p, ((c - opp) * h).tolist()),
+            MulTensor(star.n, star.p, ((c + opp) * h).tolist()))
 
 
 def depolarize_raw(bracket, circ):
     """star = circ + bracket, no validation."""
-    return circ.add(bracket)
+    c, b = objects(circ.c, bracket.c)
+    return MulTensor(circ.n, circ.p, (c + b).tolist())
 
 
 def polarize(a):

@@ -22,7 +22,7 @@ parse(print(f)) == f and print(parse(text)) is a fixed point.
 from math import isqrt
 
 from .scalars import check_characteristic, _parse, zero
-from .tensors import MulTensor, mat_zero
+from .tensors import MulTensor, dense
 from .bialgebras import Comultiplication
 from .yangbaxter import RTensor
 
@@ -317,7 +317,7 @@ def parse_file(text):
             if len(mat) != m or len(mat[0]) != m:
                 raise FormatError(lineno, f"rep {name!r} matrices disagree in size")
         count = af.dim if af.rep_spaces[name] == "dim" else af.vdim
-        fam = [by_index[i][1] if i in by_index else mat_zero(m, m, af.p)
+        fam = [by_index[i][1] if i in by_index else dense((m, m), p=af.p)
                for i in range(count)]
         af.reps[name] = fam
 

@@ -10,11 +10,14 @@ three with the roles of the two algebras swapped).  The bowtie sum
 is admissible-Poisson exactly when the pair is matched.
 """
 
+import numpy as np
+
+from .scalars import zero
 from .tensors import (MulTensor, AxiomReport, Identity, check_identities,
-                      vec_zero, mat_inverse, mat_eq, transpose)
+                      identity, objects, solve)
 from .algebras import AdmPoissonAlgebra
-from .representations import Representation, check_representation, \
-    dual_endo_family, left_mult_basis, right_mult_basis
+from .representations import (Representation, adjoint_rep, check_representation,
+                              dual_rep, semidirect_raw)
 
 
 class MatchedPairData:
@@ -89,35 +92,15 @@ def check_matched_pair(mp):
 
 
 def bowtie_raw(mp):
-    """Structure constants of the bowtie sum on P1 + P2."""
-    n1, n2, p = mp.p1.n, mp.p2.n, mp.p1.p
-    n = n1 + n2
-    c = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-    s1, s2 = mp.p1.star, mp.p2.star
-    for i in range(n1):
-        for j in range(n1):
-            # x *1 y  plus  l1(x)b / r1(y)a cross actions
-            for k in range(n1):
-                c[i][j][k] = s1.c[i][j][k]
-    for a in range(n2):
-        for b in range(n2):
-            for k in range(n2):
-                c[n1 + a][n1 + b][n1 + k] = s2.c[a][b][k]
-    for i in range(n1):
-        for b in range(n2):
-            for a in range(n2):
-                # e_i * f_b: P2 part l1(e_i) f_b
-                c[i][n1 + b][n1 + a] = mp.l1[i][a][b]
-                # f_b * e_i: P2 part r1(e_i) f_b
-                c[n1 + b][i][n1 + a] = mp.r1[i][a][b]
-    for a in range(n2):
-        for j in range(n1):
-            for k in range(n1):
-                # f_a * e_j: P1 part l2(f_a) e_j
-                c[n1 + a][j][k] = mp.l2[a][k][j]
-                # e_j * f_a: P1 part r2(f_a) e_j
-                c[j][n1 + a][k] = mp.r2[a][k][j]
-    return MulTensor(n, p, c)
+    """Structure constants of the bowtie sum on P1 + P2: the semidirect
+    product of P1 by (l1, r1), plus P2's product and P2's action on P1,
+    f_a * e_j = l2(f_a) e_j and e_j * f_a = r2(f_a) e_j."""
+    n1 = mp.p1.n
+    c = objects(semidirect_raw(mp.p1.star, mp.l1, mp.r1).c)
+    c[n1:, n1:, n1:] = objects(mp.p2.star.c)
+    c[n1:, :n1, :n1] = objects(mp.l2).transpose(0, 2, 1)
+    c[:n1, n1:, :n1] = objects(mp.r2).transpose(2, 0, 1)
+    return MulTensor(len(c), mp.p1.p, c.tolist())
 
 
 def bowtie(mp):
@@ -138,10 +121,10 @@ class BilinearForm:
         raise AttributeError("BilinearForm is immutable")
 
     def is_symmetric(self):
-        return mat_eq(self.gram, transpose(self.gram))
+        return self.gram == objects(self.gram).T.tolist()
 
     def is_nondegenerate(self):
-        return mat_inverse(self.gram, self.p) is not None
+        return solve(self.gram, identity(self.n, self.p), self.p) is not None
 
 
 # B(x*y, z) = B(x, y*z) at (x, y, z) = (e_i, e_j, e_k), over the gram matrix g.
@@ -154,7 +137,7 @@ def check_invariant_form(a, form, require_symmetric=False,
     g = form.gram
     if require_symmetric and not form.is_symmetric():
         return AxiomReport.fail("form-symmetric", (0, 0),
-                                g[0], transpose(g)[0])
+                                g[0], objects(g)[:, 0].tolist())
     if require_nondegenerate and not form.is_nondegenerate():
         return AxiomReport.fail("form-nondegenerate", (0,), g[0], g[0][:])
     return check_identities(((INVARIANCE,),), {"m": a.star.c, "g": g}, a.p)
@@ -162,24 +145,17 @@ def check_invariant_form(a, form, require_symmetric=False,
 
 def standard_form(n, p=0):
     """The canonical pairing on P + P*: gram = [[0, I], [I, 0]]."""
-    from .scalars import one, zero
-    gram = [[zero(p) for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        gram[i][n + i] = one(p)
-        gram[n + i][i] = one(p)
-    return BilinearForm(gram, p)
+    z, i = np.full((n, n), zero(p), dtype=object), identity(n, p)
+    return BilinearForm(np.block([[z, i], [i, z]]).tolist(), p)
 
 
 def manin_pair_data(alg, algstar):
     """The candidate matched pair: each algebra acts on the other's dual
     by the transposed right/left multiplication families (the dual of the
     adjoint representation)."""
-    s, sd = alg.star, algstar.star
-    l1 = dual_endo_family([right_mult_basis(s, i) for i in range(s.n)])
-    r1 = dual_endo_family([left_mult_basis(s, i) for i in range(s.n)])
-    l2 = dual_endo_family([right_mult_basis(sd, a) for a in range(sd.n)])
-    r2 = dual_endo_family([left_mult_basis(sd, a) for a in range(sd.n)])
-    return MatchedPairData(alg, algstar, l1, r1, l2, r2)
+    d1 = dual_rep(adjoint_rep(alg, check=False), check=False)
+    d2 = dual_rep(adjoint_rep(algstar, check=False), check=False)
+    return MatchedPairData(alg, algstar, d1.l, d1.r, d2.l, d2.r)
 
 
 def manin_double(alg, algstar):

@@ -4,12 +4,13 @@ theta : V -> P is stored column-per-module-basis-vector:
 theta(v_j) = sum_i theta[i][j] e_i.
 """
 
-from .scalars import half, one, zero
-from .tensors import (MulTensor, Identity, check_identities, mat_vec, mat_zero,
-                      mat_inverse, column, left_mult_basis, right_mult_basis,
-                      mult_of_vec, sum_scalars, transpose, mat_add, mat_is_zero)
+import numpy as np
+
+from .scalars import half, zero
+from .tensors import (MulTensor, Identity, Terms, check_identities, evaluate_scalars,
+                      identity, objects, solve)
 from .algebras import AdmPoissonAlgebra
-from .representations import (Representation, adjoint_rep, dual_rep,
+from .representations import (Representation, adjoint_families, adjoint_rep, dual_rep,
                               semidirect_raw, check_representation)
 from .yangbaxter import RTensor, CYCLIC_FORM
 
@@ -20,7 +21,8 @@ class OOperatorCandidate:
     __slots__ = ("alg", "rep", "theta")
 
     def __init__(self, alg, rep, theta):
-        assert rep.alg == alg, "representation must be over the algebra"
+        if rep.alg != alg:
+            raise ValueError("representation must be over the algebra")
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "theta", theta)
@@ -48,8 +50,7 @@ def check_o_operator(c):
 def check_rota_baxter(a, R):
     """R(x) * R(y) = R( R(x)*y + x*R(y) ), i.e. weight-zero Rota-Baxter."""
     star = a.star
-    L = [left_mult_basis(star, i) for i in range(star.n)]
-    Rm = [right_mult_basis(star, i) for i in range(star.n)]
+    L, Rm = adjoint_families(star)
     return check_identities(((ROTA_BAXTER,),), {"t": R, "c": star.c, "l": L, "r": Rm},
                             star.p)
 
@@ -65,12 +66,10 @@ def solution_from_o_operator(c, check=False):
     drep = dual_rep(rep, check=check)
     big_star = semidirect_raw(a.star, drep.l, drep.r)
     big = AdmPoissonAlgebra(big_star) if check else AdmPoissonAlgebra.raw(big_star)
-    coeff = mat_zero(n + m, n + m, p)
-    for i in range(n):
-        for j in range(m):
-            coeff[i][n + j] = theta[i][j]
-            coeff[n + j][i] = -theta[i][j]
-    return big, RTensor(coeff, p)
+    t = objects(theta)
+    coeff = np.full((n + m, n + m), zero(p), dtype=object)
+    coeff[:n, n:], coeff[n:, :n] = t, -t.T
+    return big, RTensor(coeff.tolist(), p)
 
 
 class PreAdmPoisson:
@@ -140,7 +139,8 @@ def check_pre_adm_poisson(pre):
 
 
 def subadjacent_raw(succ, prec):
-    return succ.add(prec)
+    s, q = objects(succ.c, prec.c)
+    return MulTensor(succ.n, succ.p, (s + q).tolist())
 
 
 def subadjacent(pre):
@@ -149,10 +149,9 @@ def subadjacent(pre):
 
 def pre_rep_raw(pre):
     """(L_succ, R_prec) families over the (possibly invalid) sum algebra."""
-    succ, prec = pre.succ, pre.prec
-    star = subadjacent_raw(succ, prec)
-    l = [left_mult_basis(succ, i) for i in range(succ.n)]
-    r = [right_mult_basis(prec, i) for i in range(prec.n)]
+    star = subadjacent_raw(pre.succ, pre.prec)
+    l = adjoint_families(pre.succ)[0]
+    r = adjoint_families(pre.prec)[1]
     return Representation.raw(AdmPoissonAlgebra.raw(star), l, r)
 
 
@@ -214,17 +213,17 @@ def check_pre_poisson(q):
 def pre_to_prepoisson_raw(succ, prec):
     """dot = (x>y + y<x)/2, ast = (x>y - y<x)/2."""
     h = half(succ.p)
-    prec_flip = prec.op()       # (i,j) -> e_j < e_i
-    dot = succ.add(prec_flip).scale(h)
-    ast = succ.sub(prec_flip).scale(h)
-    return dot, ast
+    s, q = objects(succ.c, prec.c)
+    flip = q.transpose(1, 0, 2)       # (i,j) -> e_j < e_i
+    return (MulTensor(succ.n, succ.p, ((s + flip) * h).tolist()),
+            MulTensor(succ.n, succ.p, ((s - flip) * h).tolist()))
 
 
 def prepoisson_to_pre_raw(dot, ast):
     """succ = dot + ast, prec(i,j) = e_j.e_i - e_j*e_i."""
-    succ = dot.add(ast)
-    prec = dot.op().sub(ast.op())
-    return succ, prec
+    d, a = objects(dot.c, ast.c)
+    return (MulTensor(dot.n, dot.p, (d + a).tolist()),
+            MulTensor(dot.n, dot.p, (d - a).transpose(1, 0, 2).tolist()))
 
 
 def pre_to_prepoisson(pre):
@@ -239,40 +238,45 @@ def prepoisson_to_pre(q):
 
 def prepoisson_sum_pair(q):
     """The derived (bracket, circ) pair: [x,y] = x*y - y*x, x o y = x.y + y.x."""
-    bracket = q.ast.sub(q.ast.op())
-    circ = q.dot.add(q.dot.op())
-    return bracket, circ
+    d, a = objects(q.dot.c, q.ast.c)
+    return (MulTensor(q.n, q.dot.p, (a - a.transpose(1, 0, 2)).tolist()),
+            MulTensor(q.n, q.dot.p, (d + d.transpose(1, 0, 2)).tolist()))
 
 
-def induced_pre_from_o_operator(c):
+# The pre-structures that O-operators induce, over theta (t), the action
+# (l, r) and the inverse u of an invertible theta; the symplectic ones over
+# the operation m, the form w and the inverse u of its transpose.
+INDUCED_PRE = (Terms("t:ai l:akj", "ijk"),          # v_i > v_j = l(theta v_i) v_j
+               Terms("t:ai r:akj", "jik"))          # v_j < v_i = r(theta v_i) v_j
+TRANSPORTED_PRE = (Terms("t:ka l:iab u:bj", "ijk"),  # theta(l(x) theta^-1 y)
+                   Terms("t:ka r:jab u:bi", "ijk"))  # theta(r(y) theta^-1 x)
+SYMPLECTIC_PRE = (Terms("u:lk m:kit w:jt", "ijl"),   # w(x>y, z) = w(y, z*x)
+                  Terms("u:lk m:jkt w:it", "ijl"))   # w(x<y, z) = w(x, y*z)
+
+
+def _pre_of(tables, operands, n, p, check):
+    """The pre-structure (succ, prec) of a pair of tables over `operands`."""
+    succ, prec = (MulTensor(n, p, evaluate_scalars(t, operands, p)) for t in tables)
+    return PreAdmPoisson(succ, prec, check=check)
+
+
+def induced_pre_from_o_operator(c, check=True):
     """u > v = l(theta u) v, u < v = r(theta v) u on the module of a valid
-    O-operator; theta is then a homomorphism onto the image."""
-    report = check_o_operator(c)
-    if not report.holds:
-        raise ValueError(f"not an O-operator: {report!r}")
-    rep, theta = c.rep, c.theta
-    m, p = rep.vdim, c.alg.p
-    succ = [[None] * m for _ in range(m)]
-    prec = [[None] * m for _ in range(m)]
-    for i in range(m):
-        ti = column(theta, i)
-        lmat = mult_of_vec(rep.l, ti)
-        rmat = mult_of_vec(rep.r, ti)
-        for j in range(m):
-            succ_prod = column(lmat, j)       # l(theta v_i) v_j
-            prec_prod = column(rmat, j)       # r(theta v_i) v_j = v_j < v_i
-            succ[i][j] = succ_prod
-            prec[j][i] = prec_prod
-    return PreAdmPoisson(MulTensor(m, p, succ), MulTensor(m, p, prec))
+    O-operator; theta is then a homomorphism onto the image.  With
+    check=False neither the O-operator nor the result is checked."""
+    if check:
+        report = check_o_operator(c)
+        if not report.holds:
+            raise ValueError(f"not an O-operator: {report!r}")
+    return _pre_of(INDUCED_PRE, {"t": c.theta, "l": c.rep.l, "r": c.rep.r},
+                   c.rep.vdim, c.alg.p, check)
 
 
 def canonical_solution(pre):
     """The tautological skew solution on (sum algebra) semidirect (dual module):
     r = sum_i e_i (x) e_i* - e_i* (x) e_i."""
     rep = pre_rep(pre)
-    n, p = pre.n, pre.p
-    theta = [[one(p) if i == j else zero(p) for j in range(n)]
-             for i in range(n)]
+    theta = identity(pre.n, pre.p).tolist()
     return solution_from_o_operator(OOperatorCandidate(rep.alg, rep, theta))
 
 
@@ -280,24 +284,18 @@ def compatible_pre_from_invertible_o(c):
     """For invertible theta on V with dim V = dim P, the transported
     pre-structure on P: x > y = theta(l(x) theta^{-1} y),
     x < y = theta(r(y) theta^{-1} x)."""
+    a, rep, theta = c.alg, c.rep, c.theta
+    n, p = a.n, a.p
+    if rep.vdim != n:
+        raise ValueError("theta must be square")
     report = check_o_operator(c)
     if not report.holds:
         raise ValueError(f"not an O-operator: {report!r}")
-    a, rep, theta = c.alg, c.rep, c.theta
-    n, p = a.n, a.p
-    assert rep.vdim == n, "theta must be square"
-    theta_inv = mat_inverse(theta, p)
+    theta_inv = solve(theta, identity(n, p), p)
     if theta_inv is None:
         raise ValueError("theta is not invertible")
-    succ = [[None] * n for _ in range(n)]
-    prec = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            w = mat_vec(rep.l[i], column(theta_inv, j))
-            succ[i][j] = mat_vec(theta, w)
-            w = mat_vec(rep.r[j], column(theta_inv, i))
-            prec[i][j] = mat_vec(theta, w)
-    return PreAdmPoisson(MulTensor(n, p, succ), MulTensor(n, p, prec))
+    return _pre_of(TRANSPORTED_PRE, {"t": theta, "l": rep.l, "r": rep.r, "u": theta_inv},
+                   n, p, True)
 
 
 def pre_from_symplectic(a, omega):
@@ -305,27 +303,17 @@ def pre_from_symplectic(a, omega):
     omega(x>y, z) = omega(y, z*x),  omega(x<y, z) = omega(x, y*z)."""
     star = a.star
     n, p = star.n, star.p
-    g = omega.gram
-    if not mat_is_zero(mat_add(g, transpose(g))):
+    g = objects(omega.gram)
+    if (g + g.T).any():
         raise ValueError("omega must be skew-symmetric")
-    ginv_t = mat_inverse(transpose(g), p)
+    ginv_t = solve(g.T, identity(n, p), p)
     if ginv_t is None:
         raise ValueError("omega must be nondegenerate")
     # the defining relations only produce a pre-structure when the form is
     # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
-    if not check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": g}, p).holds:
+    if not check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": omega.gram}, p).holds:
         raise ValueError("omega is not cyclic on products")
-    succ = [[None] * n for _ in range(n)]
-    prec = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs = [sum_scalars(star.c[k][i][m] * g[j][m] for m in range(n))
-                   for k in range(n)]
-            succ[i][j] = mat_vec(ginv_t, rhs)
-            rhs = [sum_scalars(star.c[j][k][m] * g[i][m] for m in range(n))
-                   for k in range(n)]
-            prec[i][j] = mat_vec(ginv_t, rhs)
-    return PreAdmPoisson(MulTensor(n, p, succ), MulTensor(n, p, prec))
+    return _pre_of(SYMPLECTIC_PRE, {"u": ginv_t, "m": star.c, "w": omega.gram}, n, p, True)
 
 
 def rota_baxter_as_o_operator(a, R):

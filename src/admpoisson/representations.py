@@ -10,10 +10,10 @@ The three operator identities checked on basis pairs (x, y) are
 test suite).
 """
 
-from .scalars import half
-from .tensors import (MulTensor, Identity, check_identities, mat_add, mat_sub,
-                      mat_scale, mat_eq, left_mult_basis, right_mult_basis,
-                      dual_endo_family, vec_zero)
+import numpy as np
+
+from .scalars import half, zero
+from .tensors import MulTensor, Identity, check_identities, objects
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, polarize,
                        depolarize_raw, polarize_raw)
 
@@ -46,9 +46,7 @@ class Representation:
     def __eq__(self, other):
         if not isinstance(other, Representation):
             return NotImplemented
-        return (self.alg == other.alg and
-                all(mat_eq(a, b) for a, b in zip(self.l, other.l)) and
-                all(mat_eq(a, b) for a, b in zip(self.r, other.r)))
+        return self.alg == other.alg and self.l == other.l and self.r == other.r
 
 
 # c2-c4 at (x, y) = (e_i, e_j) with l = l(e_.), r = r(e_.) and product c,
@@ -73,44 +71,41 @@ def check_representation(rep):
                             star.p)
 
 
-def adjoint_rep(a):
+def adjoint_families(star):
+    """(L, R) with L(e_i)[k][j] = c[i][j][k] (y -> e_i * y) and
+    R(e_i)[k][j] = c[j][i][k] (y -> y * e_i)."""
+    c = objects(star.c)
+    return c.transpose(0, 2, 1).tolist(), c.transpose(1, 2, 0).tolist()
+
+
+def adjoint_rep(a, check=True):
     """(L, R, P): the algebra acting on itself by left/right multiplication."""
-    star = a.star
-    l = [left_mult_basis(star, i) for i in range(star.n)]
-    r = [right_mult_basis(star, i) for i in range(star.n)]
-    return Representation(a, l, r)
+    return Representation(a, *adjoint_families(a.star), check=check)
 
 
 def dual_rep(rep, check=True):
     """(r^T, l^T) on the dual module (the minus of the pairing-dual
     endomorphism cancels the minus in front of it)."""
-    l2 = dual_endo_family(rep.r)
-    r2 = dual_endo_family(rep.l)
-    return Representation(rep.alg, l2, r2, check=check)
+    l, r = objects(rep.l), objects(rep.r)
+    return Representation(rep.alg, r.transpose(0, 2, 1).tolist(),
+                          l.transpose(0, 2, 1).tolist(), check=check)
 
 
 def semidirect_raw(star, l, r):
-    """Structure constants of (x+u)*(y+v) = x*y + l(x)v + r(y)u on P + V."""
-    n, p = star.n, star.p
-    m = len(l[0])
-    big = [[vec_zero(n + m, p) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                big[i][j][k] = star.c[i][j][k]
-    for i in range(n):
-        for b in range(m):
-            for a in range(m):
-                # e_i * v_b has v_a-coefficient l(e_i)[a][b]
-                big[i][n + b][n + a] = l[i][a][b]
-                # v_b * e_i has v_a-coefficient r(e_i)[a][b]
-                big[n + b][i][n + a] = r[i][a][b]
-    return MulTensor(n + m, p, big)
+    """Structure constants of (x+u)*(y+v) = x*y + l(x)v + r(y)u on P + V:
+    e_i * v_b = sum_a l(e_i)[a][b] v_a and v_b * e_i = sum_a r(e_i)[a][b] v_a."""
+    n, m = star.n, len(l[0])
+    big = np.full((n + m,) * 3, zero(star.p), dtype=object)
+    big[:n, :n, :n] = objects(star.c)
+    big[:n, n:, n:] = objects(l).transpose(0, 2, 1)
+    big[n:, :n, n:] = objects(r).transpose(2, 0, 1)
+    return MulTensor(n + m, star.p, big.tolist())
 
 
 def semidirect(a, rep):
     """Semidirect product algebra on P + V (module part squares to zero)."""
-    assert rep.alg == a
+    if rep.alg != a:
+        raise ValueError("representation must be over the algebra")
     return AdmPoissonAlgebra(semidirect_raw(a.star, rep.l, rep.r))
 
 
@@ -145,17 +140,16 @@ class PoissonRepresentation:
 def rep_to_poisson_rep(rep, check=True):
     """(S_bracket, S_circ) = (1/2(l - r), 1/2(l + r)) over the polarized algebra."""
     h = half(rep.alg.p)
-    s_bracket = [mat_scale(h, mat_sub(a, b)) for a, b in zip(rep.l, rep.r)]
-    s_circ = [mat_scale(h, mat_add(a, b)) for a, b in zip(rep.l, rep.r)]
+    l, r = objects(rep.l, rep.r)
     palg = polarize(rep.alg) if check else \
         PoissonAlgebra.raw(*polarize_raw(rep.alg.star))
-    return PoissonRepresentation(palg, s_bracket, s_circ, check=False)
+    return PoissonRepresentation(palg, ((l - r) * h).tolist(), ((l + r) * h).tolist(),
+                                 check=False)
 
 
 def poisson_rep_to_rep(prep, check=True):
     """(l, r) = (S_circ + S_bracket, S_circ - S_bracket) over the depolarized algebra."""
-    l = [mat_add(c, b) for c, b in zip(prep.s_circ, prep.s_bracket)]
-    r = [mat_sub(c, b) for c, b in zip(prep.s_circ, prep.s_bracket)]
+    c, b = objects(prep.s_circ, prep.s_bracket)
     star = depolarize_raw(prep.palg.bracket, prep.palg.circ)
     alg = AdmPoissonAlgebra(star) if check else AdmPoissonAlgebra.raw(star)
-    return Representation(alg, l, r, check=check)
+    return Representation(alg, (c + b).tolist(), (c - b).tolist(), check=check)

@@ -19,10 +19,11 @@ from itertools import islice
 import numpy as np
 
 from .scalars import Scalar, check_characteristic
-from .tensors import MulTensor, mat_zero, identity_mask
+from .tensors import MulTensor, _scalars, identity_mask
 from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                        check_adm_poisson, check_poisson)
-from .representations import Representation, dual_rep
+from .representations import (Representation, adjoint_rep, check_representation,
+                              dual_rep)
 from .yangbaxter import RTensor, ybe_operator
 from .ooperators import (OOperatorCandidate, O_OPERATOR, check_o_operator,
                          PreAdmPoisson, PRE_ADM_POISSON, check_pre_adm_poisson,
@@ -34,26 +35,13 @@ CHUNK = 4096            # candidates screened at a time
 
 
 def encode_mul(m):
-    val = 0
-    n, p = m.n, m.p
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t = (i * n + j) * n + k
-                val += m.c[i][j][k].num * p ** t
-    return val
+    cells = (s.num for plane in m.c for row in plane for s in row)
+    return sum(d * m.p ** t for t, d in enumerate(cells))
 
 
 def decode_mul(idx, n, p):
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t = (i * n + j) * n + k
-                d = (idx // p ** t) % p
-                if d:
-                    entries[(i, j, k)] = Scalar(d, 1, p)
-    return MulTensor.from_entries(n, entries, p)
+    digits = base_p_digits([idx], n ** 3, p).reshape(n, n, n)
+    return MulTensor(n, p, _scalars(digits.tolist(), 1, p))
 
 
 def base_p_digits(indices, cells, p):
@@ -248,19 +236,17 @@ def _search_poisson(spec, p, n):
 
 
 def iter_r_tensors(n, p, skew):
-    """Deterministic enumeration of r in P (x) P (optionally skew)."""
+    """Deterministic enumeration of r in P (x) P (optionally skew: the
+    entries above the diagonal, row by row, are the base-p digits)."""
     if not skew:
         for coeff in iter_maps(n, n, p):
             yield RTensor(coeff, p)
         return
-    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for idx in range(p ** len(pos)):
-        coeff = mat_zero(n, n, p)
-        for (i, j) in pos:
-            idx, d = divmod(idx, p)
-            coeff[i][j] = Scalar(d, 1, p)
-            coeff[j][i] = Scalar(-d, 1, p)
-        yield RTensor(coeff, p)
+    upper = np.triu_indices(n, 1)
+    for idx in range(p ** len(upper[0])):
+        coeff = np.zeros((n, n), dtype=np.int64)
+        coeff[upper] = base_p_digits([idx], len(upper[0]), p)[:, 0]
+        yield RTensor(_scalars((coeff - coeff.T).tolist(), 1, p), p)
 
 
 def _search_pybe(spec, p, n):
@@ -284,11 +270,8 @@ def _search_pybe(spec, p, n):
 def decode_map(idx, rows, cols, p):
     """The rows x cols matrix whose entry (i, j) is base-p digit i*cols + j
     of idx."""
-    mat = mat_zero(rows, cols, p)
-    for t in range(rows * cols):
-        idx, d = divmod(idx, p)
-        mat[t // cols][t % cols] = Scalar(d, 1, p)
-    return mat
+    digits = base_p_digits([idx], rows * cols, p).reshape(rows, cols)
+    return _scalars(digits.tolist(), 1, p)
 
 
 def iter_maps(rows, cols, p):
@@ -341,17 +324,14 @@ def _search_pre(spec, p, n):
     for alg_idx in adm_catalog_indices(n, p):
         star = decode_mul(alg_idx, n, p)
         alg = AdmPoissonAlgebra.raw(star)
-        adj = adjoint_rep_unchecked(alg)
-        reps = [adj]
-        dual = dual_rep_unchecked(adj)
-        if dual is not None:
-            reps.append(dual)
-        for rep in reps:
+        adj = adjoint_rep(alg, check=False)
+        dual = dual_rep(adj, check=False)
+        for rep in [adj, dual] if check_representation(dual).holds else [adj]:
             for idx in o_operator_hits(star, rep.l, rep.r, p):
                 cand = OOperatorCandidate(alg, rep, decode_map(idx, n, rep.vdim, p))
                 if not check_o_operator(cand).holds:
                     continue
-                pre = induced_pre_from_o_operator(cand)
+                pre = induced_pre_from_o_operator(cand, check=False)
                 if spec.nonzero_only and pre.succ.is_zero() and pre.prec.is_zero():
                     continue
                 key = (encode_mul(pre.succ), encode_mul(pre.prec))
@@ -363,17 +343,3 @@ def _search_pre(spec, p, n):
                     raise RuntimeError(f"induced pre-structure fails {report.witness[0]} "
                                        f"at {report.witness[1]}")
                 yield _mul_file(p, {"succ": pre.succ, "prec": pre.prec})
-
-
-def adjoint_rep_unchecked(alg):
-    from .tensors import left_mult_basis, right_mult_basis
-    star = alg.star
-    l = [left_mult_basis(star, i) for i in range(star.n)]
-    r = [right_mult_basis(star, i) for i in range(star.n)]
-    return Representation.raw(alg, l, r)
-
-
-def dual_rep_unchecked(rep):
-    from .representations import check_representation
-    d = dual_rep(rep, check=False)
-    return d if check_representation(d).holds else None

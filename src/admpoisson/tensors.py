@@ -1,189 +1,82 @@
 """Dense coefficient containers and exact linear algebra.
 
-Vectors are plain lists of Scalar; matrices are row-major lists of rows.
-MulTensor holds the structure constants c[i][j][k] of one bilinear operation
-(e_i <> e_j = sum_k c[i][j][k] e_k); Tensor3 holds an element of the triple
+Structures are nested lists of Scalar: row-major matrices, MulTensor's
+structure constants c[i][j][k] of one bilinear operation (e_i <> e_j =
+sum_k c[i][j][k] e_k) and Tensor3's coefficients of an element of the triple
 tensor power.  Everything is treated as immutable by convention.
+Constructions move and combine entries as numpy object arrays of these
+Scalars (objects), contract them with Terms (evaluate_scalars), and solve
+linear systems with one exact elimination (solve).
 """
 
 from math import lcm
-from operator import add, sub
 
 import numpy as np
 
 from .scalars import (Scalar, ScalarModeError, zero, one, check_characteristic,
                       _exact)
 
-# ---------------------------------------------------------------------------
-# vectors
+
+class ShapeError(ValueError):
+    """Operands whose axis sizes disagree where an identity joins them."""
 
 
-def vec_zero(n, p=0):
-    return [zero(p) for _ in range(n)]
+def objects(*data):
+    """Nested-Scalar operands as numpy object arrays (the array itself for
+    one operand); ShapeError when the operands' sizes disagree."""
+    arrays = [np.array(d, dtype=object) for d in data]
+    if len({a.shape for a in arrays}) > 1:
+        raise ShapeError("operand sizes disagree: " +
+                         " and ".join(str(len(d)) for d in data))
+    return arrays[0] if len(arrays) == 1 else arrays
 
 
-def basis_vec(n, i, p=0):
-    v = vec_zero(n, p)
-    v[i] = one(p)
-    return v
+def dense(shape, entries=(), p=0):
+    """Nested lists of Scalars of `shape`, zero except at `entries`: a dict
+    index tuple -> Scalar (or int, coerced)."""
+    a = np.full(shape, zero(p), dtype=object)
+    for idx, val in dict(entries).items():
+        a[idx] = val if isinstance(val, Scalar) else Scalar(val, 1, p)
+    return a.tolist()
 
 
-# ---------------------------------------------------------------------------
-# matrices
+def identity(n, p=0):
+    """The n x n identity matrix as an object array of Scalars."""
+    return np.where(np.eye(n, dtype=bool), one(p), zero(p))
 
 
-def mat_zero(rows, cols, p=0):
-    return [[zero(p) for _ in range(cols)] for _ in range(rows)]
+def solve(a, b, p=0):
+    """A solution X of a X = b by exact Gauss-Jordan elimination, with every
+    free variable zero, or None when the system is inconsistent.
 
-
-def mat_identity(n, p=0):
-    m = mat_zero(n, n, p)
-    for i in range(n):
-        m[i][i] = one(p)
-    return m
-
-
-def mat_add(a, b):
-    assert len(a) == len(b) and len(a[0]) == len(b[0])
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    assert len(a) == len(b) and len(a[0]) == len(b[0])
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    assert len(a[0]) == len(b), "inner dimensions must agree"
-    cols_b = len(b[0])
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(cols_b):
-            s = row[0] * b[0][j]
-            for k in range(1, len(b)):
-                s = s + row[k] * b[k][j]
-            out_row.append(s)
-        out.append(out_row)
-    return out
-
-
-def mat_vec(a, x):
-    assert len(a[0]) == len(x)
-    return [sum_scalars(row[k] * x[k] for k in range(len(x))) for row in a]
-
-
-def sum_scalars(it):
-    total = None
-    for s in it:
-        total = s if total is None else total + s
-    assert total is not None
-    return total
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def dual_endo_family(fam):
-    """x -> (f(x))^T for a per-basis family of square matrices.
-
-    This realizes the composite "minus dual endomorphism": the dual of an
-    endomorphism carries a minus sign in the pairing convention used for
-    module families, and negating it again leaves the plain transpose.
+    a is rows x cols and b rows x k (nested lists or object arrays of
+    Scalars); X is cols x k nested lists.  The inverse of a square a is
+    solve(a, identity(n, p), p), which is None exactly when a is singular.
     """
-    return [transpose(m) for m in fam]
-
-
-def column(a, j):
-    return [row[j] for row in a]
-
-
-def mat_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def solve_linear(a, b, p=0):
-    """Solve a x = b exactly (a: list of rows, b: list).
-
-    Returns a particular solution with all free variables set to zero,
-    or None when the system is inconsistent.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    pivots = []  # (row, col)
-    rank = 0
+    a, b = objects(a), objects(b)
+    cols = a.shape[1]
+    aug = np.concatenate([a, b], axis=1)
+    pivots = []
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+        rank = len(pivots)
+        below = np.flatnonzero(aug[rank:, col])
+        if not len(below):
             continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = one(p) / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(rows):
-            if r != rank and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, rows):
-        if not aug[r][cols].is_zero():
-            return None
-    x = vec_zero(cols, p)
-    for r, col in pivots:
-        x[col] = aug[r][cols]
-    return x
-
-
-def mat_inverse(a, p=0):
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(a)
-    aug = [list(a[i]) + list(mat_identity(n, p)[i]) for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = one(p) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        aug[[rank, rank + below[0]]] = aug[[rank + below[0], rank]]
+        aug[rank] = aug[rank] * (one(p) / aug[rank, col])
+        others = np.flatnonzero(aug[:, col])
+        others = others[others != rank]
+        aug[others] = aug[others] - np.multiply.outer(aug[others, col], aug[rank])
+        pivots.append(col)
+    if aug[len(pivots):, cols:].any():
+        return None
+    x = np.full((cols, b.shape[1]), zero(p), dtype=object)
+    x[pivots] = aug[:len(pivots), cols:]
+    return x.tolist()
 
 
 # ---------------------------------------------------------------------------
-# structure constants of one bilinear operation
-
-
-def _entrywise(f, x, y):
-    """f on matching entries of two n x n x n coefficient arrays."""
-    if len(x) != len(y):
-        raise ShapeError(f"operand sizes disagree: {len(x)} and {len(y)}")
-    return [[[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(pa, pb)]
-            for pa, pb in zip(x, y)]
+# containers
 
 
 class MulTensor:
@@ -198,9 +91,9 @@ class MulTensor:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         if c is None:
-            c = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-        else:
-            assert len(c) == n and all(len(r) == n for r in c)
+            c = dense((n, n, n), p=p)
+        elif len(c) != n or any(len(r) != n for r in c):
+            raise ShapeError(f"structure constants are not {n} x {n} x {n}")
         object.__setattr__(self, "c", c)
 
     def __setattr__(self, name, value):
@@ -209,19 +102,7 @@ class MulTensor:
     @classmethod
     def from_entries(cls, n, entries, p=0):
         """entries: dict (i,j,k) -> Scalar (or int, coerced)."""
-        c = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-        for (i, j, k), val in entries.items():
-            if not isinstance(val, Scalar):
-                val = Scalar(val, 1, p)
-            c[i][j][k] = val
-        return cls(n, p, c)
-
-    def entry(self, i, j, k):
-        return self.c[i][j][k]
-
-    def prod(self, i, j):
-        """Coordinate vector of e_i <> e_j."""
-        return list(self.c[i][j])
+        return cls(n, p, dense((n, n, n), entries, p))
 
     def is_zero(self):
         return all(x.is_zero() for pl in self.c for row in pl for x in row)
@@ -234,102 +115,6 @@ class MulTensor:
     def __hash__(self):
         return hash((self.n, self.p, tuple(tuple(tuple(r) for r in pl) for pl in self.c)))
 
-    def map_entries(self, f):
-        return MulTensor(self.n, self.p,
-                         [[[f(x) for x in row] for row in pl] for pl in self.c])
-
-    def add(self, other):
-        return MulTensor(self.n, self.p, _entrywise(add, self.c, other.c))
-
-    def sub(self, other):
-        return MulTensor(self.n, self.p, _entrywise(sub, self.c, other.c))
-
-    def scale(self, s):
-        return self.map_entries(lambda x: s * x)
-
-    def op(self):
-        """The opposite operation: c'[i][j][k] = c[j][i][k]."""
-        return MulTensor(self.n, self.p,
-                         [[list(self.c[j][i]) for j in range(self.n)]
-                          for i in range(self.n)])
-
-
-def apply_mul(m, x, y):
-    """(x <> y)_k = sum_ij x_i y_j c[i][j][k]."""
-    assert len(x) == m.n and len(y) == m.n, "dimension mismatch"
-    out = vec_zero(m.n, m.p)
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if yj.is_zero():
-                continue
-            f = xi * yj
-            row = m.c[i][j]
-            for k in range(m.n):
-                if not row[k].is_zero():
-                    out[k] = out[k] + f * row[k]
-    return out
-
-
-def left_mult(m, x):
-    """Matrix of y -> x <> y.  L[k][j] = sum_i x_i c[i][j][k]."""
-    assert len(x) == m.n
-    out = mat_zero(m.n, m.n, m.p)
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j in range(m.n):
-            row = m.c[i][j]
-            for k in range(m.n):
-                if not row[k].is_zero():
-                    out[k][j] = out[k][j] + xi * row[k]
-    return out
-
-
-def right_mult(m, x):
-    """Matrix of y -> y <> x.  R[k][j] = sum_i x_i c[j][i][k]."""
-    assert len(x) == m.n
-    out = mat_zero(m.n, m.n, m.p)
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j in range(m.n):
-            row = m.c[j][i]
-            for k in range(m.n):
-                if not row[k].is_zero():
-                    out[k][j] = out[k][j] + xi * row[k]
-    return out
-
-
-def left_mult_basis(m, i):
-    return left_mult(m, basis_vec(m.n, i, m.p))
-
-
-def right_mult_basis(m, i):
-    return right_mult(m, basis_vec(m.n, i, m.p))
-
-
-def mult_of_vec(fam, x):
-    """sum_i x_i fam[i] for a per-basis matrix family."""
-    rows = len(fam[0])
-    cols = len(fam[0][0])
-    out = None
-    for xi, m in zip(x, fam):
-        if xi.is_zero():
-            continue
-        term = mat_scale(xi, m)
-        out = term if out is None else mat_add(out, term)
-    if out is None:
-        # x is zero; infer the scalar mode from the family
-        p = fam[0][0][0].p
-        return mat_zero(rows, cols, p)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# triple tensors
-
 
 class Tensor3:
     """Coefficients t[i][j][k] of sum t[i][j][k] e_i (x) e_j (x) e_k."""
@@ -340,9 +125,7 @@ class Tensor3:
         check_characteristic(p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
-        if t is None:
-            t = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", dense((n, n, n), p=p) if t is None else t)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor3 is immutable")
@@ -355,24 +138,6 @@ class Tensor3:
             return NotImplemented
         return self.n == other.n and self.p == other.p and self.t == other.t
 
-    def add(self, other):
-        return Tensor3(self.n, self.p, _entrywise(add, self.t, other.t))
-
-    def sub(self, other):
-        return Tensor3(self.n, self.p, _entrywise(sub, self.t, other.t))
-
-    def scale(self, s):
-        return Tensor3(self.n, self.p,
-                       [[[s * x for x in row] for row in pl] for pl in self.t])
-
-    def first_nonzero(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    if not self.t[i][j][k].is_zero():
-                        return (i, j, k)
-        return None
-
 
 # ---------------------------------------------------------------------------
 # identities as tables of signed einsum terms
@@ -384,7 +149,8 @@ class AxiomReport:
     __slots__ = ("holds", "witness")
 
     def __init__(self, holds, witness=None):
-        assert holds == (witness is None)
+        if holds != (witness is None):
+            raise ValueError("a report has a witness exactly when it fails")
         self.holds = holds
         self.witness = witness  # (identity name, index tuple, lhs, rhs)
 
@@ -509,10 +275,6 @@ class Identity:
         if len(self.residual.degrees) != 1:
             raise ValueError(f"{name}: terms differ in degree")
         (self.degree,) = self.residual.degrees
-
-
-class ShapeError(ValueError):
-    """Operands whose axis sizes disagree where an identity joins them."""
 
 
 _INT_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64)]
@@ -648,35 +410,8 @@ def identity_mask(ident, arrays, p):
 
 
 def evaluate_scalars(terms, operands, p):
-    """Terms over nested-Scalar operands, as nested lists of Scalars."""
-    arrays, den = exact_operands(operands, p, [terms])
+    """Terms over nested-Scalar operands (those it names), as nested lists
+    of Scalars."""
+    arrays, den = exact_operands({name: operands[name] for name in terms.ranks}, p, [terms])
     (val,) = evaluate_terms((terms,), arrays, p)
     return _scalars(val.tolist(), den ** max(terms.degrees), p)
-
-
-# ---------------------------------------------------------------------------
-# triple tensors from products of two rank-2 tensors
-
-# Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
-# slots; "12.13" is a in slots (1,2) times b in (1,3).  The shared slot
-# carries the product m, whose output index takes that slot's place.
-SLOT_PATTERNS = {
-    "12.13": "a:iy b:jz m:ijx",     # (e_ia * e_ib) (x) e_ja (x) e_jb
-    "13.23": "a:xi b:yj m:ijz",     # e_ia (x) e_ib (x) (e_ja * e_jb)
-    "23.12": "a:iz b:xj m:ijy",     # e_ib (x) (e_ia * e_jb) (x) e_ja
-    "12.23": "a:xi b:jz m:ijy",     # e_ia (x) (e_ja * e_ib) (x) e_jb
-    "23.13": "a:yi b:xj m:ijz",     # e_ib (x) e_ia (x) (e_ja * e_jb)
-    "13.12": "a:iz b:jy m:ijx",     # (e_ia * e_ib) (x) e_jb (x) e_ja
-}
-_SLOT_TERMS = {slots: Terms(text, "xyz") for slots, text in SLOT_PATTERNS.items()}
-
-
-def tensor3_product(ra, rb, m, slots):
-    """Componentwise product of two rank-2 coefficient matrices placed in
-    triple-tensor slots (see SLOT_PATTERNS), as a Tensor3."""
-    if slots not in SLOT_PATTERNS:
-        raise ValueError(f"unknown slot pattern {slots!r}")
-    if len(ra) != m.n or len(rb) != m.n:
-        raise ValueError("dimension mismatch")
-    t = evaluate_scalars(_SLOT_TERMS[slots], {"a": ra, "b": rb, "m": m.c}, m.p)
-    return Tensor3(m.n, m.p, t)

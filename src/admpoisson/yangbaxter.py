@@ -12,12 +12,11 @@ r = sum r[i][j] e_i (x) e_j):
     "symmetric-part defect" (L(x) (x) id - id (x) R(x)) applied to S.
 """
 
+import numpy as np
+
 from .scalars import half
-from .tensors import (Tensor3, SLOT_PATTERNS, Terms, Identity, evaluate_scalars,
-                      check_identities, mat_add, mat_sub, mat_scale, mat_mul,
-                      mat_neg, mat_zero, mat_is_zero, mat_eq, mat_inverse,
-                      transpose, left_mult_basis, right_mult_basis, vec_zero,
-                      solve_linear)
+from .tensors import (Tensor3, Terms, Identity, evaluate_scalars, check_identities,
+                      dense, identity, objects, solve)
 from .bialgebras import Comultiplication
 
 
@@ -36,54 +35,51 @@ class RTensor:
 
     @classmethod
     def from_entries(cls, n, entries, p=0):
-        from .scalars import Scalar
-        coeff = mat_zero(n, n, p)
-        for (i, j), val in entries.items():
-            if not isinstance(val, Scalar):
-                val = Scalar(val, 1, p)
-            coeff[i][j] = val
-        return cls(coeff, p)
+        """entries: dict (i,j) -> Scalar (or int, coerced)."""
+        return cls(dense((n, n), entries, p), p)
 
     def tau(self):
-        return RTensor(transpose(self.coeff), self.p)
-
-    def add(self, other):
-        return RTensor(mat_add(self.coeff, other.coeff), self.p)
-
-    def sub(self, other):
-        return RTensor(mat_sub(self.coeff, other.coeff), self.p)
-
-    def scale(self, s):
-        return RTensor(mat_scale(s, self.coeff), self.p)
+        return RTensor(self.sharp(), self.p)
 
     def sym_part(self):
-        h = half(self.p)
-        return RTensor(mat_scale(h, mat_add(self.coeff, transpose(self.coeff))),
-                       self.p)
+        a = objects(self.coeff)
+        return RTensor(((a + a.T) * half(self.p)).tolist(), self.p)
 
     def skew_part(self):
-        h = half(self.p)
-        return RTensor(mat_scale(h, mat_sub(self.coeff, transpose(self.coeff))),
-                       self.p)
+        a = objects(self.coeff)
+        return RTensor(((a - a.T) * half(self.p)).tolist(), self.p)
 
     def is_skew(self):
-        return mat_is_zero(mat_add(self.coeff, transpose(self.coeff)))
+        a = objects(self.coeff)
+        return not (a + a.T).any()
 
     def is_symmetric(self):
-        return mat_eq(self.coeff, transpose(self.coeff))
+        return self.coeff == self.sharp()
 
     def sharp(self):
         """Matrix of r# : P* -> P on dual/primal coordinates."""
-        return transpose(self.coeff)
+        return objects(self.coeff).T.tolist()
 
     def is_zero(self):
-        return mat_is_zero(self.coeff)
+        return all(x.is_zero() for row in self.coeff for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, RTensor):
             return NotImplemented
-        return self.p == other.p and mat_eq(self.coeff, other.coeff)
+        return self.p == other.p and self.coeff == other.coeff
 
+
+# Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
+# slots; "12.13" is a in slots (1,2) times b in (1,3).  The shared slot
+# carries the product m, whose output index takes that slot's place.
+SLOT_PATTERNS = {
+    "12.13": "a:iy b:jz m:ijx",     # (e_ia * e_ib) (x) e_ja (x) e_jb
+    "13.23": "a:xi b:yj m:ijz",     # e_ia (x) e_ib (x) (e_ja * e_jb)
+    "23.12": "a:iz b:xj m:ijy",     # e_ib (x) (e_ia * e_jb) (x) e_ja
+    "12.23": "a:xi b:jz m:ijy",     # e_ia (x) (e_ja * e_ib) (x) e_jb
+    "23.13": "a:yi b:xj m:ijz",     # e_ib (x) e_ia (x) (e_ja * e_jb)
+    "13.12": "a:iz b:jy m:ijx",     # (e_ia * e_ib) (x) e_jb (x) e_ja
+}
 
 # The Yang-Baxter operators as signed sums of slot products of r with itself
 # (see SLOT_PATTERNS); A is P's formula applied to circ.
@@ -230,11 +226,23 @@ def cyclic_form_check(a, r):
     omega(x*y, z) + omega(y*z, x) + omega(z*x, y) = 0."""
     if not r.is_skew():
         raise ValueError("cyclic form requires a skew-symmetric r")
-    omega = mat_inverse(r.coeff, r.p)
+    omega = solve(r.coeff, identity(r.n, r.p), r.p)
     if omega is None:
         raise ValueError("cyclic form requires a nondegenerate r")
     star = a.star
     return check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": omega}, star.p)
+
+
+# coboundary_correspondence's two systems for the unknown Y = r1 at x = e_x,
+# entry [u][v], with L_x[v][t] = m:xtv, R_x[u][t] = m:txu and S = r + r^T:
+#   Y L_x^T - R_x Y = S L_x^T - R_x S,   L_x Y - Y R_x^T = S R_x^T - L_x S,
+# each as the coefficient of Y[a][b] (e the identity) and its right-hand side.
+CORRESPONDENCE = (
+    (Terms("e:ua m:xbv - e:bv m:axu", "xuvab"),
+     Terms("r:ut m:xtv + r:tu m:xtv - m:txu r:tv - m:txu r:vt", "xuv")),
+    (Terms("e:bv m:xau - e:ua m:bxv", "xuvab"),
+     Terms("r:ut m:txv + r:tu m:txv - m:xtu r:tv - m:xtu r:vt", "xuv")),
+)
 
 
 def coboundary_correspondence(a, r):
@@ -248,41 +256,12 @@ def coboundary_correspondence(a, r):
     """
     star = a.star
     n, p = star.n, star.p
-    S = mat_add(r.coeff, transpose(r.coeff))
-    L = [left_mult_basis(star, i) for i in range(n)]
-    R = [right_mult_basis(star, i) for i in range(n)]
-    nvars = n * n
-    rows = []
-    rhs = []
-    # unknown Y = r1 with variables y[u][v] flattened as u*n + v
-    for x in range(n):
-        Lx, Rx = L[x], R[x]
-        # equation 1:  Y L_x^T - R_x Y = S L_x^T - R_x S   (entrywise)
-        target1 = mat_sub(mat_mul(S, transpose(Lx)), mat_mul(Rx, S))
-        # equation 2:  L_x Y - Y R_x^T = -(L_x S - S R_x^T)
-        target2 = mat_neg(mat_sub(mat_mul(Lx, S), mat_mul(S, transpose(Rx))))
-        for u in range(n):
-            for v in range(n):
-                row = vec_zero(nvars, p)
-                # (Y L_x^T)[u][v] = sum_m Y[u][m] L_x[v][m]
-                for m in range(n):
-                    row[u * n + m] = row[u * n + m] + Lx[v][m]
-                # -(R_x Y)[u][v] = -sum_m R_x[u][m] Y[m][v]
-                for m in range(n):
-                    row[m * n + v] = row[m * n + v] - Rx[u][m]
-                rows.append(row)
-                rhs.append(target1[u][v])
-                row = vec_zero(nvars, p)
-                # (L_x Y)[u][v] = sum_m L_x[u][m] Y[m][v]
-                for m in range(n):
-                    row[m * n + v] = row[m * n + v] + Lx[u][m]
-                # -(Y R_x^T)[u][v] = -sum_m Y[u][m] R_x[v][m]
-                for m in range(n):
-                    row[u * n + m] = row[u * n + m] - Rx[v][m]
-                rows.append(row)
-                rhs.append(target2[u][v])
-    sol = solve_linear(rows, rhs, p)
+    ops = {"m": star.c, "r": r.coeff, "e": identity(n, p).tolist()}
+    (a1, b1), (a2, b2) = [[objects(evaluate_scalars(t, ops, p)) for t in system]
+                          for system in CORRESPONDENCE]
+    # the rows of x, u, v in order, each the first system's and the second's
+    sol = solve(np.stack([a1, a2], axis=3).reshape(-1, n * n),
+                np.stack([b1, b2], axis=3).reshape(-1, 1), p)
     if sol is None:
         return False, None
-    coeff = [[sol[u * n + v] for v in range(n)] for u in range(n)]
-    return True, RTensor(coeff, p)
+    return True, RTensor(objects(sol).reshape(n, n).tolist(), p)

@@ -9,7 +9,7 @@ from admpoisson.algebras import (check_adm_poisson, check_poisson,
                                  polarize, depolarize, polarize_raw,
                                  depolarize_raw, AxiomReport)
 
-from oracles import (rand_mul, rand_triple, adm_identity_on_vectors, vec_is_zero,
+from oracles import (mul_op, mul_scale, rand_mul, rand_triple, adm_identity_on_vectors, vec_is_zero,
                      poisson_identities_on_vectors, weak_associativity_holds)
 
 
@@ -82,8 +82,8 @@ def test_polarize_depolarize_roundtrip():
             br, circ = polarize_raw(m)
             assert depolarize_raw(br, circ) == m
             # polarized parts have the right symmetry
-            assert br.op() == br.scale(of(-1, 1, p))
-            assert circ.op() == circ
+            assert mul_op(br) == mul_scale(br, of(-1, 1, p))
+            assert mul_op(circ) == circ
 
 
 def test_polarize_object_roundtrip():
@@ -138,5 +138,5 @@ def test_axiom_report_contract():
     assert ok and ok.witness is None
     bad = AxiomReport.fail("x", (0,), [of(1)], [of(0)])
     assert not bad and bad.witness[0] == "x"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         AxiomReport(True, ("x", (0,), [], []))

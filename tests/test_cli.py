@@ -377,6 +377,16 @@ def test_mismatched_operand_sizes_are_input_errors(tmp_path, flags):
     assert results[-1][2] == "error: fixed algebra must match the search dim and field\n"
 
 
+
+def test_no_assert_in_the_package():
+    # validation must not rely on assert, which `python -O` strips
+    import ast
+    import admpoisson
+    for path in sorted(Path(admpoisson.__file__).parent.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
 @st.composite
 def grammar_files(draw):
     """Parseable files from the line grammar, with operations, families,

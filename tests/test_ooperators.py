@@ -3,8 +3,7 @@ import random
 import pytest
 
 from admpoisson.scalars import Scalar, of, one, zero
-from admpoisson.tensors import (MulTensor, mat_identity, mat_zero, mat_vec,
-                                apply_mul, column)
+from admpoisson.tensors import MulTensor
 from admpoisson.algebras import AdmPoissonAlgebra, check_adm_poisson
 from admpoisson.representations import adjoint_rep, dual_rep, Representation
 from admpoisson.yangbaxter import check_ybe
@@ -25,7 +24,8 @@ from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    pre_from_symplectic)
 from admpoisson.search import decode_mul, iter_maps
 
-from oracles import rand_mat
+from oracles import (apply_mul, column, mat_identity, mat_inverse, mat_vec, mat_zero,
+                     product, rand_mat)
 from test_algebras import idempotent_dim1, solvable_lie_dim2, comm_assoc_dim2
 
 
@@ -157,7 +157,7 @@ def test_induced_pre_makes_theta_a_homomorphism(catalog_muls):
             summed = subadjacent_raw(pre.succ, pre.prec)
             for i in range(2):
                 for j in range(2):
-                    assert mat_vec(theta, summed.prod(i, j)) == \
+                    assert mat_vec(theta, product(summed, i, j)) == \
                         apply_mul(star, column(theta, i), column(theta, j))
             found += 1
     assert found >= 20
@@ -195,7 +195,6 @@ def test_pre_from_symplectic_on_canonical_double():
     prec = MulTensor.from_entries(1, {(0, 0, 0): 3}, 5)
     pre = PreAdmPoisson(succ, prec)
     big, r = canonical_solution(pre)
-    from admpoisson.tensors import mat_inverse
     omega = BilinearForm(mat_inverse(r.coeff, 5), 5)
     pre2 = pre_from_symplectic(big, omega)
     assert subadjacent_raw(pre2.succ, pre2.prec) == big.star
@@ -218,3 +217,31 @@ def test_pre_poisson_axioms_flagged():
     assert not report.holds and report.witness[0] == "zinbiel"
     with pytest.raises(ValueError):
         PrePoisson(dot, ast)
+
+
+def test_non_square_theta_is_rejected_under_python_O():
+    # the check that theta is square is not an assert, which -O strips
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = ("from admpoisson.scalars import zero\n"
+              "from admpoisson.tensors import MulTensor\n"
+              "from admpoisson.algebras import AdmPoissonAlgebra\n"
+              "from admpoisson.representations import Representation\n"
+              "from admpoisson.ooperators import (OOperatorCandidate,\n"
+              "                                   compatible_pre_from_invertible_o)\n"
+              "a = AdmPoissonAlgebra(MulTensor(2, 5))\n"
+              "rep = Representation(a, [[[zero(5)]]] * 2, [[[zero(5)]]] * 2)\n"
+              "try:\n"
+              "    compatible_pre_from_invertible_o(\n"
+              "        OOperatorCandidate(a, rep, [[zero(5)], [zero(5)]]))\n"
+              "except ValueError as exc:\n"
+              "    print('ValueError:', exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError: theta must be square\n"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 
@@ -250,3 +251,40 @@ def test_pre_search_reports_a_failed_recheck(monkeypatch):
                         lambda pre: AxiomReport.fail("pre1", (0, 0, 0), [], []))
     with pytest.raises(RuntimeError, match="fails pre1 at"):
         list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=1)))
+
+
+# sha256 of the stdout of the command below, unchanged since the pre search
+# checked each hit twice
+PRE_NONZERO_10_SHA256 = "421f2d9e68aec9e352f5b1eb303412ba8ccd9768ddeb9c9068f14f7247e38eb2"
+
+
+def test_pre_search_checks_each_hit_once(monkeypatch, capsys):
+    """`search pre_adm_poisson --dim 2 --field 5 --count 10 --nonzero-only`
+    re-checks each O-operator hit of the screen exactly once and each
+    emitted pre-structure exactly once, and prints what it printed before."""
+    from admpoisson import ooperators
+    from admpoisson.cli import run_command
+    calls = {"check_o_operator": 0, "check_pre_adm_poisson": 0, "hits": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_hits(*args):
+        for idx in o_operator_hits(*args):
+            calls["hits"] += 1
+            yield idx
+
+    for mod in (searchmod, ooperators):
+        for name in ("check_o_operator", "check_pre_adm_poisson"):
+            monkeypatch.setattr(mod, name, counted(getattr(ooperators, name)))
+    monkeypatch.setattr(searchmod, "o_operator_hits", counted_hits)
+    code = run_command(["search", "pre_adm_poisson", "--dim", "2", "--field", "5",
+                        "--count", "10", "--nonzero-only"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("# instance") == 10
+    assert hashlib.sha256(out.encode()).hexdigest() == PRE_NONZERO_10_SHA256
+    assert calls["check_o_operator"] == calls["hits"] > 10
+    assert calls["check_pre_adm_poisson"] == 10

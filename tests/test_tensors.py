@@ -3,17 +3,18 @@ import random
 import pytest
 
 from admpoisson.scalars import Scalar, zero, one, of
-from admpoisson.tensors import (vec_zero, basis_vec, MulTensor,
-                                Tensor3, mat_identity, mat_mul, mat_vec,
-                                mat_inverse, solve_linear, transpose,
-                                dual_endo_family, mat_eq, mat_is_zero,
-                                apply_mul, left_mult,
-                                right_mult, left_mult_basis, right_mult_basis,
-                                mult_of_vec, tensor3_product, SLOT_PATTERNS,
-                                column)
+from admpoisson.tensors import (MulTensor, Tensor3, Terms, evaluate_scalars, identity,
+                                solve)
+from admpoisson.algebras import AdmPoissonAlgebra
+from admpoisson.representations import Representation, adjoint_families, dual_rep
+from admpoisson.yangbaxter import SLOT_PATTERNS, RTensor, ybe_operator
 
-from oracles import (bv_mul, vb_mul, rand_mat, rand_mul, rand_vec,
-                     slot_product_oracle, t3_slot_apply, t3_swap)
+import oracles
+from oracles import (apply_mul, basis_vec, bv_mul, vb_mul, dual_endo_family, first_nonzero,
+                     left_mult, left_mult_basis, mat_eq, mat_identity, mat_inverse, mat_mul,
+                     mat_vec, mul_add, mul_op, mul_scale, mul_sub, mult_of_vec, product,
+                     rand_mat, rand_mul, rand_vec, right_mult, right_mult_basis,
+                     slot_product_oracle, solve_linear, t3_slot_apply, t3_swap, transpose)
 
 
 def test_mat_mul_and_vec_agree():
@@ -31,7 +32,8 @@ def test_mat_inverse_random():
         found = 0
         while found < 5:
             a = rand_mat(rng, 3, 3, p)
-            inv = mat_inverse(a, p)
+            inv = solve(a, identity(3, p), p)
+            assert inv == mat_inverse(a, p)
             if inv is None:
                 continue
             found += 1
@@ -42,21 +44,76 @@ def test_mat_inverse_random():
 def test_mat_inverse_singular():
     p = 0
     a = [[of(1), of(2)], [of(2), of(4)]]
+    assert solve(a, identity(2, p), p) is None
     assert mat_inverse(a, p) is None
+
+
+def column_of(b):
+    return [[x] for x in b]
 
 
 def test_solve_linear_consistent_and_not():
     a = [[of(1), of(2)], [of(3), of(4)]]
     b = [of(5), of(6)]
-    x = solve_linear(a, b)
-    assert mat_vec(a, x) == b
+    x = solve(a, column_of(b))
+    assert mat_vec(a, [row[0] for row in x]) == b
     # inconsistent: second row is twice the first but rhs is not
     a = [[of(1), of(2)], [of(2), of(4)]]
-    assert solve_linear(a, [of(1), of(3)]) is None
-    # underdetermined: particular solution still solves
+    assert solve(a, column_of([of(1), of(3)])) is None
+    # underdetermined: the free variable is zero
     a = [[of(1), of(2)]]
-    x = solve_linear(a, [of(3)])
-    assert mat_vec(a, x) == [of(3)]
+    assert solve(a, column_of([of(3)])) == [[of(3)], [of(0)]]
+
+
+def scalar(rng, p):
+    if p:
+        return Scalar(rng.randrange(p), 1, p)
+    return Scalar(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+
+
+def systems(rng, n, p):
+    """(a, b) pairs at dim n: square random (mostly invertible), square
+    singular and rectangular low-rank coefficient matrices, each with a
+    consistent right-hand side a x and a random one."""
+    out = []
+    for rows, cols, rank in ((n, n, n), (n, n, n - 1), (n + 1, n, n - 1),
+                             (n, n + 2, max(n - 2, 0))):
+        left = [[scalar(rng, p) for _ in range(rank)] for _ in range(rows)]
+        right = [[scalar(rng, p) for _ in range(cols)] for _ in range(rank)]
+        if rank == rows == cols:
+            a = [[scalar(rng, p) for _ in range(cols)] for _ in range(rows)]
+        elif rank:
+            a = mat_mul(left, right)
+        else:
+            a = [[Scalar(0, 1, p)] * cols for _ in range(rows)]
+        x = [scalar(rng, p) for _ in range(cols)]
+        out.append((a, mat_vec(a, x)))
+        out.append((a, [scalar(rng, p) for _ in range(rows)]))
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 5, 2 ** 31 - 1])
+def test_solve_matches_the_old_elimination(p):
+    """solve gives the particular solution of the old solve_linear (free
+    variables zero) and None where it gave None; solve(a, I) is the old
+    mat_inverse, None exactly on the singular matrices."""
+    rng = random.Random(20 + p % 97)
+    seen = {"inverse": 0, "singular": 0, "consistent": 0, "inconsistent": 0}
+    for n in range(1, 7):
+        for _ in range(3):
+            for a, b in systems(rng, n, p):
+                old = solve_linear(a, b, p)
+                new = solve(a, column_of(b), p)
+                assert (new is None) == (old is None)
+                if old is not None:
+                    assert [row[0] for row in new] == old
+                    assert mat_vec(a, old) == b
+                seen["consistent" if old is not None else "inconsistent"] += 1
+                if len(a) == len(a[0]):
+                    inv = solve(a, identity(n, p), p)
+                    assert inv == mat_inverse(a, p)
+                    seen["inverse" if inv is not None else "singular"] += 1
+    assert all(seen.values()), seen
 
 
 def test_dual_endo_family_is_transpose():
@@ -66,6 +123,11 @@ def test_dual_endo_family_is_transpose():
     assert all(mat_eq(d, transpose(m)) for d, m in zip(dual, fam))
     # involution
     assert all(mat_eq(a, b) for a, b in zip(dual_endo_family(dual), fam))
+    # dual_rep transposes the families with numpy
+    other = [rand_mat(rng, 2, 2, 5) for _ in range(3)]
+    alg = AdmPoissonAlgebra.raw(MulTensor(3, 5))
+    d = dual_rep(Representation.raw(alg, fam, other), check=False)
+    assert (d.l, d.r) == (dual_endo_family(other), dual)
 
 
 def test_left_right_mult_match_apply_mul():
@@ -76,6 +138,8 @@ def test_left_right_mult_match_apply_mul():
         y = rand_vec(rng, 3, p)
         assert mat_vec(left_mult(m, x), y) == apply_mul(m, x, y)
         assert mat_vec(right_mult(m, x), y) == apply_mul(m, y, x)
+        assert adjoint_families(m) == ([left_mult_basis(m, i) for i in range(3)],
+                                       [right_mult_basis(m, i) for i in range(3)])
 
 
 def test_bv_vb_mul_match_apply_mul():
@@ -100,19 +164,18 @@ def test_mult_of_vec_linear():
 def test_mul_tensor_op_add_scale():
     rng = random.Random(7)
     m = rand_mul(rng, 2)
-    opp = m.op()
+    opp = mul_op(m)
     for i in range(2):
         for j in range(2):
-            assert opp.prod(i, j) == m.prod(j, i)
-    assert m.op().op() == m
-    assert m.add(m.op()).sub(m.op()) == m
+            assert product(opp, i, j) == product(m, j, i)
+    assert mul_op(mul_op(m)) == m
+    assert mul_sub(mul_add(m, mul_op(m)), mul_op(m)) == m
     two = of(2)
-    assert m.scale(two).sub(m) == m
+    assert mul_sub(mul_scale(m, two), m) == m
 
 
 def test_tensor3_swap_and_slot_apply():
     rng = random.Random(8)
-    m = rand_mul(rng, 2, 5)
     t = Tensor3(2, 5, [[rand_vec(rng, 2, 5) for _ in range(2)]
                        for _ in range(2)])
     assert t3_swap(t3_swap(t, 0, 2), 0, 2) == t
@@ -129,27 +192,32 @@ def test_tensor3_swap_and_slot_apply():
 @pytest.mark.parametrize("slots", SLOT_PATTERNS)
 def test_tensor3_product_matches_formal_unit_oracle(slots):
     rng = random.Random(hash(slots) % 1000)
+    terms = Terms(SLOT_PATTERNS[slots], "xyz")
     for p in (0, 5):
         for _ in range(10):
             m = rand_mul(rng, 2, p)
             ra = rand_mat(rng, 2, 2, p)
             rb = rand_mat(rng, 2, 2, p)
-            got = tensor3_product(ra, rb, m, slots)
+            got = Tensor3(2, p, evaluate_scalars(terms, {"a": ra, "b": rb, "m": m.c}, p))
             want = slot_product_oracle(ra, rb, m, slots)
             assert got == want, f"pattern {slots} disagrees with oracle"
+            assert oracles.tensor3_product(ra, rb, m, slots) == want
 
 
-def test_tensor3_product_rejects_unknown_pattern():
+def test_ybe_operator_rejects_unknown_operator():
     m = MulTensor(2)
-    z = [[zero(), zero()], [zero(), zero()]]
+    r = RTensor([[zero(), zero()], [zero(), zero()]])
     with pytest.raises(ValueError):
-        tensor3_product(z, z, m, "12.21")
+        ybe_operator(m, r, "Z")
 
 
 def test_from_entries_and_first_nonzero():
     m = MulTensor.from_entries(2, {(0, 1, 0): 3, (1, 0, 1): Scalar(2, 1, 5)},
                                p=5)
-    assert m.entry(0, 1, 0) == Scalar(3, 1, 5)
-    assert m.prod(1, 0) == [zero(5), Scalar(2, 1, 5)]
+    assert m.c[0][1][0] == Scalar(3, 1, 5)
+    assert m.c[1][0] == [zero(5), Scalar(2, 1, 5)]
+    assert RTensor.from_entries(2, {(1, 0): 4}, 5).coeff == [[zero(5), zero(5)],
+                                                             [Scalar(4, 1, 5), zero(5)]]
     t = Tensor3(2, 5)
-    assert t.first_nonzero() is None and t.is_zero()
+    assert first_nonzero(t) is None and t.is_zero()
+    assert identity(2, 5).tolist() == [[one(5), zero(5)], [zero(5), one(5)]]
