@@ -4,7 +4,7 @@ equations, O-operators and pre-structures, plus a file format, a CLI and
 a finite-field search."""
 
 from .scalars import (Scalar, ScalarModeError, check_characteristic,
-                      zero, one, of, half, third, parse_scalar)
+                      zero, one, of, half, third)
 from .tensors import MulTensor, Tensor3, solve
 from .algebras import (AxiomReport, AdmPoissonAlgebra, PoissonAlgebra,
                        check_adm_poisson, check_poisson, polarize, depolarize, polarize_raw, depolarize_raw)

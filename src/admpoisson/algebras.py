@@ -10,8 +10,7 @@ Leibniz).  All checks run over basis triples only; multilinearity makes that
 sufficient.
 """
 
-from .scalars import half
-from .tensors import AxiomReport, Identity, MulTensor, check_identities, objects
+from .tensors import AxiomReport, Identity, MulTensor, check_identities
 
 # The defining identity at (x, y, z) = (e_i, e_j, e_k), output coordinate l.
 ADM_POISSON = Identity(
@@ -36,12 +35,12 @@ POISSON = (
 
 def check_adm_poisson(m):
     """Does a MulTensor satisfy the single admissible-Poisson identity?"""
-    return check_identities(((ADM_POISSON,),), {"c": m.c}, m.p)
+    return check_identities(((ADM_POISSON,),), {"c": m.exact}, m.p)
 
 
 def check_poisson(bracket, circ):
     """Antisymmetry + Jacobi + symmetry + associativity + Leibniz."""
-    return check_identities(POISSON, {"b": bracket.c, "o": circ.c}, bracket.p)
+    return check_identities(POISSON, {"b": bracket.exact, "o": circ.exact}, bracket.p)
 
 
 class AdmPoissonAlgebra:
@@ -113,17 +112,14 @@ class PoissonAlgebra:
 
 def polarize_raw(star):
     """(bracket, circ) = (skew part, symmetric part) of star, no validation."""
-    h = half(star.p)
-    c = objects(star.c)
+    c = star.exact
     opp = c.transpose(1, 0, 2)
-    return (MulTensor(star.n, star.p, ((c - opp) * h).tolist()),
-            MulTensor(star.n, star.p, ((c + opp) * h).tolist()))
+    return MulTensor(star.n, star.p, (c - opp) / 2), MulTensor(star.n, star.p, (c + opp) / 2)
 
 
 def depolarize_raw(bracket, circ):
     """star = circ + bracket, no validation."""
-    c, b = objects(circ.c, bracket.c)
-    return MulTensor(circ.n, circ.p, (c + b).tolist())
+    return MulTensor(circ.n, circ.p, circ.exact + bracket.exact)
 
 
 def polarize(a):

@@ -7,46 +7,25 @@ convention (M (x) id) alpha(x) = M A_x, (id (x) M) alpha(x) = A_x M^T and
 tau(alpha(x)) = A_x^T, which the pair-condition residuals below exploit.
 """
 
-from .scalars import half
-from .tensors import MulTensor, Identity, check_identities, dense, objects
+from .tensors import MulTensor, Identity, Structure, check_identities
 from .algebras import AxiomReport, check_poisson
 
 
-class Comultiplication:
+class Comultiplication(Structure):
     """Coefficients a[i][j][k] of alpha(e_i) = sum a[i][j][k] e_j (x) e_k."""
 
-    __slots__ = ("n", "p", "a")
-
-    def __init__(self, n, p=0, a=None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "a", dense((n, n, n), p=p) if a is None else a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Comultiplication is immutable")
-
-    @classmethod
-    def from_entries(cls, n, entries, p=0):
-        """entries: dict (i,j,k) -> Scalar (or int, coerced)."""
-        return cls(n, p, dense((n, n, n), entries, p))
-
-    def is_zero(self):
-        return all(x.is_zero() for pl in self.a for row in pl for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, Comultiplication):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.a == other.a
+    __slots__ = ()
+    a = property(lambda self: self.exact.scalars())
 
 
 def dual_structure(c):
     """The multiplication on the dual space: c'[j][k][i] = a[i][j][k]."""
-    return MulTensor(c.n, c.p, objects(c.a).transpose(1, 2, 0).tolist())
+    return MulTensor(c.n, c.p, c.exact.transpose(1, 2, 0))
 
 
 def comult_of_mul(m):
     """Inverse relabeling: a[i][j][k] = c[j][k][i]."""
-    return Comultiplication(m.n, m.p, objects(m.c).transpose(2, 0, 1).tolist())
+    return Comultiplication(m.n, m.p, m.exact.transpose(2, 0, 1))
 
 
 # The coassociativity-type condition at x = e_i, coordinate (p, q, s) of
@@ -61,7 +40,7 @@ COALGEBRA = Identity("coalgebra", "ipq", "s",
 
 def check_coalgebra(c):
     """Direct residual check of the coassociativity-type condition."""
-    return check_identities(((COALGEBRA,),), {"a": c.a}, c.p).first_entry()
+    return check_identities(((COALGEBRA,),), {"a": c.exact}, c.p).first_entry()
 
 
 def _T(terms):
@@ -97,7 +76,7 @@ def check_adm_bialgebra(a, c):
     """Coalgebra condition plus the three mixed compatibility identities."""
     report = check_coalgebra(c)
     if report.holds:
-        report = check_identities((DEFBI,), {"m": a.star.c, "a": c.a}, a.p)
+        report = check_identities((DEFBI,), {"m": a.star.exact, "a": c.exact}, a.p)
     return report
 
 
@@ -107,10 +86,10 @@ class PoissonComultiplicationPair:
     __slots__ = ("delta", "Delta")
 
     def __init__(self, delta, Delta):
-        d, D = objects(delta.a, Delta.a)
-        if (d != -d.transpose(0, 2, 1)).any():
+        d, D = delta.exact, Delta.exact
+        if not (d + d.transpose(0, 2, 1)).is_zero():
             raise ValueError("delta must be anti-cocommutative")
-        if (D != D.transpose(0, 2, 1)).any():
+        if D != D.transpose(0, 2, 1):
             raise ValueError("Delta must be cocommutative")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "Delta", Delta)
@@ -121,16 +100,14 @@ class PoissonComultiplicationPair:
 
 def split_comultiplication(c):
     """delta = (alpha - tau alpha)/2, Delta = (alpha + tau alpha)/2."""
-    h = half(c.p)
-    a = objects(c.a)
+    a = c.exact
     tau = a.transpose(0, 2, 1)
-    return PoissonComultiplicationPair(Comultiplication(c.n, c.p, ((a - tau) * h).tolist()),
-                                       Comultiplication(c.n, c.p, ((a + tau) * h).tolist()))
+    return PoissonComultiplicationPair(Comultiplication(c.n, c.p, (a - tau) / 2),
+                                       Comultiplication(c.n, c.p, (a + tau) / 2))
 
 
 def merge_comultiplication(pair):
-    d, D = objects(pair.delta.a, pair.Delta.a)
-    return Comultiplication(pair.delta.n, pair.delta.p, (d + D).tolist())
+    return Comultiplication(pair.delta.n, pair.delta.p, pair.delta.exact + pair.Delta.exact)
 
 
 # (ii)-(iv) at (x, y) = (e_i, e_j) as matrices [u][v], over the bracket b
@@ -163,5 +140,5 @@ def check_poisson_bialgebra(palg, pair):
     if not dual.holds:
         name, idx, lhs, rhs = dual.witness
         return AxiomReport.fail(f"dual-{name}", idx, lhs, rhs)
-    ops = {"b": palg.bracket.c, "o": palg.circ.c, "d": delta.a, "D": Delta.a}
+    ops = {"b": palg.bracket.exact, "o": palg.circ.exact, "d": delta.exact, "D": Delta.exact}
     return check_identities((POISSON_BIALGEBRA,), ops, palg.p)

@@ -160,7 +160,7 @@ def _matched_pair_data(af):
                                    ("r1", r1, af.dim, af.vdim),
                                    ("l2", l2, af.vdim, af.dim),
                                    ("r2", r2, af.vdim, af.dim)):
-        if len(fam) != count or any(len(m) != size for m in fam):
+        if fam.num.shape[:2] != (count, size):
             raise InputError(f"rep {name} has the wrong shape "
                              f"(need {count} matrices of size {size}; "
                              f"declare l2/r2 with 'rep NAME vdim ei = ...')")
@@ -187,7 +187,7 @@ def _check_invariant_form(af):
     if alg is None:
         return 1
     gram = _get_map(af, "form", "B")
-    if len(gram) != alg.n or len(gram[0]) != alg.n:
+    if gram.num.shape != (alg.n, alg.n):
         raise InputError("form matrix must be square of the algebra dimension")
     form = BilinearForm(gram, alg.p)
     return _emit(check_invariant_form(alg, form),
@@ -259,7 +259,7 @@ def _o_operator_candidate(af):
     if not report.holds:
         return None, report
     theta = _get_map(af, "theta")
-    if len(theta) != alg.n or len(theta[0]) != rep.vdim:
+    if theta.num.shape != (alg.n, rep.vdim):
         raise InputError("theta must be a dim x vdim matrix")
     return OOperatorCandidate(alg, rep, theta), report
 
@@ -278,7 +278,7 @@ def _check_rota_baxter(af):
     if alg is None:
         return 1
     R = _get_map(af, "R", "theta")
-    if len(R) != alg.n or len(R[0]) != alg.n:
+    if R.num.shape != (alg.n, alg.n):
         raise InputError("Rota-Baxter map must be square of the algebra dimension")
     return _emit(check_rota_baxter(alg, R),
                  f"OK rota-baxter (dim {alg.n})")
@@ -353,24 +353,14 @@ PREDICATES = {
 
 # -------------------------------------------------------------- constructions
 
-def _new_file(p, dim, vdim=None):
-    return AlgebraFile(p=p, dim=dim, vdim=vdim)
-
-
 def _build_polarize(af):
-    star = _get_op(af, "star")
-    br, circ = polarize_raw(star)
-    out = _new_file(af.p, star.n)
-    out.ops["bracket"] = br
-    out.ops["circ"] = circ
-    return out
+    br, circ = polarize_raw(_get_op(af, "star"))
+    return AlgebraFile(af.p, br.n, bracket=br, circ=circ)
 
 
 def _build_depolarize(af):
     br, circ = _get_op(af, "bracket"), _get_op(af, "circ")
-    out = _new_file(af.p, br.n)
-    out.ops["star"] = depolarize_raw(br, circ)
-    return out
+    return AlgebraFile(af.p, br.n, star=depolarize_raw(br, circ))
 
 
 def _build_semidirect(af):
@@ -381,9 +371,7 @@ def _build_semidirect(af):
     if _failed(check_representation(rep)):
         return None
     big = semidirect_raw(alg.star, rep.l, rep.r)
-    out = _new_file(af.p, big.n)
-    out.ops["star"] = big
-    return out
+    return AlgebraFile(af.p, big.n, star=big)
 
 
 def _build_bowtie(af):
@@ -391,9 +379,7 @@ def _build_bowtie(af):
     if _failed(report) or _failed(check_matched_pair(mp)):
         return None
     big = bowtie_raw(mp)
-    out = _new_file(af.p, big.n)
-    out.ops["star"] = big
-    return out
+    return AlgebraFile(af.p, big.n, star=big)
 
 
 def _build_manin_double(af):
@@ -407,9 +393,7 @@ def _build_manin_double(af):
     double, report = manin_double(alg, AdmPoissonAlgebra.raw(dual))
     if _failed(report):
         return None
-    out = _new_file(af.p, double.n)
-    out.ops["star"] = double.star
-    return out
+    return AlgebraFile(af.p, double.n, star=double.star)
 
 
 def _build_coboundary_alpha(af):
@@ -417,19 +401,13 @@ def _build_coboundary_alpha(af):
     if alg is None:
         return None
     r = _get_tensor(af)
-    out = _new_file(af.p, alg.n)
-    out.ops["star"] = alg.star
-    out.comuls["alpha"] = coboundary_alpha(alg, r)
-    return out
+    return AlgebraFile(af.p, alg.n, star=alg.star, alpha=coboundary_alpha(alg, r))
 
 
 def _build_split(af):
     c = _get_comul(af, "alpha")
     pair = split_comultiplication(c)
-    out = _new_file(af.p, c.n)
-    out.comuls["delta"] = pair.delta
-    out.comuls["Delta"] = pair.Delta
-    return out
+    return AlgebraFile(af.p, c.n, delta=pair.delta, Delta=pair.Delta)
 
 
 def _build_merge(af):
@@ -439,9 +417,7 @@ def _build_merge(af):
         pair = PoissonComultiplicationPair(delta, Delta)
     except ValueError as exc:
         raise InputError(str(exc))
-    out = _new_file(af.p, delta.n)
-    out.comuls["alpha"] = merge_comultiplication(pair)
-    return out
+    return AlgebraFile(af.p, delta.n, alpha=merge_comultiplication(pair))
 
 
 def _build_solution_from_o(af):
@@ -449,10 +425,7 @@ def _build_solution_from_o(af):
     if _failed(report) or _failed(check_o_operator(cand)):
         return None
     big, r = solution_from_o_operator(cand)
-    out = _new_file(af.p, big.n)
-    out.ops["star"] = big.star
-    out.tensors["r"] = r
-    return out
+    return AlgebraFile(af.p, big.n, star=big.star, r=r)
 
 
 def _build_induced_pre(af):
@@ -460,10 +433,7 @@ def _build_induced_pre(af):
     if _failed(report) or _failed(check_o_operator(cand)):
         return None
     pre = induced_pre_from_o_operator(cand)
-    out = _new_file(af.p, pre.n)
-    out.ops["succ"] = pre.succ
-    out.ops["prec"] = pre.prec
-    return out
+    return AlgebraFile(af.p, pre.n, succ=pre.succ, prec=pre.prec)
 
 
 def _pre_structure(af):
@@ -477,9 +447,7 @@ def _build_subadjacent(af):
     pre = _pre_structure(af)
     if pre is None:
         return None
-    out = _new_file(af.p, pre.n)
-    out.ops["star"] = subadjacent_raw(pre.succ, pre.prec)
-    return out
+    return AlgebraFile(af.p, pre.n, star=subadjacent_raw(pre.succ, pre.prec))
 
 
 def _build_canonical_solution(af):
@@ -487,10 +455,7 @@ def _build_canonical_solution(af):
     if pre is None:
         return None
     big, r = canonical_solution(pre)
-    out = _new_file(af.p, big.n)
-    out.ops["star"] = big.star
-    out.tensors["r"] = r
-    return out
+    return AlgebraFile(af.p, big.n, star=big.star, r=r)
 
 
 def _build_dual_rep(af):
@@ -501,11 +466,7 @@ def _build_dual_rep(af):
     if _failed(check_representation(rep)):
         return None
     d = dual_rep(rep, check=False)
-    out = _new_file(af.p, alg.n, vdim=rep.vdim)
-    out.ops["star"] = alg.star
-    out.reps["l"] = d.l
-    out.reps["r"] = d.r
-    return out
+    return AlgebraFile(af.p, alg.n, rep.vdim, star=alg.star, l=d.l, r=d.r)
 
 
 def _build_adjoint_rep(af):
@@ -513,11 +474,7 @@ def _build_adjoint_rep(af):
     if alg is None:
         return None
     rep = adjoint_rep(alg)
-    out = _new_file(af.p, alg.n, vdim=alg.n)
-    out.ops["star"] = alg.star
-    out.reps["l"] = rep.l
-    out.reps["r"] = rep.r
-    return out
+    return AlgebraFile(af.p, alg.n, alg.n, star=alg.star, l=rep.l, r=rep.r)
 
 
 CONSTRUCTIONS = {

@@ -19,10 +19,12 @@ Indices are 1-based (e1, e2, ...). Printing is canonical and deterministic;
 parse(print(f)) == f and print(parse(text)) is a fixed point.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
-from .scalars import check_characteristic, _parse, zero
-from .tensors import MulTensor, dense
+import numpy as np
+
+from .scalars import check_characteristic
+from .tensors import MulTensor, as_exact, from_fractions
 from .bialgebras import Comultiplication
 from .yangbaxter import RTensor
 
@@ -42,18 +44,23 @@ class FormatError(ValueError):
 
 
 class AlgebraFile:
-    """Parsed form of the text format; a plain mutable container."""
+    """Parsed form of the text format; a plain mutable container.  The
+    parser stores every structure, family and map as an Exact array;
+    keyword `parts` are filed by their type."""
 
-    def __init__(self, p=0, dim=None, vdim=None):
+    def __init__(self, p=0, dim=None, vdim=None, **parts):
         self.p = p                  # 0 = rational, else prime characteristic
         self.dim = dim
         self.vdim = vdim
         self.ops = {}               # name -> MulTensor
         self.tensors = {}           # name -> RTensor
-        self.reps = {}              # name -> list of matrices (one per e_i)
+        self.reps = {}              # name -> matrices, one per e_i (Exact or nested lists)
         self.rep_spaces = {}        # name -> "dim" | "vdim" (index space)
-        self.maps = {}              # name -> matrix (list of rows)
+        self.maps = {}              # name -> matrix (Exact or nested lists)
         self.comuls = {}            # name -> Comultiplication
+        for name, part in parts.items():    # filed by type: anything else is a family
+            {MulTensor: self.ops, RTensor: self.tensors,
+             Comultiplication: self.comuls}.get(type(part), self.reps)[name] = part
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraFile):
@@ -62,21 +69,11 @@ class AlgebraFile:
                 self.vdim == other.vdim and self.ops == other.ops and
                 self.tensors == other.tensors and
                 self._eff_spaces() == other._eff_spaces() and
-                _fams_eq(self.reps, other.reps) and
-                _mats_eq(self.maps, other.maps) and
+                self.reps == other.reps and self.maps == other.maps and
                 self.comuls == other.comuls)
 
     def _eff_spaces(self):
         return {k: self.rep_spaces.get(k, "dim") for k in self.reps}
-
-
-def _fams_eq(a, b):
-    return (set(a) == set(b) and
-            all(a[k] == b[k] for k in a))
-
-
-def _mats_eq(a, b):
-    return set(a) == set(b) and all(a[k] == b[k] for k in a)
 
 
 def _parse_basis(tok, size, lineno, label="basis vector"):
@@ -93,11 +90,27 @@ def _parse_basis(tok, size, lineno, label="basis vector"):
 
 
 def _parse_scalar(tok, p, lineno):
-    # p was validated on the field line
+    """'7' or '-3/4' as ints (num, den), den nonzero (mod p); p was validated
+    on the field line."""
     try:
-        return _parse(tok, p)
-    except (ValueError, ZeroDivisionError) as exc:
+        return int(tok), 1
+    except ValueError:
+        pass
+    num_s, slash, den_s = tok.strip().partition("/")
+    try:
+        num, den = int(num_s), int(den_s) if slash else 1
+    except ValueError as exc:
         raise FormatError(lineno, f"bad scalar {tok!r}: {exc}")
+    if den % p == 0 if p else den == 0:
+        why = f"denominator {den} is 0 mod {p}" if p else "zero denominator"
+        raise FormatError(lineno, f"bad scalar {tok!r}: {why}")
+    return num, den
+
+
+def _cells(rows, start=0):
+    """A parsed matrix as (cells, fractions), its first flat index `start`."""
+    fracs = [v for row in rows for v in row]
+    return range(start, start + len(fracs)), fracs
 
 
 def _parse_matrix(text, p, lineno):
@@ -128,7 +141,7 @@ def parse_file(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        words = line.split()
+        words = line.split(None, 3)     # a statement of more words is rejected by length
         head = words[0]
 
         if head == "format":
@@ -253,7 +266,8 @@ def parse_file(text):
                 raise FormatError(lineno, "map line needs 'map NAME = [matrix]'")
             if name in af.maps:
                 raise FormatError(lineno, f"duplicate map {name!r}")
-            af.maps[name] = _parse_matrix(rhs, af.p, lineno)
+            rows = _parse_matrix(rhs, af.p, lineno)
+            af.maps[name] = from_fractions((len(rows), len(rows[0])), [_cells(rows)], af.p)
             continue
 
         # data line: 'name: ...'
@@ -270,7 +284,7 @@ def parse_file(text):
                 j = _parse_basis(toks[1], size, lineno)
                 if (i, j) in op_data[name]:
                     raise FormatError(lineno, f"duplicate product {toks[0]} {toks[1]}")
-                op_data[name][(i, j)] = _parse_terms(rhs, size, af.p, lineno, arity=1)
+                op_data[name][(i, j)] = _parse_terms(rhs, size, af.p, lineno, 1, i * size + j)
                 continue
             if name in comul_names:
                 lhs, eq, rhs = body.partition("=")
@@ -280,7 +294,7 @@ def parse_file(text):
                 i = _parse_basis(toks[0], af.dim, lineno)
                 if i in comul_data[name]:
                     raise FormatError(lineno, f"duplicate comultiplication of {toks[0]}")
-                comul_data[name][i] = _parse_terms(rhs, af.dim, af.p, lineno, arity=2)
+                comul_data[name][i] = _parse_terms(rhs, af.dim, af.p, lineno, 2, i)
                 continue
             raise FormatError(lineno, f"data line for undeclared name {name!r}")
 
@@ -293,23 +307,17 @@ def parse_file(text):
 
     for name, size_kind in op_sizes.items():
         size = af.dim if size_kind == "dim" else af.vdim
-        entries = {}
-        for (i, j), terms in op_data[name].items():
-            for idx, coef in terms:
-                key = (i, j, idx[0])
-                entries[key] = entries.get(key, zero(af.p)) + coef
-        af.ops[name] = MulTensor.from_entries(size, entries, af.p)
+        af.ops[name] = MulTensor(size, af.p, from_fractions((size,) * 3,
+                                                            op_data[name].values(), af.p))
 
     for name in comul_names:
-        entries = {}
-        for i, terms in comul_data[name].items():
-            for idx, coef in terms:
-                key = (i, idx[0], idx[1])
-                entries[key] = entries.get(key, zero(af.p)) + coef
-        af.comuls[name] = Comultiplication.from_entries(af.dim, entries, af.p)
+        af.comuls[name] = Comultiplication(af.dim, af.p, from_fractions(
+            (af.dim,) * 3, comul_data[name].values(), af.p))
 
     for name, entries in tensor_data.items():
-        af.tensors[name] = RTensor.from_entries(af.dim, entries, af.p)
+        cells = [i * af.dim + j for i, j in entries]
+        af.tensors[name] = RTensor(from_fractions((af.dim,) * 2, [(cells, entries.values())],
+                                                  af.p), af.p)
 
     for name, by_index in rep_data.items():
         m = len(next(iter(by_index.values()))[1])
@@ -317,77 +325,75 @@ def parse_file(text):
             if len(mat) != m or len(mat[0]) != m:
                 raise FormatError(lineno, f"rep {name!r} matrices disagree in size")
         count = af.dim if af.rep_spaces[name] == "dim" else af.vdim
-        fam = [by_index[i][1] if i in by_index else dense((m, m), p=af.p)
-               for i in range(count)]
-        af.reps[name] = fam
+        af.reps[name] = from_fractions((count, m, m), [_cells(mat, i * m * m) for i, (_, mat)
+                                                       in by_index.items()], af.p)
 
     return af
 
 
-def _parse_terms(rhs, size, p, lineno, arity):
-    """'1 e2 + -1/2 e1' (arity 1) or '1 e1 e2 + ...' (arity 2); also '0'."""
-    rhs = rhs.strip()
-    if rhs == "0":
-        return []
-    terms = []
+def _parse_terms(rhs, size, p, lineno, arity, cell):
+    """'1 e2 + -1/2 e1' (arity 1) or '1 e1 e2 + ...' (arity 2), or '0', as
+    (cells, fractions): each term's cell is the flat row-major index of
+    `cell` followed by its indices, its fraction (num, den)."""
+    if rhs.strip() == "0":
+        return [], []
+    cells, fracs = [], []
     for part in rhs.split("+"):
         toks = part.split()
         if len(toks) != 1 + arity:
             raise FormatError(lineno, f"bad term {part.strip()!r}")
-        coef = _parse_scalar(toks[0], p, lineno)
-        idx = tuple(_parse_basis(t, size, lineno) for t in toks[1:])
-        terms.append((idx, coef))
-    return terms
+        fracs.append(_parse_scalar(toks[0], p, lineno))
+        c = cell
+        for t in toks[1:]:
+            c = c * size + _parse_basis(t, size, lineno)
+        cells.append(c)
+    return cells, fracs
+
+
+def _strings(x, p):
+    """The entries of an Exact (or nested Scalars) over p as strings, '' for 0."""
+    e = as_exact(x, p)
+    return np.array([f"{a // g}/{e.den // g}" if (g := gcd(a, e.den)) != e.den else
+                     str(a // g) if a else "" for a in e.num.ravel().tolist()],
+                    dtype=object).reshape(e.num.shape)
 
 
 def _fmt_matrix(mat):
-    return "[" + " ; ".join(",".join(str(c) for c in row) for row in mat) + "]"
+    return "[" + " ; ".join(",".join(v or "0" for v in row) for row in mat) + "]"
 
 
 def print_file(af):
-    out = ["format 1"]
-    out.append("field rational" if af.p == 0 else f"field gf {af.p}")
-    out.append(f"dim {af.dim}")
+    out = ["format 1", "field rational" if af.p == 0 else f"field gf {af.p}", f"dim {af.dim}"]
     if af.vdim is not None:
         out.append(f"vdim {af.vdim}")
     for name in sorted(af.ops):
         m = af.ops[name]
-        if af.vdim is not None and m.n == af.vdim and m.n != af.dim:
-            out.append(f"op {name} vdim")
-        else:
-            out.append(f"op {name}")
+        tag = " vdim" if af.vdim is not None and m.n == af.vdim != af.dim else ""
+        out.append(f"op {name}{tag}")
+        s = _strings(m.exact, m.p)
         for i in range(m.n):
             for j in range(m.n):
-                terms = [f"{c} e{k + 1}"
-                         for k, c in enumerate(m.c[i][j]) if not c.is_zero()]
+                terms = [f"{v} e{k + 1}" for k, v in enumerate(s[i, j]) if v]
                 if terms:
                     out.append(f"{name}: e{i + 1} e{j + 1} = " + " + ".join(terms))
     for name in sorted(af.comuls):
         c = af.comuls[name]
         out.append(f"comul {name}")
-        for i in range(c.n):
-            terms = [f"{c.a[i][j][k]} e{j + 1} e{k + 1}"
-                     for j in range(c.n) for k in range(c.n)
-                     if not c.a[i][j][k].is_zero()]
+        for i, plane in enumerate(_strings(c.exact, c.p)):
+            terms = [f"{v} e{j + 1} e{k + 1}" for (j, k), v in np.ndenumerate(plane) if v]
             if terms:
                 out.append(f"{name}: e{i + 1} = " + " + ".join(terms))
     for name in sorted(af.tensors):
         r = af.tensors[name]
-        n = len(r.coeff)
-        if r.is_zero():
-            # keep an explicit zero entry so the tensor survives reparsing
-            out.append(f"tensor {name}: e1 e1 = 0")
-            continue
-        for i in range(n):
-            for j in range(n):
-                if not r.coeff[i][j].is_zero():
-                    out.append(f"tensor {name}: e{i + 1} e{j + 1} = {r.coeff[i][j]}")
+        # keep an explicit zero entry so that a zero tensor survives reparsing
+        out += [f"tensor {name}: e{i + 1} e{j + 1} = {v}" for (i, j), v in
+                np.ndenumerate(_strings(r.exact, r.p)) if v] or [f"tensor {name}: e1 e1 = 0"]
     for name in sorted(af.reps):
         tag = " vdim" if af.rep_spaces.get(name, "dim") == "vdim" else ""
-        for i, mat in enumerate(af.reps[name]):
+        for i, mat in enumerate(_strings(af.reps[name], af.p)):
             out.append(f"rep {name}{tag} e{i + 1} = {_fmt_matrix(mat)}")
     for name in sorted(af.maps):
-        out.append(f"map {name} = {_fmt_matrix(af.maps[name])}")
+        out.append(f"map {name} = {_fmt_matrix(_strings(af.maps[name], af.p))}")
     return "\n".join(out) + "\n"
 
 

@@ -12,9 +12,8 @@ is admissible-Poisson exactly when the pair is matched.
 
 import numpy as np
 
-from .scalars import zero
-from .tensors import (MulTensor, AxiomReport, Identity, check_identities,
-                      identity, objects, solve)
+from .tensors import (Exact, MulTensor, AxiomReport, Identity, as_exact, check_identities,
+                      common, identity, objects, solve)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_rep, check_representation,
                               dual_rep, semidirect_raw)
@@ -81,11 +80,11 @@ def check_matched_pair(mp):
         report = check_representation(
             Representation.raw(mp.p2, mp.l2, mp.r2)).tagged("rep2")
     if report.holds:
-        report = check_identities(MATCH_1_3, {"c": mp.p1.star.c, "l1": mp.l1,
+        report = check_identities(MATCH_1_3, {"c": mp.p1.star.exact, "l1": mp.l1,
                                               "r1": mp.r1, "l2": mp.l2,
                                               "r2": mp.r2}, mp.p1.p)
     if report.holds:
-        report = check_identities(MATCH_4_6, {"c": mp.p2.star.c, "l1": mp.l2,
+        report = check_identities(MATCH_4_6, {"c": mp.p2.star.exact, "l1": mp.l2,
                                               "r1": mp.r2, "l2": mp.l1,
                                               "r2": mp.r1}, mp.p1.p)
     return report
@@ -95,12 +94,14 @@ def bowtie_raw(mp):
     """Structure constants of the bowtie sum on P1 + P2: the semidirect
     product of P1 by (l1, r1), plus P2's product and P2's action on P1,
     f_a * e_j = l2(f_a) e_j and e_j * f_a = r2(f_a) e_j."""
-    n1 = mp.p1.n
-    c = objects(semidirect_raw(mp.p1.star, mp.l1, mp.r1).c)
-    c[n1:, n1:, n1:] = objects(mp.p2.star.c)
-    c[n1:, :n1, :n1] = objects(mp.l2).transpose(0, 2, 1)
-    c[:n1, n1:, :n1] = objects(mp.r2).transpose(2, 0, 1)
-    return MulTensor(len(c), mp.p1.p, c.tolist())
+    n1, p = mp.p1.n, mp.p1.p
+    (c, s2, l2, r2), den = common(semidirect_raw(mp.p1.star, mp.l1, mp.r1).exact,
+                                  mp.p2.star.exact, as_exact(mp.l2, p), as_exact(mp.r2, p))
+    c = c.astype(np.result_type(c, s2, l2, r2))
+    c[n1:, n1:, n1:] = s2
+    c[n1:, :n1, :n1] = l2.transpose(0, 2, 1)
+    c[:n1, n1:, :n1] = r2.transpose(2, 0, 1)
+    return MulTensor(len(c), p, Exact(c, den, p))
 
 
 def bowtie(mp):
@@ -121,7 +122,8 @@ class BilinearForm:
         raise AttributeError("BilinearForm is immutable")
 
     def is_symmetric(self):
-        return self.gram == objects(self.gram).T.tolist()
+        g = as_exact(self.gram, self.p)
+        return g == g.transpose()
 
     def is_nondegenerate(self):
         return solve(self.gram, identity(self.n, self.p), self.p) is not None
@@ -140,13 +142,13 @@ def check_invariant_form(a, form, require_symmetric=False,
                                 g[0], objects(g)[:, 0].tolist())
     if require_nondegenerate and not form.is_nondegenerate():
         return AxiomReport.fail("form-nondegenerate", (0,), g[0], g[0][:])
-    return check_identities(((INVARIANCE,),), {"m": a.star.c, "g": g}, a.p)
+    return check_identities(((INVARIANCE,),), {"m": a.star.exact, "g": g}, a.p)
 
 
 def standard_form(n, p=0):
     """The canonical pairing on P + P*: gram = [[0, I], [I, 0]]."""
-    z, i = np.full((n, n), zero(p), dtype=object), identity(n, p)
-    return BilinearForm(np.block([[z, i], [i, z]]).tolist(), p)
+    z, i = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    return BilinearForm(Exact(np.block([[z, i], [i, z]]), 1, p), p)
 
 
 def manin_pair_data(alg, algstar):

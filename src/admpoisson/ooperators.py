@@ -6,9 +6,8 @@ theta(v_j) = sum_i theta[i][j] e_i.
 
 import numpy as np
 
-from .scalars import half, zero
-from .tensors import (MulTensor, Identity, Terms, check_identities, evaluate_scalars,
-                      identity, objects, solve)
+from .tensors import (Exact, MulTensor, Identity, Terms, as_exact, check_identities,
+                      evaluate, identity, solve)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_families, adjoint_rep, dual_rep,
                               semidirect_raw, check_representation)
@@ -43,7 +42,7 @@ ROTA_BAXTER = Identity("rota-baxter", "ij", "z", *_O_OPERATOR)
 def check_o_operator(c):
     """theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) on basis pairs."""
     star = c.alg.star
-    return check_identities(((O_OPERATOR,),), {"t": c.theta, "c": star.c,
+    return check_identities(((O_OPERATOR,),), {"t": c.theta, "c": star.exact,
                                                "l": c.rep.l, "r": c.rep.r}, star.p)
 
 
@@ -51,7 +50,7 @@ def check_rota_baxter(a, R):
     """R(x) * R(y) = R( R(x)*y + x*R(y) ), i.e. weight-zero Rota-Baxter."""
     star = a.star
     L, Rm = adjoint_families(star)
-    return check_identities(((ROTA_BAXTER,),), {"t": R, "c": star.c, "l": L, "r": Rm},
+    return check_identities(((ROTA_BAXTER,),), {"t": R, "c": star.exact, "l": L, "r": Rm},
                             star.p)
 
 
@@ -66,10 +65,10 @@ def solution_from_o_operator(c, check=False):
     drep = dual_rep(rep, check=check)
     big_star = semidirect_raw(a.star, drep.l, drep.r)
     big = AdmPoissonAlgebra(big_star) if check else AdmPoissonAlgebra.raw(big_star)
-    t = objects(theta)
-    coeff = np.full((n + m, n + m), zero(p), dtype=object)
-    coeff[:n, n:], coeff[n:, :n] = t, -t.T
-    return big, RTensor(coeff.tolist(), p)
+    t = as_exact(theta, p)
+    coeff = np.zeros((n + m, n + m), dtype=t.num.dtype)
+    coeff[:n, n:], coeff[n:, :n] = t.num, -t.num.T
+    return big, RTensor(Exact(coeff, t.den, p), p)
 
 
 class PreAdmPoisson:
@@ -134,13 +133,12 @@ PRE_ADM_POISSON = ((
 
 
 def check_pre_adm_poisson(pre):
-    return check_identities(PRE_ADM_POISSON, {"s": pre.succ.c, "q": pre.prec.c},
+    return check_identities(PRE_ADM_POISSON, {"s": pre.succ.exact, "q": pre.prec.exact},
                             pre.p)
 
 
 def subadjacent_raw(succ, prec):
-    s, q = objects(succ.c, prec.c)
-    return MulTensor(succ.n, succ.p, (s + q).tolist())
+    return MulTensor(succ.n, succ.p, succ.exact + prec.exact)
 
 
 def subadjacent(pre):
@@ -207,23 +205,21 @@ PRE_POISSON = ((
 
 def check_pre_poisson(q):
     """Zinbiel + pre-Lie + the two mixed compatibility identities."""
-    return check_identities(PRE_POISSON, {"d": q.dot.c, "a": q.ast.c}, q.dot.p)
+    return check_identities(PRE_POISSON, {"d": q.dot.exact, "a": q.ast.exact}, q.dot.p)
 
 
 def pre_to_prepoisson_raw(succ, prec):
     """dot = (x>y + y<x)/2, ast = (x>y - y<x)/2."""
-    h = half(succ.p)
-    s, q = objects(succ.c, prec.c)
-    flip = q.transpose(1, 0, 2)       # (i,j) -> e_j < e_i
-    return (MulTensor(succ.n, succ.p, ((s + flip) * h).tolist()),
-            MulTensor(succ.n, succ.p, ((s - flip) * h).tolist()))
+    s, flip = succ.exact, prec.exact.transpose(1, 0, 2)      # (i,j) -> e_j < e_i
+    return (MulTensor(succ.n, succ.p, (s + flip) / 2),
+            MulTensor(succ.n, succ.p, (s - flip) / 2))
 
 
 def prepoisson_to_pre_raw(dot, ast):
     """succ = dot + ast, prec(i,j) = e_j.e_i - e_j*e_i."""
-    d, a = objects(dot.c, ast.c)
-    return (MulTensor(dot.n, dot.p, (d + a).tolist()),
-            MulTensor(dot.n, dot.p, (d - a).transpose(1, 0, 2).tolist()))
+    d, a = dot.exact, ast.exact
+    return (MulTensor(dot.n, dot.p, d + a),
+            MulTensor(dot.n, dot.p, (d - a).transpose(1, 0, 2)))
 
 
 def pre_to_prepoisson(pre):
@@ -238,9 +234,9 @@ def prepoisson_to_pre(q):
 
 def prepoisson_sum_pair(q):
     """The derived (bracket, circ) pair: [x,y] = x*y - y*x, x o y = x.y + y.x."""
-    d, a = objects(q.dot.c, q.ast.c)
-    return (MulTensor(q.n, q.dot.p, (a - a.transpose(1, 0, 2)).tolist()),
-            MulTensor(q.n, q.dot.p, (d + d.transpose(1, 0, 2)).tolist()))
+    d, a = q.dot.exact, q.ast.exact
+    return (MulTensor(q.n, q.dot.p, a - a.transpose(1, 0, 2)),
+            MulTensor(q.n, q.dot.p, d + d.transpose(1, 0, 2)))
 
 
 # The pre-structures that O-operators induce, over theta (t), the action
@@ -256,7 +252,7 @@ SYMPLECTIC_PRE = (Terms("u:lk m:kit w:jt", "ijl"),   # w(x>y, z) = w(y, z*x)
 
 def _pre_of(tables, operands, n, p, check):
     """The pre-structure (succ, prec) of a pair of tables over `operands`."""
-    succ, prec = (MulTensor(n, p, evaluate_scalars(t, operands, p)) for t in tables)
+    succ, prec = (MulTensor(n, p, evaluate(t, operands, p)) for t in tables)
     return PreAdmPoisson(succ, prec, check=check)
 
 
@@ -276,7 +272,7 @@ def canonical_solution(pre):
     """The tautological skew solution on (sum algebra) semidirect (dual module):
     r = sum_i e_i (x) e_i* - e_i* (x) e_i."""
     rep = pre_rep(pre)
-    theta = identity(pre.n, pre.p).tolist()
+    theta = identity(pre.n, pre.p)
     return solution_from_o_operator(OOperatorCandidate(rep.alg, rep, theta))
 
 
@@ -303,17 +299,17 @@ def pre_from_symplectic(a, omega):
     omega(x>y, z) = omega(y, z*x),  omega(x<y, z) = omega(x, y*z)."""
     star = a.star
     n, p = star.n, star.p
-    g = objects(omega.gram)
-    if (g + g.T).any():
+    g = as_exact(omega.gram, p)
+    if not (g + g.transpose()).is_zero():
         raise ValueError("omega must be skew-symmetric")
-    ginv_t = solve(g.T, identity(n, p), p)
+    ginv_t = solve(g.transpose(), identity(n, p), p)
     if ginv_t is None:
         raise ValueError("omega must be nondegenerate")
     # the defining relations only produce a pre-structure when the form is
     # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
-    if not check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": omega.gram}, p).holds:
+    if not check_identities(((CYCLIC_FORM,),), {"m": star.exact, "w": g}, p).holds:
         raise ValueError("omega is not cyclic on products")
-    return _pre_of(SYMPLECTIC_PRE, {"u": ginv_t, "m": star.c, "w": omega.gram}, n, p, True)
+    return _pre_of(SYMPLECTIC_PRE, {"u": ginv_t, "m": star.exact, "w": g}, n, p, True)
 
 
 def rota_baxter_as_o_operator(a, R):

@@ -12,8 +12,7 @@ test suite).
 
 import numpy as np
 
-from .scalars import half, zero
-from .tensors import MulTensor, Identity, check_identities, objects
+from .tensors import Exact, MulTensor, Identity, as_exact, check_identities, common
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, polarize,
                        depolarize_raw, polarize_raw)
 
@@ -21,14 +20,15 @@ from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, polarize,
 class Representation:
     """Per-basis matrices l(e_i), r(e_i) acting on an m-dimensional module.
 
-    check_representation raises ShapeError when the family sizes disagree
-    with the algebra or with each other."""
+    The families are stored as Exacts; check_representation raises
+    ShapeError when their sizes disagree with the algebra or each other."""
 
     __slots__ = ("alg", "vdim", "l", "r")
 
     def __init__(self, alg, l, r, check=True):
+        l, r = as_exact(l, alg.p), as_exact(r, alg.p)
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "vdim", len(l[0]) if l else 0)
+        object.__setattr__(self, "vdim", l.num.shape[1] if l.num.ndim > 1 else 0)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "r", r)
         if check:
@@ -67,15 +67,14 @@ REPRESENTATION = ((
 def check_representation(rep):
     """Verify the three operator identities on every basis pair."""
     star = rep.alg.star
-    return check_identities(REPRESENTATION, {"c": star.c, "l": rep.l, "r": rep.r},
+    return check_identities(REPRESENTATION, {"c": star.exact, "l": rep.l, "r": rep.r},
                             star.p)
 
 
 def adjoint_families(star):
     """(L, R) with L(e_i)[k][j] = c[i][j][k] (y -> e_i * y) and
     R(e_i)[k][j] = c[j][i][k] (y -> y * e_i)."""
-    c = objects(star.c)
-    return c.transpose(0, 2, 1).tolist(), c.transpose(1, 2, 0).tolist()
+    return star.exact.transpose(0, 2, 1), star.exact.transpose(1, 2, 0)
 
 
 def adjoint_rep(a, check=True):
@@ -86,20 +85,20 @@ def adjoint_rep(a, check=True):
 def dual_rep(rep, check=True):
     """(r^T, l^T) on the dual module (the minus of the pairing-dual
     endomorphism cancels the minus in front of it)."""
-    l, r = objects(rep.l), objects(rep.r)
-    return Representation(rep.alg, r.transpose(0, 2, 1).tolist(),
-                          l.transpose(0, 2, 1).tolist(), check=check)
+    return Representation(rep.alg, rep.r.transpose(0, 2, 1), rep.l.transpose(0, 2, 1),
+                          check=check)
 
 
 def semidirect_raw(star, l, r):
     """Structure constants of (x+u)*(y+v) = x*y + l(x)v + r(y)u on P + V:
     e_i * v_b = sum_a l(e_i)[a][b] v_a and v_b * e_i = sum_a r(e_i)[a][b] v_a."""
-    n, m = star.n, len(l[0])
-    big = np.full((n + m,) * 3, zero(star.p), dtype=object)
-    big[:n, :n, :n] = objects(star.c)
-    big[:n, n:, n:] = objects(l).transpose(0, 2, 1)
-    big[n:, :n, n:] = objects(r).transpose(2, 0, 1)
-    return MulTensor(n + m, star.p, big.tolist())
+    (c, l, r), den = common(star.exact, as_exact(l, star.p), as_exact(r, star.p))
+    n, m = star.n, l.shape[1]
+    big = np.zeros((n + m,) * 3, dtype=np.result_type(c, l, r))
+    big[:n, :n, :n] = c
+    big[:n, n:, n:] = l.transpose(0, 2, 1)
+    big[n:, :n, n:] = r.transpose(2, 0, 1)
+    return MulTensor(n + m, star.p, Exact(big, den, star.p))
 
 
 def semidirect(a, rep):
@@ -139,17 +138,14 @@ class PoissonRepresentation:
 
 def rep_to_poisson_rep(rep, check=True):
     """(S_bracket, S_circ) = (1/2(l - r), 1/2(l + r)) over the polarized algebra."""
-    h = half(rep.alg.p)
-    l, r = objects(rep.l, rep.r)
     palg = polarize(rep.alg) if check else \
         PoissonAlgebra.raw(*polarize_raw(rep.alg.star))
-    return PoissonRepresentation(palg, ((l - r) * h).tolist(), ((l + r) * h).tolist(),
-                                 check=False)
+    return PoissonRepresentation(palg, (rep.l - rep.r) / 2, (rep.l + rep.r) / 2, check=False)
 
 
 def poisson_rep_to_rep(prep, check=True):
     """(l, r) = (S_circ + S_bracket, S_circ - S_bracket) over the depolarized algebra."""
-    c, b = objects(prep.s_circ, prep.s_bracket)
+    c, b = (as_exact(s, prep.palg.p) for s in (prep.s_circ, prep.s_bracket))
     star = depolarize_raw(prep.palg.bracket, prep.palg.circ)
     alg = AdmPoissonAlgebra(star) if check else AdmPoissonAlgebra.raw(star)
-    return Representation(alg, (c + b).tolist(), (c - b).tolist(), check=check)
+    return Representation(alg, c + b, c - b, check=check)

@@ -187,18 +187,3 @@ def half(p=0):
 
 def third(p=0):
     return Scalar(1, 3, p)
-
-
-def parse_scalar(text, p=0):
-    """Parse '7', '-3/4' (rationals) or the same read mod p (GF mode)."""
-    check_characteristic(p)
-    return _parse(text, p)
-
-
-def _parse(text, p):
-    """parse_scalar over a p that is already validated."""
-    text = text.strip()
-    if "/" in text:
-        num_s, den_s = text.split("/", 1)
-        return _exact(int(num_s), int(den_s), p)
-    return _exact(int(text), 1, p)

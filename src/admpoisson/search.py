@@ -18,16 +18,15 @@ from itertools import islice
 
 import numpy as np
 
-from .scalars import Scalar, check_characteristic
-from .tensors import MulTensor, _scalars, identity_mask
+from .scalars import check_characteristic
+from .tensors import Exact, MulTensor, as_exact, identity_mask, _sum_terms
 from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                        check_adm_poisson, check_poisson)
 from .representations import (Representation, adjoint_rep, check_representation,
                               dual_rep)
 from .yangbaxter import RTensor, ybe_operator
 from .ooperators import (OOperatorCandidate, O_OPERATOR, check_o_operator,
-                         PreAdmPoisson, PRE_ADM_POISSON, check_pre_adm_poisson,
-                         induced_pre_from_o_operator)
+                         PreAdmPoisson, PRE_ADM_POISSON, INDUCED_PRE, check_pre_adm_poisson)
 from .fileformat import AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
@@ -35,13 +34,11 @@ CHUNK = 4096            # candidates screened at a time
 
 
 def encode_mul(m):
-    cells = (s.num for plane in m.c for row in plane for s in row)
-    return sum(d * m.p ** t for t, d in enumerate(cells))
+    return sum(d * m.p ** t for t, d in enumerate(m.exact.num.ravel().tolist()))
 
 
 def decode_mul(idx, n, p):
-    digits = base_p_digits([idx], n ** 3, p).reshape(n, n, n)
-    return MulTensor(n, p, _scalars(digits.tolist(), 1, p))
+    return MulTensor(n, p, Exact(base_p_digits([idx], n ** 3, p).reshape(n, n, n), 1, p))
 
 
 def base_p_digits(indices, cells, p):
@@ -84,21 +81,15 @@ def table_hits(groups, names, n, p):
         yield from indices[table_mask(groups, names, indices, n, p)].tolist()
 
 
-def _residues(data):
-    """Nested lists of GF(p) Scalars as an int64 array of their residues."""
-    a = np.array(data, dtype=object)
-    return np.array([s.num for s in a.ravel()], dtype=np.int64).reshape(a.shape)
-
-
 def o_operator_hits(star, l, r, p):
     """Ascending indices of the maps theta that are O-operators over the
     operation star and the action (l, r), one CHUNK at a time; theta has
     one row per basis element of star, one column per module basis element,
     and entry (i, j) is base-p digit i*cols + j of its index (as iter_maps).
     The fixed operands are broadcast along the batch of thetas."""
-    n, m = star.n, len(l[0])
-    fixed = {name: _residues(data)[..., None]
-             for name, data in (("c", star.c), ("l", l), ("r", r))}
+    fixed = {name: as_exact(data, p).num.astype(np.int64)[..., None]
+             for name, data in (("c", star.exact), ("l", l), ("r", r))}
+    n, m = star.n, fixed["l"].shape[1]
     space = p ** (n * m)
     for start in range(0, space, CHUNK):
         indices = np.arange(start, min(start + CHUNK, space))
@@ -151,12 +142,6 @@ class SearchSpec:
         self.rep = rep                  # (l, r) families, for o_operator
 
 
-def _mul_file(p, ops):
-    af = AlgebraFile(p=p, dim=next(iter(ops.values())).n)
-    af.ops.update(ops)
-    return af
-
-
 def search(spec):
     """Yield verified instances as AlgebraFile objects, deterministically.
 
@@ -177,7 +162,7 @@ def _search_adm(spec, p, n):
                 continue
             if not check_adm_poisson(m).holds:
                 continue
-            yield _mul_file(p, {"star": m})
+            yield AlgebraFile(p, n, star=m)
     else:
         rng = random.Random(spec.seed)
         if spec.count is None:
@@ -191,7 +176,7 @@ def _search_adm(spec, p, n):
                     continue
                 if check_adm_poisson(m).holds:
                     found += 1
-                    yield _mul_file(p, {"star": m})
+                    yield AlgebraFile(p, n, star=m)
         raise SearchShortfall(found, spec.count, attempts)
 
 
@@ -205,7 +190,7 @@ def _search_poisson(spec, p, n):
             if spec.nonzero_only and br.is_zero() and circ.is_zero():
                 continue
             if check_poisson(br, circ).holds:
-                yield _mul_file(p, {"bracket": br, "circ": circ})
+                yield AlgebraFile(p, n, bracket=br, circ=circ)
     else:
         # sample inside the necessary symmetry subspaces, then verify exactly
         rng = random.Random(spec.seed)
@@ -213,7 +198,7 @@ def _search_poisson(spec, p, n):
             raise ValueError("space too large without a sample count")
         attempts, found = spec.count * 10000, 0
         for _ in range(attempts):
-            br_e, circ_e = {}, {}
+            br_e, circ_e = np.zeros((2, n, n, n), dtype=object)
             for i in range(n):
                 for j in range(i, n):
                     for k in range(n):
@@ -221,17 +206,15 @@ def _search_poisson(spec, p, n):
                         c = rng.randrange(p)
                         if i == j:
                             b = 0
-                        br_e[(i, j, k)] = Scalar(b, 1, p)
-                        br_e[(j, i, k)] = Scalar(-b, 1, p)
-                        circ_e[(i, j, k)] = Scalar(c, 1, p)
-                        circ_e[(j, i, k)] = Scalar(c, 1, p)
-            br = MulTensor.from_entries(n, br_e, p)
-            circ = MulTensor.from_entries(n, circ_e, p)
+                        br_e[i, j, k], br_e[j, i, k] = b, -b
+                        circ_e[i, j, k] = circ_e[j, i, k] = c
+            br = MulTensor(n, p, Exact(br_e, 1, p))
+            circ = MulTensor(n, p, Exact(circ_e, 1, p))
             if spec.nonzero_only and br.is_zero() and circ.is_zero():
                 continue
             if check_poisson(br, circ).holds:
                 found += 1
-                yield _mul_file(p, {"bracket": br, "circ": circ})
+                yield AlgebraFile(p, n, bracket=br, circ=circ)
         raise SearchShortfall(found, spec.count, attempts)
 
 
@@ -244,9 +227,9 @@ def iter_r_tensors(n, p, skew):
         return
     upper = np.triu_indices(n, 1)
     for idx in range(p ** len(upper[0])):
-        coeff = np.zeros((n, n), dtype=np.int64)
+        coeff = np.zeros((n, n), dtype=object)
         coeff[upper] = base_p_digits([idx], len(upper[0]), p)[:, 0]
-        yield RTensor(_scalars((coeff - coeff.T).tolist(), 1, p), p)
+        yield RTensor(Exact(coeff - coeff.T, 1, p), p)
 
 
 def _search_pybe(spec, p, n):
@@ -262,16 +245,13 @@ def _search_pybe(spec, p, n):
         if spec.nonzero_only and r.is_zero():
             continue
         if ybe_operator(star, r, "P").is_zero():
-            af = _mul_file(p, {"star": star})
-            af.tensors["r"] = r
-            yield af
+            yield AlgebraFile(p, n, star=star, r=r)
 
 
 def decode_map(idx, rows, cols, p):
     """The rows x cols matrix whose entry (i, j) is base-p digit i*cols + j
     of idx."""
-    digits = base_p_digits([idx], rows * cols, p).reshape(rows, cols)
-    return _scalars(digits.tolist(), 1, p)
+    return Exact(base_p_digits([idx], rows * cols, p).reshape(rows, cols), 1, p)
 
 
 def iter_maps(rows, cols, p):
@@ -297,10 +277,7 @@ def _search_o_operator(spec, p, n):
             continue
         theta = decode_map(idx, n, m, p)
         if check_o_operator(OOperatorCandidate(alg, rep, theta)).holds:
-            af = AlgebraFile(p=p, dim=n, vdim=m)
-            af.ops["star"] = star
-            af.reps["l"] = l
-            af.reps["r"] = r
+            af = AlgebraFile(p, n, m, star=star, l=l, r=r)
             af.maps["theta"] = theta
             yield af
 
@@ -318,7 +295,7 @@ def _search_pre(spec, p, n):
             if spec.nonzero_only and succ.is_zero() and prec.is_zero():
                 continue
             if check_pre_adm_poisson(PreAdmPoisson.raw(succ, prec)).holds:
-                yield _mul_file(p, {"succ": succ, "prec": prec})
+                yield AlgebraFile(p, n, succ=succ, prec=prec)
         return
     seen = set()
     for alg_idx in adm_catalog_indices(n, p):
@@ -327,19 +304,22 @@ def _search_pre(spec, p, n):
         adj = adjoint_rep(alg, check=False)
         dual = dual_rep(adj, check=False)
         for rep in [adj, dual] if check_representation(dual).holds else [adj]:
-            for idx in o_operator_hits(star, rep.l, rep.r, p):
-                cand = OOperatorCandidate(alg, rep, decode_map(idx, n, rep.vdim, p))
-                if not check_o_operator(cand).holds:
+            hits, m = list(o_operator_hits(star, rep.l, rep.r, p)), rep.vdim
+            # the pre-structures all the hits induce, batch-last; exact checks
+            # only for one about to be emitted
+            ops = {"t": base_p_digits(hits, n * m, p).reshape(n, m, -1),
+                   "l": rep.l.num[..., None], "r": rep.r.num[..., None]}
+            pres = np.stack([_sum_terms(t, ops, (m,) * 3 + (len(hits),), np.int64, p)
+                             for t in INDUCED_PRE])
+            for idx, pair in zip(hits, np.moveaxis(pres, -1, 0)):
+                if (spec.nonzero_only and not pair.any()) or pair.tobytes() in seen:
                     continue
-                pre = induced_pre_from_o_operator(cand, check=False)
-                if spec.nonzero_only and pre.succ.is_zero() and pre.prec.is_zero():
+                pre = PreAdmPoisson.raw(*(MulTensor(m, p, Exact(x, 1, p)) for x in pair))
+                if not check_o_operator(OOperatorCandidate(alg, rep, decode_map(idx, n, m, p))).holds:
                     continue
-                key = (encode_mul(pre.succ), encode_mul(pre.prec))
-                if key in seen:
-                    continue
-                seen.add(key)
                 report = check_pre_adm_poisson(pre)
                 if not report.holds:
                     raise RuntimeError(f"induced pre-structure fails {report.witness[0]} "
                                        f"at {report.witness[1]}")
-                yield _mul_file(p, {"succ": pre.succ, "prec": pre.prec})
+                seen.add(pair.tobytes())
+                yield AlgebraFile(p, n, succ=pre.succ, prec=pre.prec)

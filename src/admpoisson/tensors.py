@@ -1,56 +1,179 @@
-"""Dense coefficient containers and exact linear algebra.
+"""Exact arrays, the structures stored in them, identity tables and exact
+linear algebra.
 
-Structures are nested lists of Scalar: row-major matrices, MulTensor's
-structure constants c[i][j][k] of one bilinear operation (e_i <> e_j =
-sum_k c[i][j][k] e_k) and Tensor3's coefficients of an element of the triple
-tensor power.  Everything is treated as immutable by convention.
-Constructions move and combine entries as numpy object arrays of these
-Scalars (objects), contract them with Terms (evaluate_scalars), and solve
-linear systems with one exact elimination (solve).
+Every structure is one Exact: integers over a common denominator.  MulTensor
+holds the structure constants c[i][j][k] of a bilinear operation (e_i <> e_j
+= sum_k c[i][j][k] e_k), Tensor3 the coefficients of a triple tensor.
+Identities and contractions are tables of signed einsum terms evaluated on
+the integers (check_identities, evaluate).  Scalars are built only where
+entries are read one at a time: a witness, printing, and the constructions
+that go through objects() and solve.
 """
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm, prod
 
 import numpy as np
 
-from .scalars import (Scalar, ScalarModeError, zero, one, check_characteristic,
-                      _exact)
+from .scalars import Scalar, ScalarModeError, zero, one, check_characteristic, _exact
+
+_WIDE = 2 ** 31         # int64 entries and p stay below: a product or sum fits
 
 
 class ShapeError(ValueError):
     """Operands whose axis sizes disagree where an identity joins them."""
 
 
+class Exact:
+    """An immutable array of exact numbers: the integers `num` over `den`.
+
+    Canonical form: over Q (p = 0) den >= 1 and gcd(den, every num) = 1,
+    so den is the lcm of the entries' reduced denominators; over GF(p) num
+    holds residues in [0, p) and den = 1.  num is int64 when every |entry|
+    and p are below 2**31, and an object array of Python ints otherwise;
+    maxabs is the largest |entry|.  Read as a sequence (len, indexing,
+    iteration, == with nested lists) it is its nested-Scalar view.
+    """
+
+    __slots__ = ("num", "den", "p", "maxabs", "_scalars")
+
+    def __init__(self, num, den=1, p=0):
+        """num / den over an already validated p, brought to canonical form."""
+        num = np.asarray(num)
+        if p:
+            if den != 1:
+                num = (num.astype(object) if p >= _WIDE else num) % p * pow(den, -1, p)
+            num, den = num % p, 1
+            maxabs = int(num.max(initial=0))
+        else:
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(den, int(np.gcd.reduce(num, axis=None)))
+            if g > 1:
+                num, den = num // g, den // g
+            maxabs = int(abs(num).max(initial=0))
+        num = num.astype(np.int64 if max(maxabs, p) < _WIDE else object)
+        num.flags.writeable = False
+        for name, value in zip(Exact.__slots__, (num, den, p, maxabs, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Exact is immutable")
+
+    def scalars(self):
+        """The entries as nested lists of Scalars, built on first use."""
+        if self._scalars is None:
+            object.__setattr__(self, "_scalars", _scalars(self.num.tolist(), self.den, self.p))
+        return self._scalars
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, index):
+        return self.scalars()[index]
+
+    def __iter__(self):
+        return iter(self.scalars())
+
+    def transpose(self, *axes):
+        return Exact(self.num.transpose(axes or None), self.den, self.p)
+
+    def is_zero(self):
+        return not self.maxabs
+
+    def __add__(self, other):
+        return _combined(np.add, self, other)
+
+    def __sub__(self, other):
+        return _combined(np.subtract, self, other)
+
+    def __truediv__(self, k):     # by a nonzero int
+        return Exact(self.num, self.den * k, self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            return self.scalars() == other
+        if not isinstance(other, Exact):
+            return NotImplemented
+        return ((self.p, self.den, self.num.shape) == (other.p, other.den, other.num.shape)
+                and bool((self.num == other.num).all()))
+
+    def __hash__(self):
+        return hash((self.p, self.den, self.num.shape, tuple(self.num.ravel().tolist())))
+
+
+def common(*exacts):
+    """The nums of Exacts over one field on their least common denominator
+    D, and D; as Python ints where an entry reaches 2**31."""
+    if len({e.p for e in exacts}) > 1:
+        raise ScalarModeError("operands are not all over one field")
+    den = lcm(*(e.den for e in exacts))
+    scales = [(e.num, den // e.den if e.maxabs else 1, e.maxabs) for e in exacts]
+    return [num if k == 1 else (num if m * k < _WIDE else num.astype(object)) * k
+            for num, k, m in scales], den
+
+
+def _combined(op, x, y):
+    """op(x, y) entrywise; ShapeError when the sizes disagree."""
+    if x.num.shape != y.num.shape:
+        raise ShapeError(f"operand sizes disagree: {len(x.num)} and {len(y.num)}")
+    (a, b), den = common(x, y)
+    return Exact(op(a, b), den, x.p)
+
+
+def as_exact(data, p):
+    """`data` as an Exact over p: an Exact itself, or nested lists (or an
+    object array) of Scalars over p, which are converted here."""
+    if isinstance(data, Exact):
+        if data.p != p:
+            raise ScalarModeError(f"operands are not all over p={p}")
+        return data
+    a = np.array(data, dtype=object)
+    flat = a.ravel().tolist()
+    if any(s.p != p for s in flat):
+        raise ScalarModeError(f"operands are not all over p={p}")
+    den = 1 if p else lcm(*(s.den for s in flat))
+    return Exact(np.array([s.num * (den // s.den) for s in flat], dtype=object)
+                 .reshape(a.shape), den, p)
+
+
+def from_fractions(shape, parts, p=0):
+    """The Exact of `shape` that sums the fractions of `parts`: pairs of
+    lists (cells, fractions), flat row-major indices and the (num, den) of
+    ints there, den nonzero (mod p)."""
+    cells = list(chain.from_iterable(c for c, _ in parts))
+    fracs = list(chain.from_iterable(f for _, f in parts))
+    nums, den = [n for n, _ in fracs], 1
+    if any(d != 1 for _, d in fracs):
+        den = 1 if p else lcm(*(abs(d) for _, d in fracs))
+        nums = [n * pow(d, -1, p) if p else n * (den // d) for n, d in fracs]
+    num = np.zeros(prod(shape), dtype=np.int64 if max(map(abs, nums), default=0) < _WIDE
+                   else object)
+    np.add.at(num, cells, nums)
+    return Exact(num.reshape(shape), den, p)
+
+
 def objects(*data):
-    """Nested-Scalar operands as numpy object arrays (the array itself for
-    one operand); ShapeError when the operands' sizes disagree."""
-    arrays = [np.array(d, dtype=object) for d in data]
+    """Operands (Exacts or nested Scalars) as numpy object arrays of Scalars
+    (the array itself for one operand); ShapeError when their sizes disagree."""
+    arrays = [np.array(d, dtype=object) for d in data]       # an Exact reads as its view
     if len({a.shape for a in arrays}) > 1:
         raise ShapeError("operand sizes disagree: " +
-                         " and ".join(str(len(d)) for d in data))
+                         " and ".join(str(len(a)) for a in arrays))
     return arrays[0] if len(arrays) == 1 else arrays
 
 
-def dense(shape, entries=(), p=0):
-    """Nested lists of Scalars of `shape`, zero except at `entries`: a dict
-    index tuple -> Scalar (or int, coerced)."""
-    a = np.full(shape, zero(p), dtype=object)
-    for idx, val in dict(entries).items():
-        a[idx] = val if isinstance(val, Scalar) else Scalar(val, 1, p)
-    return a.tolist()
-
-
 def identity(n, p=0):
-    """The n x n identity matrix as an object array of Scalars."""
-    return np.where(np.eye(n, dtype=bool), one(p), zero(p))
+    """The n x n identity matrix as an Exact."""
+    return Exact(np.eye(n, dtype=np.int64), 1, p)
 
 
 def solve(a, b, p=0):
     """A solution X of a X = b by exact Gauss-Jordan elimination, with every
     free variable zero, or None when the system is inconsistent.
 
-    a is rows x cols and b rows x k (nested lists or object arrays of
-    Scalars); X is cols x k nested lists.  The inverse of a square a is
+    a is rows x cols and b rows x k (Exacts, or nested Scalars); X is cols
+    x k nested lists of Scalars.  The inverse of a square a is
     solve(a, identity(n, p), p), which is None exactly when a is singular.
     """
     a, b = objects(a), objects(b)
@@ -79,64 +202,68 @@ def solve(a, b, p=0):
 # containers
 
 
-class MulTensor:
+def dense(shape, entries, p=0):
+    """The Scalars of `shape`, zero except at `entries` (index tuple ->
+    Scalar, or int, coerced), as an object array."""
+    a = np.full(shape, zero(p), dtype=object)
+    for key, v in entries.items():
+        a[key] = v if isinstance(v, Scalar) else Scalar(v, 1, p)
+    return a
+
+
+class Structure:
+    """An immutable structure whose `rank` axes have n entries, stored as one
+    Exact (`exact`); each subclass names the nested-Scalar view of it."""
+
+    __slots__ = ("n", "p", "exact")
+    rank = 3
+
+    def __init__(self, n, p=0, data=None):
+        exact = (Exact(np.zeros((n,) * self.rank, dtype=np.int64), 1, p) if data is None
+                 else as_exact(data, p))
+        for name, value in zip(Structure.__slots__, (n, p, exact)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def from_entries(cls, n, entries, p=0):
+        """entries: dict index tuple -> Scalar (or int, coerced)."""
+        return cls(n, p, dense((n,) * cls.rank, entries, p))
+
+    def is_zero(self):
+        return self.exact.is_zero()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.exact == other.exact
+
+    def __hash__(self):
+        return hash((self.n, self.exact))
+
+
+class MulTensor(Structure):
     """Structure constants c[i][j][k]: e_i <> e_j = sum_k c[i][j][k] e_k."""
 
-    __slots__ = ("n", "p", "c")
+    __slots__ = ()
+    c = property(lambda self: self.exact.scalars())
 
     def __init__(self, n, p=0, c=None):
         check_characteristic(p)
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        if c is None:
-            c = dense((n, n, n), p=p)
-        elif len(c) != n or any(len(r) != n for r in c):
+        super().__init__(n, p, c)
+        if self.exact.num.shape != (n, n, n):
             raise ShapeError(f"structure constants are not {n} x {n} x {n}")
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MulTensor is immutable")
-
-    @classmethod
-    def from_entries(cls, n, entries, p=0):
-        """entries: dict (i,j,k) -> Scalar (or int, coerced)."""
-        return cls(n, p, dense((n, n, n), entries, p))
-
-    def is_zero(self):
-        return all(x.is_zero() for pl in self.c for row in pl for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MulTensor):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.n, self.p, tuple(tuple(tuple(r) for r in pl) for pl in self.c)))
 
 
-class Tensor3:
+class Tensor3(Structure):
     """Coefficients t[i][j][k] of sum t[i][j][k] e_i (x) e_j (x) e_k."""
 
-    __slots__ = ("n", "p", "t")
-
-    def __init__(self, n, p=0, t=None):
-        check_characteristic(p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", dense((n, n, n), p=p) if t is None else t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
-
-    def is_zero(self):
-        return all(x.is_zero() for pl in self.t for row in pl for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.t == other.t
+    __slots__ = ()
+    t = property(lambda self: self.exact.scalars())
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +455,24 @@ def evaluate_terms(sides, arrays, p):
 
 
 def exact_operands(operands, p, sides):
-    """One structure's operands (nested lists of Scalars) as integer arrays
-    scaled by one common denominator D, for evaluating `sides`; returns
-    (arrays, D).
+    """One structure's operands (Exacts, or nested lists of Scalars) as
+    integer arrays scaled by one common denominator D, for evaluating
+    `sides`; returns (arrays, D).
 
     Raises ShapeError when the operands' axis sizes do not fit the letters
     of `sides`.  The arrays are int64 when _overflow_bound of every side
     fits in int64, with maxabs the largest |entry| after D is cleared, and
     Python-int object arrays otherwise."""
-    items, shapes = {}, {}
-    for name, data in operands.items():
-        a = np.array(data, dtype=object)
-        items[name], shapes[name] = a.ravel().tolist(), a.shape
+    exacts = {name: as_exact(data, p) for name, data in operands.items()}
+    shapes = {name: e.num.shape for name, e in exacts.items()}
     for side in sides:
         _check_sizes(side, shapes)
-    if {s.p for flat in items.values() for s in flat} != {p}:
-        raise ScalarModeError(f"operands are not all over p={p}")
-    den = 1 if p else lcm(*(s.den for flat in items.values() for s in flat))
-    nums = {name: [s.num * (den // s.den) for s in flat] for name, flat in items.items()}
-    maxabs = max(max(map(abs, flat), default=0) for flat in nums.values())
+    nums, den = common(*exacts.values())
+    maxabs = max(e.maxabs * (den // e.den) for e in exacts.values())
     size = max(max(shape, default=1) for shape in shapes.values())
     bound = max(_overflow_bound(side, maxabs, size, p) for side in sides)
     dtype = np.int64 if bound <= _INT64_MAX else object
-    arrays = {name: np.array(flat, dtype=dtype).reshape(shapes[name])
-              for name, flat in nums.items()}
-    return arrays, den
+    return {name: num.astype(dtype, copy=False) for name, num in zip(exacts, nums)}, den
 
 
 def _scalars(values, den, p):
@@ -409,9 +529,9 @@ def identity_mask(ident, arrays, p):
     return ~res.reshape(-1, batch).any(axis=0)
 
 
-def evaluate_scalars(terms, operands, p):
-    """Terms over nested-Scalar operands (those it names), as nested lists
-    of Scalars."""
+def evaluate(terms, operands, p):
+    """Terms over the operands it names (Exacts or nested Scalars), as an
+    Exact."""
     arrays, den = exact_operands({name: operands[name] for name in terms.ranks}, p, [terms])
     (val,) = evaluate_terms((terms,), arrays, p)
-    return _scalars(val.tolist(), den ** max(terms.degrees), p)
+    return Exact(val, den ** max(terms.degrees), p)

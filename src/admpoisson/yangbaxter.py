@@ -14,24 +14,21 @@ r = sum r[i][j] e_i (x) e_j):
 
 import numpy as np
 
-from .scalars import half
-from .tensors import (Tensor3, Terms, Identity, evaluate_scalars, check_identities,
-                      dense, identity, objects, solve)
+from .tensors import (Structure, Tensor3, Terms, Identity, as_exact, evaluate,
+                      check_identities, dense, identity, objects, solve)
 from .bialgebras import Comultiplication
 
 
-class RTensor:
+class RTensor(Structure):
     """r = sum coeff[i][j] e_i (x) e_j."""
 
-    __slots__ = ("n", "p", "coeff")
+    __slots__ = ()
+    rank = 2
+    coeff = property(lambda self: self.exact.scalars())
 
     def __init__(self, coeff, p=0):
-        object.__setattr__(self, "n", len(coeff))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeff", coeff)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RTensor is immutable")
+        coeff = as_exact(coeff, p)
+        super().__init__(len(coeff), p, coeff)
 
     @classmethod
     def from_entries(cls, n, entries, p=0):
@@ -39,34 +36,23 @@ class RTensor:
         return cls(dense((n, n), entries, p), p)
 
     def tau(self):
-        return RTensor(self.sharp(), self.p)
+        return RTensor(self.exact.transpose(), self.p)
 
     def sym_part(self):
-        a = objects(self.coeff)
-        return RTensor(((a + a.T) * half(self.p)).tolist(), self.p)
+        return RTensor((self.exact + self.exact.transpose()) / 2, self.p)
 
     def skew_part(self):
-        a = objects(self.coeff)
-        return RTensor(((a - a.T) * half(self.p)).tolist(), self.p)
+        return RTensor((self.exact - self.exact.transpose()) / 2, self.p)
 
     def is_skew(self):
-        a = objects(self.coeff)
-        return not (a + a.T).any()
+        return (self.exact + self.exact.transpose()).is_zero()
 
     def is_symmetric(self):
-        return self.coeff == self.sharp()
+        return self.exact == self.exact.transpose()
 
     def sharp(self):
         """Matrix of r# : P* -> P on dual/primal coordinates."""
-        return objects(self.coeff).T.tolist()
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.coeff for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, RTensor):
-            return NotImplemented
-        return self.p == other.p and self.coeff == other.coeff
+        return self.exact.transpose().scalars()
 
 
 # Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
@@ -105,8 +91,7 @@ def ybe_operator(mul, r, which):
     (the single operation for P/Q, circ for A, bracket for C)."""
     if which not in YBE_OPERATORS:
         raise ValueError(f"unknown operator {which!r}")
-    t = evaluate_scalars(YBE_OPERATORS[which],
-                         {"a": r.coeff, "b": r.coeff, "m": mul.c}, mul.p)
+    t = evaluate(YBE_OPERATORS[which], {"a": r.exact, "b": r.exact, "m": mul.exact}, mul.p)
     return Tensor3(mul.n, mul.p, t)
 
 
@@ -119,7 +104,7 @@ def check_ybe(alg, r, kind):
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
     op, ident = YBE[kind]
     mul = getattr(alg, op)
-    return check_identities(((ident,),), {"a": r.coeff, "b": r.coeff, "m": mul.c},
+    return check_identities(((ident,),), {"a": r.exact, "b": r.exact, "m": mul.exact},
                             mul.p)
 
 
@@ -133,13 +118,13 @@ SYM_DEFECT = Terms(_SYM_DEFECT, "iab")
 def coboundary_alpha(a, r):
     """alpha(x) = (id (x) L(x) - R(x) (x) id) r, as a comultiplication."""
     star = a.star
-    return Comultiplication(star.n, star.p, evaluate_scalars(
-        COBOUNDARY_ALPHA, {"m": star.c, "r": r.coeff}, star.p))
+    return Comultiplication(star.n, star.p, evaluate(
+        COBOUNDARY_ALPHA, {"m": star.exact, "r": r.exact}, star.p))
 
 
 def sym_defect(star, r):
     """M(e_i) = L(e_i) S - S R(e_i)^T for each basis element e_i."""
-    return evaluate_scalars(SYM_DEFECT, {"m": star.c, "r": r.coeff}, star.p)
+    return evaluate(SYM_DEFECT, {"m": star.exact, "r": r.exact}, star.p)
 
 
 # The coalgebra conditions at x = e_i, with index letters i (of x) and
@@ -189,16 +174,16 @@ def check_coboundary_conditions(a, r, which):
     star = a.star
     p = star.p
     if which == "con1":
-        return check_identities(((CON1,),), {"m": star.c, "r": r.coeff}, p)
+        return check_identities(((CON1,),), {"m": star.exact, "r": r.exact}, p)
     if which not in EQV and which not in COSP:
         raise ValueError(f"unknown condition {which!r}")
     M = sym_defect(star, r)
     if which in EQV:
-        return check_identities(((EQV[which],),), {"m": star.c, "M": M}, p)
+        return check_identities(((EQV[which],),), {"m": star.exact, "M": M}, p)
     ident = COSP[which]
-    ops = {"m": star.c, "M": M,
-           "P": ybe_operator(star, r, "P").t, "Q": ybe_operator(star, r, "Q").t}
-    ops.update((name, evaluate_scalars(terms, {"r": r.coeff, "m": star.c}, p))
+    ops = {"m": star.exact, "M": M, "P": ybe_operator(star, r, "P").exact,
+           "Q": ybe_operator(star, r, "Q").exact}
+    ops.update((name, evaluate(terms, {"r": r.exact, "m": star.exact}, p))
                for name, terms in _R_TIMES_M.items() if name in ident.lhs.ranks)
     # the witness is the first nonzero entry of the residual at (i, a, b)
     return check_identities([[ident]], {k: ops[k] for k in ident.lhs.ranks},
@@ -218,7 +203,7 @@ def operator_form_check(a, r):
     if not r.is_skew():
         raise ValueError("operator form requires a skew-symmetric r")
     star = a.star
-    return check_identities(((OPERATOR_FORM,),), {"m": star.c, "r": r.coeff}, star.p)
+    return check_identities(((OPERATOR_FORM,),), {"m": star.exact, "r": r.exact}, star.p)
 
 
 def cyclic_form_check(a, r):
@@ -226,11 +211,11 @@ def cyclic_form_check(a, r):
     omega(x*y, z) + omega(y*z, x) + omega(z*x, y) = 0."""
     if not r.is_skew():
         raise ValueError("cyclic form requires a skew-symmetric r")
-    omega = solve(r.coeff, identity(r.n, r.p), r.p)
+    omega = solve(r.exact, identity(r.n, r.p), r.p)
     if omega is None:
         raise ValueError("cyclic form requires a nondegenerate r")
     star = a.star
-    return check_identities(((CYCLIC_FORM,),), {"m": star.c, "w": omega}, star.p)
+    return check_identities(((CYCLIC_FORM,),), {"m": star.exact, "w": omega}, star.p)
 
 
 # coboundary_correspondence's two systems for the unknown Y = r1 at x = e_x,
@@ -256,12 +241,12 @@ def coboundary_correspondence(a, r):
     """
     star = a.star
     n, p = star.n, star.p
-    ops = {"m": star.c, "r": r.coeff, "e": identity(n, p).tolist()}
-    (a1, b1), (a2, b2) = [[objects(evaluate_scalars(t, ops, p)) for t in system]
+    ops = {"m": star.exact, "r": r.exact, "e": identity(n, p)}
+    (a1, b1), (a2, b2) = [[objects(evaluate(t, ops, p)) for t in system]
                           for system in CORRESPONDENCE]
     # the rows of x, u, v in order, each the first system's and the second's
     sol = solve(np.stack([a1, a2], axis=3).reshape(-1, n * n),
                 np.stack([b1, b2], axis=3).reshape(-1, 1), p)
     if sol is None:
         return False, None
-    return True, RTensor(objects(sol).reshape(n, n).tolist(), p)
+    return True, RTensor(objects(sol).reshape(n, n), p)

@@ -24,6 +24,9 @@ from admpoisson.representations import Representation, PoissonRepresentation
 from admpoisson.bialgebras import Comultiplication, PoissonComultiplicationPair
 from admpoisson.yangbaxter import RTensor, SLOT_PATTERNS
 from admpoisson.ooperators import PreAdmPoisson
+from admpoisson.fileformat import (AlgebraFile, FormatError, MAX_DIM, _parse_basis,
+                                   check_characteristic)
+from admpoisson.scalars import _exact
 
 
 # ---------------------------------------------------------------------------
@@ -1936,3 +1939,272 @@ def iter_r_tensors(n, p, skew):
             coeff[i][j] = Scalar(d, 1, p)
             coeff[j][i] = Scalar(-d, 1, p)
         yield RTensor(coeff, p)
+
+
+# ---------------------------------------------------------------------------
+# the file parser on Scalars
+
+
+def parse_scalar(text, p=0):
+    """Parse '7', '-3/4' (rationals) or the same read mod p (GF mode)."""
+    check_characteristic(p)
+    return _parse(text, p)
+
+
+def _parse(text, p):
+    """parse_scalar over a p that is already validated."""
+    text = text.strip()
+    if "/" in text:
+        num_s, den_s = text.split("/", 1)
+        return _exact(int(num_s), int(den_s), p)
+    return _exact(int(text), 1, p)
+
+
+def _scalar_token(tok, p, lineno):
+    # p was validated on the field line
+    try:
+        return _parse(tok, p)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(lineno, f"bad scalar {tok!r}: {exc}")
+
+
+def _scalar_matrix(text, p, lineno):
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise FormatError(lineno, "matrix must be enclosed in [ ... ]")
+    rows = []
+    for row_s in text[1:-1].split(";"):
+        entries = [e for e in row_s.split(",")]
+        rows.append([_scalar_token(e, p, lineno) for e in entries])
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise FormatError(lineno, "matrix rows have unequal lengths")
+    return rows
+
+
+def parse_file_scalars(text):
+    """The parser as it was before it read tokens into integers: one Scalar
+    per coefficient token, summed with Scalar arithmetic."""
+    af = AlgebraFile()
+    field_seen = False
+    op_sizes = {}                   # name -> "dim" | "vdim"
+    op_data = {}                    # name -> {(i, j): vec-of-scalar terms}
+    comul_names = set()
+    comul_data = {}                 # name -> {(i, j, k): scalar}
+    tensor_data = {}                # name -> {(i, j): scalar}
+    rep_data = {}                   # name -> {i: (line number, matrix)}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        words = line.split()
+        head = words[0]
+
+        if head == "format":
+            if words[1:] != ["1"]:
+                raise FormatError(lineno, f"unsupported format version {line!r}")
+            continue
+
+        if head == "field":
+            if field_seen:
+                raise FormatError(lineno, "duplicate field declaration")
+            if words[1:] == ["rational"]:
+                af.p = 0
+            elif (len(words) == 3 and words[1] == "gf" and words[2].isascii()
+                  and words[2].isdecimal()):
+                try:
+                    # int() raises ValueError on very long digit strings
+                    p = int(words[2])
+                    check_characteristic(p)
+                except ValueError as exc:
+                    raise FormatError(lineno, str(exc))
+                af.p = p
+            else:
+                raise FormatError(lineno, f"bad field declaration {line!r}")
+            field_seen = True
+            continue
+
+        if head == "dim" or head == "vdim":
+            # ASCII digits only: int() also reads other scripts' digits
+            digits = words[1].lstrip("0") if len(words) == 2 else ""
+            if not (digits.isascii() and digits.isdecimal()):
+                raise FormatError(lineno, f"bad {head} declaration {line!r}")
+            if getattr(af, head) is not None:
+                raise FormatError(lineno, f"duplicate {head} declaration")
+            # compare lengths first: int() refuses very long digit strings
+            if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+                raise FormatError(lineno, f"{head} {words[1]} exceeds the largest "
+                                          f"supported dimension {MAX_DIM}")
+            setattr(af, head, int(digits))
+            continue
+
+        if not field_seen:
+            raise FormatError(lineno, "field must be declared first")
+        if af.dim is None:
+            raise FormatError(lineno, "dim must be declared before data")
+
+        if head == "op":
+            if len(words) == 2:
+                name, size = words[1], "dim"
+            elif len(words) == 3 and words[2] == "vdim":
+                name, size = words[1], "vdim"
+                if af.vdim is None:
+                    raise FormatError(lineno, "op on vdim but no vdim declared")
+            else:
+                raise FormatError(lineno, f"bad op declaration {line!r}")
+            if name in op_sizes or name in comul_names:
+                raise FormatError(lineno, f"duplicate name {name!r}")
+            op_sizes[name] = size
+            op_data[name] = {}
+            continue
+
+        if head == "comul":
+            if len(words) != 2:
+                raise FormatError(lineno, f"bad comul declaration {line!r}")
+            name = words[1]
+            if name in comul_names or name in op_sizes:
+                raise FormatError(lineno, f"duplicate name {name!r}")
+            comul_names.add(name)
+            comul_data[name] = {}
+            continue
+
+        if head == "tensor":
+            # tensor NAME: ei ej = c
+            rest = line[len("tensor"):].strip()
+            if ":" not in rest:
+                raise FormatError(lineno, "tensor line needs 'NAME: ei ej = c'")
+            name, body = rest.split(":", 1)
+            name = name.strip()
+            lhs, _, rhs = body.partition("=")
+            toks = lhs.split()
+            if len(toks) != 2 or not rhs.strip():
+                raise FormatError(lineno, "tensor line needs 'NAME: ei ej = c'")
+            i = _parse_basis(toks[0], af.dim, lineno)
+            j = _parse_basis(toks[1], af.dim, lineno)
+            entry = tensor_data.setdefault(name, {})
+            if (i, j) in entry:
+                raise FormatError(lineno, f"duplicate tensor entry {toks[0]} {toks[1]}")
+            entry[(i, j)] = _scalar_token(rhs, af.p, lineno)
+            continue
+
+        if head == "rep":
+            # rep NAME [vdim] ei = [matrix]
+            rest = line[len("rep"):].strip()
+            lhs, eq, rhs = rest.partition("=")
+            toks = lhs.split()
+            if len(toks) == 3 and toks[1] == "vdim":
+                if af.vdim is None:
+                    raise FormatError(lineno, "rep on vdim but no vdim declared")
+                name, space, size = toks[0], "vdim", af.vdim
+                btok = toks[2]
+            elif len(toks) == 2:
+                name, space, size = toks[0], "dim", af.dim
+                btok = toks[1]
+            else:
+                raise FormatError(lineno, "rep line needs 'rep NAME [vdim] ei = [matrix]'")
+            if not eq:
+                raise FormatError(lineno, "rep line needs 'rep NAME [vdim] ei = [matrix]'")
+            if af.rep_spaces.setdefault(name, space) != space:
+                raise FormatError(lineno, f"rep {name!r} mixes index spaces")
+            i = _parse_basis(btok, size, lineno)
+            mat = _scalar_matrix(rhs, af.p, lineno)
+            entry = rep_data.setdefault(name, {})
+            if i in entry:
+                raise FormatError(lineno, f"duplicate rep matrix for {btok}")
+            entry[i] = (lineno, mat)
+            continue
+
+        if head == "map":
+            rest = line[len("map"):].strip()
+            lhs, eq, rhs = rest.partition("=")
+            name = lhs.strip()
+            if not name or not eq:
+                raise FormatError(lineno, "map line needs 'map NAME = [matrix]'")
+            if name in af.maps:
+                raise FormatError(lineno, f"duplicate map {name!r}")
+            af.maps[name] = _scalar_matrix(rhs, af.p, lineno)
+            continue
+
+        # data line: 'name: ...'
+        if ":" in line:
+            name, body = line.split(":", 1)
+            name = name.strip()
+            if name in op_sizes:
+                size = af.dim if op_sizes[name] == "dim" else af.vdim
+                lhs, eq, rhs = body.partition("=")
+                toks = lhs.split()
+                if len(toks) != 2 or not eq:
+                    raise FormatError(lineno, "product line needs 'NAME: ei ej = terms'")
+                i = _parse_basis(toks[0], size, lineno)
+                j = _parse_basis(toks[1], size, lineno)
+                if (i, j) in op_data[name]:
+                    raise FormatError(lineno, f"duplicate product {toks[0]} {toks[1]}")
+                op_data[name][(i, j)] = _scalar_terms(rhs, size, af.p, lineno, arity=1)
+                continue
+            if name in comul_names:
+                lhs, eq, rhs = body.partition("=")
+                toks = lhs.split()
+                if len(toks) != 1 or not eq:
+                    raise FormatError(lineno, "comul line needs 'NAME: ei = terms'")
+                i = _parse_basis(toks[0], af.dim, lineno)
+                if i in comul_data[name]:
+                    raise FormatError(lineno, f"duplicate comultiplication of {toks[0]}")
+                comul_data[name][i] = _scalar_terms(rhs, af.dim, af.p, lineno, arity=2)
+                continue
+            raise FormatError(lineno, f"data line for undeclared name {name!r}")
+
+        raise FormatError(lineno, f"unrecognized line {line!r}")
+
+    if not field_seen:
+        raise FormatError(1, "missing field declaration")
+    if af.dim is None:
+        raise FormatError(1, "missing dim declaration")
+
+    for name, size_kind in op_sizes.items():
+        size = af.dim if size_kind == "dim" else af.vdim
+        entries = {}
+        for (i, j), terms in op_data[name].items():
+            for idx, coef in terms:
+                key = (i, j, idx[0])
+                entries[key] = entries.get(key, zero(af.p)) + coef
+        af.ops[name] = MulTensor.from_entries(size, entries, af.p)
+
+    for name in comul_names:
+        entries = {}
+        for i, terms in comul_data[name].items():
+            for idx, coef in terms:
+                key = (i, idx[0], idx[1])
+                entries[key] = entries.get(key, zero(af.p)) + coef
+        af.comuls[name] = Comultiplication.from_entries(af.dim, entries, af.p)
+
+    for name, entries in tensor_data.items():
+        af.tensors[name] = RTensor.from_entries(af.dim, entries, af.p)
+
+    for name, by_index in rep_data.items():
+        m = len(next(iter(by_index.values()))[1])
+        for lineno, mat in by_index.values():
+            if len(mat) != m or len(mat[0]) != m:
+                raise FormatError(lineno, f"rep {name!r} matrices disagree in size")
+        count = af.dim if af.rep_spaces[name] == "dim" else af.vdim
+        fam = [by_index[i][1] if i in by_index else mat_zero(m, m, af.p)
+               for i in range(count)]
+        af.reps[name] = fam
+
+    return af
+
+
+def _scalar_terms(rhs, size, p, lineno, arity):
+    """'1 e2 + -1/2 e1' (arity 1) or '1 e1 e2 + ...' (arity 2); also '0'."""
+    rhs = rhs.strip()
+    if rhs == "0":
+        return []
+    terms = []
+    for part in rhs.split("+"):
+        toks = part.split()
+        if len(toks) != 1 + arity:
+            raise FormatError(lineno, f"bad term {part.strip()!r}")
+        coef = _scalar_token(toks[0], p, lineno)
+        idx = tuple(_parse_basis(t, size, lineno) for t in toks[1:])
+        terms.append((idx, coef))
+    return terms

@@ -465,3 +465,45 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("OK adm-poisson")
+
+
+def _annihilator_file(field, lam):
+    """A dense-enough valid input for the checks below: on e1 = t, e2 = t^2,
+    e3 = t^3, e4 = u, e5 = v, t^a t^b = lam t^(a+b) (commutative and
+    associative, so admissible-Poisson) with annihilator span(e3, e4, e5),
+    the adjoint representation, and a skew r in annihilator (x) annihilator,
+    so that every Yang-Baxter and coboundary product of r vanishes."""
+    lines = [f"field {field}", "dim 5", "vdim 5", "op star",
+             f"star: e1 e1 = {lam} e2", f"star: e1 e2 = {lam} e3", f"star: e2 e1 = {lam} e3"]
+    for name, (i, j) in (("l", (0, 1)), ("r", (1, 0))):
+        for x in range(5):
+            mat = [[0] * 5 for _ in range(5)]
+            for y, z in ((0, 1), (1, 2)) if x == 0 else ((0, 2),) if x == 1 else ():
+                mat[z][y] = lam
+            lines.append(f"rep {name} e{x + 1} = [" + " ; ".join(
+                ",".join(str(c) for c in row) for row in mat) + "]")
+    lines += ["tensor r: e3 e4 = 3/4", "tensor r: e4 e3 = -3/4",
+              "tensor r: e4 e5 = -5/7", "tensor r: e5 e4 = 5/7"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field,lam", [("rational", "3/2"), ("gf 10007", "5005")])
+def test_passing_checks_make_no_scalars(tmp_path, monkeypatch, capsys, field, lam):
+    """From the parser to the verdict, a passing check runs on integer
+    arrays: it builds no Scalar, not even the shared zero and one."""
+    from admpoisson import scalars
+    path = tmp_path / "a.alg"
+    path.write_text(_annihilator_file(field, lam))
+    made = []
+    make, init = scalars._make, scalars.Scalar.__init__
+    monkeypatch.setattr(scalars, "_make", lambda *a: made.append(a) or make(*a))
+    monkeypatch.setattr(scalars.Scalar, "__init__",
+                        lambda self, *a: made.append(a) or init(self, *a))
+    for predicate in ("adm-poisson", "poisson", "rep", "adm-pybe", "cosp"):
+        assert run_command(["check", predicate, str(path)]) == 0, predicate
+        assert capsys.readouterr().out.startswith(f"OK {predicate} (dim 5")
+    assert made == []
+    # the counters see the Scalars a failing check builds for its witness
+    path.write_text(_annihilator_file(field, lam).replace("star: e2 e1", "star: e2 e2"))
+    assert run_command(["check", "adm-poisson", str(path)]) == 1
+    assert made

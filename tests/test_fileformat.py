@@ -12,7 +12,9 @@ from admpoisson.fileformat import (MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile,
                                    FormatError, parse_file, print_file,
                                    read_file, write_file)
 
+import oracles
 from oracles import product, rand_mul, rand_mat
+from test_cli import grammar_files
 
 
 SAMPLE = """\
@@ -206,3 +208,67 @@ def test_parse_raises_only_format_errors_and_print_parse_is_idempotent(text):
         return
     printed = print_file(af)
     assert print_file(parse_file(printed)) == printed
+
+
+# ---------------------------------------------------------------------------
+# the integer parser against the Scalar parser it replaced
+
+
+def parse_outcome(parse, text):
+    """(the AlgebraFile, its printed text) or (FormatError message, line)."""
+    try:
+        af = parse(text)
+    except FormatError as exc:
+        return str(exc), exc.lineno
+    return af, print_file(af)
+
+
+def assert_parsers_agree(text):
+    new = parse_outcome(parse_file, text)
+    assert new == parse_outcome(oracles.parse_file_scalars, text)
+    return new
+
+
+def test_parsers_agree_on_the_corpus():
+    outcomes = [assert_parsers_agree(text)[0] for text in CORPUS_TEXTS]
+    assert sum(isinstance(af, AlgebraFile) for af in outcomes) == len(CORPUS_TEXTS) - 1
+
+
+def _one_op(field, rhs):
+    return f"field {field}\ndim 2\nop star\nstar: e1 e2 = {rhs}\n"
+
+
+@pytest.mark.parametrize("field", ["rational", "gf 5", f"gf {2 ** 31 - 1}"])
+@pytest.mark.parametrize("rhs", [
+    "1/2 e1 + 1/2 e1", "1 e1 + -1 e1", "3/-4 e2", "0/7 e1", "0",
+    "12345678901234567890 e1 + -98765432109876543210/7 e2",
+    "1/12345678901234567890 e2 + 2147483646/2147483645 e1 + -1/3 e1",
+    "1/5 e1", "1/0 e1", "1/2147483647 e2", "x e1", "1 e3", "1 e1 +2 e2", "1 e1 + + 2 e2",
+    "1 e01 + 2 e2", "1/2/3 e1", "/3 e1", "1_0 e2 + \u0663 e1", "1 e1 e2",
+])
+def test_parsers_agree_on_coefficients(field, rhs):
+    assert_parsers_agree(_one_op(field, rhs))
+
+
+@pytest.mark.parametrize("field", ["rational", "gf 11", f"gf {2 ** 31 - 1}"])
+def test_parsers_agree_on_families_maps_tensors_and_comultiplications(field):
+    text = (f"field {field}\ndim 2\nvdim 3\n"
+            "rep l e2 = [1/2,-3 ; 12345678901234567890/9,0]\n"
+            "rep l e1 = [0,1 ; 2,3/4]\n"
+            "rep m vdim e3 = [1,2,3 ; 4,5,6 ; 7,8,-9/2]\n"
+            "map theta = [1/3,2,0 ; -4/6,5,2147483648]\n"
+            "tensor r: e2 e1 = -7/21\n"
+            "comul alpha\n"
+            "alpha: e1 = 1/2 e1 e2 + -1 e2 e1 + 1/2 e1 e2\n"
+            "alpha: e2 = 99999999999999999999 e2 e2\n")
+    af, _ = assert_parsers_agree(text)
+    assert set(af.reps) == {"l", "m"} and af.reps["m"].num.shape == (3, 3, 3)
+    for bad in ("rep l e1 = [1,2]\n", "map t = [1/0]\n", "tensor r: e1 e1 = 7/7\n",
+                "alpha: e1 = 1 e1\n", "map t = [1 ; 2,3]\n"):
+        assert_parsers_agree(text + bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_files() | mangled_files())
+def test_parsers_agree_on_the_line_grammar(text):
+    assert_parsers_agree(text)

@@ -29,8 +29,8 @@ import pytest
 
 import oracles
 from admpoisson.scalars import Scalar
-from admpoisson.tensors import (Identity, MulTensor, Terms, Tensor3, _overflow_bound,
-                                check_identities, evaluate_scalars, exact_operands)
+from admpoisson.tensors import (Exact, Identity, MulTensor, Terms, Tensor3, _overflow_bound,
+                                check_identities, evaluate, exact_operands)
 from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra, PoissonAlgebra,
                                  check_adm_poisson, check_poisson, depolarize_raw,
                                  polarize_raw)
@@ -340,8 +340,8 @@ def test_slot_products_and_ybe_operators(p):
         m = valid_algebra(n, p, rng)
         ra, rb = matrix(rng, n, n, p), matrix(rng, n, n, p)
         for slots, text in SLOT_PATTERNS.items():
-            assert Tensor3(n, p, evaluate_scalars(Terms(text, "xyz"),
-                                                  {"a": ra, "b": rb, "m": m.c}, p)) == \
+            assert Tensor3(n, p, evaluate(Terms(text, "xyz"),
+                                          {"a": ra, "b": rb, "m": m.c}, p)) == \
                 oracles.tensor3_product(ra, rb, m, slots)
         r = RTensor(ra, p)
         for which in "PQAC":
@@ -664,7 +664,7 @@ def valid_candidates(p, rng):
 
 
 def table_pre(tables, operands, n, p):
-    return PreAdmPoisson.raw(*(MulTensor(n, p, evaluate_scalars(t, operands, p))
+    return PreAdmPoisson.raw(*(MulTensor(n, p, evaluate(t, operands, p))
                                for t in tables))
 
 
@@ -712,7 +712,7 @@ def test_coboundary_correspondence(p):
             for r in (RTensor(matrix(rng, n, n, p), p), random_skew(rng, n, p)):
                 ops = {"m": star.c, "r": r.coeff,
                        "e": [[Scalar(int(i == j), 1, p) for j in range(n)] for i in range(n)]}
-                (a1, b1), (a2, b2) = [[np.array(evaluate_scalars(t, ops, p), dtype=object)
+                (a1, b1), (a2, b2) = [[np.array(evaluate(t, ops, p).scalars(), dtype=object)
                                        for t in system] for system in CORRESPONDENCE]
                 rows, rhs = oracles.correspondence_system(a, r)
                 assert np.stack([a1, a2], axis=3).reshape(-1, n * n).tolist() == rows
@@ -832,7 +832,7 @@ def test_one_structure_on_both_sides_of_the_int64_bound(p, den, n, upward):
     for entries in (star, {**star, (n - 1, 0, 0): top}, noise, full,
                     {**full, (0, n - 1, 0): 0}):
         m = scaled(n, entries, lam, den, p)
-        assert dtype_of({"c": m.c}, p, [ADM_POISSON.residual]) == want
+        assert dtype_of({"c": m.exact}, p, [ADM_POISSON.residual]) == want
         verdicts.append(same(check_adm_poisson(m), oracles.check_adm_poisson(m)).holds)
     assert verdicts[0] and not verdicts[1] and not verdicts[4]
 
@@ -844,7 +844,7 @@ def test_one_structure_on_both_sides_of_the_int64_bound(p, den, n, upward):
     for b, o in ((bracket, circ), (bracket, {**circ, (0, n - 1, 0): 1}),
                  ({}, ones), ({}, {**ones, (0, n - 1, 0): 0})):
         b, o = scaled(n, b, lam, den, p), scaled(n, o, lam, den, p)
-        assert dtype_of({"b": b.c, "o": o.c}, p, sides) == want
+        assert dtype_of({"b": b.exact, "o": o.exact}, p, sides) == want
         verdicts.append(same(check_poisson(b, o), oracles.check_poisson(b, o)).holds)
     assert verdicts[5] and not verdicts[6] and verdicts[7] and not verdicts[8]
 
@@ -853,7 +853,7 @@ def test_one_structure_on_both_sides_of_the_int64_bound(p, den, n, upward):
     m = scaled(n, circ, lam, den, p)
     r = RTensor([[Scalar(lam * rng.choice([0, 1]), den, p) for _ in range(n)]
                  for _ in range(n)], p)
-    assert dtype_of({"a": r.coeff, "b": r.coeff, "m": m.c}, p,
+    assert dtype_of({"a": r.exact, "b": r.exact, "m": m.exact}, p,
                     [YBE_OPERATORS["P"]]) == want
     assert ybe_operator(m, r, "P") == oracles.ybe_operator(m, r, "P")
 
@@ -875,12 +875,12 @@ def test_partial_sums_reach_the_int64_bound(text, out, n, den):
     limit = largest_int64_maxabs([terms], n, 0)
     for lam, want in ((coprime_scale(limit, den, False), np.int64),
                       (coprime_scale(limit, den, True), object)):
-        ops = {name: np.full((n,) * rank, Scalar(lam, den), dtype=object).tolist()
+        ops = {name: Exact(np.full((n,) * rank, lam, dtype=object), den)
                for name, rank in terms.ranks.items()}
         peak = terms.weight * lam ** degree * n ** terms.summed
         assert INT64_MAX // 2 < peak
         assert dtype_of(ops, 0, [terms]) == want
-        got = np.array(evaluate_scalars(terms, ops, 0), dtype=object)
+        got = np.array(evaluate(terms, ops, 0).scalars(), dtype=object)
         assert got.shape == (n,) * len(out)
         assert all(s == Scalar(peak, den ** degree) for s in got.ravel())
 
@@ -900,7 +900,7 @@ def test_ten_digit_rationals_stay_exact(n):
     bracket, circ = unit_pair(n)
     star = MulTensor.from_entries(n, {key: big() * Scalar(v) for key, v in
                                       {**circ, **bracket}.items()})
-    assert dtype_of({"c": star.c}, 0, [ADM_POISSON.residual]) == object
+    assert dtype_of({"c": star.exact}, 0, [ADM_POISSON.residual]) == object
     same(check_adm_poisson(star), oracles.check_adm_poisson(star))
     dense = MulTensor(n, 0, [[[big() for _ in range(n)] for _ in range(n)]
                              for _ in range(n)])

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from admpoisson.scalars import Scalar, zero, one, of
-from admpoisson.tensors import (MulTensor, Tensor3, Terms, evaluate_scalars, identity,
+from admpoisson.tensors import (Exact, MulTensor, Tensor3, Terms, evaluate, identity,
                                 solve)
 from admpoisson.algebras import AdmPoissonAlgebra
 from admpoisson.representations import Representation, adjoint_families, dual_rep
@@ -198,7 +199,7 @@ def test_tensor3_product_matches_formal_unit_oracle(slots):
             m = rand_mul(rng, 2, p)
             ra = rand_mat(rng, 2, 2, p)
             rb = rand_mat(rng, 2, 2, p)
-            got = Tensor3(2, p, evaluate_scalars(terms, {"a": ra, "b": rb, "m": m.c}, p))
+            got = Tensor3(2, p, evaluate(terms, {"a": ra, "b": rb, "m": m.c}, p))
             want = slot_product_oracle(ra, rb, m, slots)
             assert got == want, f"pattern {slots} disagrees with oracle"
             assert oracles.tensor3_product(ra, rb, m, slots) == want
@@ -220,4 +221,26 @@ def test_from_entries_and_first_nonzero():
                                                              [Scalar(4, 1, 5), zero(5)]]
     t = Tensor3(2, 5)
     assert first_nonzero(t) is None and t.is_zero()
-    assert identity(2, 5).tolist() == [[one(5), zero(5)], [zero(5), one(5)]]
+    assert identity(2, 5).scalars() == [[one(5), zero(5)], [zero(5), one(5)]]
+
+
+def test_exact_arrays_are_canonical():
+    """One value, one (p, shape, den, num): equal arrays hash alike whatever
+    their denominator was; int64 holds entries and p below 2**31, Python
+    ints the rest; sums that leave int64 and huge moduli stay exact."""
+    a = Exact([[2, -4], [0, 6]], -8)
+    assert (a.den, a.num.tolist(), a.maxabs) == (4, [[-1, 2], [0, -3]], 3)
+    assert a == Exact([[-1, 2], [0, -3]], 4) and hash(a) == hash(Exact([[-3, 6], [0, -9]], 12))
+    assert a != Exact([[-1, 2], [0, -3]], 4, 5) and Exact([0, 0], 7).den == 1
+    assert Exact([3, -1, 12], 2, 5).num.tolist() == [4, 2, 1]       # 3/2, -1/2, 6 mod 5
+    assert a.scalars() == [[Scalar(-1, 4), Scalar(1, 2)], [zero(), Scalar(-3, 4)]] == a
+    big = 2 ** 31
+    assert Exact([big - 1]).num.dtype == np.int64 and Exact([big]).num.dtype == object
+    assert Exact([1], 1, 2 ** 31 + 11).num.dtype == object
+    s = Exact([big - 1], 3) + Exact([big - 1], 5)
+    assert s.num.tolist() == [8 * (big - 1)] and s.den == 15
+    assert (Exact([1, 2], 1, 7) - Exact([3, 2], 1, 7)) / 2 == Exact([6, 0], 1, 7)
+    with pytest.raises(ValueError):
+        a.num[0, 0] = 5
+    with pytest.raises(AttributeError):
+        a.den = 1
