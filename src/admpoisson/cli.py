@@ -9,6 +9,7 @@ the file format's e1-style basis naming.
 
 import argparse
 import sys
+from functools import partial
 
 from .scalars import check_characteristic
 from .tensors import ShapeError
@@ -28,7 +29,7 @@ from .ooperators import (OOperatorCandidate, check_o_operator,
                          PreAdmPoisson, check_pre_adm_poisson,
                          subadjacent_raw, PrePoisson, check_pre_poisson,
                          induced_pre_from_o_operator, canonical_solution)
-from .fileformat import AlgebraFile, FormatError, parse_file, print_file
+from .fileformat import AlgebraFile, FormatError, entry_strings, parse_file, print_file
 from . import search as searchmod
 
 
@@ -36,30 +37,25 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
+class Failed(Exception):
+    """A failed prerequisite or predicate, carrying its witness line; maps
+    to exit code 1."""
+
+
 def _fmt_value(v):
-    if isinstance(v, list):
-        return "[" + ", ".join(_fmt_value(x) for x in v) + "]"
-    return str(v)
+    """Nested lists of entry strings (entry_strings of a witness side)."""
+    return "[" + ", ".join(map(_fmt_value, v)) + "]" if isinstance(v, list) else v or "0"
 
 
-def _fmt_witness(report):
-    name, idx, lhs, rhs = report.witness
+def _require(report, tag=None):
+    """Raise Failed with the witness of a failing report, its name prefixed
+    with 'tag:' when given."""
+    if report.holds:
+        return
+    name, idx, *sides = (report.tagged(tag) if tag else report).witness
+    lhs, rhs = (_fmt_value(entry_strings(x, x.p).tolist()) for x in sides)
     pos = "(" + ",".join(str(i + 1) for i in idx) + ")"
-    return f"FAIL {name} at {pos}: lhs={_fmt_value(lhs)} rhs={_fmt_value(rhs)}"
-
-
-def _failed(report):
-    """Print the witness of a failing report; whether it failed."""
-    if not report.holds:
-        print(_fmt_witness(report))
-    return not report.holds
-
-
-def _emit(report, ok_line):
-    if _failed(report):
-        return 1
-    print(ok_line)
-    return 0
+    raise Failed(f"FAIL {name} at {pos}: lhs={lhs} rhs={rhs}")
 
 
 def _lookup(table, what, names, single_ok):
@@ -93,235 +89,170 @@ def _get_comul(af, *names):
     return _lookup(af.comuls, "a comultiplication", names, len(names) == 1)
 
 
-def _require_adm(af):
+# ------------------------------------------------------------- prerequisites
+# each checks one structure of the file and raises Failed when it fails
+
+
+def _adm(af):
     star = _get_op(af, "star")
-    return None if _failed(check_adm_poisson(star)) else AdmPoissonAlgebra.raw(star)
+    _require(check_adm_poisson(star))
+    return AdmPoissonAlgebra.raw(star)
 
 
-def _file_rep(af, alg):
-    return Representation.raw(alg, _get_rep_family(af, "l", "L"),
-                              _get_rep_family(af, "r", "R"))
+def _rep(af, alg, tag=None):
+    rep = Representation.raw(alg, _get_rep_family(af, "l", "L"),
+                             _get_rep_family(af, "r", "R"))
+    _require(check_representation(rep), tag)
+    return rep
 
 
-def _poisson_algebra(af):
-    """A (bracket, circ) pair, polarizing a single 'star' if necessary."""
+def _poisson(af):
+    """The (bracket, circ) pair, polarizing a single 'star' if necessary."""
     if "bracket" in af.ops or "circ" in af.ops:
-        br = _get_op(af, "bracket")
-        circ = _get_op(af, "circ")
+        br, circ = _get_op(af, "bracket"), _get_op(af, "circ")
     else:
         br, circ = polarize_raw(_get_op(af, "star"))
-    return br, circ
+    _require(check_poisson(br, circ))
+    return PoissonAlgebra.raw(br, circ)
 
 
-def _require_poisson(af):
-    br, circ = _poisson_algebra(af)
-    return None if _failed(check_poisson(br, circ)) else PoissonAlgebra.raw(br, circ)
-
-
-# ---------------------------------------------------------------- predicates
-
-def _check_adm_poisson(af):
-    star = _get_op(af, "star")
-    n = star.n
-    return _emit(check_adm_poisson(star),
-                 f"OK adm-poisson (dim {n}, {n ** 3} triples checked)")
-
-
-def _check_poisson(af):
-    br, circ = _poisson_algebra(af)
-    n = br.n
-    return _emit(check_poisson(br, circ),
-                 f"OK poisson (dim {n}, {n ** 3} triples checked)")
-
-
-def _check_rep(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return 1
-    rep = _file_rep(af, alg)
-    n = alg.n
-    return _emit(check_representation(rep),
-                 f"OK rep (dim {n}, module dim {rep.vdim}, "
-                 f"{n * n} pairs checked)")
-
-
-def _matched_pair_data(af):
+def _matched_pair(af):
     if af.vdim is None:
         raise InputError("matched-pair files need both dim and vdim")
     s1 = _get_op(af, "star1")
     s2 = _get_op(af, "star2")
     if s1.n != af.dim or s2.n != af.vdim:
         raise InputError("star1 must live on dim, star2 on vdim")
-    l1 = _get_rep_family(af, "l1")
-    r1 = _get_rep_family(af, "r1")
-    l2 = _get_rep_family(af, "l2")
-    r2 = _get_rep_family(af, "r2")
-    for name, fam, count, size in (("l1", l1, af.dim, af.vdim),
-                                   ("r1", r1, af.dim, af.vdim),
-                                   ("l2", l2, af.vdim, af.dim),
-                                   ("r2", r2, af.vdim, af.dim)):
+    fams = {name: _get_rep_family(af, name) for name in ("l1", "r1", "l2", "r2")}
+    for name, fam in fams.items():
+        count, size = (af.dim, af.vdim) if name.endswith("1") else (af.vdim, af.dim)
         if fam.num.shape[:2] != (count, size):
             raise InputError(f"rep {name} has the wrong shape "
                              f"(need {count} matrices of size {size}; "
                              f"declare l2/r2 with 'rep NAME vdim ei = ...')")
-    p1 = AdmPoissonAlgebra.raw(s1)
-    p2 = AdmPoissonAlgebra.raw(s2)
-    for tag, m in (("star1", s1), ("star2", s2)):
-        report = check_adm_poisson(m).tagged(tag)
-        if not report.holds:
-            return None, report
-    return MatchedPairData(p1, p2, l1, r1, l2, r2), report
+    _require(check_adm_poisson(s1), "star1")
+    _require(check_adm_poisson(s2), "star2")
+    return MatchedPairData(AdmPoissonAlgebra.raw(s1), AdmPoissonAlgebra.raw(s2), **fams)
+
+
+def _o_operator(af):
+    """The O-operator candidate of the file, its algebra and action checked."""
+    if af.vdim is None:
+        raise InputError("o-operator files need both dim and vdim")
+    alg = _adm(af)
+    rep = _rep(af, alg, "rep")
+    theta = _get_map(af, "theta")
+    if theta.num.shape != (alg.n, rep.vdim):
+        raise InputError("theta must be a dim x vdim matrix")
+    return OOperatorCandidate(alg, rep, theta)
+
+
+def _pre(af):
+    pre = PreAdmPoisson.raw(_get_op(af, "succ"), _get_op(af, "prec"))
+    _require(check_pre_adm_poisson(pre))
+    return pre
+
+
+def _as_input_error(check, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError an input error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
+# ------------------------------------------------- predicates: their OK line
+
+def _check_adm_poisson(af):
+    n = _adm(af).n
+    return f"OK adm-poisson (dim {n}, {n ** 3} triples checked)"
+
+
+def _check_poisson(af):
+    n = _poisson(af).n
+    return f"OK poisson (dim {n}, {n ** 3} triples checked)"
+
+
+def _check_rep(af):
+    alg = _adm(af)
+    rep = _rep(af, alg)
+    return f"OK rep (dim {alg.n}, module dim {rep.vdim}, {alg.n * alg.n} pairs checked)"
 
 
 def _check_matched_pair(af):
-    mp, report = _matched_pair_data(af)
-    if _failed(report):
-        return 1
-    return _emit(check_matched_pair(mp),
-                 f"OK matched-pair (dims {mp.p1.n}+{mp.p2.n}, "
-                 f"6 identities checked)")
+    mp = _matched_pair(af)
+    _require(check_matched_pair(mp))
+    return f"OK matched-pair (dims {mp.p1.n}+{mp.p2.n}, 6 identities checked)"
 
 
 def _check_invariant_form(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return 1
+    alg = _adm(af)
     gram = _get_map(af, "form", "B")
     if gram.num.shape != (alg.n, alg.n):
         raise InputError("form matrix must be square of the algebra dimension")
-    form = BilinearForm(gram, alg.p)
-    return _emit(check_invariant_form(alg, form),
-                 f"OK invariant-form (dim {alg.n}, "
-                 f"{alg.n ** 3} triples checked)")
+    _require(check_invariant_form(alg, BilinearForm(gram, alg.p)))
+    return f"OK invariant-form (dim {alg.n}, {alg.n ** 3} triples checked)"
 
 
 def _check_bialgebra(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return 1
-    c = _get_comul(af, "alpha")
-    return _emit(check_adm_bialgebra(alg, c),
-                 f"OK bialgebra (dim {alg.n})")
+    alg = _adm(af)
+    _require(check_adm_bialgebra(alg, _get_comul(af, "alpha")))
+    return f"OK bialgebra (dim {alg.n})"
 
 
 def _check_poisson_bialgebra(af):
-    palg = _require_poisson(af)
-    if palg is None:
-        return 1
+    palg = _poisson(af)
     delta = _get_comul(af, "delta")
     Delta = _get_comul(af, "Delta")
     try:
         pair = PoissonComultiplicationPair(delta, Delta)
     except ValueError as exc:
-        print(f"FAIL comultiplication-symmetry at (1): {exc}")
-        return 1
-    return _emit(check_poisson_bialgebra(palg, pair),
-                 f"OK poisson-bialgebra (dim {palg.n})")
+        raise Failed(f"FAIL comultiplication-symmetry at (1): {exc}")
+    _require(check_poisson_bialgebra(palg, pair))
+    return f"OK poisson-bialgebra (dim {palg.n})"
 
 
-def _check_ybe_kind(kind):
+def _check_ybe(name):
     def run(af):
         r = _get_tensor(af)
-        if kind == "adm_pybe":
-            alg = _require_adm(af)
-            if alg is None:
-                return 1
-            return _emit(check_ybe(alg, r, kind),
-                         f"OK adm-pybe (dim {alg.n})")
-        palg = _require_poisson(af)
-        if palg is None:
-            return 1
-        return _emit(check_ybe(palg, r, kind), f"OK {kind} (dim {palg.n})")
+        alg = _adm(af) if name == "adm-pybe" else _poisson(af)
+        _require(check_ybe(alg, r, name.replace("-", "_")))
+        return f"OK {name} (dim {alg.n})"
     return run
 
 
-def _check_coboundary(which):
+def _check_on_r(name, check):
     def run(af):
-        alg = _require_adm(af)
-        if alg is None:
-            return 1
-        r = _get_tensor(af)
-        return _emit(check_coboundary_conditions(alg, r, which),
-                     f"OK {which} (dim {alg.n})")
+        alg = _adm(af)
+        _require(_as_input_error(check, alg, _get_tensor(af)))
+        return f"OK {name} (dim {alg.n})"
     return run
-
-
-def _o_operator_candidate(af):
-    if af.vdim is None:
-        raise InputError("o-operator files need both dim and vdim")
-    star = _get_op(af, "star")
-    report = check_adm_poisson(star)
-    if not report.holds:
-        return None, report
-    alg = AdmPoissonAlgebra.raw(star)
-    rep = _file_rep(af, alg)
-    report = check_representation(rep).tagged("rep")
-    if not report.holds:
-        return None, report
-    theta = _get_map(af, "theta")
-    if theta.num.shape != (alg.n, rep.vdim):
-        raise InputError("theta must be a dim x vdim matrix")
-    return OOperatorCandidate(alg, rep, theta), report
 
 
 def _check_o_operator(af):
-    cand, report = _o_operator_candidate(af)
-    if _failed(report):
-        return 1
-    return _emit(check_o_operator(cand),
-                 f"OK o-operator (dim {cand.alg.n}, module dim "
-                 f"{cand.rep.vdim})")
+    cand = _o_operator(af)
+    _require(check_o_operator(cand))
+    return f"OK o-operator (dim {cand.alg.n}, module dim {cand.rep.vdim})"
 
 
 def _check_rota_baxter(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return 1
+    alg = _adm(af)
     R = _get_map(af, "R", "theta")
     if R.num.shape != (alg.n, alg.n):
         raise InputError("Rota-Baxter map must be square of the algebra dimension")
-    return _emit(check_rota_baxter(alg, R),
-                 f"OK rota-baxter (dim {alg.n})")
+    _require(check_rota_baxter(alg, R))
+    return f"OK rota-baxter (dim {alg.n})"
 
 
 def _check_pre_adm(af):
-    succ = _get_op(af, "succ")
-    prec = _get_op(af, "prec")
-    pre = PreAdmPoisson.raw(succ, prec)
-    return _emit(check_pre_adm_poisson(pre),
-                 f"OK pre-adm (dim {succ.n}, {succ.n ** 3} triples checked)")
+    n = _pre(af).n
+    return f"OK pre-adm (dim {n}, {n ** 3} triples checked)"
 
 
 def _check_pre_poisson(af):
     dot = _get_op(af, "dot")
-    ast = _get_op(af, "ast")
-    q = PrePoisson.raw(dot, ast)
-    return _emit(check_pre_poisson(q),
-                 f"OK pre-poisson (dim {dot.n}, {dot.n ** 3} triples checked)")
-
-
-def _check_operator_form(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return 1
-    r = _get_tensor(af)
-    try:
-        report = operator_form_check(alg, r)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    return _emit(report, f"OK operator-form (dim {alg.n})")
-
-
-def _check_cyclic_form(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return 1
-    r = _get_tensor(af)
-    try:
-        report = cyclic_form_check(alg, r)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    return _emit(report, f"OK cyclic-form (dim {alg.n})")
+    _require(check_pre_poisson(PrePoisson.raw(dot, _get_op(af, "ast"))))
+    return f"OK pre-poisson (dim {dot.n}, {dot.n ** 3} triples checked)"
 
 
 PREDICATES = {
@@ -332,22 +263,15 @@ PREDICATES = {
     "invariant-form": _check_invariant_form,
     "bialgebra": _check_bialgebra,
     "poisson-bialgebra": _check_poisson_bialgebra,
-    "adm-pybe": _check_ybe_kind("adm_pybe"),
-    "cybe": _check_ybe_kind("cybe"),
-    "aybe": _check_ybe_kind("aybe"),
-    "pybe": _check_ybe_kind("pybe"),
-    "con1": _check_coboundary("con1"),
-    "eqv1": _check_coboundary("eqv1"),
-    "eqv2": _check_coboundary("eqv2"),
-    "eqv3": _check_coboundary("eqv3"),
-    "cosp": _check_coboundary("cosp"),
-    "cosp2": _check_coboundary("cosp2"),
+    **{name: _check_ybe(name) for name in ("adm-pybe", "cybe", "aybe", "pybe")},
+    **{name: _check_on_r(name, partial(check_coboundary_conditions, which=name))
+       for name in ("con1", "eqv1", "eqv2", "eqv3", "cosp", "cosp2")},
     "o-operator": _check_o_operator,
     "rota-baxter": _check_rota_baxter,
     "pre-adm": _check_pre_adm,
     "pre-poisson": _check_pre_poisson,
-    "operator-form": _check_operator_form,
-    "cyclic-form": _check_cyclic_form,
+    "operator-form": _check_on_r("operator-form", operator_form_check),
+    "cyclic-form": _check_on_r("cyclic-form", cyclic_form_check),
 }
 
 
@@ -364,44 +288,31 @@ def _build_depolarize(af):
 
 
 def _build_semidirect(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return None
-    rep = _file_rep(af, alg)
-    if _failed(check_representation(rep)):
-        return None
+    alg = _adm(af)
+    rep = _rep(af, alg)
     big = semidirect_raw(alg.star, rep.l, rep.r)
     return AlgebraFile(af.p, big.n, star=big)
 
 
 def _build_bowtie(af):
-    mp, report = _matched_pair_data(af)
-    if _failed(report) or _failed(check_matched_pair(mp)):
-        return None
+    mp = _matched_pair(af)
+    _require(check_matched_pair(mp))
     big = bowtie_raw(mp)
     return AlgebraFile(af.p, big.n, star=big)
 
 
 def _build_manin_double(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return None
-    c = _get_comul(af, "alpha")
-    dual = dual_structure(c)
-    if _failed(check_adm_poisson(dual).tagged("dual")):
-        return None
+    alg = _adm(af)
+    dual = dual_structure(_get_comul(af, "alpha"))
+    _require(check_adm_poisson(dual), "dual")
     double, report = manin_double(alg, AdmPoissonAlgebra.raw(dual))
-    if _failed(report):
-        return None
+    _require(report)
     return AlgebraFile(af.p, double.n, star=double.star)
 
 
 def _build_coboundary_alpha(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return None
-    r = _get_tensor(af)
-    return AlgebraFile(af.p, alg.n, star=alg.star, alpha=coboundary_alpha(alg, r))
+    alg = _adm(af)
+    return AlgebraFile(af.p, alg.n, star=alg.star, alpha=coboundary_alpha(alg, _get_tensor(af)))
 
 
 def _build_split(af):
@@ -412,67 +323,42 @@ def _build_split(af):
 
 def _build_merge(af):
     delta = _get_comul(af, "delta")
-    Delta = _get_comul(af, "Delta")
-    try:
-        pair = PoissonComultiplicationPair(delta, Delta)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    pair = _as_input_error(PoissonComultiplicationPair, delta, _get_comul(af, "Delta"))
     return AlgebraFile(af.p, delta.n, alpha=merge_comultiplication(pair))
 
 
 def _build_solution_from_o(af):
-    cand, report = _o_operator_candidate(af)
-    if _failed(report) or _failed(check_o_operator(cand)):
-        return None
+    cand = _o_operator(af)
+    _require(check_o_operator(cand))
     big, r = solution_from_o_operator(cand)
     return AlgebraFile(af.p, big.n, star=big.star, r=r)
 
 
 def _build_induced_pre(af):
-    cand, report = _o_operator_candidate(af)
-    if _failed(report) or _failed(check_o_operator(cand)):
-        return None
+    cand = _o_operator(af)
+    _require(check_o_operator(cand))
     pre = induced_pre_from_o_operator(cand)
     return AlgebraFile(af.p, pre.n, succ=pre.succ, prec=pre.prec)
 
 
-def _pre_structure(af):
-    succ = _get_op(af, "succ")
-    prec = _get_op(af, "prec")
-    pre = PreAdmPoisson.raw(succ, prec)
-    return None if _failed(check_pre_adm_poisson(pre)) else pre
-
-
 def _build_subadjacent(af):
-    pre = _pre_structure(af)
-    if pre is None:
-        return None
+    pre = _pre(af)
     return AlgebraFile(af.p, pre.n, star=subadjacent_raw(pre.succ, pre.prec))
 
 
 def _build_canonical_solution(af):
-    pre = _pre_structure(af)
-    if pre is None:
-        return None
-    big, r = canonical_solution(pre)
+    big, r = canonical_solution(_pre(af))
     return AlgebraFile(af.p, big.n, star=big.star, r=r)
 
 
 def _build_dual_rep(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return None
-    rep = _file_rep(af, alg)
-    if _failed(check_representation(rep)):
-        return None
-    d = dual_rep(rep, check=False)
-    return AlgebraFile(af.p, alg.n, rep.vdim, star=alg.star, l=d.l, r=d.r)
+    alg = _adm(af)
+    d = dual_rep(_rep(af, alg), check=False)
+    return AlgebraFile(af.p, alg.n, d.vdim, star=alg.star, l=d.l, r=d.r)
 
 
 def _build_adjoint_rep(af):
-    alg = _require_adm(af)
-    if alg is None:
-        return None
+    alg = _adm(af)
     rep = adjoint_rep(alg)
     return AlgebraFile(af.p, alg.n, alg.n, star=alg.star, l=rep.l, r=rep.r)
 
@@ -499,7 +385,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     try:
         return parse_file(text)
@@ -508,32 +394,27 @@ def _read(path):
 
 
 def _cmd_check(args):
-    af = _read(args.file)
-    return PREDICATES[args.predicate](af)
+    print(PREDICATES[args.predicate](_read(args.file)))
+    return 0
 
 
 def _cmd_build(args):
-    af = _read(args.file)
-    out = CONSTRUCTIONS[args.construction](af)
-    if out is None:
-        return 1
-    text = print_file(out)
-    if args.out:
+    text = print_file(CONSTRUCTIONS[args.construction](_read(args.file)))
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"OK {args.construction} -> {args.out}")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}")
+    print(f"OK {args.construction} -> {args.out}")
     return 0
 
 
 def _cmd_search(args):
-    try:
-        check_characteristic(args.field)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    algebra = None
-    rep = None
+    _as_input_error(check_characteristic, args.field)
+    algebra = rep = None
     if args.algebra:
         af = _read(args.algebra)
         if af.p != args.field:
@@ -542,15 +423,10 @@ def _cmd_search(args):
                              f"--field {args.field}")
         algebra = _get_op(af, "star")
         if args.target == "o_operator":
-            rep = (_get_rep_family(af, "l", "L"),
-                   _get_rep_family(af, "r", "R"))
-    try:
-        spec = searchmod.SearchSpec(
-            args.target, args.dim, p=args.field, count=args.count,
-            seed=args.seed, nonzero_only=args.nonzero_only,
-            skew=args.skew, algebra=algebra, rep=rep)
-    except ValueError as exc:
-        raise InputError(str(exc))
+            rep = (_get_rep_family(af, "l", "L"), _get_rep_family(af, "r", "R"))
+    spec = _as_input_error(searchmod.SearchSpec, args.target, args.dim, p=args.field,
+                           count=args.count, seed=args.seed, nonzero_only=args.nonzero_only,
+                           skew=args.skew, algebra=algebra, rep=rep)
     found, code = 0, 0
     try:
         for af in searchmod.search(spec):
@@ -608,6 +484,9 @@ def run_command(argv):
         if args.command == "build":
             return _cmd_build(args)
         return _cmd_search(args)
+    except Failed as exc:
+        print(exc)
+        return 1
     except (InputError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

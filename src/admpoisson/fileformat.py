@@ -350,8 +350,9 @@ def _parse_terms(rhs, size, p, lineno, arity, cell):
     return cells, fracs
 
 
-def _strings(x, p):
-    """The entries of an Exact (or nested Scalars) over p as strings, '' for 0."""
+def entry_strings(x, p):
+    """The entries of an Exact (or nested Scalars) over p as strings, '' for
+    0: the one spelling of numbers in files and in witnesses."""
     e = as_exact(x, p)
     return np.array([f"{a // g}/{e.den // g}" if (g := gcd(a, e.den)) != e.den else
                      str(a // g) if a else "" for a in e.num.ravel().tolist()],
@@ -370,7 +371,7 @@ def print_file(af):
         m = af.ops[name]
         tag = " vdim" if af.vdim is not None and m.n == af.vdim != af.dim else ""
         out.append(f"op {name}{tag}")
-        s = _strings(m.exact, m.p)
+        s = entry_strings(m.exact, m.p)
         for i in range(m.n):
             for j in range(m.n):
                 terms = [f"{v} e{k + 1}" for k, v in enumerate(s[i, j]) if v]
@@ -379,21 +380,22 @@ def print_file(af):
     for name in sorted(af.comuls):
         c = af.comuls[name]
         out.append(f"comul {name}")
-        for i, plane in enumerate(_strings(c.exact, c.p)):
+        for i, plane in enumerate(entry_strings(c.exact, c.p)):
             terms = [f"{v} e{j + 1} e{k + 1}" for (j, k), v in np.ndenumerate(plane) if v]
             if terms:
                 out.append(f"{name}: e{i + 1} = " + " + ".join(terms))
     for name in sorted(af.tensors):
         r = af.tensors[name]
         # keep an explicit zero entry so that a zero tensor survives reparsing
-        out += [f"tensor {name}: e{i + 1} e{j + 1} = {v}" for (i, j), v in
-                np.ndenumerate(_strings(r.exact, r.p)) if v] or [f"tensor {name}: e1 e1 = 0"]
+        out += [f"tensor {name}: e{i + 1} e{j + 1} = {v}" for (i, j), v
+                in np.ndenumerate(entry_strings(r.exact, r.p)) if v] or [
+                    f"tensor {name}: e1 e1 = 0"]
     for name in sorted(af.reps):
         tag = " vdim" if af.rep_spaces.get(name, "dim") == "vdim" else ""
-        for i, mat in enumerate(_strings(af.reps[name], af.p)):
+        for i, mat in enumerate(entry_strings(af.reps[name], af.p)):
             out.append(f"rep {name}{tag} e{i + 1} = {_fmt_matrix(mat)}")
     for name in sorted(af.maps):
-        out.append(f"map {name} = {_fmt_matrix(_strings(af.maps[name], af.p))}")
+        out.append(f"map {name} = {_fmt_matrix(entry_strings(af.maps[name], af.p))}")
     return "\n".join(out) + "\n"
 
 

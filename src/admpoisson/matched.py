@@ -13,7 +13,7 @@ is admissible-Poisson exactly when the pair is matched.
 import numpy as np
 
 from .tensors import (Exact, MulTensor, AxiomReport, Identity, as_exact, check_identities,
-                      common, identity, objects, solve)
+                      common, identity, solve)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_rep, check_representation,
                               dual_rep, semidirect_raw)
@@ -136,12 +136,12 @@ INVARIANCE = Identity("invariance", "ijk", "", "m:ijs g:sk", "m:jks g:is")
 def check_invariant_form(a, form, require_symmetric=False,
                          require_nondegenerate=False):
     """B(x*y, z) = B(x, y*z) on basis triples, plus requested flags."""
-    g = form.gram
+    g = as_exact(form.gram, a.p)
+    row = Exact(g.num[0], g.den, g.p)
     if require_symmetric and not form.is_symmetric():
-        return AxiomReport.fail("form-symmetric", (0, 0),
-                                g[0], objects(g)[:, 0].tolist())
+        return AxiomReport.fail("form-symmetric", (0, 0), row, Exact(g.num[:, 0], g.den, g.p))
     if require_nondegenerate and not form.is_nondegenerate():
-        return AxiomReport.fail("form-nondegenerate", (0,), g[0], g[0][:])
+        return AxiomReport.fail("form-nondegenerate", (0,), row, row)
     return check_identities(((INVARIANCE,),), {"m": a.star.exact, "g": g}, a.p)
 
 

@@ -27,7 +27,7 @@ from .representations import (Representation, adjoint_rep, check_representation,
 from .yangbaxter import RTensor, ybe_operator
 from .ooperators import (OOperatorCandidate, O_OPERATOR, check_o_operator,
                          PreAdmPoisson, PRE_ADM_POISSON, INDUCED_PRE, check_pre_adm_poisson)
-from .fileformat import AlgebraFile
+from .fileformat import MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
 CHUNK = 4096            # candidates screened at a time
@@ -129,6 +129,8 @@ class SearchSpec:
             raise ValueError("search runs over finite fields")
         if dim < 1:
             raise ValueError(f"dimension must be at least 1, got {dim}")
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension {dim} exceeds the largest supported dimension {MAX_DIM}")
         if count is not None and count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
         self.target = target
@@ -168,8 +170,10 @@ def _search_adm(spec, p, n):
         if spec.count is None:
             raise ValueError("space too large without a sample count")
         attempts, found = spec.count * 10000, 0
-        for start in range(0, attempts, CHUNK):
-            draws = [rng.randrange(space) for _ in range(min(CHUNK, attempts - start))]
+        # a batch's largest identity output has n**4 entries per draw
+        batch = max(1, min(CHUNK, MAX_OUTPUT_ENTRIES // n ** 4))
+        for start in range(0, attempts, batch):
+            draws = [rng.randrange(space) for _ in range(min(batch, attempts - start))]
             for i in np.flatnonzero(table_mask(((ADM_POISSON,),), "c", draws, n, p)):
                 m = decode_mul(draws[i], n, p)
                 if spec.nonzero_only and m.is_zero():

@@ -5,9 +5,9 @@ Every structure is one Exact: integers over a common denominator.  MulTensor
 holds the structure constants c[i][j][k] of a bilinear operation (e_i <> e_j
 = sum_k c[i][j][k] e_k), Tensor3 the coefficients of a triple tensor.
 Identities and contractions are tables of signed einsum terms evaluated on
-the integers (check_identities, evaluate).  Scalars are built only where
-entries are read one at a time: a witness, printing, and the constructions
-that go through objects() and solve.
+the integers (check_identities, evaluate), and linear systems are eliminated
+on them (solve).  Scalars are built only for the nested views of the Python
+API and from its nested-Scalar inputs.
 """
 
 from itertools import chain
@@ -15,7 +15,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .scalars import Scalar, ScalarModeError, zero, one, check_characteristic, _exact
+from .scalars import Scalar, ScalarModeError, zero, check_characteristic, _exact
 
 _WIDE = 2 ** 31         # int64 entries and p stay below: a product or sum fits
 
@@ -48,9 +48,10 @@ class Exact:
         else:
             if den < 0:
                 num, den = -num, -den
+            # g = den on an all-zero array, which is canonical at den = 1
             g = gcd(den, int(np.gcd.reduce(num, axis=None)))
             if g > 1:
-                num, den = num // g, den // g
+                num, den = (num if g < _WIDE else num.astype(object)) // g, den // g
             maxabs = int(abs(num).max(initial=0))
         num = num.astype(np.int64 if max(maxabs, p) < _WIDE else object)
         num.flags.writeable = False
@@ -153,16 +154,6 @@ def from_fractions(shape, parts, p=0):
     return Exact(num.reshape(shape), den, p)
 
 
-def objects(*data):
-    """Operands (Exacts or nested Scalars) as numpy object arrays of Scalars
-    (the array itself for one operand); ShapeError when their sizes disagree."""
-    arrays = [np.array(d, dtype=object) for d in data]       # an Exact reads as its view
-    if len({a.shape for a in arrays}) > 1:
-        raise ShapeError("operand sizes disagree: " +
-                         " and ".join(str(len(a)) for a in arrays))
-    return arrays[0] if len(arrays) == 1 else arrays
-
-
 def identity(n, p=0):
     """The n x n identity matrix as an Exact."""
     return Exact(np.eye(n, dtype=np.int64), 1, p)
@@ -170,15 +161,17 @@ def identity(n, p=0):
 
 def solve(a, b, p=0):
     """A solution X of a X = b by exact Gauss-Jordan elimination, with every
-    free variable zero, or None when the system is inconsistent.
+    free variable zero, as an Exact, or None when the system is inconsistent.
 
-    a is rows x cols and b rows x k (Exacts, or nested Scalars); X is cols
-    x k nested lists of Scalars.  The inverse of a square a is
+    a is rows x cols and b rows x k (Exacts, or nested Scalars).  Rows are
+    combined fraction-free on the integers of one denominator, each changed
+    row reduced mod p over GF(p) and divided by its gcd over Q; the pivot of
+    a column is its first nonzero row.  The inverse of a square a is
     solve(a, identity(n, p), p), which is None exactly when a is singular.
     """
-    a, b = objects(a), objects(b)
+    (a, b), _ = common(as_exact(a, p), as_exact(b, p))
     cols = a.shape[1]
-    aug = np.concatenate([a, b], axis=1)
+    aug = np.concatenate([a, b], axis=1).astype(object)
     pivots = []
     for col in range(cols):
         rank = len(pivots)
@@ -186,16 +179,22 @@ def solve(a, b, p=0):
         if not len(below):
             continue
         aug[[rank, rank + below[0]]] = aug[[rank + below[0], rank]]
-        aug[rank] = aug[rank] * (one(p) / aug[rank, col])
         others = np.flatnonzero(aug[:, col])
         others = others[others != rank]
-        aug[others] = aug[others] - np.multiply.outer(aug[others, col], aug[rank])
+        rows = aug[others] * aug[rank, col] - np.multiply.outer(aug[others, col], aug[rank])
+        if p:
+            aug[others] = rows % p
+        else:           # a row that became zero is divided by 1
+            aug[others] = rows // np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
         pivots.append(col)
-    if aug[len(pivots):, cols:].any():
+    rank = len(pivots)
+    if aug[rank:, cols:].any():
         return None
-    x = np.full((cols, b.shape[1]), zero(p), dtype=object)
-    x[pivots] = aug[:len(pivots), cols:]
-    return x.tolist()
+    heads = aug[range(rank), pivots]
+    den = lcm(*(abs(h) for h in heads))
+    x = np.zeros((cols, b.shape[1]), dtype=object)
+    x[pivots] = aug[:rank, cols:] * (den // heads)[:, None]
+    return Exact(x, den, p)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +297,14 @@ class AxiomReport:
 
     def first_entry(self):
         """The same verdict, its witness cut to the first entry at which the
-        lhs and rhs vectors differ, as one-entry lists."""
+        lhs and rhs vectors (Exacts) differ, as one-entry Exacts."""
         if self.holds:
             return self
         name, idx, lhs, rhs = self.witness
-        k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        return AxiomReport.fail(name, idx, [lhs[k]], [rhs[k]])
+        (a, b), _ = common(lhs, rhs)
+        k = int((a != b).argmax())
+        return AxiomReport.fail(name, idx, *(Exact(e.num[k:k + 1], e.den, e.p)
+                                             for e in (lhs, rhs)))
 
     def __bool__(self):
         return self.holds
@@ -486,8 +487,8 @@ def check_identities(groups, operands, p):
 
     Within a group the witness is the first index, in lexicographic order,
     at which any identity fails; ties go to the identity listed first.
-    Its lhs and rhs are rebuilt as exact Scalars at that index (one-entry
-    lists when the identity has no value axes).
+    Its lhs and rhs are the Exacts of the value axes at that index (of one
+    entry when the identity has no value axes).
     """
     arrays, den = exact_operands(operands, p, [ident.residual for group in groups
                                                for ident in group])
@@ -502,9 +503,8 @@ def check_identities(groups, operands, p):
             idx = tuple(int(i) for i in idx)
             ident, (lhs, rhs) = group[which], sides[which]
             scale = ident.den * den ** ident.degree
-            return AxiomReport.fail(ident.name, idx,
-                                    _scalars(np.atleast_1d(lhs[idx]).tolist(), scale, p),
-                                    _scalars(np.atleast_1d(rhs[idx]).tolist(), scale, p))
+            return AxiomReport.fail(ident.name, idx, *(Exact(np.atleast_1d(side[idx]), scale, p)
+                                                       for side in (lhs, rhs)))
     return AxiomReport.ok()
 
 

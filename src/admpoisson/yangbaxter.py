@@ -14,8 +14,8 @@ r = sum r[i][j] e_i (x) e_j):
 
 import numpy as np
 
-from .tensors import (Structure, Tensor3, Terms, Identity, as_exact, evaluate,
-                      check_identities, dense, identity, objects, solve)
+from .tensors import (Exact, Structure, Tensor3, Terms, Identity, as_exact, evaluate,
+                      check_identities, common, dense, identity, solve)
 from .bialgebras import Comultiplication
 
 
@@ -242,11 +242,12 @@ def coboundary_correspondence(a, r):
     star = a.star
     n, p = star.n, star.p
     ops = {"m": star.exact, "r": r.exact, "e": identity(n, p)}
-    (a1, b1), (a2, b2) = [[objects(evaluate(t, ops, p)) for t in system]
-                          for system in CORRESPONDENCE]
+    # both systems on one denominator, which cancels from a Y = b
+    (a1, b1, a2, b2), _ = common(*(evaluate(t, ops, p) for system in CORRESPONDENCE
+                                   for t in system))
     # the rows of x, u, v in order, each the first system's and the second's
-    sol = solve(np.stack([a1, a2], axis=3).reshape(-1, n * n),
-                np.stack([b1, b2], axis=3).reshape(-1, 1), p)
+    sol = solve(Exact(np.stack([a1, a2], axis=3).reshape(-1, n * n), 1, p),
+                Exact(np.stack([b1, b2], axis=3).reshape(-1, 1), 1, p), p)
     if sol is None:
         return False, None
-    return True, RTensor(objects(sol).reshape(n, n), p)
+    return True, RTensor(Exact(sol.num.reshape(n, n), sol.den, p), p)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,52 @@ def test_build_failure_exit_1(capsys):
     assert out.startswith("FAIL adm-poisson")
 
 
+# valid inputs whose evaluations end on an all-zero array over a
+# denominator of 2**63 or more (den**2 = 1.6e19, and a sum to zero over 1e19)
+HUGE_DEN = {
+    "tiny.alg": "field rational\ndim 1\nop star\nstar: e1 e1 = 1/4000000000 e1\n"
+                "tensor r: e1 e1 = 1/4000000000\n",
+    "cancel.alg": "field rational\ndim 1\nop star\nstar: e1 e1 = "
+                  "1/10000000000000000000 e1 + -1/10000000000000000000 e1\n",
+}
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["check", "eqv1", "tiny.alg"], "OK eqv1 (dim 1)"),
+    (["check", "cosp", "tiny.alg"], "OK cosp (dim 1)"),
+    (["build", "coboundary-alpha", "tiny.alg"], "format 1"),
+    (["check", "adm-poisson", "cancel.alg"], "OK adm-poisson (dim 1, 1 triples checked)"),
+])
+def test_zero_results_over_huge_denominators(capsys, tmp_path, argv, first):
+    for name, text in HUGE_DEN.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv[:-1], tmp_path / argv[-1])
+    assert (code, out.splitlines()[0], err) == (0, first, "")
+
+
+def test_unwritable_out_is_exit_2(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x.alg"
+    code, out, err = run(capsys, "build", "polarize", CORPUS / "good_adm.alg", "--out", dest)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {dest}: ")
+
+
+@pytest.mark.parametrize("argv", [["check", "adm-poisson"],
+                                  ["search", "adm_poisson", "--algebra"]])
+def test_file_that_is_not_utf8_is_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe bad\n")
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_search_cli_rejects_dim_above_the_cap(capsys):
+    code, out, err = run(capsys, "search", "adm_poisson", "--dim", "33", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 33 exceeds the largest supported dimension 32\n"
+
+
 def test_search_cli_format(capsys):
     code, out, err = run(capsys, "search", "adm_poisson", "--dim", "1",
                          "--field", "5", "--nonzero-only")
@@ -274,6 +321,7 @@ def test_search_cli_reports_shortfall(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["search", "adm_poisson", "--dim", "0"],
+    ["search", "adm_poisson", "--dim", "33", "--count", "1"],
     ["search", "o_operator", "--field", "5", "--algebra",
      str(CORPUS / "rep_theta.alg")],
     ["search", "adm_poisson", "--count", "0"],
@@ -489,21 +537,33 @@ def _annihilator_file(field, lam):
 
 @pytest.mark.parametrize("field,lam", [("rational", "3/2"), ("gf 10007", "5005")])
 def test_passing_checks_make_no_scalars(tmp_path, monkeypatch, capsys, field, lam):
-    """From the parser to the verdict, a passing check runs on integer
-    arrays: it builds no Scalar, not even the shared zero and one."""
+    """From the parser to the verdict or the built file, every command runs
+    on integer arrays: no predicate or construction builds a Scalar, on
+    the corpus and on an annihilator file that passes or fails, witnesses
+    and the eliminations of `solve` included."""
     from admpoisson import scalars
-    path = tmp_path / "a.alg"
-    path.write_text(_annihilator_file(field, lam))
+    good, bad = tmp_path / "good.alg", tmp_path / "bad.alg"
+    good.write_text(_annihilator_file(field, lam))
+    bad.write_text(_annihilator_file(field, lam).replace("star: e2 e1", "star: e2 e2"))
     made = []
     make, init = scalars._make, scalars.Scalar.__init__
     monkeypatch.setattr(scalars, "_make", lambda *a: made.append(a) or make(*a))
     monkeypatch.setattr(scalars.Scalar, "__init__",
                         lambda self, *a: made.append(a) or init(self, *a))
     for predicate in ("adm-poisson", "poisson", "rep", "adm-pybe", "cosp"):
-        assert run_command(["check", predicate, str(path)]) == 0, predicate
+        assert run_command(["check", predicate, str(good)]) == 0, predicate
         assert capsys.readouterr().out.startswith(f"OK {predicate} (dim 5")
-    assert made == []
-    # the counters see the Scalars a failing check builds for its witness
-    path.write_text(_annihilator_file(field, lam).replace("star: e2 e1", "star: e2 e2"))
-    assert run_command(["check", "adm-poisson", str(path)]) == 1
+    assert run_command(["check", "adm-poisson", str(bad)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL adm-poisson at (1,1,1): ")
+    codes = Counter()
+    for path in [good, bad] + [CORPUS / name for name in CORPUS_FILES]:
+        argvs = [["check", pred, str(path)] for pred in sorted(PREDICATES)]
+        argvs += [["build", cons, str(path)] for cons in sorted(CONSTRUCTIONS)]
+        for argv in argvs:
+            codes[run_command(argv)] += 1
+            capsys.readouterr()
+            assert made == [], argv
+    assert codes[0] and codes[1] and codes[2]
+    # the counters see the Scalars of the nested view of a structure
+    parse_file(good.read_text()).ops["star"].c
     assert made

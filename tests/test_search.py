@@ -226,6 +226,25 @@ def test_batched_sampler_matches_the_per_candidate_loop(monkeypatch, seed,
         assert [h.ops["star"] for h in search(spec)] == want
 
 
+def test_sampled_batches_are_bounded_by_the_output_cap(monkeypatch):
+    """The sampled screen holds about MAX_OUTPUT_ENTRIES identity entries at
+    a time: batches of max(1, min(CHUNK, cap // n**4)) draws, drawn in the
+    same order and giving the same hits."""
+    spec = SearchSpec("adm_poisson", 2, p=7, count=2, seed=101)
+    want = [h.ops["star"] for h in search(spec)]
+    sizes, table = [], searchmod.table_mask
+
+    def recording(groups, names, draws, n, p):
+        sizes.append(len(draws))
+        return table(groups, names, draws, n, p)
+    monkeypatch.setattr(searchmod, "table_mask", recording)
+    for cap, batch in ((searchmod.MAX_OUTPUT_ENTRIES, searchmod.CHUNK), (16 * 50, 50), (15, 1)):
+        monkeypatch.setattr(searchmod, "MAX_OUTPUT_ENTRIES", cap)
+        sizes.clear()
+        assert [h.ops["star"] for h in search(spec)] == want
+        assert sizes and set(sizes) == {batch}, cap
+
+
 def test_sampled_search_reports_its_shortfall():
     spec = SearchSpec("adm_poisson", 3, p=5, count=1)
     with pytest.raises(SearchShortfall, match="^found 0 of 1 after 10000 attempts$"):

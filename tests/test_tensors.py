@@ -6,7 +6,7 @@ import pytest
 from admpoisson.scalars import Scalar, zero, one, of
 from admpoisson.tensors import (Exact, MulTensor, Tensor3, Terms, evaluate, identity,
                                 solve)
-from admpoisson.algebras import AdmPoissonAlgebra
+from admpoisson.algebras import AdmPoissonAlgebra, AxiomReport, check_adm_poisson
 from admpoisson.representations import Representation, adjoint_families, dual_rep
 from admpoisson.yangbaxter import SLOT_PATTERNS, RTensor, ybe_operator
 
@@ -66,30 +66,33 @@ def test_solve_linear_consistent_and_not():
     assert solve(a, column_of([of(3)])) == [[of(3)], [of(0)]]
 
 
-def scalar(rng, p):
+def scalar(rng, p, digits=1):
     if p:
         return Scalar(rng.randrange(p), 1, p)
+    if digits > 1:
+        return Scalar(rng.randint(-10 ** digits, 10 ** digits), rng.randint(1, 10 ** digits))
     return Scalar(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
 
 
-def systems(rng, n, p):
+def systems(rng, n, p, digits=1):
     """(a, b) pairs at dim n: square random (mostly invertible), square
     singular and rectangular low-rank coefficient matrices, each with a
-    consistent right-hand side a x and a random one."""
+    consistent right-hand side a x and a random one; over Q the entries
+    have up to `digits` digits above and below the fraction bar."""
     out = []
     for rows, cols, rank in ((n, n, n), (n, n, n - 1), (n + 1, n, n - 1),
                              (n, n + 2, max(n - 2, 0))):
-        left = [[scalar(rng, p) for _ in range(rank)] for _ in range(rows)]
-        right = [[scalar(rng, p) for _ in range(cols)] for _ in range(rank)]
+        left = [[scalar(rng, p, digits) for _ in range(rank)] for _ in range(rows)]
+        right = [[scalar(rng, p, digits) for _ in range(cols)] for _ in range(rank)]
         if rank == rows == cols:
-            a = [[scalar(rng, p) for _ in range(cols)] for _ in range(rows)]
+            a = [[scalar(rng, p, digits) for _ in range(cols)] for _ in range(rows)]
         elif rank:
             a = mat_mul(left, right)
         else:
             a = [[Scalar(0, 1, p)] * cols for _ in range(rows)]
-        x = [scalar(rng, p) for _ in range(cols)]
+        x = [scalar(rng, p, digits) for _ in range(cols)]
         out.append((a, mat_vec(a, x)))
-        out.append((a, [scalar(rng, p) for _ in range(rows)]))
+        out.append((a, [scalar(rng, p, digits) for _ in range(rows)]))
     return out
 
 
@@ -101,12 +104,15 @@ def test_solve_matches_the_old_elimination(p):
     rng = random.Random(20 + p % 97)
     seen = {"inverse": 0, "singular": 0, "consistent": 0, "inconsistent": 0}
     for n in range(1, 7):
-        for _ in range(3):
-            for a, b in systems(rng, n, p):
+        # over Q also 20-digit rationals, whose rank-deficient systems make
+        # the fraction-free rows grow before their gcd is divided out
+        for digits in [1] * 3 + ([20] * 3 if p == 0 else []):
+            for a, b in systems(rng, n, p, digits):
                 old = solve_linear(a, b, p)
                 new = solve(a, column_of(b), p)
                 assert (new is None) == (old is None)
                 if old is not None:
+                    assert isinstance(new, Exact) and new.num.shape == (len(a[0]), 1)
                     assert [row[0] for row in new] == old
                     assert mat_vec(a, old) == b
                 seen["consistent" if old is not None else "inconsistent"] += 1
@@ -244,3 +250,21 @@ def test_exact_arrays_are_canonical():
         a.num[0, 0] = 5
     with pytest.raises(AttributeError):
         a.den = 1
+    # an all-zero array is canonical at den 1, also over a denominator past
+    # int64, and a gcd of 2**31 or more is divided out on Python ints
+    assert Exact(np.zeros(3, dtype=np.int64), 4000000000 ** 2) == Exact([0, 0, 0])
+    assert Exact(np.array([0, 0]), 10 ** 19).den == 1
+    e = Exact(np.array([2 ** 40, -3 * 2 ** 40]), 2 ** 41)
+    assert (e.den, e.num.tolist(), e.num.dtype) == (2, [1, -3], np.int64)
+
+
+def test_witnesses_are_exact_rows():
+    """A failing check reports lhs and rhs as Exacts at the failing index;
+    first_entry cuts them to the first entry at which their values differ,
+    compared on one denominator."""
+    m = MulTensor.from_entries(2, {(0, 0, 1): 1, (1, 1, 0): 1})
+    name, idx, lhs, rhs = check_adm_poisson(m).witness
+    assert isinstance(lhs, Exact) and isinstance(rhs, Exact) and lhs.num.shape == (2,)
+    # 1/2, 1 against 2/4, 3/4: the numerators differ at 0, the values at 1
+    report = AxiomReport.fail("x", (0,), Exact([1, 2], 2), Exact([2, 3], 4)).first_entry()
+    assert report.witness == ("x", (0,), Exact([1]), Exact([3], 4))
