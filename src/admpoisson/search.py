@@ -5,12 +5,12 @@ as integers: digit t of the base-p expansion is c[i][j][k] with
 t = (i*n + j)*n + k, so index 0 is the zero algebra and enumeration by
 ascending integer is the deterministic exhaustive order.
 
-Candidates are screened in batches of CHUNK by the identity tables
-(identity_mask), with the candidate axis innermost.  Exhaustive sweeps
-take the batches in ascending order and yield each batch's hits before
-building the next; sampled searches screen batches of random draws.
-O-operator maps theta are screened the same way, over a fixed algebra
-and action.  Every emitted hit is re-verified by the exact checker.
+Every target runs through one screen: batches of candidates, each a key
+and a column of base-p digits (candidate axis last), go through the
+identity tables beside the fixed operands.  Exhaustive sweeps take
+ascending batches of CHUNK; sampled searches take seeded draws in batches,
+in the order drawn.  Each hit is built from its own digit column, and
+every emitted hit is re-verified by the exact checker.
 """
 
 import random
@@ -24,13 +24,14 @@ from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                        check_adm_poisson, check_poisson)
 from .representations import (Representation, adjoint_rep, check_representation,
                               dual_rep)
-from .yangbaxter import RTensor, ybe_operator
+from .yangbaxter import YBE, RTensor, check_ybe
 from .ooperators import (OOperatorCandidate, O_OPERATOR, check_o_operator,
                          PreAdmPoisson, PRE_ADM_POISSON, INDUCED_PRE, check_pre_adm_poisson)
 from .fileformat import MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
 CHUNK = 4096            # candidates screened at a time
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def encode_mul(m):
@@ -42,68 +43,101 @@ def decode_mul(idx, n, p):
 
 
 def base_p_digits(indices, cells, p):
-    """Base-p digits 0 .. cells-1 of each index, shape (cells, len(indices))."""
-    wide = p ** cells > np.iinfo(np.int64).max
-    rem = np.array(indices, dtype=object if wide else np.int64)
-    digits = np.empty((cells, len(rem)), dtype=rem.dtype)
-    for t in range(cells):
-        digits[t] = rem % p
-        rem //= p
-    return digits
+    """Base-p digits 0 .. cells-1 of each index, shape (cells, len(indices)).
+    Wide indices are cut with Python divmod into int64 blocks of k digits,
+    p**k the largest power within int64; only a p beyond int64 gives objects."""
+    k = 1
+    while k < cells and p ** (k + 1) <= _INT64_MAX:
+        k += 1
+    dtype = np.int64 if p <= _INT64_MAX else object
+    rem, q = np.array(indices, dtype=dtype if k >= cells else object), p ** k
+    split = np.empty((-(-cells // k), len(rem)), dtype=dtype)
+    for b in range(len(split)):
+        split[b] = rem % q
+        rem //= q
+    digits = np.empty((len(split), k, len(rem)), dtype=dtype)
+    for t in range(k):
+        digits[:, t] = split % p
+        split //= p
+    return digits.reshape(-1, len(rem))[:cells]
 
 
-def digit_arrays(indices, n, p, ops=1):
-    """The structure tensors of the candidates `indices`, batch-last: `ops`
-    residue arrays of shape (n, n, n, len(indices)); operation o holds
-    base-p digits o*n**3 ... (o+1)*n**3 - 1 of each index."""
-    cells = n ** 3
-    digits = base_p_digits(indices, ops * cells, p)
-    return [digits[o * cells:(o + 1) * cells].reshape(n, n, n, -1) for o in range(ops)]
+def screen(groups, batches, operands, fixed, p):
+    """The key and digit column of each candidate that satisfies every
+    identity of `groups`.  `batches` yields (keys, digits), digits of shape
+    (cells, B); operands(digits) names the candidates' operand arrays, and
+    `fixed` the operands all candidates share, with a last axis of 1."""
+    for keys, digits in batches:
+        arrays = {**fixed, **operands(digits)}
+        mask = np.logical_and.reduce([identity_mask(ident, arrays, p)
+                                      for group in groups for ident in group])
+        for i in np.flatnonzero(mask).tolist():
+            yield keys[i], digits[:, i]
 
 
-def table_mask(groups, names, indices, n, p):
-    """Which of the candidates `indices` satisfy every identity of `groups`;
-    operand names[o] is operation o."""
-    arrays = dict(zip(names, digit_arrays(indices, n, p, len(names))))
-    mask = np.ones(len(indices), dtype=bool)
-    for group in groups:
-        for ident in group:
-            mask &= identity_mask(ident, arrays, p)
-    return mask
+def sweep(cells, p):
+    """(indices, digits) of every candidate of `cells` digits, CHUNK at a time."""
+    for start in range(0, p ** cells, CHUNK):
+        stop = min(start + CHUNK, p ** cells)
+        yield range(start, stop), base_p_digits(np.arange(start, stop), cells, p)
+
+
+class _OutOfDraws(Exception):
+    """A sampled source has made all its draws (args: their number)."""
+
+
+def draws(spec, draw, digits):
+    """(draws, digits(draws)) of spec.count * 10000 draws of draw(), in
+    batches that keep the largest identity output (n**4 entries a draw)
+    near MAX_OUTPUT_ENTRIES; raises _OutOfDraws after the last."""
+    if spec.count is None:
+        raise ValueError("space too large without a sample count")
+    attempts = spec.count * 10000
+    batch = max(1, min(CHUNK, MAX_OUTPUT_ENTRIES // spec.dim ** 4))
+    for start in range(0, attempts, batch):
+        keys = [draw() for _ in range(min(batch, attempts - start))]
+        yield keys, digits(keys)
+    raise _OutOfDraws(attempts)
+
+
+def operations(names, n):
+    """Operands of digits that hold one n x n x n operation per name, in turn."""
+    return lambda digits: dict(zip(names, digits.reshape(len(names), n, n, n, -1)))
 
 
 def table_hits(groups, names, n, p):
-    """Ascending indices of all candidates at (n, p) that satisfy every
-    identity of `groups`, one CHUNK at a time."""
-    space = p ** (len(names) * n ** 3)
-    for start in range(0, space, CHUNK):
-        indices = np.arange(start, min(start + CHUNK, space))
-        yield from indices[table_mask(groups, names, indices, n, p)].tolist()
+    """Ascending keys and digit columns of the candidates at (n, p) that
+    satisfy every identity of `groups`; operand names[o] is operation o."""
+    return screen(groups, sweep(len(names) * n ** 3, p), operations(names, n), {}, p)
 
 
 def o_operator_hits(star, l, r, p):
-    """Ascending indices of the maps theta that are O-operators over the
-    operation star and the action (l, r), one CHUNK at a time; theta has
-    one row per basis element of star, one column per module basis element,
-    and entry (i, j) is base-p digit i*cols + j of its index (as iter_maps).
-    The fixed operands are broadcast along the batch of thetas."""
+    """Ascending keys and digit columns of the O-operators theta over the
+    operation star and the action (l, r), broadcast; entry (i, j) of theta
+    (one row per basis element of star) is digit i*cols + j of its key."""
     fixed = {name: as_exact(data, p).num.astype(np.int64)[..., None]
              for name, data in (("c", star.exact), ("l", l), ("r", r))}
     n, m = star.n, fixed["l"].shape[1]
-    space = p ** (n * m)
-    for start in range(0, space, CHUNK):
-        indices = np.arange(start, min(start + CHUNK, space))
-        theta = base_p_digits(indices, n * m, p).reshape(n, m, -1)
-        yield from indices[identity_mask(O_OPERATOR, {"t": theta, **fixed}, p)].tolist()
+    return screen(((O_OPERATOR,),), sweep(n * m, p),
+                  lambda digits: {"t": digits.reshape(n, m, -1)}, fixed, p)
 
 
 def adm_catalog_indices(n, p):
-    """Ascending encodings of all adm-Poisson multiplications at (n, p), as
-    they are found; only spaces within the exhaustive bound are supported."""
-    space = p ** (n ** 3)
-    if space > MAX_EXHAUSTIVE:
-        raise ValueError(f"space p^(n^3) = {space} exceeds exhaustive bound")
+    """Ascending encodings of all adm-Poisson multiplications at (n, p),
+    with their digit columns, as they are found; only spaces within the
+    exhaustive bound are supported."""
+    if p ** (n ** 3) > MAX_EXHAUSTIVE:
+        raise ValueError(f"space p^(n^3) = {p ** (n ** 3)} exceeds exhaustive bound")
     yield from table_hits(((ADM_POISSON,),), "c", n, p)
+
+
+def _candidates(spec, hits, operands):
+    """The hits as Exacts by operand name, each built from its own digit
+    column; with nonzero_only, those with a nonzero operand."""
+    for _, column in hits:
+        arrays = operands(column[:, None])
+        if not spec.nonzero_only or any(a.any() for a in arrays.values()):
+            yield {name: Exact(a[..., 0], 1, spec.p) for name, a in arrays.items()}
 
 
 class SearchShortfall(Exception):
@@ -152,174 +186,139 @@ def search(spec):
     run = {"adm_poisson": _search_adm, "poisson": _search_poisson,
            "adm_pybe_solution": _search_pybe, "o_operator": _search_o_operator,
            "pre_adm_poisson": _search_pre}[spec.target]
-    yield from islice(run(spec, spec.p, spec.dim), spec.count)
+    found = 0
+    try:
+        for found, af in enumerate(islice(run(spec, spec.p, spec.dim), spec.count), 1):
+            yield af
+    except _OutOfDraws as exc:
+        raise SearchShortfall(found, spec.count, exc.args[0]) from None
 
 
 def _search_adm(spec, p, n):
-    space = p ** (n ** 3)
-    if space <= MAX_EXHAUSTIVE:
-        for idx in adm_catalog_indices(n, p):
-            m = decode_mul(idx, n, p)
-            if spec.nonzero_only and m.is_zero():
-                continue
-            if not check_adm_poisson(m).holds:
-                continue
-            yield AlgebraFile(p, n, star=m)
+    if p ** (n ** 3) <= MAX_EXHAUSTIVE:
+        hits = adm_catalog_indices(n, p)
     else:
-        rng = random.Random(spec.seed)
-        if spec.count is None:
-            raise ValueError("space too large without a sample count")
-        attempts, found = spec.count * 10000, 0
-        # a batch's largest identity output has n**4 entries per draw
-        batch = max(1, min(CHUNK, MAX_OUTPUT_ENTRIES // n ** 4))
-        for start in range(0, attempts, batch):
-            draws = [rng.randrange(space) for _ in range(min(batch, attempts - start))]
-            for i in np.flatnonzero(table_mask(((ADM_POISSON,),), "c", draws, n, p)):
-                m = decode_mul(draws[i], n, p)
-                if spec.nonzero_only and m.is_zero():
-                    continue
-                if check_adm_poisson(m).holds:
-                    found += 1
-                    yield AlgebraFile(p, n, star=m)
-        raise SearchShortfall(found, spec.count, attempts)
+        rng, space = random.Random(spec.seed), p ** (n ** 3)
+        hits = screen(((ADM_POISSON,),),
+                      draws(spec, lambda: rng.randrange(space),
+                            lambda keys: base_p_digits(keys, n ** 3, p)),
+                      operations("c", n), {}, p)
+    for ops in _candidates(spec, hits, operations("c", n)):
+        m = MulTensor(n, p, ops["c"])
+        if check_adm_poisson(m).holds:
+            yield AlgebraFile(p, n, star=m)
 
 
 def _search_poisson(spec, p, n):
-    space = p ** (2 * n ** 3)
-    if space <= MAX_EXHAUSTIVE:
-        sub = p ** (n ** 3)
-        for idx in table_hits(POISSON, "bo", n, p):
-            br = decode_mul(idx % sub, n, p)
-            circ = decode_mul(idx // sub, n, p)
-            if spec.nonzero_only and br.is_zero() and circ.is_zero():
-                continue
-            if check_poisson(br, circ).holds:
-                yield AlgebraFile(p, n, bracket=br, circ=circ)
+    if p ** (2 * n ** 3) <= MAX_EXHAUSTIVE:
+        operands, hits = operations("bo", n), table_hits(POISSON, "bo", n, p)
     else:
-        # sample inside the necessary symmetry subspaces, then verify exactly
-        rng = random.Random(spec.seed)
-        if spec.count is None:
-            raise ValueError("space too large without a sample count")
-        attempts, found = spec.count * 10000, 0
-        for _ in range(attempts):
-            br_e, circ_e = np.zeros((2, n, n, n), dtype=object)
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(n):
-                        b = rng.randrange(p)
-                        c = rng.randrange(p)
-                        if i == j:
-                            b = 0
-                        br_e[i, j, k], br_e[j, i, k] = b, -b
-                        circ_e[i, j, k] = circ_e[j, i, k] = c
-            br = MulTensor(n, p, Exact(br_e, 1, p))
-            circ = MulTensor(n, p, Exact(circ_e, 1, p))
-            if spec.nonzero_only and br.is_zero() and circ.is_zero():
-                continue
-            if check_poisson(br, circ).holds:
-                found += 1
-                yield AlgebraFile(p, n, bracket=br, circ=circ)
-        raise SearchShortfall(found, spec.count, attempts)
+        # draws in the symmetry subspace: for each i <= j and k, a bracket
+        # residue (0 on the diagonal) and then a circ residue
+        rng, upper = random.Random(spec.seed), np.triu_indices(n)
+
+        def operands(digits):
+            pairs = digits.reshape(len(upper[0]), n, 2, -1)
+            bracket, circ = np.zeros((2, n, n, n, digits.shape[-1]), dtype=digits.dtype)
+            bracket[upper] = pairs[:, :, 0] * (upper[0] != upper[1])[:, None, None]
+            bracket[upper[::-1]] = -bracket[upper] % p
+            circ[upper] = circ[upper[::-1]] = pairs[:, :, 1]
+            return {"b": bracket, "o": circ}
+        cells = n * n * (n + 1)
+        hits = screen(POISSON, draws(spec, lambda: [rng.randrange(p) for _ in range(cells)],
+                                     lambda keys: np.array(keys, dtype=np.int64).T),
+                      operands, {}, p)
+    for ops in _candidates(spec, hits, operands):
+        br, circ = MulTensor(n, p, ops["b"]), MulTensor(n, p, ops["o"])
+        if check_poisson(br, circ).holds:
+            yield AlgebraFile(p, n, bracket=br, circ=circ)
 
 
-def iter_r_tensors(n, p, skew):
-    """Deterministic enumeration of r in P (x) P (optionally skew: the
-    entries above the diagonal, row by row, are the base-p digits)."""
-    if not skew:
-        for coeff in iter_maps(n, n, p):
-            yield RTensor(coeff, p)
-        return
-    upper = np.triu_indices(n, 1)
-    for idx in range(p ** len(upper[0])):
-        coeff = np.zeros((n, n), dtype=object)
-        coeff[upper] = base_p_digits([idx], len(upper[0]), p)[:, 0]
-        yield RTensor(Exact(coeff - coeff.T, 1, p), p)
+def _fixed_algebra(spec, p, n, needs):
+    """The fixed algebra, given, at (n, p) and adm-Poisson, or ValueError."""
+    star = spec.algebra
+    if star is None:
+        raise ValueError(f"{spec.target} search needs {needs}")
+    if star.n != n or star.p != p:
+        raise ValueError("fixed algebra must match the search dim and field")
+    report = check_adm_poisson(star)
+    if not report.holds:
+        name, idx = report.witness[:2]
+        raise ValueError(f"the fixed algebra is not adm-Poisson: it fails {name} at "
+                         f"({','.join(str(i + 1) for i in idx)})")
+    return AdmPoissonAlgebra.raw(star)
 
 
 def _search_pybe(spec, p, n):
-    if spec.algebra is None:
-        raise ValueError("adm_pybe_solution search needs a fixed algebra")
-    star = spec.algebra
-    if star.n != n or star.p != p:
-        raise ValueError("fixed algebra must match the search dim and field")
-    space = p ** (n * (n - 1) // 2 if spec.skew else n * n)
-    if space > MAX_EXHAUSTIVE:
+    alg = _fixed_algebra(spec, p, n, "a fixed algebra")
+    upper = np.triu_indices(n, 1)
+    cells = len(upper[0]) if spec.skew else n * n
+    if p ** cells > MAX_EXHAUSTIVE:
         raise ValueError("space too large; restrict to skew or lower dim")
-    for r in iter_r_tensors(n, p, spec.skew):
-        if spec.nonzero_only and r.is_zero():
-            continue
-        if ybe_operator(star, r, "P").is_zero():
-            yield AlgebraFile(p, n, star=star, r=r)
 
-
-def decode_map(idx, rows, cols, p):
-    """The rows x cols matrix whose entry (i, j) is base-p digit i*cols + j
-    of idx."""
-    return Exact(base_p_digits([idx], rows * cols, p).reshape(rows, cols), 1, p)
-
-
-def iter_maps(rows, cols, p):
-    for idx in range(p ** (rows * cols)):
-        yield decode_map(idx, rows, cols, p)
+    def operands(digits):
+        """r as a and b: the digits, or r - r^T with them above the diagonal."""
+        if not spec.skew:
+            return dict.fromkeys("ab", digits.reshape(n, n, -1))
+        r = np.zeros((n, n, digits.shape[-1]), dtype=digits.dtype)
+        r[upper] = digits
+        return dict.fromkeys("ab", (r - r.transpose(1, 0, 2)) % p)
+    fixed = {"m": alg.star.exact.num[..., None]}
+    hits = screen(((YBE["adm_pybe"][1],),), sweep(cells, p), operands, fixed, p)
+    for ops in _candidates(spec, hits, operands):
+        r = RTensor(ops["a"], p)
+        if check_ybe(alg, r, "adm_pybe").holds:
+            yield AlgebraFile(p, n, star=alg.star, r=r)
 
 
 def _search_o_operator(spec, p, n):
-    if spec.algebra is None or spec.rep is None:
+    if spec.rep is None:
         raise ValueError("o_operator search needs an algebra and a representation")
-    star = spec.algebra
-    if star.n != n or star.p != p:
-        raise ValueError("fixed algebra must match the search dim and field")
-    alg = AdmPoissonAlgebra(star)
+    alg = _fixed_algebra(spec, p, n, "an algebra and a representation")
     l, r = spec.rep
     rep = Representation(alg, l, r)
     m = rep.vdim
-    space = p ** (n * m)
-    if space > MAX_EXHAUSTIVE:
+    if p ** (n * m) > MAX_EXHAUSTIVE:
         raise ValueError("theta space too large")
-    for idx in o_operator_hits(star, l, r, p):
-        if spec.nonzero_only and idx == 0:
-            continue
-        theta = decode_map(idx, n, m, p)
-        if check_o_operator(OOperatorCandidate(alg, rep, theta)).holds:
-            af = AlgebraFile(p, n, m, star=star, l=l, r=r)
-            af.maps["theta"] = theta
+    for ops in _candidates(spec, o_operator_hits(alg.star, l, r, p),
+                           lambda digits: {"t": digits.reshape(n, m, -1)}):
+        if check_o_operator(OOperatorCandidate(alg, rep, ops["t"])).holds:
+            af = AlgebraFile(p, n, m, star=alg.star, l=l, r=r)
+            af.maps["theta"] = ops["t"]
             yield af
 
 
 def _search_pre(spec, p, n):
     """Pre-structures: exhaustive over the raw pair space when affordable,
-    otherwise generated from O-operators over the algebra catalog (every
-    O-operator induces a pre-structure on its module); all hits re-verified."""
-    space = p ** (2 * n ** 3)
-    if space <= MAX_EXHAUSTIVE:
-        sub = p ** (n ** 3)
-        for idx in table_hits(PRE_ADM_POISSON, "sq", n, p):
-            succ = decode_mul(idx % sub, n, p)
-            prec = decode_mul(idx // sub, n, p)
-            if spec.nonzero_only and succ.is_zero() and prec.is_zero():
-                continue
+    otherwise induced by the O-operators over the algebra catalog."""
+    if p ** (2 * n ** 3) <= MAX_EXHAUSTIVE:
+        for ops in _candidates(spec, table_hits(PRE_ADM_POISSON, "sq", n, p),
+                               operations("sq", n)):
+            succ, prec = MulTensor(n, p, ops["s"]), MulTensor(n, p, ops["q"])
             if check_pre_adm_poisson(PreAdmPoisson.raw(succ, prec)).holds:
                 yield AlgebraFile(p, n, succ=succ, prec=prec)
         return
     seen = set()
-    for alg_idx in adm_catalog_indices(n, p):
-        star = decode_mul(alg_idx, n, p)
+    for _, column in adm_catalog_indices(n, p):
+        star = MulTensor(n, p, Exact(column.reshape(n, n, n), 1, p))
         alg = AdmPoissonAlgebra.raw(star)
         adj = adjoint_rep(alg, check=False)
         dual = dual_rep(adj, check=False)
         for rep in [adj, dual] if check_representation(dual).holds else [adj]:
-            hits, m = list(o_operator_hits(star, rep.l, rep.r, p)), rep.vdim
+            m = rep.vdim
+            thetas = np.stack([t for _, t in o_operator_hits(star, rep.l, rep.r, p)], axis=-1)
             # the pre-structures all the hits induce, batch-last; exact checks
             # only for one about to be emitted
-            ops = {"t": base_p_digits(hits, n * m, p).reshape(n, m, -1),
+            ops = {"t": thetas.reshape(n, m, -1),
                    "l": rep.l.num[..., None], "r": rep.r.num[..., None]}
-            pres = np.stack([_sum_terms(t, ops, (m,) * 3 + (len(hits),), np.int64, p)
+            pres = np.stack([_sum_terms(t, ops, (m,) * 3 + (thetas.shape[-1],), np.int64, p)
                              for t in INDUCED_PRE])
-            for idx, pair in zip(hits, np.moveaxis(pres, -1, 0)):
+            for theta, pair in zip(thetas.T, np.moveaxis(pres, -1, 0)):
                 if (spec.nonzero_only and not pair.any()) or pair.tobytes() in seen:
                     continue
                 pre = PreAdmPoisson.raw(*(MulTensor(m, p, Exact(x, 1, p)) for x in pair))
-                if not check_o_operator(OOperatorCandidate(alg, rep, decode_map(idx, n, m, p))).holds:
+                theta = Exact(theta.reshape(n, m), 1, p)
+                if not check_o_operator(OOperatorCandidate(alg, rep, theta)).holds:
                     continue
                 report = check_pre_adm_poisson(pre)
                 if not report.holds:

@@ -1231,6 +1231,29 @@ def sample_adm_poisson(spec):
             yield m
 
 
+def sample_poisson(spec):
+    """The sampled Poisson search one draw at a time: for each i <= j and k
+    a bracket residue and then a circ residue, the bracket forced to 0 on
+    the diagonal; each pair checked by the scalar loop, without the count
+    limit or the nonzero filter."""
+    n, p = spec.dim, spec.p
+    rng = random.Random(spec.seed)
+    for _ in range(spec.count * 10000):
+        br, circ = {}, {}
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(n):
+                    b = rng.randrange(p)
+                    c = rng.randrange(p)
+                    if i == j:
+                        b = 0
+                    br[i, j, k], br[j, i, k] = b, -b
+                    circ[i, j, k] = circ[j, i, k] = c
+        pair = MulTensor.from_entries(n, br, p), MulTensor.from_entries(n, circ, p)
+        if check_poisson(*pair).holds:
+            yield pair
+
+
 def adm_mask_dim2_gf5(C=None):
     """Boolean mask of the defining identity, cleared of 1/3 by scaling by 3:
 
@@ -1923,6 +1946,10 @@ def decode_map(idx, rows, cols, p):
         idx, d = divmod(idx, p)
         mat[t // cols][t % cols] = Scalar(d, 1, p)
     return mat
+
+
+def iter_maps(rows, cols, p):
+    return (decode_map(idx, rows, cols, p) for idx in range(p ** (rows * cols)))
 
 
 def iter_r_tensors(n, p, skew):

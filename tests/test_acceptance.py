@@ -30,13 +30,12 @@ from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
 from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    solution_from_o_operator, PreAdmPoisson,
                                    check_pre_adm_poisson, canonical_solution)
-from admpoisson.search import (encode_mul, decode_mul, table_mask,
-                               iter_r_tensors, iter_maps, SearchSpec, search)
+from admpoisson.search import encode_mul, decode_mul, SearchSpec, search
 from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
 
 from oracles import (t3_add, t3_sub, rand_mul, rand_mat, rand_vec, dim2_gf5_tensor_array,
-                     poisson_mask_dim2_gf5, _bialgebra_residuals)
+                     poisson_mask_dim2_gf5, _bialgebra_residuals, iter_r_tensors, iter_maps)
 
 P = 5
 CORPUS = Path(__file__).parent / "corpus"
@@ -53,14 +52,15 @@ def dim1_algebras():
 
 # 1 -----------------------------------------------------------------------
 
-def test_polarization_equivalence(capsys):
+def test_polarization_equivalence(capsys, catalog_gf5):
     # dim 1 exhaustive, exact both routes
     for m in dim1_algebras():
         assert check_adm_poisson(m).holds == \
             check_poisson(*polarize_raw(m)).holds
     # dim 2 exhaustive via the two independent vectorized routes
     import numpy as np
-    adm = table_mask(((ADM_POISSON,),), "c", np.arange(5 ** 8), 2, 5)
+    adm = np.zeros(5 ** 8, dtype=bool)
+    adm[catalog_gf5] = True             # the screened catalog
     poi = poisson_mask_dim2_gf5(dim2_gf5_tensor_array())
     assert (adm == poi).all(), "vectorized routes disagree"
     n_pass = int(adm.sum())

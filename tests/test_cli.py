@@ -16,6 +16,8 @@ CORPUS = Path(__file__).parent / "corpus"
 CORPUS_FILES = ["good_adm.alg", "bad_adm.alg", "poisson_pair.alg",
                 "rep_theta.alg", "ybe.alg", "matched.alg", "bialg.alg",
                 "pre.alg", "prepoisson.alg", "badformat.alg"]
+# a GF(5) file whose operation is not adm-Poisson, with a zero action
+BAD_ADM_GF5 = Path(__file__).parent / "bad_adm_gf5.alg"
 
 
 def run(capsys, *argv):
@@ -275,6 +277,17 @@ def test_search_cli_with_algebra(capsys):
     assert total >= 1
 
 
+@pytest.mark.parametrize("target", ["adm_pybe_solution", "o_operator"])
+def test_search_cli_rejects_a_fixed_algebra_that_is_not_adm_poisson(capsys, target):
+    # the witness is the one `check adm-poisson` prints, 1-based
+    assert run(capsys, "check", "adm-poisson", BAD_ADM_GF5)[1].startswith(
+        "FAIL adm-poisson at (1,1,2):")
+    code, out, err = run(capsys, "search", target, "--dim", "2", "--field", "5", "--skew",
+                         "--algebra", BAD_ADM_GF5)
+    assert (code, out) == (2, "")
+    assert err == "error: the fixed algebra is not adm-Poisson: it fails adm-poisson at (1,1,2)\n"
+
+
 def test_search_cli_bad_field(capsys):
     code, out, err = run(capsys, "search", "adm_poisson", "--field", "4")
     assert code == 2
@@ -326,6 +339,8 @@ def test_search_cli_reports_shortfall(capsys):
      str(CORPUS / "rep_theta.alg")],
     ["search", "adm_poisson", "--count", "0"],
     ["search", "adm_poisson", "--count", "-3"],
+    ["search", "adm_pybe_solution", "--dim", "2", "--field", "5", "--skew", "--algebra",
+     str(BAD_ADM_GF5)],
 ])
 def test_search_validation_holds_under_python_O(argv):
     # validation must not rely on assert, which `python -O` strips

@@ -59,8 +59,7 @@ from admpoisson.yangbaxter import (CORRESPONDENCE, CYCLIC_FORM, SLOT_PATTERNS,
                                    cyclic_form_check, operator_form_check, sym_defect,
                                    ybe_operator)
 from admpoisson import search
-from admpoisson.search import (adm_catalog_indices, decode_mul, digit_arrays,
-                               table_hits)
+from admpoisson.search import adm_catalog_indices, base_p_digits, decode_mul, table_hits
 
 FIELDS = [0, 5, 10007, 2 ** 31 - 1]
 DIMS = [1, 2, 3, 4]
@@ -212,7 +211,7 @@ def test_catalog_algebras(catalog_muls):
 
 def test_catalog_mask_gives_the_same_769_indices(catalog_gf5):
     old = [int(i) for i in np.nonzero(oracles.adm_mask_dim2_gf5())[0]]
-    assert catalog_gf5 == old == list(adm_catalog_indices(2, 5))
+    assert catalog_gf5 == old == [idx for idx, _ in adm_catalog_indices(2, 5)]
     assert len(old) == 769
 
 
@@ -220,16 +219,16 @@ def test_catalog_mask_gives_the_same_769_indices(catalog_gf5):
 def test_exhaustive_sweep_masks_match_the_loops(p):
     # candidate idx holds its first operation in the low base-p digits
     pairs = [(decode_mul(i % p, 1, p), decode_mul(i // p, 1, p)) for i in range(p * p)]
-    arrays = digit_arrays(np.arange(p * p), 1, p, 2)
+    arrays = search.operations("bo", 1)(base_p_digits(np.arange(p * p), 2, p)).values()
     for idx in (0, 1, p, p * p - 1):
         assert [int(a[..., idx].flat[0]) for a in arrays] == \
             [m.c[0][0][0].num for m in pairs[idx]]
-    assert list(table_hits(POISSON, "bo", 1, p)) == \
+    assert [idx for idx, _ in table_hits(POISSON, "bo", 1, p)] == \
         [i for i, (b, o) in enumerate(pairs) if oracles.check_poisson(b, o).holds]
-    assert list(table_hits(PRE_ADM_POISSON, "sq", 1, p)) == \
+    assert [idx for idx, _ in table_hits(PRE_ADM_POISSON, "sq", 1, p)] == \
         [i for i, (s, q) in enumerate(pairs)
          if oracles.check_pre_adm_poisson(PreAdmPoisson.raw(s, q)).holds]
-    assert list(adm_catalog_indices(1, p)) == \
+    assert [idx for idx, _ in adm_catalog_indices(1, p)] == \
         [i for i in range(p) if oracles.check_adm_poisson(decode_mul(i, 1, p)).holds]
 
 
@@ -634,7 +633,7 @@ def test_index_constructions(p):
 
 @pytest.mark.parametrize("p", FIELDS[1:])
 def test_search_decoding(p):
-    """decode_mul, decode_map, encode_mul and iter_r_tensors read base-p
+    """decode_mul, encode_mul and the digit columns of maps read base-p
     digits as the loops did, also above int64 (GF(2^31-1) at dim 3)."""
     rng = random.Random(13000 + p % 997)
     for n in DIMS[:3]:
@@ -644,12 +643,8 @@ def test_search_decoding(p):
             assert search.encode_mul(m) == oracles.encode_mul(m) == idx
             rows, cols = n, rng.choice(DIMS)
             idx %= p ** (rows * cols)
-            assert search.decode_map(idx, rows, cols, p) == \
-                oracles.decode_map(idx, rows, cols, p)
-    for n, skew in ((1, False), (2, False), (2, True), (3, True)):
-        if p ** (n * n) <= 10 ** 4:
-            assert list(search.iter_r_tensors(n, p, skew)) == \
-                list(oracles.iter_r_tensors(n, p, skew))
+            assert base_p_digits([idx], rows * cols, p).reshape(rows, cols).tolist() == \
+                [[s.num for s in row] for row in oracles.decode_map(idx, rows, cols, p)]
 
 
 def valid_candidates(p, rng):

@@ -22,10 +22,10 @@ from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    canonical_solution,
                                    compatible_pre_from_invertible_o,
                                    pre_from_symplectic)
-from admpoisson.search import decode_mul, iter_maps
+from admpoisson.search import decode_mul
 
 from oracles import (apply_mul, column, mat_identity, mat_inverse, mat_vec, mat_zero,
-                     product, rand_mat)
+                     product, rand_mat, iter_maps)
 from test_algebras import idempotent_dim1, solvable_lie_dim2, comm_assoc_dim2
 
 

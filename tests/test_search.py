@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +11,33 @@ from admpoisson.tensors import AxiomReport, MulTensor
 from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                                  check_adm_poisson, check_poisson, polarize_raw)
 from admpoisson.representations import Representation, adjoint_rep
-from admpoisson.yangbaxter import ybe_operator, RTensor
 from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson,
                                    check_pre_adm_poisson, check_o_operator,
                                    OOperatorCandidate)
+from admpoisson.fileformat import read_file
 from admpoisson import search as searchmod
-from admpoisson.search import (encode_mul, decode_mul, table_mask, table_hits,
-                               adm_catalog_indices, SearchSpec, SearchShortfall,
-                               search, iter_r_tensors, iter_maps, o_operator_hits)
+from admpoisson.search import (encode_mul, decode_mul, base_p_digits, operations, screen,
+                               table_hits, adm_catalog_indices, SearchSpec,
+                               SearchShortfall, search, o_operator_hits)
 
 import oracles
 from oracles import (rand_mat, rand_mul, brute_count_adm, dim2_gf5_tensor_array,
-                     poisson_mask_dim2_gf5, sample_adm_poisson)
+                     poisson_mask_dim2_gf5, sample_adm_poisson, sample_poisson,
+                     iter_r_tensors, iter_maps)
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def table_mask(groups, names, indices, n, p):
+    """Which of `indices` pass the screen, screened as one batch."""
+    batch = [(range(len(indices)), base_p_digits(indices, len(names) * n ** 3, p))]
+    mask = np.zeros(len(indices), dtype=bool)
+    mask[[k for k, _ in screen(groups, batch, operations(names, n), {}, p)]] = True
+    return mask
+
+
+def keys(hits):
+    return [k for k, _ in hits]
 
 
 def test_encode_decode_roundtrip():
@@ -53,7 +69,7 @@ def test_masks_against_exact_checkers():
 
 def test_catalog_counts(catalog_gf5):
     # dim 1 by brute force; dim 2 count is pinned and mask-verified
-    assert len(list(adm_catalog_indices(1, 5))) == \
+    assert len(keys(adm_catalog_indices(1, 5))) == \
         brute_count_adm(1, 5, lambda m: check_adm_poisson(m).holds)
     assert len(catalog_gf5) == 769
     assert catalog_gf5 == sorted(catalog_gf5)
@@ -98,13 +114,32 @@ def test_iter_r_tensors_counts():
         assert r.is_skew()
 
 
+def pybe_algebras(p, catalog_gf5):
+    """Three catalog algebras and ybe.alg over GF(5); the zero algebra and
+    three sampled ones over GF(7)."""
+    if p == 5:
+        return ([decode_mul(catalog_gf5[i], 2, 5) for i in (0, 100, 500)]
+                + [read_file(CORPUS / "ybe.alg").ops["star"]])
+    spec = SearchSpec("adm_poisson", 2, p=7, count=3, seed=1, nonzero_only=True)
+    return [decode_mul(0, 2, 7)] + [h.ops["star"] for h in search(spec)]
+
+
 def test_search_pybe_matches_direct_enumeration(catalog_gf5):
-    star = decode_mul(catalog_gf5[100], 2, 5)
-    spec = SearchSpec("adm_pybe_solution", 2, p=5, skew=True, algebra=star)
-    got = [h.tensors["r"].coeff for h in search(spec)]
-    want = [r.coeff for r in iter_r_tensors(2, 5, skew=True)
-            if ybe_operator(star, r, "P").is_zero()]
-    assert got == want and len(got) >= 1
+    # every r at (2, p), full and skew, in enumeration order, against the
+    # per-r loop
+    for p, skew in ((5, True), (5, False), (7, True), (7, False)):
+        solutions = 0
+        for star in pybe_algebras(p, catalog_gf5):
+            a = AdmPoissonAlgebra(star)
+            want = [r for r in iter_r_tensors(2, p, skew)
+                    if oracles.check_ybe(a, r, "adm_pybe").holds]
+            for nonzero_only in (False, True):
+                spec = SearchSpec("adm_pybe_solution", 2, p=p, skew=skew, algebra=star,
+                                  nonzero_only=nonzero_only)
+                assert [h.tensors["r"] for h in search(spec)] == \
+                    [r for r in want if not (nonzero_only and r.is_zero())]
+            solutions += len(want) - 1          # r = 0 always solves
+        assert solutions >= 1, (p, skew)
 
 
 def test_search_pybe_field_mismatch_rejected():
@@ -141,7 +176,12 @@ def test_o_operator_screen_matches_the_loop(monkeypatch, catalog_gf5, n, m, p):
     assert want[0] == 0
     for chunk in (1, 7, searchmod.CHUNK):
         monkeypatch.setattr(searchmod, "CHUNK", chunk)
-        assert list(o_operator_hits(star, rep.l, rep.r, p)) == want
+        hits = list(o_operator_hits(star, rep.l, rep.r, p))
+        assert keys(hits) == want
+        # each hit's digit column is its map theta
+        for idx, column in hits[:20]:
+            assert [[s.num for s in row] for row in oracles.decode_map(idx, n, m, p)] == \
+                column.reshape(n, m).tolist()
 
 
 def test_search_o_operator_rejects_another_dim(catalog_gf5):
@@ -198,7 +238,7 @@ def test_streamed_sweep_matches_the_unchunked_mask(monkeypatch, target, n, p, ch
     assert want
     for chunk in chunks:
         monkeypatch.setattr(searchmod, "CHUNK", chunk)
-        assert list(table_hits(groups, names, n, p)) == want
+        assert keys(table_hits(groups, names, n, p)) == want
 
 
 @pytest.mark.parametrize("p", [257, 2 ** 31 - 1])
@@ -210,6 +250,45 @@ def test_batch_mask_over_wide_spaces(p):
     assert mask[:2].all()
     for idx, ok in zip(draws, mask):
         assert bool(ok) == check_adm_poisson(decode_mul(idx, 2, p)).holds
+
+
+@pytest.mark.parametrize("n,p", [(2, 257), (2, 2 ** 31 - 1), (3, 2 ** 31 - 1), (16, 5)])
+def test_wide_indices_split_into_int64_blocks(n, p):
+    rng = random.Random(n + p % 1000)
+    space = p ** n ** 3
+    draws = [0, space - 1] + [rng.randrange(space) for _ in range(6)]
+    digits = base_p_digits(draws, n ** 3, p)
+    assert digits.dtype == np.int64 and digits.shape == (n ** 3, len(draws))
+    for idx, column in zip(draws, digits.T):
+        assert column.tolist() == oracles.decode_mul(idx, n, p).exact.num.ravel().tolist()
+
+
+def test_digits_beyond_int64_are_python_ints():
+    p = 2 ** 89 - 1
+    draws = [0, p * p - 1, 12345 * p + 678]
+    digits = base_p_digits(draws, 2, p)
+    assert digits.dtype == object
+    assert digits.T.tolist() == [[idx % p, idx // p] for idx in draws]
+
+
+@pytest.mark.parametrize("seed,p", [(0, 5), (0, 7), (5, 5), (5, 7)])
+def test_batched_poisson_sampler_matches_the_per_draw_loop(monkeypatch, seed, p):
+    # the reference's hits in draw order, until two have a nonzero operation
+    hits, ref = [], sample_poisson(SearchSpec("poisson", 2, p=p, count=2, seed=seed))
+    while sum(not (b.is_zero() and o.is_zero()) for b, o in hits) < 2:
+        hits.append(next(ref))
+    want = {False: hits[:2],
+            True: [(b, o) for b, o in hits if not (b.is_zero() and o.is_zero())][:2]}
+    # batches of CHUNK, of 1000 draws, and of 50 under a reduced output cap
+    for chunk, cap in ((searchmod.CHUNK, searchmod.MAX_OUTPUT_ENTRIES),
+                       (1000, searchmod.MAX_OUTPUT_ENTRIES), (searchmod.CHUNK, 16 * 50)):
+        monkeypatch.setattr(searchmod, "CHUNK", chunk)
+        monkeypatch.setattr(searchmod, "MAX_OUTPUT_ENTRIES", cap)
+        for nonzero_only in (False, True):
+            spec = SearchSpec("poisson", 2, p=p, count=2, seed=seed,
+                              nonzero_only=nonzero_only)
+            assert [(h.ops["bracket"], h.ops["circ"]) for h in search(spec)] == \
+                want[nonzero_only]
 
 
 @pytest.mark.parametrize("seed", [101, 202])
@@ -232,12 +311,15 @@ def test_sampled_batches_are_bounded_by_the_output_cap(monkeypatch):
     same order and giving the same hits."""
     spec = SearchSpec("adm_poisson", 2, p=7, count=2, seed=101)
     want = [h.ops["star"] for h in search(spec)]
-    sizes, table = [], searchmod.table_mask
+    sizes, screen = [], searchmod.screen
 
-    def recording(groups, names, draws, n, p):
-        sizes.append(len(draws))
-        return table(groups, names, draws, n, p)
-    monkeypatch.setattr(searchmod, "table_mask", recording)
+    def recording(groups, batches, *args):
+        def counted():
+            for draws, digits in batches:
+                sizes.append(len(draws))
+                yield draws, digits
+        return screen(groups, counted(), *args)
+    monkeypatch.setattr(searchmod, "screen", recording)
     for cap, batch in ((searchmod.MAX_OUTPUT_ENTRIES, searchmod.CHUNK), (16 * 50, 50), (15, 1)):
         monkeypatch.setattr(searchmod, "MAX_OUTPUT_ENTRIES", cap)
         sizes.clear()
@@ -253,12 +335,12 @@ def test_sampled_search_reports_its_shortfall():
 
 def test_count_1_builds_only_the_first_chunk(monkeypatch):
     built = []
-    digit_arrays = searchmod.digit_arrays
+    digits = searchmod.base_p_digits
 
     def recording(indices, *args):
         built.append((int(indices[0]), len(indices)))
-        return digit_arrays(indices, *args)
-    monkeypatch.setattr(searchmod, "digit_arrays", recording)
+        return digits(indices, *args)
+    monkeypatch.setattr(searchmod, "base_p_digits", recording)
     hits = list(search(SearchSpec("adm_poisson", 2, p=5, count=1)))
     assert len(hits) == 1 and hits[0].ops["star"].is_zero()
     assert built == [(0, searchmod.CHUNK)]
@@ -310,3 +392,27 @@ def test_pre_search_checks_each_hit_once(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PRE_NONZERO_10_SHA256
     assert calls["hits"] == 2655
     assert calls["check_o_operator"] == calls["check_pre_adm_poisson"] == 10
+
+
+# sha256 of the stdout of four more searches, each measured before its
+# target was screened in batches
+SEARCH_SHA256 = [
+    (["poisson", "--dim", "2", "--field", "5", "--count", "3", "--nonzero-only"],
+     "ab8d372f3ca0797412cf5bd8efc6cf755c010e15bb61e8b8f185cef02b27a91f"),
+    (["poisson", "--dim", "2", "--field", "7", "--count", "2", "--seed", "5"],
+     "f28369382250e7b736fd88c966db70cf2bf9e10723cc7a33f51a82efd5e12deb"),
+    (["adm_pybe_solution", "--dim", "2", "--field", "5", "--algebra", "ybe.alg"],
+     "c9b1ca439d6e4e741ed744fbf79a94b41b31113084e93eb9a896e652d24428ed"),
+    (["adm_pybe_solution", "--dim", "2", "--field", "5", "--algebra", "ybe.alg", "--skew"],
+     "6ddff64ad120d98572cf143511864554f4ceac2ead54a2f219fa41912d7371a4"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SEARCH_SHA256)
+def test_search_output_is_pinned(capsys, argv, digest):
+    from admpoisson.cli import run_command
+    code = run_command(["search"] + [str(CORPUS / a) if a.endswith(".alg") else a
+                                     for a in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
