@@ -1,21 +1,15 @@
 """Comultiplications and bialgebra predicates.
 
-A comultiplication is stored output-index first:
+A comultiplication (Comultiplication, which lives in tensors beside the
+other structures) is stored output-index first:
     alpha(e_i) = sum_{j,k} a[i][j][k] e_j (x) e_k,
 so a[i] is an n x n matrix A_i with rows = first tensor slot.  Under that
 convention (M (x) id) alpha(x) = M A_x, (id (x) M) alpha(x) = A_x M^T and
 tau(alpha(x)) = A_x^T, which the pair-condition residuals below exploit.
 """
 
-from .tensors import MulTensor, Identity, Structure, check_identities
+from .tensors import Comultiplication, MulTensor, Identity, check_identities
 from .algebras import AxiomReport, check_poisson
-
-
-class Comultiplication(Structure):
-    """Coefficients a[i][j][k] of alpha(e_i) = sum a[i][j][k] e_j (x) e_k."""
-
-    __slots__ = ()
-    a = property(lambda self: self.exact.scalars())
 
 
 def dual_structure(c):

@@ -8,29 +8,17 @@ the file format's e1-style basis naming.
 """
 
 import argparse
+import os
 import sys
-from functools import partial
 
 from .scalars import check_characteristic
 from .tensors import ShapeError
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, check_adm_poisson,
                        check_poisson, polarize_raw, depolarize_raw)
-from .representations import (Representation, check_representation,
-                              adjoint_rep, dual_rep, semidirect_raw)
-from .matched import (MatchedPairData, check_matched_pair, bowtie_raw,
-                      BilinearForm, check_invariant_form, manin_double)
-from .bialgebras import (dual_structure, check_adm_bialgebra,
-                         PoissonComultiplicationPair, split_comultiplication,
-                         merge_comultiplication, check_poisson_bialgebra)
-from .yangbaxter import (check_ybe, coboundary_alpha, check_coboundary_conditions,
-                         operator_form_check, cyclic_form_check)
-from .ooperators import (OOperatorCandidate, check_o_operator,
-                         check_rota_baxter, solution_from_o_operator,
-                         PreAdmPoisson, check_pre_adm_poisson,
-                         subadjacent_raw, PrePoisson, check_pre_poisson,
-                         induced_pre_from_o_operator, canonical_solution)
 from .fileformat import AlgebraFile, FormatError, entry_strings, parse_file, print_file
 from . import search as searchmod
+# The other modules are imported by the functions that use them, so that a
+# command loads only the modules it runs.
 
 
 class InputError(Exception):
@@ -52,10 +40,9 @@ def _require(report, tag=None):
     with 'tag:' when given."""
     if report.holds:
         return
-    name, idx, *sides = (report.tagged(tag) if tag else report).witness
-    lhs, rhs = (_fmt_value(entry_strings(x, x.p).tolist()) for x in sides)
-    pos = "(" + ",".join(str(i + 1) for i in idx) + ")"
-    raise Failed(f"FAIL {name} at {pos}: lhs={lhs} rhs={rhs}")
+    report = report.tagged(tag) if tag else report
+    lhs, rhs = (_fmt_value(entry_strings(x, x.p).tolist()) for x in report.witness[2:])
+    raise Failed(f"FAIL {report.where()}: lhs={lhs} rhs={rhs}")
 
 
 def _lookup(table, what, names, single_ok):
@@ -100,6 +87,7 @@ def _adm(af):
 
 
 def _rep(af, alg, tag=None):
+    from .representations import Representation, check_representation
     rep = Representation.raw(alg, _get_rep_family(af, "l", "L"),
                              _get_rep_family(af, "r", "R"))
     _require(check_representation(rep), tag)
@@ -117,6 +105,7 @@ def _poisson(af):
 
 
 def _matched_pair(af):
+    from .matched import MatchedPairData
     if af.vdim is None:
         raise InputError("matched-pair files need both dim and vdim")
     s1 = _get_op(af, "star1")
@@ -137,6 +126,7 @@ def _matched_pair(af):
 
 def _o_operator(af):
     """The O-operator candidate of the file, its algebra and action checked."""
+    from .ooperators import OOperatorCandidate
     if af.vdim is None:
         raise InputError("o-operator files need both dim and vdim")
     alg = _adm(af)
@@ -148,6 +138,7 @@ def _o_operator(af):
 
 
 def _pre(af):
+    from .ooperators import PreAdmPoisson, check_pre_adm_poisson
     pre = PreAdmPoisson.raw(_get_op(af, "succ"), _get_op(af, "prec"))
     _require(check_pre_adm_poisson(pre))
     return pre
@@ -180,12 +171,14 @@ def _check_rep(af):
 
 
 def _check_matched_pair(af):
+    from .matched import check_matched_pair
     mp = _matched_pair(af)
     _require(check_matched_pair(mp))
     return f"OK matched-pair (dims {mp.p1.n}+{mp.p2.n}, 6 identities checked)"
 
 
 def _check_invariant_form(af):
+    from .matched import BilinearForm, check_invariant_form
     alg = _adm(af)
     gram = _get_map(af, "form", "B")
     if gram.num.shape != (alg.n, alg.n):
@@ -195,12 +188,14 @@ def _check_invariant_form(af):
 
 
 def _check_bialgebra(af):
+    from .bialgebras import check_adm_bialgebra
     alg = _adm(af)
     _require(check_adm_bialgebra(alg, _get_comul(af, "alpha")))
     return f"OK bialgebra (dim {alg.n})"
 
 
 def _check_poisson_bialgebra(af):
+    from .bialgebras import PoissonComultiplicationPair, check_poisson_bialgebra
     palg = _poisson(af)
     delta = _get_comul(af, "delta")
     Delta = _get_comul(af, "Delta")
@@ -214,6 +209,7 @@ def _check_poisson_bialgebra(af):
 
 def _check_ybe(name):
     def run(af):
+        from .yangbaxter import check_ybe
         r = _get_tensor(af)
         alg = _adm(af) if name == "adm-pybe" else _poisson(af)
         _require(check_ybe(alg, r, name.replace("-", "_")))
@@ -221,8 +217,14 @@ def _check_ybe(name):
     return run
 
 
-def _check_on_r(name, check):
+def _check_on_r(name):
+    """The check of condition `name` on the file's r: the operator or cyclic
+    form, or a coboundary condition."""
     def run(af):
+        from .yangbaxter import (check_coboundary_conditions, cyclic_form_check,
+                                 operator_form_check)
+        check = {"operator-form": operator_form_check, "cyclic-form": cyclic_form_check}.get(
+            name, lambda a, r: check_coboundary_conditions(a, r, name))
         alg = _adm(af)
         _require(_as_input_error(check, alg, _get_tensor(af)))
         return f"OK {name} (dim {alg.n})"
@@ -230,12 +232,14 @@ def _check_on_r(name, check):
 
 
 def _check_o_operator(af):
+    from .ooperators import check_o_operator
     cand = _o_operator(af)
     _require(check_o_operator(cand))
     return f"OK o-operator (dim {cand.alg.n}, module dim {cand.rep.vdim})"
 
 
 def _check_rota_baxter(af):
+    from .ooperators import check_rota_baxter
     alg = _adm(af)
     R = _get_map(af, "R", "theta")
     if R.num.shape != (alg.n, alg.n):
@@ -250,6 +254,7 @@ def _check_pre_adm(af):
 
 
 def _check_pre_poisson(af):
+    from .ooperators import PrePoisson, check_pre_poisson
     dot = _get_op(af, "dot")
     _require(check_pre_poisson(PrePoisson.raw(dot, _get_op(af, "ast"))))
     return f"OK pre-poisson (dim {dot.n}, {dot.n ** 3} triples checked)"
@@ -264,14 +269,13 @@ PREDICATES = {
     "bialgebra": _check_bialgebra,
     "poisson-bialgebra": _check_poisson_bialgebra,
     **{name: _check_ybe(name) for name in ("adm-pybe", "cybe", "aybe", "pybe")},
-    **{name: _check_on_r(name, partial(check_coboundary_conditions, which=name))
-       for name in ("con1", "eqv1", "eqv2", "eqv3", "cosp", "cosp2")},
+    **{name: _check_on_r(name) for name in ("con1", "eqv1", "eqv2", "eqv3", "cosp", "cosp2")},
     "o-operator": _check_o_operator,
     "rota-baxter": _check_rota_baxter,
     "pre-adm": _check_pre_adm,
     "pre-poisson": _check_pre_poisson,
-    "operator-form": _check_on_r("operator-form", operator_form_check),
-    "cyclic-form": _check_on_r("cyclic-form", cyclic_form_check),
+    "operator-form": _check_on_r("operator-form"),
+    "cyclic-form": _check_on_r("cyclic-form"),
 }
 
 
@@ -288,6 +292,7 @@ def _build_depolarize(af):
 
 
 def _build_semidirect(af):
+    from .representations import semidirect_raw
     alg = _adm(af)
     rep = _rep(af, alg)
     big = semidirect_raw(alg.star, rep.l, rep.r)
@@ -295,6 +300,7 @@ def _build_semidirect(af):
 
 
 def _build_bowtie(af):
+    from .matched import bowtie_raw, check_matched_pair
     mp = _matched_pair(af)
     _require(check_matched_pair(mp))
     big = bowtie_raw(mp)
@@ -302,6 +308,8 @@ def _build_bowtie(af):
 
 
 def _build_manin_double(af):
+    from .matched import manin_double
+    from .bialgebras import dual_structure
     alg = _adm(af)
     dual = dual_structure(_get_comul(af, "alpha"))
     _require(check_adm_poisson(dual), "dual")
@@ -311,23 +319,27 @@ def _build_manin_double(af):
 
 
 def _build_coboundary_alpha(af):
+    from .yangbaxter import coboundary_alpha
     alg = _adm(af)
     return AlgebraFile(af.p, alg.n, star=alg.star, alpha=coboundary_alpha(alg, _get_tensor(af)))
 
 
 def _build_split(af):
+    from .bialgebras import split_comultiplication
     c = _get_comul(af, "alpha")
     pair = split_comultiplication(c)
     return AlgebraFile(af.p, c.n, delta=pair.delta, Delta=pair.Delta)
 
 
 def _build_merge(af):
+    from .bialgebras import PoissonComultiplicationPair, merge_comultiplication
     delta = _get_comul(af, "delta")
     pair = _as_input_error(PoissonComultiplicationPair, delta, _get_comul(af, "Delta"))
     return AlgebraFile(af.p, delta.n, alpha=merge_comultiplication(pair))
 
 
 def _build_solution_from_o(af):
+    from .ooperators import check_o_operator, solution_from_o_operator
     cand = _o_operator(af)
     _require(check_o_operator(cand))
     big, r = solution_from_o_operator(cand)
@@ -335,6 +347,7 @@ def _build_solution_from_o(af):
 
 
 def _build_induced_pre(af):
+    from .ooperators import check_o_operator, induced_pre_from_o_operator
     cand = _o_operator(af)
     _require(check_o_operator(cand))
     pre = induced_pre_from_o_operator(cand)
@@ -342,22 +355,26 @@ def _build_induced_pre(af):
 
 
 def _build_subadjacent(af):
+    from .ooperators import subadjacent_raw
     pre = _pre(af)
     return AlgebraFile(af.p, pre.n, star=subadjacent_raw(pre.succ, pre.prec))
 
 
 def _build_canonical_solution(af):
+    from .ooperators import canonical_solution
     big, r = canonical_solution(_pre(af))
     return AlgebraFile(af.p, big.n, star=big.star, r=r)
 
 
 def _build_dual_rep(af):
+    from .representations import dual_rep
     alg = _adm(af)
     d = dual_rep(_rep(af, alg), check=False)
     return AlgebraFile(af.p, alg.n, d.vdim, star=alg.star, l=d.l, r=d.r)
 
 
 def _build_adjoint_rep(af):
+    from .representations import adjoint_rep
     alg = _adm(af)
     rep = adjoint_rep(alg)
     return AlgebraFile(af.p, alg.n, alg.n, star=alg.star, l=rep.l, r=rep.r)
@@ -493,7 +510,18 @@ def run_command(argv):
 
 
 def console_main():
-    sys.exit(run_command(sys.argv[1:]))
+    """Run the command of sys.argv, flush its output and end the process at
+    once: no output depends on the collection and module teardown of a
+    normal interpreter exit, which os._exit skips.  A stdout closed by its
+    reader (say `| head -1`) ends the command with exit code 1 and no
+    traceback; any other exception escapes with its traceback, exit 1."""
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .scalars import check_characteristic
-from .tensors import MulTensor, as_exact, from_fractions
-from .bialgebras import Comultiplication
-from .yangbaxter import RTensor
+from .tensors import Comultiplication, MulTensor, RTensor, as_exact, from_fractions
 
 # The largest identity output, an index triple times a value axis, has
 # dim**4 entries; MAX_DIM keeps it at MAX_OUTPUT_ENTRIES (MAX_DIM = 32).

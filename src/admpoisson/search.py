@@ -10,7 +10,8 @@ and a column of base-p digits (candidate axis last), go through the
 identity tables beside the fixed operands.  Exhaustive sweeps take
 ascending batches of CHUNK; sampled searches take seeded draws in batches,
 in the order drawn.  Each hit is built from its own digit column, and
-every emitted hit is re-verified by the exact checker.
+every emitted hit is re-verified by the exact checker.  The targets beyond
+the algebra catalogs import the modules of their tables where they run.
 """
 
 import random
@@ -19,14 +20,9 @@ from itertools import islice
 import numpy as np
 
 from .scalars import check_characteristic
-from .tensors import Exact, MulTensor, as_exact, identity_mask, _sum_terms
+from .tensors import Exact, MulTensor, RTensor, as_exact, identity_mask, _sum_terms
 from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                        check_adm_poisson, check_poisson)
-from .representations import (Representation, adjoint_rep, check_representation,
-                              dual_rep)
-from .yangbaxter import YBE, RTensor, check_ybe
-from .ooperators import (OOperatorCandidate, O_OPERATOR, check_o_operator,
-                         PreAdmPoisson, PRE_ADM_POISSON, INDUCED_PRE, check_pre_adm_poisson)
 from .fileformat import MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
@@ -115,6 +111,7 @@ def o_operator_hits(star, l, r, p):
     """Ascending keys and digit columns of the O-operators theta over the
     operation star and the action (l, r), broadcast; entry (i, j) of theta
     (one row per basis element of star) is digit i*cols + j of its key."""
+    from .ooperators import O_OPERATOR
     fixed = {name: as_exact(data, p).num.astype(np.int64)[..., None]
              for name, data in (("c", star.exact), ("l", l), ("r", r))}
     n, m = star.n, fixed["l"].shape[1]
@@ -243,13 +240,12 @@ def _fixed_algebra(spec, p, n, needs):
         raise ValueError("fixed algebra must match the search dim and field")
     report = check_adm_poisson(star)
     if not report.holds:
-        name, idx = report.witness[:2]
-        raise ValueError(f"the fixed algebra is not adm-Poisson: it fails {name} at "
-                         f"({','.join(str(i + 1) for i in idx)})")
+        raise ValueError(f"the fixed algebra is not adm-Poisson: it fails {report.where()}")
     return AdmPoissonAlgebra.raw(star)
 
 
 def _search_pybe(spec, p, n):
+    from .yangbaxter import YBE, check_ybe
     alg = _fixed_algebra(spec, p, n, "a fixed algebra")
     upper = np.triu_indices(n, 1)
     cells = len(upper[0]) if spec.skew else n * n
@@ -272,11 +268,16 @@ def _search_pybe(spec, p, n):
 
 
 def _search_o_operator(spec, p, n):
+    from .representations import Representation, check_representation
+    from .ooperators import OOperatorCandidate, check_o_operator
     if spec.rep is None:
         raise ValueError("o_operator search needs an algebra and a representation")
     alg = _fixed_algebra(spec, p, n, "an algebra and a representation")
     l, r = spec.rep
-    rep = Representation(alg, l, r)
+    rep = Representation.raw(alg, l, r)
+    report = check_representation(rep)
+    if not report.holds:
+        raise ValueError(f"the fixed action is not a representation: it fails {report.where()}")
     m = rep.vdim
     if p ** (n * m) > MAX_EXHAUSTIVE:
         raise ValueError("theta space too large")
@@ -291,6 +292,9 @@ def _search_o_operator(spec, p, n):
 def _search_pre(spec, p, n):
     """Pre-structures: exhaustive over the raw pair space when affordable,
     otherwise induced by the O-operators over the algebra catalog."""
+    from .representations import adjoint_rep, check_representation, dual_rep
+    from .ooperators import (INDUCED_PRE, PRE_ADM_POISSON, OOperatorCandidate,
+                             PreAdmPoisson, check_o_operator, check_pre_adm_poisson)
     if p ** (2 * n ** 3) <= MAX_EXHAUSTIVE:
         for ops in _candidates(spec, table_hits(PRE_ADM_POISSON, "sq", n, p),
                                operations("sq", n)):

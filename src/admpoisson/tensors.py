@@ -3,7 +3,9 @@ linear algebra.
 
 Every structure is one Exact: integers over a common denominator.  MulTensor
 holds the structure constants c[i][j][k] of a bilinear operation (e_i <> e_j
-= sum_k c[i][j][k] e_k), Tensor3 the coefficients of a triple tensor.
+= sum_k c[i][j][k] e_k), Tensor3 the coefficients of a triple tensor,
+Comultiplication those of a comultiplication and RTensor those of an
+r-tensor.
 Identities and contractions are tables of signed einsum terms evaluated on
 the integers (check_identities, evaluate), and linear systems are eliminated
 on them (solve).  Scalars are built only for the nested views of the Python
@@ -265,6 +267,49 @@ class Tensor3(Structure):
     t = property(lambda self: self.exact.scalars())
 
 
+class Comultiplication(Structure):
+    """Coefficients a[i][j][k] of alpha(e_i) = sum a[i][j][k] e_j (x) e_k."""
+
+    __slots__ = ()
+    a = property(lambda self: self.exact.scalars())
+
+
+class RTensor(Structure):
+    """r = sum coeff[i][j] e_i (x) e_j."""
+
+    __slots__ = ()
+    rank = 2
+    coeff = property(lambda self: self.exact.scalars())
+
+    def __init__(self, coeff, p=0):
+        coeff = as_exact(coeff, p)
+        super().__init__(len(coeff), p, coeff)
+
+    @classmethod
+    def from_entries(cls, n, entries, p=0):
+        """entries: dict (i,j) -> Scalar (or int, coerced)."""
+        return cls(dense((n, n), entries, p), p)
+
+    def tau(self):
+        return RTensor(self.exact.transpose(), self.p)
+
+    def sym_part(self):
+        return RTensor((self.exact + self.exact.transpose()) / 2, self.p)
+
+    def skew_part(self):
+        return RTensor((self.exact - self.exact.transpose()) / 2, self.p)
+
+    def is_skew(self):
+        return (self.exact + self.exact.transpose()).is_zero()
+
+    def is_symmetric(self):
+        return self.exact == self.exact.transpose()
+
+    def sharp(self):
+        """Matrix of r# : P* -> P on dual/primal coordinates."""
+        return self.exact.transpose().scalars()
+
+
 # ---------------------------------------------------------------------------
 # identities as tables of signed einsum terms
 
@@ -305,6 +350,12 @@ class AxiomReport:
         k = int((a != b).argmax())
         return AxiomReport.fail(name, idx, *(Exact(e.num[k:k + 1], e.den, e.p)
                                              for e in (lhs, rhs)))
+
+    def where(self):
+        """'name at (i,j,...)' of a failing report, its indices 1-based as
+        basis vectors are named in files."""
+        name, idx = self.witness[:2]
+        return f"{name} at ({','.join(str(i + 1) for i in idx)})"
 
     def __bool__(self):
         return self.holds

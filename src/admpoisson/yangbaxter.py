@@ -1,4 +1,5 @@
-"""r-tensors, the Yang-Baxter operators and the coboundary machinery.
+"""The Yang-Baxter operators and the coboundary machinery of r-tensors
+(RTensor, which lives in tensors beside the other structures).
 
 Conventions used throughout (for r with coefficient matrix r[i][j], meaning
 r = sum r[i][j] e_i (x) e_j):
@@ -14,45 +15,8 @@ r = sum r[i][j] e_i (x) e_j):
 
 import numpy as np
 
-from .tensors import (Exact, Structure, Tensor3, Terms, Identity, as_exact, evaluate,
-                      check_identities, common, dense, identity, solve)
-from .bialgebras import Comultiplication
-
-
-class RTensor(Structure):
-    """r = sum coeff[i][j] e_i (x) e_j."""
-
-    __slots__ = ()
-    rank = 2
-    coeff = property(lambda self: self.exact.scalars())
-
-    def __init__(self, coeff, p=0):
-        coeff = as_exact(coeff, p)
-        super().__init__(len(coeff), p, coeff)
-
-    @classmethod
-    def from_entries(cls, n, entries, p=0):
-        """entries: dict (i,j) -> Scalar (or int, coerced)."""
-        return cls(dense((n, n), entries, p), p)
-
-    def tau(self):
-        return RTensor(self.exact.transpose(), self.p)
-
-    def sym_part(self):
-        return RTensor((self.exact + self.exact.transpose()) / 2, self.p)
-
-    def skew_part(self):
-        return RTensor((self.exact - self.exact.transpose()) / 2, self.p)
-
-    def is_skew(self):
-        return (self.exact + self.exact.transpose()).is_zero()
-
-    def is_symmetric(self):
-        return self.exact == self.exact.transpose()
-
-    def sharp(self):
-        """Matrix of r# : P* -> P on dual/primal coordinates."""
-        return self.exact.transpose().scalars()
+from .tensors import (Comultiplication, Exact, RTensor, Tensor3, Terms, Identity,
+                      evaluate, check_identities, common, identity, solve)
 
 
 # Left operand a[i][.] and right operand b[.][.] placed in triple-tensor

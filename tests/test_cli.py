@@ -288,6 +288,18 @@ def test_search_cli_rejects_a_fixed_algebra_that_is_not_adm_poisson(capsys, targ
     assert err == "error: the fixed algebra is not adm-Poisson: it fails adm-poisson at (1,1,2)\n"
 
 
+def test_search_cli_rejects_a_fixed_action_that_is_not_a_representation(capsys, tmp_path):
+    # the witness is the one `check rep` prints, 1-based
+    path = tmp_path / "bad_rep.alg"
+    path.write_text("field gf 5\ndim 1\nop star\nstar: e1 e1 = 1 e1\n"
+                    "rep l e1 = [2]\nrep r e1 = [3]\n")
+    assert run(capsys, "check", "rep", path)[:2] == (1, "FAIL c2 at (1,1): lhs=[[2]] rhs=[[4]]\n")
+    code, out, err = run(capsys, "search", "o_operator", "--dim", "1", "--field", "5",
+                         "--algebra", path)
+    assert (code, out) == (2, "")
+    assert err == "error: the fixed action is not a representation: it fails c2 at (1,1)\n"
+
+
 def test_search_cli_bad_field(capsys):
     code, out, err = run(capsys, "search", "adm_poisson", "--field", "4")
     assert code == 2

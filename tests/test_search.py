@@ -348,7 +348,8 @@ def test_count_1_builds_only_the_first_chunk(monkeypatch):
 
 def test_pre_search_reports_a_failed_recheck(monkeypatch):
     # the re-check of an induced pre-structure is not an assert (python -O)
-    monkeypatch.setattr(searchmod, "check_pre_adm_poisson",
+    from admpoisson import ooperators
+    monkeypatch.setattr(ooperators, "check_pre_adm_poisson",
                         lambda pre: AxiomReport.fail("pre1", (0, 0, 0), [], []))
     with pytest.raises(RuntimeError, match="fails pre1 at"):
         list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=1)))
@@ -381,9 +382,8 @@ def test_pre_search_checks_each_hit_once(monkeypatch, capsys):
             calls["hits"] += 1
             yield idx
 
-    for mod in (searchmod, ooperators):
-        for name in ("check_o_operator", "check_pre_adm_poisson"):
-            monkeypatch.setattr(mod, name, counted(getattr(ooperators, name)))
+    for name in ("check_o_operator", "check_pre_adm_poisson"):
+        monkeypatch.setattr(ooperators, name, counted(getattr(ooperators, name)))
     monkeypatch.setattr(searchmod, "o_operator_hits", counted_hits)
     code = run_command(["search", "pre_adm_poisson", "--dim", "2", "--field", "5",
                         "--count", "10", "--nonzero-only"])
