@@ -10,7 +10,7 @@ Leibniz).  All checks run over basis triples only; multilinearity makes that
 sufficient.
 """
 
-from .tensors import AxiomReport, Identity, MulTensor, check_identities
+from .tensors import AxiomReport, Identity, MulTensor, Record, check_identities
 
 # The defining identity at (x, y, z) = (e_i, e_j, e_k), output coordinate l.
 ADM_POISSON = Identity(
@@ -43,71 +43,24 @@ def check_poisson(bracket, circ):
     return check_identities(POISSON, {"b": bracket.exact, "o": circ.exact}, bracket.p)
 
 
-class AdmPoissonAlgebra:
+class AdmPoissonAlgebra(Record):
     """A MulTensor verified against the single-operation axiom."""
 
     __slots__ = ("star",)
+    what = "an admissible-Poisson operation"
 
-    def __init__(self, star, check=True):
-        if check:
-            report = check_adm_poisson(star)
-            if not report.holds:
-                raise ValueError(f"not an admissible-Poisson operation: {report!r}")
-        object.__setattr__(self, "star", star)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdmPoissonAlgebra is immutable")
-
-    @classmethod
-    def raw(cls, star):
-        return cls(star, check=False)
-
-    @property
-    def n(self):
-        return self.star.n
-
-    @property
-    def p(self):
-        return self.star.p
-
-    def __eq__(self, other):
-        if not isinstance(other, AdmPoissonAlgebra):
-            return NotImplemented
-        return self.star == other.star
+    def verify(self):
+        return check_adm_poisson(self.star)
 
 
-class PoissonAlgebra:
+class PoissonAlgebra(Record):
     """A (bracket, circ) pair verified against the Poisson axioms."""
 
     __slots__ = ("bracket", "circ")
+    what = "a Poisson structure"
 
-    def __init__(self, bracket, circ, check=True):
-        if check:
-            report = check_poisson(bracket, circ)
-            if not report.holds:
-                raise ValueError(f"not a Poisson structure: {report!r}")
-        object.__setattr__(self, "bracket", bracket)
-        object.__setattr__(self, "circ", circ)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonAlgebra is immutable")
-
-    @classmethod
-    def raw(cls, bracket, circ):
-        return cls(bracket, circ, check=False)
-
-    @property
-    def n(self):
-        return self.bracket.n
-
-    @property
-    def p(self):
-        return self.bracket.p
-
-    def __eq__(self, other):
-        if not isinstance(other, PoissonAlgebra):
-            return NotImplemented
-        return self.bracket == other.bracket and self.circ == other.circ
+    def verify(self):
+        return check_poisson(self.bracket, self.circ)
 
 
 def polarize_raw(star):

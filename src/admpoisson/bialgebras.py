@@ -8,7 +8,7 @@ convention (M (x) id) alpha(x) = M A_x, (id (x) M) alpha(x) = A_x M^T and
 tau(alpha(x)) = A_x^T, which the pair-condition residuals below exploit.
 """
 
-from .tensors import Comultiplication, MulTensor, Identity, check_identities
+from .tensors import Comultiplication, MulTensor, Identity, Record, check_identities
 from .algebras import AxiomReport, check_poisson
 
 
@@ -74,7 +74,7 @@ def check_adm_bialgebra(a, c):
     return report
 
 
-class PoissonComultiplicationPair:
+class PoissonComultiplicationPair(Record):
     """(delta, Delta) with delta anti-cocommutative and Delta cocommutative."""
 
     __slots__ = ("delta", "Delta")
@@ -85,11 +85,7 @@ class PoissonComultiplicationPair:
             raise ValueError("delta must be anti-cocommutative")
         if D != D.transpose(0, 2, 1):
             raise ValueError("Delta must be cocommutative")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "Delta", Delta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonComultiplicationPair is immutable")
+        super().__init__(delta, Delta)
 
 
 def split_comultiplication(c):

@@ -121,7 +121,8 @@ def _matched_pair(af):
                              f"declare l2/r2 with 'rep NAME vdim ei = ...')")
     _require(check_adm_poisson(s1), "star1")
     _require(check_adm_poisson(s2), "star2")
-    return MatchedPairData(AdmPoissonAlgebra.raw(s1), AdmPoissonAlgebra.raw(s2), **fams)
+    return MatchedPairData(AdmPoissonAlgebra.raw(s1), AdmPoissonAlgebra.raw(s2),
+                           *fams.values())
 
 
 def _o_operator(af):

@@ -12,29 +12,18 @@ is admissible-Poisson exactly when the pair is matched.
 
 import numpy as np
 
-from .tensors import (Exact, MulTensor, AxiomReport, Identity, as_exact, check_identities,
-                      common, identity, solve)
+from .tensors import (Exact, MulTensor, AxiomReport, Identity, Record, as_exact,
+                      check_identities, common, identity, solve)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_rep, check_representation,
                               dual_rep, semidirect_raw)
 
 
-class MatchedPairData:
+class MatchedPairData(Record):
     """Two algebras plus the four action families (unchecked: check_matched_pair
     rejects families whose sizes disagree)."""
 
     __slots__ = ("p1", "p2", "l1", "r1", "l2", "r2")
-
-    def __init__(self, p1, p2, l1, r1, l2, r2):
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "l2", l2)
-        object.__setattr__(self, "r2", r2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatchedPairData is immutable")
 
     def swapped(self):
         return MatchedPairData(self.p2, self.p1, self.l2, self.r2,
@@ -108,18 +97,11 @@ def bowtie(mp):
     return AdmPoissonAlgebra(bowtie_raw(mp))
 
 
-class BilinearForm:
+class BilinearForm(Record):
     """gram[i][j] = B(e_i, e_j)."""
 
-    __slots__ = ("n", "p", "gram")
-
-    def __init__(self, gram, p=0):
-        object.__setattr__(self, "n", len(gram))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
+    __slots__ = ("gram", "p")
+    n = property(lambda self: len(self.gram))
 
     def is_symmetric(self):
         g = as_exact(self.gram, self.p)

@@ -6,15 +6,15 @@ theta(v_j) = sum_i theta[i][j] e_i.
 
 import numpy as np
 
-from .tensors import (Exact, MulTensor, Identity, Terms, as_exact, check_identities,
-                      evaluate, identity, solve)
+from .tensors import (Exact, MulTensor, Identity, Record, Terms, as_exact,
+                      check_identities, evaluate, identity, solve)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_families, adjoint_rep, dual_rep,
                               semidirect_raw, check_representation)
 from .yangbaxter import RTensor, CYCLIC_FORM
 
 
-class OOperatorCandidate:
+class OOperatorCandidate(Record):
     """A linear map theta : V -> P over a representation (shape-checked)."""
 
     __slots__ = ("alg", "rep", "theta")
@@ -22,12 +22,7 @@ class OOperatorCandidate:
     def __init__(self, alg, rep, theta):
         if rep.alg != alg:
             raise ValueError("representation must be over the algebra")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "theta", theta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OOperatorCandidate is immutable")
+        super().__init__(alg, rep, theta)
 
 
 # theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) at the module
@@ -71,38 +66,14 @@ def solution_from_o_operator(c, check=False):
     return big, RTensor(Exact(coeff, t.den, p), p)
 
 
-class PreAdmPoisson:
+class PreAdmPoisson(Record):
     """Two operations (succ, prec) splitting an admissible-Poisson product."""
 
     __slots__ = ("succ", "prec")
+    what = "a pre-structure"
 
-    def __init__(self, succ, prec, check=True):
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "prec", prec)
-        if check:
-            report = check_pre_adm_poisson(self)
-            if not report.holds:
-                raise ValueError(f"not a pre-structure: {report!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PreAdmPoisson is immutable")
-
-    @classmethod
-    def raw(cls, succ, prec):
-        return cls(succ, prec, check=False)
-
-    @property
-    def n(self):
-        return self.succ.n
-
-    @property
-    def p(self):
-        return self.succ.p
-
-    def __eq__(self, other):
-        if not isinstance(other, PreAdmPoisson):
-            return NotImplemented
-        return self.succ == other.succ and self.prec == other.prec
+    def verify(self):
+        return check_pre_adm_poisson(self)
 
 
 # Products of the basis triple (x, y, z) = (e_i, e_j, e_k), coordinate l,
@@ -156,35 +127,18 @@ def pre_rep_raw(pre):
 def pre_rep(pre):
     """The module structure of a pre-structure on its own space."""
     rep = pre_rep_raw(pre)
-    report = check_representation(rep)
-    if not report.holds:
-        raise ValueError(f"invalid pre-structure: {report!r}")
-    return Representation(AdmPoissonAlgebra(rep.alg.star), rep.l, rep.r)
+    check_representation(rep).require("a pre-structure")
+    return Representation.raw(AdmPoissonAlgebra(rep.alg.star), rep.l, rep.r)
 
 
-class PrePoisson:
+class PrePoisson(Record):
     """A (dot, ast) pair: dot is Zinbiel, ast is pre-Lie, plus compatibility."""
 
     __slots__ = ("dot", "ast")
+    what = "a pre-Poisson structure"
 
-    def __init__(self, dot, ast, check=True):
-        object.__setattr__(self, "dot", dot)
-        object.__setattr__(self, "ast", ast)
-        if check:
-            report = check_pre_poisson(self)
-            if not report.holds:
-                raise ValueError(f"not a pre-Poisson structure: {report!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrePoisson is immutable")
-
-    @classmethod
-    def raw(cls, dot, ast):
-        return cls(dot, ast, check=False)
-
-    @property
-    def n(self):
-        return self.dot.n
+    def verify(self):
+        return check_pre_poisson(self)
 
 
 # Zinbiel (d), pre-Lie (a) and the two compatibilities at (e_i, e_j, e_k).
@@ -261,9 +215,7 @@ def induced_pre_from_o_operator(c, check=True):
     O-operator; theta is then a homomorphism onto the image.  With
     check=False neither the O-operator nor the result is checked."""
     if check:
-        report = check_o_operator(c)
-        if not report.holds:
-            raise ValueError(f"not an O-operator: {report!r}")
+        check_o_operator(c).require("an O-operator")
     return _pre_of(INDUCED_PRE, {"t": c.theta, "l": c.rep.l, "r": c.rep.r},
                    c.rep.vdim, c.alg.p, check)
 
@@ -284,9 +236,7 @@ def compatible_pre_from_invertible_o(c):
     n, p = a.n, a.p
     if rep.vdim != n:
         raise ValueError("theta must be square")
-    report = check_o_operator(c)
-    if not report.holds:
-        raise ValueError(f"not an O-operator: {report!r}")
+    check_o_operator(c).require("an O-operator")
     theta_inv = solve(theta, identity(n, p), p)
     if theta_inv is None:
         raise ValueError("theta is not invertible")

@@ -12,41 +12,31 @@ test suite).
 
 import numpy as np
 
-from .tensors import Exact, MulTensor, Identity, as_exact, check_identities, common
+from .tensors import Exact, MulTensor, Identity, Record, as_exact, check_identities, common
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, polarize,
                        depolarize_raw, polarize_raw)
 
 
-class Representation:
+def _vdim(family):
+    """The module dimension of a family of matrices (an Exact)."""
+    return family.num.shape[1] if family.num.ndim > 1 else 0
+
+
+class Representation(Record):
     """Per-basis matrices l(e_i), r(e_i) acting on an m-dimensional module.
 
     The families are stored as Exacts; check_representation raises
     ShapeError when their sizes disagree with the algebra or each other."""
 
-    __slots__ = ("alg", "vdim", "l", "r")
+    __slots__ = ("alg", "l", "r")
+    what = "a representation"
+    vdim = property(lambda self: _vdim(self.l))
 
     def __init__(self, alg, l, r, check=True):
-        l, r = as_exact(l, alg.p), as_exact(r, alg.p)
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "vdim", l.num.shape[1] if l.num.ndim > 1 else 0)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "r", r)
-        if check:
-            report = check_representation(self)
-            if not report.holds:
-                raise ValueError(f"not a representation: {report!r}")
+        super().__init__(alg, as_exact(l, alg.p), as_exact(r, alg.p), check=check)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
-
-    @classmethod
-    def raw(cls, alg, l, r):
-        return cls(alg, l, r, check=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Representation):
-            return NotImplemented
-        return self.alg == other.alg and self.l == other.l and self.r == other.r
+    def verify(self):
+        return check_representation(self)
 
 
 # c2-c4 at (x, y) = (e_i, e_j) with l = l(e_.), r = r(e_.) and product c,
@@ -108,32 +98,23 @@ def semidirect(a, rep):
     return AdmPoissonAlgebra(semidirect_raw(a.star, rep.l, rep.r))
 
 
-class PoissonRepresentation:
-    """A (S_bracket, S_circ) pair over a Poisson algebra.
+class PoissonRepresentation(Record):
+    """A (S_bracket, S_circ) pair over a Poisson algebra, stored as Exacts.
 
     Validity is defined through the correspondence: the image under
     poisson_rep_to_rep must pass check_representation.
     """
 
-    __slots__ = ("palg", "vdim", "s_bracket", "s_circ")
+    __slots__ = ("palg", "s_bracket", "s_circ")
+    what = "a Poisson representation"
+    vdim = property(lambda self: _vdim(self.s_bracket))
 
     def __init__(self, palg, s_bracket, s_circ, check=True):
-        object.__setattr__(self, "palg", palg)
-        object.__setattr__(self, "vdim", len(s_bracket[0]))
-        object.__setattr__(self, "s_bracket", s_bracket)
-        object.__setattr__(self, "s_circ", s_circ)
-        if check:
-            rep = poisson_rep_to_rep(self, check=False)
-            report = check_representation(rep)
-            if not report.holds:
-                raise ValueError(f"not a Poisson representation: {report!r}")
+        super().__init__(palg, as_exact(s_bracket, palg.p), as_exact(s_circ, palg.p),
+                         check=check)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonRepresentation is immutable")
-
-    @classmethod
-    def raw(cls, palg, s_bracket, s_circ):
-        return cls(palg, s_bracket, s_circ, check=False)
+    def verify(self):
+        return check_representation(poisson_rep_to_rep(self, check=False))
 
 
 def rep_to_poisson_rep(rep, check=True):
@@ -145,7 +126,7 @@ def rep_to_poisson_rep(rep, check=True):
 
 def poisson_rep_to_rep(prep, check=True):
     """(l, r) = (S_circ + S_bracket, S_circ - S_bracket) over the depolarized algebra."""
-    c, b = (as_exact(s, prep.palg.p) for s in (prep.s_circ, prep.s_bracket))
+    c, b = prep.s_circ, prep.s_bracket
     star = depolarize_raw(prep.palg.bracket, prep.palg.circ)
     alg = AdmPoissonAlgebra(star) if check else AdmPoissonAlgebra.raw(star)
     return Representation(alg, c + b, c - b, check=check)

@@ -5,7 +5,8 @@ Every structure is one Exact: integers over a common denominator.  MulTensor
 holds the structure constants c[i][j][k] of a bilinear operation (e_i <> e_j
 = sum_k c[i][j][k] e_k), Tensor3 the coefficients of a triple tensor,
 Comultiplication those of a comultiplication and RTensor those of an
-r-tensor.
+r-tensor; Record is the immutable base of the structures checked against
+their identities.
 Identities and contractions are tables of signed einsum terms evaluated on
 the integers (check_identities, evaluate), and linear systems are eliminated
 on them (solve).  Scalars are built only for the nested views of the Python
@@ -245,6 +246,42 @@ class Structure:
         return hash((self.n, self.exact))
 
 
+class Record:
+    """An immutable record of the values its `__slots__` name, in that order;
+    two are equal when they are of one type and equal slot by slot.
+
+    A subclass that sets `what` and `verify` (the record -> AxiomReport) is
+    verified on a checked build, which raises ValueError 'not <what>: it
+    fails <where>' on a failing report; raw builds it unchecked.  n and p
+    are those of the first value.
+    """
+
+    __slots__ = ()
+    what = None
+    n = property(lambda self: getattr(self, self.__slots__[0]).n)
+    p = property(lambda self: getattr(self, self.__slots__[0]).p)
+
+    def __init__(self, *values, check=True):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        if check and self.what:
+            self.verify().require(self.what)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def raw(cls, *values):
+        return cls(*values, check=False)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
 class MulTensor(Structure):
     """Structure constants c[i][j][k]: e_i <> e_j = sum_k c[i][j][k] e_k."""
 
@@ -357,14 +394,16 @@ class AxiomReport:
         name, idx = self.witness[:2]
         return f"{name} at ({','.join(str(i + 1) for i in idx)})"
 
+    def require(self, what):
+        """Raise ValueError 'not <what>: it fails <where>' unless it holds."""
+        if not self.holds:
+            raise ValueError(f"not {what}: it fails {self.where()}")
+
     def __bool__(self):
         return self.holds
 
     def __repr__(self):
-        if self.holds:
-            return "AxiomReport(holds)"
-        name, idx, _, _ = self.witness
-        return f"AxiomReport(fails {name} at {idx})"
+        return f"AxiomReport({'holds' if self.holds else 'fails ' + self.where()})"
 
 
 def _signed_terms(text):

@@ -119,3 +119,18 @@ def test_poisson_rep_validation():
     bad = [[[of(5)]]]
     with pytest.raises(ValueError):
         PoissonRepresentation(polarize(a), prep.s_bracket, bad)
+
+
+def test_poisson_rep_round_trip_makes_no_scalars(monkeypatch):
+    """The S families are stored as Exacts, so the round trip through the
+    correspondence builds no Scalar (it built 27 at dim 3 when vdim was read
+    through the nested view)."""
+    from admpoisson import scalars
+    from admpoisson.tensors import MulTensor
+    a = AdmPoissonAlgebra(MulTensor.from_entries(3, {(i, i, i): 1 for i in range(3)}))
+    made = []
+    make = scalars._make
+    monkeypatch.setattr(scalars, "_make", lambda *args: made.append(args) or make(*args))
+    prep = rep_to_poisson_rep(adjoint_rep(a))
+    assert prep.vdim == 3 and poisson_rep_to_rep(prep).vdim == 3
+    assert made == []
