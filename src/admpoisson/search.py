@@ -20,14 +20,13 @@ from itertools import islice
 import numpy as np
 
 from .scalars import check_characteristic
-from .tensors import Exact, MulTensor, RTensor, as_exact, identity_mask, _sum_terms
+from .tensors import Exact, MulTensor, RTensor, as_exact, contract, evaluation_dtype
 from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                        check_adm_poisson, check_poisson)
 from .fileformat import MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
 CHUNK = 4096            # candidates screened at a time
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def encode_mul(m):
@@ -42,10 +41,10 @@ def base_p_digits(indices, cells, p):
     """Base-p digits 0 .. cells-1 of each index, shape (cells, len(indices)).
     Wide indices are cut with Python divmod into int64 blocks of k digits,
     p**k the largest power within int64; only a p beyond int64 gives objects."""
-    k = 1
-    while k < cells and p ** (k + 1) <= _INT64_MAX:
+    top, k = np.iinfo(np.int64).max, 1
+    while k < cells and p ** (k + 1) <= top:
         k += 1
-    dtype = np.int64 if p <= _INT64_MAX else object
+    dtype = np.int64 if p <= top else object
     rem, q = np.array(indices, dtype=dtype if k >= cells else object), p ** k
     split = np.empty((-(-cells // k), len(rem)), dtype=dtype)
     for b in range(len(split)):
@@ -62,12 +61,17 @@ def screen(groups, batches, operands, fixed, p):
     """The key and digit column of each candidate that satisfies every
     identity of `groups`.  `batches` yields (keys, digits), digits of shape
     (cells, B); operands(digits) names the candidates' operand arrays, and
-    `fixed` the operands all candidates share, with a last axis of 1."""
+    `fixed` the operands all candidates share, with a last axis of 1.
+    Each batch is cast once by evaluation_dtype, which bounds its memory;
+    a hit is a candidate at which every residual is zero."""
+    sides = [ident.residual for group in groups for ident in group]
     for keys, digits in batches:
         arrays = {**fixed, **operands(digits)}
-        mask = np.logical_and.reduce([identity_mask(ident, arrays, p)
-                                      for group in groups for ident in group])
-        for i in np.flatnonzero(mask).tolist():
+        dtype = evaluation_dtype(sides, arrays, p - 1, p)
+        arrays = {name: a.astype(dtype, copy=False) for name, a in arrays.items()}
+        fails = np.logical_or.reduce([contract(side, arrays, p).reshape(-1, len(keys)).any(0)
+                                      for side in sides])
+        for i in np.flatnonzero(~fails).tolist():
             yield keys[i], digits[:, i]
 
 
@@ -315,8 +319,9 @@ def _search_pre(spec, p, n):
             # only for one about to be emitted
             ops = {"t": thetas.reshape(n, m, -1),
                    "l": rep.l.num[..., None], "r": rep.r.num[..., None]}
-            pres = np.stack([_sum_terms(t, ops, (m,) * 3 + (thetas.shape[-1],), np.int64, p)
-                             for t in INDUCED_PRE])
+            dtype = evaluation_dtype(INDUCED_PRE, ops, p - 1, p)
+            ops = {name: a.astype(dtype, copy=False) for name, a in ops.items()}
+            pres = np.stack([contract(t, ops, p) for t in INDUCED_PRE])
             for theta, pair in zip(thetas.T, np.moveaxis(pres, -1, 0)):
                 if (spec.nonzero_only and not pair.any()) or pair.tobytes() in seen:
                     continue
@@ -326,7 +331,6 @@ def _search_pre(spec, p, n):
                     continue
                 report = check_pre_adm_poisson(pre)
                 if not report.holds:
-                    raise RuntimeError(f"induced pre-structure fails {report.witness[0]} "
-                                       f"at {report.witness[1]}")
+                    raise RuntimeError(f"induced pre-structure fails {report.where()}")
                 seen.add(pair.tobytes())
                 yield AlgebraFile(p, n, succ=pre.succ, prec=pre.prec)

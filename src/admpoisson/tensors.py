@@ -43,6 +43,8 @@ class Exact:
     def __init__(self, num, den=1, p=0):
         """num / den over an already validated p, brought to canonical form."""
         num = np.asarray(num)
+        if num.dtype.kind in "iu" and num.itemsize < 8:
+            num = num.astype(np.int64)      # a narrow evaluation type would wrap here
         if p:
             if den != 1:
                 num = (num.astype(object) if p >= _WIDE else num) % p * pow(den, -1, p)
@@ -477,18 +479,18 @@ class Identity:
 
     `index` names the axes a witness reports, in the order a failing index
     is searched for; `value` names the axes of the reported lhs and rhs.
-    Both sides are stored times `den`, which clears every coefficient; every
-    term has `degree` factors, so scaling all operands by a common
-    denominator D scales both sides by D**degree.
+    The identity is checked on its `residual`, lhs - rhs; `lhs` alone is
+    evaluated only for a witness.  Both are stored times `den`, which clears
+    every coefficient; every term has `degree` factors, so scaling all
+    operands by a common denominator D scales both sides by D**degree.
     """
 
-    __slots__ = ("name", "index", "lhs", "rhs", "residual", "den", "degree")
+    __slots__ = ("name", "index", "lhs", "residual", "den", "degree")
 
     def __init__(self, name, index, value, lhs, rhs=""):
         self.name, self.index = name, index
         self.den = lcm(*(b for _, b, _ in _signed_terms(f"{lhs} + {rhs}")))
         self.lhs = Terms(lhs, index + value, self.den)
-        self.rhs = Terms(rhs, index + value, self.den)
         self.residual = Terms(lhs, index + value, self.den, minus=rhs)
         if len(self.residual.degrees) != 1:
             raise ValueError(f"{name}: terms differ in degree")
@@ -496,7 +498,6 @@ class Identity:
 
 
 _INT_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64)]
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _overflow_bound(side, maxabs, size, p):
@@ -505,6 +506,18 @@ def _overflow_bound(side, maxabs, size, p):
     most `size` entries: weight * maxabs**degree * size**summed."""
     degree = max(side.degrees, default=0)
     return max(p, side.weight * maxabs ** degree * size ** side.summed)
+
+
+def evaluation_dtype(sides, arrays, maxabs, p):
+    """The narrowest signed integer type that holds _overflow_bound of every
+    Terms of `sides` over `arrays`, whose entries are at most `maxabs` in
+    absolute value (a trailing candidate axis is not an axis of the bound);
+    object, for Python ints, above int64.  Every evaluation casts its
+    operand set to it once."""
+    size = max(max(arrays[name].shape[:rank], default=1)
+               for side in sides for name, rank in side.ranks.items())
+    bound = max(_overflow_bound(side, maxabs, size, p) for side in sides)
+    return next((t for limit, t in _INT_TYPES if bound <= limit), object)
 
 
 def _check_sizes(side, shapes):
@@ -521,11 +534,21 @@ def _check_sizes(side, shapes):
                                  f"{sizes[0][0]} where {name!r} has {size}")
 
 
-def _sum_terms(side, arrays, shape, dtype, p):
-    """One Terms over `arrays` cast to `dtype`, reduced into [0, p) over GF(p)."""
+def contract(terms, arrays, p):
+    """`terms` over `arrays`, integer arrays cast by evaluation_dtype, in
+    their dtype and reduced into [0, p) over GF(p).  The output has the
+    `out` axes, then the candidate axis of a batch when an operand has more
+    axes than its subscripts: the largest last axis, since an operand shared
+    by every candidate has a last axis of 1 and is broadcast."""
+    shape = [arrays[name].shape[axis] for name, axis in terms.out_axes]
+    batch = [arrays[name].shape[-1] for name, rank in terms.ranks.items()
+             if arrays[name].ndim > rank]
+    if batch:
+        shape.append(max(batch))
+    dtype = arrays[terms.terms[0][1][0]].dtype
     total = np.zeros(shape, dtype=dtype)
     term = np.empty(shape, dtype=dtype)
-    for k, names, spec in side.terms:
+    for k, names, spec in terms.terms:
         # into a buffer of our own: a one-factor einsum may return a view
         np.einsum(spec, *(arrays[name] for name in names), out=term)
         term *= k
@@ -535,35 +558,23 @@ def _sum_terms(side, arrays, shape, dtype, p):
     return total
 
 
-def evaluate_terms(sides, arrays, p):
-    """Each Terms of `sides` over one structure's operands (from
-    exact_operands, in their dtype) as exact integers, reduced into [0, p)
-    over GF(p)."""
-    dtype = next(iter(arrays.values())).dtype
-    axes = next(side.out_axes for side in sides if side.terms)
-    shape = tuple(arrays[name].shape[axis] for name, axis in axes)
-    return [_sum_terms(side, arrays, shape, dtype, p) for side in sides]
-
-
 def exact_operands(operands, p, sides):
     """One structure's operands (Exacts, or nested lists of Scalars) as
     integer arrays scaled by one common denominator D, for evaluating
     `sides`; returns (arrays, D).
 
     Raises ShapeError when the operands' axis sizes do not fit the letters
-    of `sides`.  The arrays are int64 when _overflow_bound of every side
-    fits in int64, with maxabs the largest |entry| after D is cleared, and
-    Python-int object arrays otherwise."""
+    of `sides`.  The arrays are of evaluation_dtype, with maxabs the largest
+    |entry| after D is cleared."""
     exacts = {name: as_exact(data, p) for name, data in operands.items()}
     shapes = {name: e.num.shape for name, e in exacts.items()}
     for side in sides:
         _check_sizes(side, shapes)
     nums, den = common(*exacts.values())
+    arrays = dict(zip(exacts, nums))
     maxabs = max(e.maxabs * (den // e.den) for e in exacts.values())
-    size = max(max(shape, default=1) for shape in shapes.values())
-    bound = max(_overflow_bound(side, maxabs, size, p) for side in sides)
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    return {name: num.astype(dtype, copy=False) for name, num in zip(exacts, nums)}, den
+    dtype = evaluation_dtype(sides, arrays, maxabs, p)
+    return {name: num.astype(dtype, copy=False) for name, num in arrays.items()}, den
 
 
 def _scalars(values, den, p):
@@ -575,53 +586,33 @@ def _scalars(values, den, p):
 def check_identities(groups, operands, p):
     """The first failing identity of a sequence of groups, or ok.
 
-    Within a group the witness is the first index, in lexicographic order,
-    at which any identity fails; ties go to the identity listed first.
-    Its lhs and rhs are the Exacts of the value axes at that index (of one
-    entry when the identity has no value axes).
+    Each residual is contracted once.  Within a group the witness is the
+    first index, in lexicographic order, at which any residual is nonzero;
+    ties go to the identity listed first.  Only its lhs is contracted again:
+    its lhs and rhs (lhs - residual) are the Exacts of the value axes at
+    that index (of one entry when the identity has no value axes).
     """
     arrays, den = exact_operands(operands, p, [ident.residual for group in groups
                                                for ident in group])
     for group in groups:
-        sides = [evaluate_terms((ident.lhs, ident.rhs), arrays, p)
-                 for ident in group]
-        failing = np.stack([(lhs != rhs).reshape(lhs.shape[:len(ident.index)] + (-1,))
-                            .any(-1) for ident, (lhs, rhs) in zip(group, sides)],
-                           axis=-1)
+        residuals = [contract(ident.residual, arrays, p) for ident in group]
+        failing = np.stack([res.reshape(res.shape[:len(ident.index)] + (-1,)).any(-1)
+                            for ident, res in zip(group, residuals)], axis=-1)
         if failing.any():
             *idx, which = np.unravel_index(failing.argmax(), failing.shape)
             idx = tuple(int(i) for i in idx)
-            ident, (lhs, rhs) = group[which], sides[which]
+            ident = group[which]
+            # on Python ints: lhs - residual may leave a narrow dtype
+            lhs = np.atleast_1d(contract(ident.lhs, arrays, p)[idx]).astype(object)
+            rhs = lhs - np.atleast_1d(residuals[which][idx]).astype(object)
             scale = ident.den * den ** ident.degree
-            return AxiomReport.fail(ident.name, idx, *(Exact(np.atleast_1d(side[idx]), scale, p)
-                                                       for side in (lhs, rhs)))
+            return AxiomReport.fail(ident.name, idx, Exact(lhs, scale, p),
+                                    Exact(rhs % p if p else rhs, scale, p))
     return AxiomReport.ok()
-
-
-def identity_mask(ident, arrays, p):
-    """Which candidates of a GF(p) batch satisfy `ident`.
-
-    Each operand holds residues in [0, p) with the candidate axis last, so
-    that every einsum runs its inner loop along the batch; an operand that
-    is the same for every candidate has a last axis of size 1 and is
-    broadcast.  The residual is evaluated in the narrowest signed type that
-    holds _overflow_bound (Python ints above int64), which bounds the
-    batch's memory.
-    """
-    side = ident.residual
-    size = max(max(arrays[name].shape[:r]) for name, r in side.ranks.items())
-    bound = _overflow_bound(side, p - 1, size, p)
-    dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
-    cast = {name: arrays[name].astype(dtype, copy=False) for name in side.ranks}
-    batch = max(a.shape[-1] for a in cast.values())
-    shape = tuple(cast[name].shape[axis] for name, axis in side.out_axes) + (batch,)
-    res = _sum_terms(side, cast, shape, dtype, p)
-    return ~res.reshape(-1, batch).any(axis=0)
 
 
 def evaluate(terms, operands, p):
     """Terms over the operands it names (Exacts or nested Scalars), as an
     Exact."""
     arrays, den = exact_operands({name: operands[name] for name in terms.ranks}, p, [terms])
-    (val,) = evaluate_terms((terms,), arrays, p)
-    return Exact(val, den ** max(terms.degrees), p)
+    return Exact(contract(terms, arrays, p), den ** max(terms.degrees), p)

@@ -148,9 +148,9 @@ def check_coboundary_conditions(a, r, which):
     ops = {"m": star.exact, "M": M, "P": ybe_operator(star, r, "P").exact,
            "Q": ybe_operator(star, r, "Q").exact}
     ops.update((name, evaluate(terms, {"r": r.exact, "m": star.exact}, p))
-               for name, terms in _R_TIMES_M.items() if name in ident.lhs.ranks)
+               for name, terms in _R_TIMES_M.items() if name in ident.residual.ranks)
     # the witness is the first nonzero entry of the residual at (i, a, b)
-    return check_identities([[ident]], {k: ops[k] for k in ident.lhs.ranks},
+    return check_identities([[ident]], {k: ops[k] for k in ident.residual.ranks},
                             p).first_entry()
 
 

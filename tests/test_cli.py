@@ -594,3 +594,31 @@ def test_passing_checks_make_no_scalars(tmp_path, monkeypatch, capsys, field, la
     # the counters see the Scalars of the nested view of a structure
     parse_file(good.read_text()).ops["star"].c
     assert made
+
+
+def _readme_names(lead):
+    """The backticked names of the README paragraph that starts with `lead`."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = text[text.index(lead):].split("\n\n")[0]
+    return sorted(re.findall(r"`([^`]+)`", paragraph))
+
+
+def test_readme_lists_every_predicate_and_construction():
+    assert _readme_names("Predicates include") == sorted(PREDICATES)
+    assert _readme_names("Constructions include") == sorted(CONSTRUCTIONS)
+
+
+@pytest.mark.parametrize("argv,code,calls", [
+    (["check", "adm-poisson", CORPUS / "good_adm.alg"], 0, 1),
+    (["check", "adm-poisson", CORPUS / "bad_adm.alg"], 1, 2),   # residual, then lhs
+    (["check", "rep", CORPUS / "rep_theta.alg"], 0, 4),         # the algebra, c2-c4
+])
+def test_a_check_evaluates_each_identity_once(monkeypatch, capsys, argv, code, calls):
+    """Each identity's residual is contracted once; only the failing
+    identity's lhs is contracted again, for its witness."""
+    from admpoisson import tensors
+    seen, contract = [], tensors.contract
+    monkeypatch.setattr(tensors, "contract", lambda terms, *a: seen.append(terms)
+                        or contract(terms, *a))
+    assert run(capsys, *argv)[0] == code
+    assert len(seen) == calls

@@ -350,8 +350,8 @@ def test_pre_search_reports_a_failed_recheck(monkeypatch):
     # the re-check of an induced pre-structure is not an assert (python -O)
     from admpoisson import ooperators
     monkeypatch.setattr(ooperators, "check_pre_adm_poisson",
-                        lambda pre: AxiomReport.fail("pre1", (0, 0, 0), [], []))
-    with pytest.raises(RuntimeError, match="fails pre1 at"):
+                        lambda pre: AxiomReport.fail("pre1", (0, 0, 1), [], []))
+    with pytest.raises(RuntimeError, match=r"fails pre1 at \(1,1,2\)$"):
         list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=1)))
 
 
@@ -416,3 +416,39 @@ def test_search_output_is_pinned(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("table", ["adm", "poisson", "pre", "o-operator", "adm-pybe"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_checks_and_screens_share_one_overflow_rule(monkeypatch, table, p):
+    """A one-structure check and a one-candidate screen of the same
+    structure contract it in one dtype, narrower than int64 over these
+    fields, and give one verdict.  Every structure has an entry p - 1, the
+    largest residue a screen allows for; the first of each dim is zero
+    elsewhere."""
+    from admpoisson import tensors
+    from admpoisson.ooperators import O_OPERATOR
+    from admpoisson.yangbaxter import YBE
+    groups = {"adm": ((ADM_POISSON,),), "poisson": POISSON, "pre": PRE_ADM_POISSON,
+              "o-operator": ((O_OPERATOR,),), "adm-pybe": ((YBE["adm_pybe"][1],),)}[table]
+    ranks = {name: rank for group in groups for ident in group
+             for name, rank in ident.residual.ranks.items()}
+    dtypes, contracts = [], {tensors: tensors.contract, searchmod: searchmod.contract}
+    for module, contract in contracts.items():
+        monkeypatch.setattr(module, "contract", lambda terms, arrays, p, contract=contract:
+                            dtypes.append(arrays[next(iter(terms.ranks))].dtype)
+                            or contract(terms, arrays, p))
+    rng, verdicts = np.random.default_rng(1500 + p), set()
+    for n, high in [(1, 1), (2, 1)] + [(1, p), (2, p)] * 10:
+        ops = {name: rng.integers(0, high, (n,) * rank) for name, rank in ranks.items()}
+        ops[max(ops)].flat[0] = p - 1
+        dtypes.clear()
+        holds = tensors.check_identities(groups, {k: tensors.Exact(a, 1, p)
+                                                  for k, a in ops.items()}, p).holds
+        hits = list(screen(groups, [([0], np.zeros((1, 1)))],
+                           lambda _: {k: a[..., None] for k, a in ops.items()}, {}, p))
+        assert len(set(dtypes)) == 1, dtypes
+        assert dtypes[0] in (np.int8, np.int16, np.int32)
+        assert holds == bool(hits)
+        verdicts.add(holds)
+    assert verdicts == {True, False}

@@ -256,6 +256,10 @@ def test_exact_arrays_are_canonical():
     assert Exact(np.array([0, 0]), 10 ** 19).den == 1
     e = Exact(np.array([2 ** 40, -3 * 2 ** 40]), 2 ** 41)
     assert (e.den, e.num.tolist(), e.num.dtype) == (2, [1, -3], np.int64)
+    # arrays of a narrow evaluation type are widened before they can wrap
+    for dtype in (np.int8, np.int16, np.uint8):
+        assert Exact(np.array([4, 100], dtype=dtype), 3, 101) == Exact([4, 100], 3, 101)
+    assert Exact(np.array([-128, 2], dtype=np.int8)).maxabs == 128
 
 
 def test_witnesses_are_exact_rows():
