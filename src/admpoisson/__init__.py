@@ -10,8 +10,7 @@ from importlib import import_module
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "scalars": ("Scalar", "ScalarModeError", "check_characteristic",
-                "zero", "one", "of", "half", "third"),
+    "scalars": ("ScalarModeError", "check_characteristic"),
     "tensors": ("MulTensor", "Tensor3", "solve", "AxiomReport",
                 "Comultiplication", "RTensor"),
     "algebras": ("AdmPoissonAlgebra", "PoissonAlgebra", "check_adm_poisson",

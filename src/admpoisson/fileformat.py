@@ -67,11 +67,15 @@ class AlgebraFile:
                 self.vdim == other.vdim and self.ops == other.ops and
                 self.tensors == other.tensors and
                 self._eff_spaces() == other._eff_spaces() and
-                self.reps == other.reps and self.maps == other.maps and
+                self._arrays(self.reps) == other._arrays(other.reps) and
+                self._arrays(self.maps) == other._arrays(other.maps) and
                 self.comuls == other.comuls)
 
     def _eff_spaces(self):
         return {k: self.rep_spaces.get(k, "dim") for k in self.reps}
+
+    def _arrays(self, part):
+        return {k: as_exact(v, self.p) for k, v in part.items()}
 
 
 def _parse_basis(tok, size, lineno, label="basis vector"):
@@ -349,7 +353,7 @@ def _parse_terms(rhs, size, p, lineno, arity, cell):
 
 
 def entry_strings(x, p):
-    """The entries of an Exact (or nested Scalars) over p as strings, '' for
+    """The entries of an Exact (or nested numbers) over p as strings, '' for
     0: the one spelling of numbers in files and in witnesses."""
     e = as_exact(x, p)
     return np.array([f"{a // g}/{e.den // g}" if (g := gcd(a, e.den)) != e.den else

@@ -9,16 +9,17 @@ r-tensor; Record is the immutable base of the structures checked against
 their identities.
 Identities and contractions are tables of signed einsum terms evaluated on
 the integers (check_identities, evaluate), and linear systems are eliminated
-on them (solve).  Scalars are built only for the nested views of the Python
-API and from its nested-Scalar inputs.
+on them (solve).  Numbers enter the Python API as nested ints and Fractions
+(as_exact) and leave it through Exact.tolist().
 """
 
 from itertools import chain
 from math import gcd, lcm, prod
+from operator import index
 
 import numpy as np
 
-from .scalars import Scalar, ScalarModeError, zero, check_characteristic, _exact
+from .scalars import ScalarModeError, check_characteristic
 
 _WIDE = 2 ** 31         # int64 entries and p stay below: a product or sum fits
 
@@ -34,11 +35,11 @@ class Exact:
     so den is the lcm of the entries' reduced denominators; over GF(p) num
     holds residues in [0, p) and den = 1.  num is int64 when every |entry|
     and p are below 2**31, and an object array of Python ints otherwise;
-    maxabs is the largest |entry|.  Read as a sequence (len, indexing,
-    iteration, == with nested lists) it is its nested-Scalar view.
+    maxabs is the largest |entry|; len is the size of the first axis, and
+    tolist() reads the entries as numbers.
     """
 
-    __slots__ = ("num", "den", "p", "maxabs", "_scalars")
+    __slots__ = ("num", "den", "p", "maxabs")
 
     def __init__(self, num, den=1, p=0):
         """num / den over an already validated p, brought to canonical form."""
@@ -60,26 +61,23 @@ class Exact:
             maxabs = int(abs(num).max(initial=0))
         num = num.astype(np.int64 if max(maxabs, p) < _WIDE else object)
         num.flags.writeable = False
-        for name, value in zip(Exact.__slots__, (num, den, p, maxabs, None)):
+        for name, value in zip(Exact.__slots__, (num, den, p, maxabs)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Exact is immutable")
 
-    def scalars(self):
-        """The entries as nested lists of Scalars, built on first use."""
-        if self._scalars is None:
-            object.__setattr__(self, "_scalars", _scalars(self.num.tolist(), self.den, self.p))
-        return self._scalars
+    def tolist(self):
+        """The entries as nested lists: Fractions over Q, int residues in
+        [0, p) over GF(p)."""
+        if self.p:
+            return self.num.tolist()
+        from fractions import Fraction      # on first use: no CLI command needs it
+        return np.frompyfunc(lambda a: Fraction(a, self.den), 1, 1)(
+            self.num.astype(object)).tolist()
 
     def __len__(self):
         return len(self.num)
-
-    def __getitem__(self, index):
-        return self.scalars()[index]
-
-    def __iter__(self):
-        return iter(self.scalars())
 
     def transpose(self, *axes):
         return Exact(self.num.transpose(axes or None), self.den, self.p)
@@ -97,8 +95,6 @@ class Exact:
         return Exact(self.num, self.den * k, self.p)
 
     def __eq__(self, other):
-        if isinstance(other, list):
-            return self.scalars() == other
         if not isinstance(other, Exact):
             return NotImplemented
         return ((self.p, self.den, self.num.shape) == (other.p, other.den, other.num.shape)
@@ -129,18 +125,28 @@ def _combined(op, x, y):
 
 def as_exact(data, p):
     """`data` as an Exact over p: an Exact itself, or nested lists (or an
-    object array) of Scalars over p, which are converted here."""
+    array) of exact numbers, converted here as the parser converts its
+    tokens.  A number is anything with integer `numerator` and
+    `denominator`: an int, a Fraction, a numpy integer."""
     if isinstance(data, Exact):
         if data.p != p:
             raise ScalarModeError(f"operands are not all over p={p}")
         return data
     a = np.array(data, dtype=object)
-    flat = a.ravel().tolist()
-    if any(s.p != p for s in flat):
-        raise ScalarModeError(f"operands are not all over p={p}")
-    den = 1 if p else lcm(*(s.den for s in flat))
-    return Exact(np.array([s.num * (den // s.den) for s in flat], dtype=object)
-                 .reshape(a.shape), den, p)
+    return from_fractions(a.shape, [(range(a.size), _fractions(a.ravel().tolist(), p))], p)
+
+
+def _fractions(numbers, p):
+    """The (numerator, denominator) int pairs of exact numbers, each
+    denominator nonzero (mod p)."""
+    try:
+        fracs = [(index(x.numerator), index(x.denominator)) for x in numbers]
+    except AttributeError as exc:
+        raise TypeError(f"entries must be ints or Fractions: {exc}") from None
+    bad = next((d for _, d in fracs if (d % p == 0 if p else d == 0)), None)
+    if bad is not None:
+        raise ZeroDivisionError(f"denominator {bad} is 0 mod {p}" if p else "zero denominator")
+    return fracs
 
 
 def from_fractions(shape, parts, p=0):
@@ -168,7 +174,7 @@ def solve(a, b, p=0):
     """A solution X of a X = b by exact Gauss-Jordan elimination, with every
     free variable zero, as an Exact, or None when the system is inconsistent.
 
-    a is rows x cols and b rows x k (Exacts, or nested Scalars).  Rows are
+    a is rows x cols and b rows x k (Exacts, or nested numbers).  Rows are
     combined fraction-free on the integers of one denominator, each changed
     row reduced mod p over GF(p) and divided by its gcd over Q; the pivot of
     a column is its first nonzero row.  The inverse of a square a is
@@ -206,18 +212,16 @@ def solve(a, b, p=0):
 # containers
 
 
-def dense(shape, entries, p=0):
-    """The Scalars of `shape`, zero except at `entries` (index tuple ->
-    Scalar, or int, coerced), as an object array."""
-    a = np.full(shape, zero(p), dtype=object)
-    for key, v in entries.items():
-        a[key] = v if isinstance(v, Scalar) else Scalar(v, 1, p)
-    return a
+def _from_entries(shape, entries, p):
+    """The Exact of `shape`, zero except at `entries` (index tuple -> number)."""
+    cells = [np.ravel_multi_index(key, shape) for key in entries]
+    return from_fractions(shape, [(cells, _fractions(entries.values(), p))], p)
 
 
 class Structure:
     """An immutable structure whose `rank` axes have n entries, stored as one
-    Exact (`exact`); each subclass names the nested-Scalar view of it."""
+    Exact (`exact`); each subclass names its entries, read as nested numbers
+    (Exact.tolist())."""
 
     __slots__ = ("n", "p", "exact")
     rank = 3
@@ -233,8 +237,8 @@ class Structure:
 
     @classmethod
     def from_entries(cls, n, entries, p=0):
-        """entries: dict index tuple -> Scalar (or int, coerced)."""
-        return cls(n, p, dense((n,) * cls.rank, entries, p))
+        """entries: dict index tuple -> number (an int, a Fraction, ...)."""
+        return cls(n, p, _from_entries((n,) * cls.rank, entries, p))
 
     def is_zero(self):
         return self.exact.is_zero()
@@ -288,7 +292,7 @@ class MulTensor(Structure):
     """Structure constants c[i][j][k]: e_i <> e_j = sum_k c[i][j][k] e_k."""
 
     __slots__ = ()
-    c = property(lambda self: self.exact.scalars())
+    c = property(lambda self: self.exact.tolist())
 
     def __init__(self, n, p=0, c=None):
         check_characteristic(p)
@@ -303,14 +307,14 @@ class Tensor3(Structure):
     """Coefficients t[i][j][k] of sum t[i][j][k] e_i (x) e_j (x) e_k."""
 
     __slots__ = ()
-    t = property(lambda self: self.exact.scalars())
+    t = property(lambda self: self.exact.tolist())
 
 
 class Comultiplication(Structure):
     """Coefficients a[i][j][k] of alpha(e_i) = sum a[i][j][k] e_j (x) e_k."""
 
     __slots__ = ()
-    a = property(lambda self: self.exact.scalars())
+    a = property(lambda self: self.exact.tolist())
 
 
 class RTensor(Structure):
@@ -318,7 +322,7 @@ class RTensor(Structure):
 
     __slots__ = ()
     rank = 2
-    coeff = property(lambda self: self.exact.scalars())
+    coeff = property(lambda self: self.exact.tolist())
 
     def __init__(self, coeff, p=0):
         coeff = as_exact(coeff, p)
@@ -326,8 +330,8 @@ class RTensor(Structure):
 
     @classmethod
     def from_entries(cls, n, entries, p=0):
-        """entries: dict (i,j) -> Scalar (or int, coerced)."""
-        return cls(dense((n, n), entries, p), p)
+        """entries: dict (i,j) -> number (an int, a Fraction, ...)."""
+        return cls(_from_entries((n, n), entries, p), p)
 
     def tau(self):
         return RTensor(self.exact.transpose(), self.p)
@@ -343,10 +347,6 @@ class RTensor(Structure):
 
     def is_symmetric(self):
         return self.exact == self.exact.transpose()
-
-    def sharp(self):
-        """Matrix of r# : P* -> P on dual/primal coordinates."""
-        return self.exact.transpose().scalars()
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +559,7 @@ def contract(terms, arrays, p):
 
 
 def exact_operands(operands, p, sides):
-    """One structure's operands (Exacts, or nested lists of Scalars) as
+    """One structure's operands (Exacts, or nested lists of numbers) as
     integer arrays scaled by one common denominator D, for evaluating
     `sides`; returns (arrays, D).
 
@@ -575,12 +575,6 @@ def exact_operands(operands, p, sides):
     maxabs = max(e.maxabs * (den // e.den) for e in exacts.values())
     dtype = evaluation_dtype(sides, arrays, maxabs, p)
     return {name: num.astype(dtype, copy=False) for name, num in arrays.items()}, den
-
-
-def _scalars(values, den, p):
-    if isinstance(values, list):
-        return [_scalars(v, den, p) for v in values]
-    return _exact(values, den, p)
 
 
 def check_identities(groups, operands, p):
@@ -612,7 +606,7 @@ def check_identities(groups, operands, p):
 
 
 def evaluate(terms, operands, p):
-    """Terms over the operands it names (Exacts or nested Scalars), as an
+    """Terms over the operands it names (Exacts or nested numbers), as an
     Exact."""
     arrays, den = exact_operands({name: operands[name] for name in terms.ranks}, p, [terms])
     return Exact(contract(terms, arrays, p), den ** max(terms.degrees), p)

@@ -10,23 +10,210 @@ operations, Terms contractions and one elimination replaced (the helpers'
 container methods as functions), so the package can be compared with them
 verdict by verdict, witness by witness and structure by structure.
 Agreement between these and the package is what the tests assert.
+
+The oracle keeps its own field arithmetic (Scalar, first section): the
+package stores numbers only in exact integer arrays, and the oracle reads
+them through `nested`.
 """
 
 import random
+from functools import lru_cache
+from math import gcd
 from operator import add, sub
 
 import numpy as np
 
-from admpoisson.scalars import Scalar, zero, one, third, half
-from admpoisson.tensors import MulTensor, Tensor3, AxiomReport, ShapeError
+from admpoisson.scalars import ScalarModeError, check_characteristic
+from admpoisson.tensors import Exact, MulTensor, Tensor3, AxiomReport, ShapeError
 from admpoisson.algebras import AdmPoissonAlgebra, PoissonAlgebra, polarize
 from admpoisson.representations import Representation, PoissonRepresentation
 from admpoisson.bialgebras import Comultiplication, PoissonComultiplicationPair
 from admpoisson.yangbaxter import RTensor, SLOT_PATTERNS
 from admpoisson.ooperators import PreAdmPoisson
-from admpoisson.fileformat import (AlgebraFile, FormatError, MAX_DIM, _parse_basis,
-                                   check_characteristic)
-from admpoisson.scalars import _exact
+from admpoisson.fileformat import AlgebraFile, FormatError, MAX_DIM, _parse_basis
+
+
+# ---------------------------------------------------------------------------
+# exact scalars: reduced rationals or residues mod a prime p (p != 2, 3)
+
+
+def _canonical(num, den, p):
+    """(num, den) of num/den in lowest terms with den > 0 over Q, or as a
+    residue in [0, p) with den 1 over GF(p)."""
+    if p:
+        if den % p == 0:
+            raise ZeroDivisionError(f"denominator {den} is 0 mod {p}")
+        if den != 1:
+            num = num * pow(den, p - 2, p)
+        return num % p, 1
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return num, den
+
+
+class Scalar:
+    """An exact rational (p=0) or an element of GF(p), always canonical.
+
+    A Scalar carries its own mode: p == 0 means rational, p >= 5 means
+    GF(p); mixing modes (or moduli) raises ScalarModeError.  The public
+    constructor validates p; results of arithmetic reuse the p of their
+    operands unvalidated.  `numerator` and `denominator` (the residue over 1
+    over GF(p)) let the package read nested Scalars as it reads Fractions.
+    """
+
+    __slots__ = ("num", "den", "p")
+
+    def __init__(self, num, den=1, p=0):
+        check_characteristic(p)
+        num, den = _canonical(num, den, p)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_p(self, p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    numerator = property(lambda self: self.num)
+    denominator = property(lambda self: self.den)
+
+    def _need_same_mode(self, other):
+        if not isinstance(other, Scalar):
+            raise ScalarModeError(f"expected Scalar, got {type(other).__name__}")
+        if self.p != other.p:
+            raise ScalarModeError(f"scalar mode mismatch: p={self.p} vs p={other.p}")
+
+    def __add__(self, other):
+        self._need_same_mode(other)
+        p = self.p
+        if p:
+            return _make((self.num + other.num) % p, 1, p)
+        return _exact(self.num * other.den + other.num * self.den,
+                      self.den * other.den, 0)
+
+    def __sub__(self, other):
+        self._need_same_mode(other)
+        p = self.p
+        if p:
+            return _make((self.num - other.num) % p, 1, p)
+        return _exact(self.num * other.den - other.num * self.den,
+                      self.den * other.den, 0)
+
+    def __mul__(self, other):
+        self._need_same_mode(other)
+        p = self.p
+        if p:
+            return _make(self.num * other.num % p, 1, p)
+        return _exact(self.num * other.num, self.den * other.den, 0)
+
+    def __truediv__(self, other):
+        self._need_same_mode(other)
+        if other.num == 0:
+            raise ZeroDivisionError("scalar division by zero")
+        p = self.p
+        if p:
+            return _make(self.num * pow(other.num, p - 2, p) % p, 1, p)
+        return _exact(self.num * other.den, self.den * other.num, 0)
+
+    def __neg__(self):
+        return _make(-self.num % self.p if self.p else -self.num, self.den, self.p)
+
+    def __eq__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return (self.p, self.num, self.den) == (other.p, other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.p, self.num, self.den))
+
+    def __bool__(self):
+        return self.num != 0
+
+    def is_zero(self):
+        return self.num == 0
+
+    def __str__(self):
+        if self.den == 1:
+            return str(self.num)
+        return f"{self.num}/{self.den}"
+
+    def __repr__(self):
+        if self.p:
+            return f"Scalar({self.num}, p={self.p})"
+        return f"Scalar({self.num}, {self.den})"
+
+
+# the slots' own setters, which Scalar.__setattr__ does not intercept
+_set_num, _set_den, _set_p = Scalar.num.__set__, Scalar.den.__set__, Scalar.p.__set__
+_new = object.__new__
+
+
+def _make(num, den, p):
+    """The Scalar with canonical parts num, den over a validated p."""
+    s = _new(Scalar)
+    _set_num(s, num)
+    _set_den(s, den)
+    _set_p(s, p)
+    return s
+
+
+def _exact(num, den, p):
+    """num/den over an already validated p, brought to canonical form."""
+    return _make(*_canonical(num, den, p), p)
+
+
+@lru_cache(maxsize=64)
+def _constant(value, p):
+    return Scalar(value, 1, p)
+
+
+def zero(p=0):
+    """The zero of Q (p = 0) or GF(p): one shared immutable instance per p."""
+    return _constant(0, p)
+
+
+def one(p=0):
+    """The one of Q (p = 0) or GF(p): one shared immutable instance per p."""
+    return _constant(1, p)
+
+
+def of(num, den=1, p=0):
+    return Scalar(num, den, p)
+
+
+def half(p=0):
+    return Scalar(1, 2, p)
+
+
+def third(p=0):
+    return Scalar(1, 3, p)
+
+
+def nested(x):
+    """The entries of an Exact, or of a structure's Exact, as nested lists
+    of Scalars; nested Scalars are returned as they are.  The lists of one
+    value are shared: read them, do not change them."""
+    e = getattr(x, "exact", x)
+    return _nested(e) if isinstance(e, Exact) else x
+
+
+def nested_witness(report):
+    """The witness of a report, its lhs and rhs as nested Scalars."""
+    if report.witness is None:
+        return None
+    name, idx, lhs, rhs = report.witness
+    return name, idx, nested(lhs), nested(rhs)
+
+
+@lru_cache(maxsize=1024)
+def _nested(e):
+    check_characteristic(e.p)
+    return np.frompyfunc(lambda a: _exact(a, e.den, e.p), 1, 1)(e.num.astype(object)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +391,7 @@ def bv_mul(m, i, y):
     for j, yj in enumerate(y):
         if yj.is_zero():
             continue
-        row = m.c[i][j]
+        row = nested(m)[i][j]
         for k in range(m.n):
             if not row[k].is_zero():
                 out[k] = out[k] + yj * row[k]
@@ -217,7 +404,7 @@ def vb_mul(m, x, j):
     for i, xi in enumerate(x):
         if xi.is_zero():
             continue
-        row = m.c[i][j]
+        row = nested(m)[i][j]
         for k in range(m.n):
             if not row[k].is_zero():
                 out[k] = out[k] + xi * row[k]
@@ -322,7 +509,7 @@ def check_representation(rep):
     star = rep.alg.star
     n, p = star.n, star.p
     t = third(p)
-    l, r = rep.l, rep.r
+    l, r = nested(rep.l), nested(rep.r)
     for i in range(n):
         for j in range(n):
             xy = product(star, i, j)
@@ -359,7 +546,7 @@ def rep_consequence_holds(rep):
     """l(x*y) + r(x)r(y) = l(x)l(y) + r(y*x), a consequence of c2-c4."""
     star = rep.alg.star
     n = star.n
-    l, r = rep.l, rep.r
+    l, r = nested(rep.l), nested(rep.r)
     for i in range(n):
         for j in range(n):
             lhs = mat_add(mult_of_vec_or_zero(l, product(star, i, j), rep.vdim, star.p),
@@ -490,11 +677,12 @@ def check_matched_pair(mp):
         name, idx, lhs, rhs = rp2.witness
         return AxiomReport.fail(f"rep2:{name}", idx, lhs, rhs)
     star1, star2 = mp.p1.star, mp.p2.star
+    l1, r1, l2, r2 = (nested(f) for f in (mp.l1, mp.r1, mp.l2, mp.r2))
     for which, res in enumerate(_RESIDUALS, start=1):
         for i in range(mp.p1.n):
             for j in range(mp.p1.n):
                 for a in range(mp.p2.n):
-                    lhs, rhs = res(star1, mp.l1, mp.r1, mp.l2, mp.r2, i, j, a, p)
+                    lhs, rhs = res(star1, l1, r1, l2, r2, i, j, a, p)
                     if lhs != rhs:
                         return AxiomReport.fail(f"match{which}", (i, j, a),
                                                 lhs, rhs)
@@ -502,7 +690,7 @@ def check_matched_pair(mp):
         for a in range(mp.p2.n):
             for b in range(mp.p2.n):
                 for i in range(mp.p1.n):
-                    lhs, rhs = res(star2, mp.l2, mp.r2, mp.l1, mp.r1, a, b, i, p)
+                    lhs, rhs = res(star2, l2, r2, l1, r1, a, b, i, p)
                     if lhs != rhs:
                         return AxiomReport.fail(f"match{which}", (a, b, i),
                                                 lhs, rhs)
@@ -515,7 +703,7 @@ def check_invariant_form(a, form, require_symmetric=False,
     star = a.star
     n = star.n
     assert form.n == n, "dimension mismatch"
-    g = form.gram
+    c, g = nested(star), nested(form.gram)
     if require_symmetric and not form.is_symmetric():
         return AxiomReport.fail("form-symmetric", (0, 0),
                                 g[0], transpose(g)[0])
@@ -524,8 +712,8 @@ def check_invariant_form(a, form, require_symmetric=False,
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = sum_scalars(star.c[i][j][m] * g[m][k] for m in range(n))
-                rhs = sum_scalars(star.c[j][k][m] * g[i][m] for m in range(n))
+                lhs = sum_scalars(c[i][j][m] * g[m][k] for m in range(n))
+                rhs = sum_scalars(c[j][k][m] * g[i][m] for m in range(n))
                 if lhs != rhs:
                     return AxiomReport.fail("invariance", (i, j, k),
                                             [lhs], [rhs])
@@ -636,12 +824,12 @@ def check_o_operator(c):
     m = c.rep.vdim
     for i in range(m):
         for j in range(m):
-            tu = column(c.theta, i)
-            tv = column(c.theta, j)
+            tu = column(nested(c.theta), i)
+            tv = column(nested(c.theta), j)
             lhs = apply_mul(star, tu, tv)
-            inner = vec_add(column(mult_of_vec(c.rep.l, tu), j),
-                            column(mult_of_vec(c.rep.r, tv), i))
-            rhs = mat_vec(c.theta, inner)
+            inner = vec_add(column(mult_of_vec(nested(c.rep.l), tu), j),
+                            column(mult_of_vec(nested(c.rep.r), tv), i))
+            rhs = mat_vec(nested(c.theta), inner)
             if lhs != rhs:
                 return AxiomReport.fail("o-operator", (i, j), lhs, rhs)
     return AxiomReport.ok()
@@ -666,15 +854,14 @@ def check_rota_baxter(a, R):
 
 def cyclic_on_products(a, g):
     """The cyclic test of pre_from_symplectic on the gram matrix g."""
-    star = a.star
-    n = star.n
+    c, n = nested(a.star), a.star.n
     # the defining relations only produce a pre-structure when the form is
     # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 total = sum_scalars(
-                    star.c[x][y][m] * g[m][z]
+                    c[x][y][m] * g[m][z]
                     for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j))
                     for m in range(n))
                 if not total.is_zero():
@@ -691,7 +878,7 @@ def comul_of_vec(c, coefs):
     for i, ci in enumerate(coefs):
         if ci.is_zero():
             continue
-        out = mat_add(out, mat_scale(ci, c.a[i]))
+        out = mat_add(out, mat_scale(ci, nested(c)[i]))
     return out
 
 
@@ -706,7 +893,7 @@ def _coalgebra_residual(c, i):
     """
     n, p = c.n, c.p
     t = third(p)
-    a = c.a
+    a = nested(c)
     U = [[[sum_scalars(a[i][pp][m] * a[m][q][s] for m in range(n))
            for s in range(n)] for q in range(n)] for pp in range(n)]
     V = [[[sum_scalars(a[i][m][s] * a[m][pp][q] for m in range(n))
@@ -737,7 +924,7 @@ def _bialgebra_residuals(star, c, i, j):
     t = third(p)
     L = [left_mult_basis(star, k) for k in range(n)]
     R = [right_mult_basis(star, k) for k in range(n)]
-    Ai, Aj = c.a[i], c.a[j]
+    Ai, Aj = nested(c)[i], nested(c)[j]
     a_xy = comul_of_vec(c, product(star, i, j))
     a_yx = comul_of_vec(c, product(star, j, i))
     RjAi = mat_mul(R[j], Ai)
@@ -799,8 +986,7 @@ def check_poisson_bialgebra(palg, pair):
         return AxiomReport.fail(f"dual-{name}", idx, lhs, rhs)
     ad = [left_mult_basis(bracket, i) for i in range(n)]
     Lc = [left_mult_basis(circ, i) for i in range(n)]
-    D = [delta.a[i] for i in range(n)]
-    D2 = [Delta.a[i] for i in range(n)]
+    D, D2 = nested(delta), nested(Delta)
     for i in range(n):
         for j in range(n):
             # (ii) delta([x,y]) = (ad(x) (x) id + id (x) ad(x)) delta(y)
@@ -839,17 +1025,14 @@ def check_poisson_bialgebra(palg, pair):
 def check_co_leibniz(delta, Delta):
     """(v) co-Leibniz: (id (x) Delta) delta(x) = (delta (x) id) Delta(x)
     + (tau (x) id)(id (x) delta) Delta(x)."""
-    n = delta.n
+    n, d, D = delta.n, nested(delta), nested(Delta)
     for i in range(n):
         for pp in range(n):
             for q in range(n):
                 for s in range(n):
-                    lhs = sum_scalars(delta.a[i][pp][m] * Delta.a[m][q][s]
-                                      for m in range(n))
-                    rhs = sum_scalars(Delta.a[i][m][s] * delta.a[m][pp][q]
-                                      for m in range(n))
-                    rhs = rhs + sum_scalars(Delta.a[i][q][m] * delta.a[m][pp][s]
-                                            for m in range(n))
+                    lhs = sum_scalars(d[i][pp][m] * D[m][q][s] for m in range(n))
+                    rhs = sum_scalars(D[i][m][s] * d[m][pp][q] for m in range(n))
+                    rhs = rhs + sum_scalars(D[i][q][m] * d[m][pp][s] for m in range(n))
                     if lhs != rhs:
                         return AxiomReport.fail("co-leibniz", (i, pp, q),
                                                 [lhs], [rhs])
@@ -869,7 +1052,7 @@ def tensor3_product(ra, rb, m, slots):
     the unused slot never materializes.
     """
     assert slots in SLOT_PATTERNS, f"unknown slot pattern {slots!r}"
-    n, p = m.n, m.p
+    n, p, c = m.n, m.p, nested(m)
     assert len(ra) == n and len(rb) == n, "dimension mismatch"
     out = [[vec_zero(n, p) for _ in range(n)] for _ in range(n)]
     nz_a = [(i, j, ra[i][j]) for i in range(n) for j in range(n)
@@ -881,22 +1064,22 @@ def tensor3_product(ra, rb, m, slots):
             f = ca * cb
             if slots == "12.13":
                 # (e_ia * e_ib) (x) e_ja (x) e_jb
-                prod, fixed = m.c[ia][ib], lambda k: (k, ja, jb)
+                prod, fixed = c[ia][ib], lambda k: (k, ja, jb)
             elif slots == "13.23":
                 # e_ia (x) e_ib (x) (e_ja * e_jb)
-                prod, fixed = m.c[ja][jb], lambda k: (ia, ib, k)
+                prod, fixed = c[ja][jb], lambda k: (ia, ib, k)
             elif slots == "23.12":
                 # left in (2,3), right in (1,2): e_ib (x) (e_ia * e_jb) (x) e_ja
-                prod, fixed = m.c[ia][jb], lambda k: (ib, k, ja)
+                prod, fixed = c[ia][jb], lambda k: (ib, k, ja)
             elif slots == "12.23":
                 # left in (1,2), right in (2,3): e_ia (x) (e_ja * e_ib) (x) e_jb
-                prod, fixed = m.c[ja][ib], lambda k: (ia, k, jb)
+                prod, fixed = c[ja][ib], lambda k: (ia, k, jb)
             elif slots == "23.13":
                 # left in (2,3), right in (1,3): e_ib (x) e_ia (x) (e_ja * e_jb)
-                prod, fixed = m.c[ja][jb], lambda k: (ib, ia, k)
+                prod, fixed = c[ja][jb], lambda k: (ib, ia, k)
             else:  # "13.12"
                 # left in (1,3), right in (1,2): (e_ia * e_ib) (x) e_jb (x) e_ja
-                prod, fixed = m.c[ia][ib], lambda k: (k, jb, ja)
+                prod, fixed = c[ia][ib], lambda k: (k, jb, ja)
             for k in range(n):
                 if prod[k].is_zero():
                     continue
@@ -913,7 +1096,7 @@ def coboundary_alpha(a, r):
     star = a.star
     n, p = star.n, star.p
     assert r.n == n, "dimension mismatch"
-    rm = r.coeff
+    rm = nested(r)
     mats = []
     for i in range(n):
         L = left_mult_basis(star, i)
@@ -925,7 +1108,7 @@ def coboundary_alpha(a, r):
 def _sym_defect(star, r):
     """x -> M(x) = L(x) S - S R(x)^T on basis elements, plus S itself."""
     n, p = star.n, star.p
-    S = mat_add(r.coeff, transpose(r.coeff))
+    S = mat_add(nested(r), transpose(nested(r)))
     L = [left_mult_basis(star, i) for i in range(n)]
     R = [right_mult_basis(star, i) for i in range(n)]
 
@@ -980,7 +1163,7 @@ def _vanishes(t3, name):
     if idx is None:
         return AxiomReport.ok()
     i, j, k = idx
-    val = t3.t[i][j][k]
+    val = nested(t3)[i][j][k]
     return AxiomReport.fail(name, idx, [val], [val - val])
 
 
@@ -1013,7 +1196,7 @@ def operator_form_check(a, r):
     star = a.star
     _same_size(star, r)
     n, p = star.n, star.p
-    sharp = r.sharp()
+    sharp = transpose(nested(r))
     L = [left_mult_basis(star, k) for k in range(n)]
     R = [right_mult_basis(star, k) for k in range(n)]
     for i in range(n):
@@ -1036,7 +1219,7 @@ def cyclic_form_check(a, r):
     omega(x*y, z) + omega(y*z, x) + omega(z*x, y) = 0."""
     if not r.is_skew():
         raise ValueError("cyclic form requires a skew-symmetric r")
-    omega = mat_inverse(r.coeff, r.p)
+    omega = mat_inverse(nested(r), r.p)
     if omega is None:
         raise ValueError("cyclic form requires a nondegenerate r")
     star = a.star
@@ -1061,7 +1244,7 @@ def cyclic_form_check(a, r):
 def ybe_operator(mul, r, which):
     """P, Q, A or C as a Tensor3; `mul` is the relevant operation's tensor
     (the single operation for P/Q, circ for A, bracket for C)."""
-    rm = r.coeff
+    rm = nested(r)
     t3 = lambda pat: tensor3_product(rm, rm, mul, pat)
     if which == "P":
         return t3_sub(t3_sub(t3("23.12"), t3("13.23")), t3("12.13"))
@@ -1083,7 +1266,7 @@ def t3_swap(t, axis_a, axis_b):
             for k in range(n):
                 idx = [i, j, k]
                 idx[axis_a], idx[axis_b] = idx[axis_b], idx[axis_a]
-                out[idx[0]][idx[1]][idx[2]] = t.t[i][j][k]
+                out[idx[0]][idx[1]][idx[2]] = nested(t)[i][j][k]
     return Tensor3(n, p, out)
 
 
@@ -1094,7 +1277,7 @@ def t3_slot_apply(t, slot, m):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                coef = t.t[i][j][k]
+                coef = nested(t)[i][j][k]
                 if coef.is_zero():
                     continue
                 idx = (i, j, k)
@@ -1156,7 +1339,7 @@ def _cosp_residual(star, r, i, L=None, R=None, Pt=None, Qt=None):
     T2 = t3_sub(t3_slot_apply(Pt, 1, Rx), t3_slot_apply(Pt, 2, Rx))
     T3 = t3_sub(t3_slot_apply(Qt, 0, Rx), t3_slot_apply(Qt, 1, Rx))
     corr = t3_add(T2, T3)
-    rm = r.coeff
+    rm = nested(r)
     for pp in range(n):
         for q in range(n):
             cpq = rm[pp][q]
@@ -1197,7 +1380,7 @@ def check_cosp(a, r, which):
             res = t3_add(T1, t3_scale(t3_add(T2, T3), t))
         idx = first_nonzero(res)
         if idx is not None:
-            val = res.t[idx[0]][idx[1]][idx[2]]
+            val = nested(res)[idx[0]][idx[1]][idx[2]]
             return AxiomReport.fail(which, (i,) + idx[:2], [val],
                                     [val - val])
     return AxiomReport.ok()
@@ -1470,7 +1653,7 @@ def apply_mul(m, x, y):
             if yj.is_zero():
                 continue
             f = xi * yj
-            row = m.c[i][j]
+            row = nested(m)[i][j]
             for k in range(m.n):
                 if not row[k].is_zero():
                     out[k] = out[k] + f * row[k]
@@ -1485,7 +1668,7 @@ def left_mult(m, x):
         if xi.is_zero():
             continue
         for j in range(m.n):
-            row = m.c[i][j]
+            row = nested(m)[i][j]
             for k in range(m.n):
                 if not row[k].is_zero():
                     out[k][j] = out[k][j] + xi * row[k]
@@ -1500,7 +1683,7 @@ def right_mult(m, x):
         if xi.is_zero():
             continue
         for j in range(m.n):
-            row = m.c[j][i]
+            row = nested(m)[j][i]
             for k in range(m.n):
                 if not row[k].is_zero():
                     out[k][j] = out[k][j] + xi * row[k]
@@ -1537,68 +1720,68 @@ def mult_of_vec(fam, x):
 
 def product(m, i, j):
     """Coordinate vector of e_i <> e_j."""
-    return list(m.c[i][j])
+    return list(nested(m)[i][j])
 
 
 def mul_op(m):
     """The opposite operation: c'[i][j][k] = c[j][i][k]."""
     return MulTensor(m.n, m.p,
-                     [[list(m.c[j][i]) for j in range(m.n)]
+                     [[list(nested(m)[j][i]) for j in range(m.n)]
                       for i in range(m.n)])
 
 
 def mul_add(x, y):
-    return MulTensor(x.n, x.p, _entrywise(add, x.c, y.c))
+    return MulTensor(x.n, x.p, _entrywise(add, nested(x), nested(y)))
 
 
 def mul_sub(x, y):
-    return MulTensor(x.n, x.p, _entrywise(sub, x.c, y.c))
+    return MulTensor(x.n, x.p, _entrywise(sub, nested(x), nested(y)))
 
 
 def mul_scale(m, s):
-    return MulTensor(m.n, m.p, [[[s * x for x in row] for row in pl] for pl in m.c])
+    return MulTensor(m.n, m.p, [[[s * x for x in row] for row in pl] for pl in nested(m)])
 
 
 def t3_add(x, y):
-    return Tensor3(x.n, x.p, _entrywise(add, x.t, y.t))
+    return Tensor3(x.n, x.p, _entrywise(add, nested(x), nested(y)))
 
 
 def t3_sub(x, y):
-    return Tensor3(x.n, x.p, _entrywise(sub, x.t, y.t))
+    return Tensor3(x.n, x.p, _entrywise(sub, nested(x), nested(y)))
 
 
 def t3_scale(t, s):
-    return Tensor3(t.n, t.p, [[[s * x for x in row] for row in pl] for pl in t.t])
+    return Tensor3(t.n, t.p, [[[s * x for x in row] for row in pl] for pl in nested(t)])
 
 
 def first_nonzero(t):
     for i in range(t.n):
         for j in range(t.n):
             for k in range(t.n):
-                if not t.t[i][j][k].is_zero():
+                if not nested(t)[i][j][k].is_zero():
                     return (i, j, k)
     return None
 
 
 def comul_tau(c):
     """Flip the two tensor slots: a'[i][j][k] = a[i][k][j]."""
-    return Comultiplication(c.n, c.p, [transpose(ai) for ai in c.a])
+    return Comultiplication(c.n, c.p, [transpose(ai) for ai in nested(c)])
 
 
 def comul_add(x, y):
-    return Comultiplication(x.n, x.p, [mat_add(u, v) for u, v in zip(x.a, y.a)])
+    return Comultiplication(x.n, x.p, [mat_add(u, v) for u, v in zip(nested(x), nested(y))])
 
 
 def comul_sub(x, y):
-    return Comultiplication(x.n, x.p, [mat_sub(u, v) for u, v in zip(x.a, y.a)])
+    return Comultiplication(x.n, x.p, [mat_sub(u, v) for u, v in zip(nested(x), nested(y))])
 
 
 def comul_scale(c, s):
-    return Comultiplication(c.n, c.p, [mat_scale(s, ai) for ai in c.a])
+    return Comultiplication(c.n, c.p, [mat_scale(s, ai) for ai in nested(c)])
 
 
 def r_add(x, y):
-    return RTensor(mat_add(x.coeff, y.coeff), x.p)
+    return RTensor(mat_add(nested(x), nested(y)), x.p)
 
 
 # ---------------------------------------------------------------------------
@@ -1640,7 +1823,7 @@ def semidirect_raw(star, l, r):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                big[i][j][k] = star.c[i][j][k]
+                big[i][j][k] = nested(star)[i][j][k]
     for i in range(n):
         for b in range(m):
             for a in range(m):
@@ -1654,8 +1837,8 @@ def semidirect_raw(star, l, r):
 def rep_to_poisson_rep(rep, check=True):
     """(S_bracket, S_circ) = (1/2(l - r), 1/2(l + r)) over the polarized algebra."""
     h = half(rep.alg.p)
-    s_bracket = [mat_scale(h, mat_sub(a, b)) for a, b in zip(rep.l, rep.r)]
-    s_circ = [mat_scale(h, mat_add(a, b)) for a, b in zip(rep.l, rep.r)]
+    s_bracket = [mat_scale(h, mat_sub(a, b)) for a, b in zip(nested(rep.l), nested(rep.r))]
+    s_circ = [mat_scale(h, mat_add(a, b)) for a, b in zip(nested(rep.l), nested(rep.r))]
     palg = polarize(rep.alg) if check else \
         PoissonAlgebra.raw(*polarize_raw(rep.alg.star))
     return PoissonRepresentation(palg, s_bracket, s_circ, check=False)
@@ -1663,8 +1846,8 @@ def rep_to_poisson_rep(rep, check=True):
 
 def poisson_rep_to_rep(prep, check=True):
     """(l, r) = (S_circ + S_bracket, S_circ - S_bracket) over the depolarized algebra."""
-    l = [mat_add(c, b) for c, b in zip(prep.s_circ, prep.s_bracket)]
-    r = [mat_sub(c, b) for c, b in zip(prep.s_circ, prep.s_bracket)]
+    l = [mat_add(c, b) for c, b in zip(nested(prep.s_circ), nested(prep.s_bracket))]
+    r = [mat_sub(c, b) for c, b in zip(nested(prep.s_circ), nested(prep.s_bracket))]
     star = depolarize_raw(prep.palg.bracket, prep.palg.circ)
     alg = AdmPoissonAlgebra(star) if check else AdmPoissonAlgebra.raw(star)
     return Representation(alg, l, r, check=check)
@@ -1680,25 +1863,25 @@ def bowtie_raw(mp):
         for j in range(n1):
             # x *1 y  plus  l1(x)b / r1(y)a cross actions
             for k in range(n1):
-                c[i][j][k] = s1.c[i][j][k]
+                c[i][j][k] = nested(s1)[i][j][k]
     for a in range(n2):
         for b in range(n2):
             for k in range(n2):
-                c[n1 + a][n1 + b][n1 + k] = s2.c[a][b][k]
+                c[n1 + a][n1 + b][n1 + k] = nested(s2)[a][b][k]
     for i in range(n1):
         for b in range(n2):
             for a in range(n2):
                 # e_i * f_b: P2 part l1(e_i) f_b
-                c[i][n1 + b][n1 + a] = mp.l1[i][a][b]
+                c[i][n1 + b][n1 + a] = nested(mp.l1)[i][a][b]
                 # f_b * e_i: P2 part r1(e_i) f_b
-                c[n1 + b][i][n1 + a] = mp.r1[i][a][b]
+                c[n1 + b][i][n1 + a] = nested(mp.r1)[i][a][b]
     for a in range(n2):
         for j in range(n1):
             for k in range(n1):
                 # f_a * e_j: P1 part l2(f_a) e_j
-                c[n1 + a][j][k] = mp.l2[a][k][j]
+                c[n1 + a][j][k] = nested(mp.l2)[a][k][j]
                 # e_j * f_a: P1 part r2(f_a) e_j
-                c[j][n1 + a][k] = mp.r2[a][k][j]
+                c[j][n1 + a][k] = nested(mp.r2)[a][k][j]
     return MulTensor(n, p, c)
 
 
@@ -1727,7 +1910,7 @@ def dual_structure(c):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[j][k][i] = c.a[i][j][k]
+                out[j][k][i] = nested(c)[i][j][k]
     return MulTensor(n, p, out)
 
 
@@ -1738,7 +1921,7 @@ def comult_of_mul(m):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a[i][j][k] = m.c[j][k][i]
+                a[i][j][k] = nested(m)[j][k][i]
     return Comultiplication(n, p, a)
 
 
@@ -1776,7 +1959,7 @@ def correspondence_system(a, r):
     """The rows and right-hand sides of coboundary_correspondence's systems."""
     star = a.star
     n, p = star.n, star.p
-    S = mat_add(r.coeff, transpose(r.coeff))
+    S = mat_add(nested(r), transpose(nested(r)))
     L = [left_mult_basis(star, i) for i in range(n)]
     R = [right_mult_basis(star, i) for i in range(n)]
     nvars = n * n
@@ -1859,14 +2042,14 @@ def prepoisson_sum_pair(q):
 
 def induced_pre_from_o_operator(c):
     """u > v = l(theta u) v, u < v = r(theta v) u on the module."""
-    rep, theta = c.rep, c.theta
+    rep, theta = c.rep, nested(c.theta)
     m, p = rep.vdim, c.alg.p
     succ = [[None] * m for _ in range(m)]
     prec = [[None] * m for _ in range(m)]
     for i in range(m):
         ti = column(theta, i)
-        lmat = mult_of_vec(rep.l, ti)
-        rmat = mult_of_vec(rep.r, ti)
+        lmat = mult_of_vec(nested(rep.l), ti)
+        rmat = mult_of_vec(nested(rep.r), ti)
         for j in range(m):
             succ_prod = column(lmat, j)       # l(theta v_i) v_j
             prec_prod = column(rmat, j)       # r(theta v_i) v_j = v_j < v_i
@@ -1879,16 +2062,16 @@ def compatible_pre_from_invertible_o(c):
     """For invertible theta on V with dim V = dim P, the transported
     pre-structure on P: x > y = theta(l(x) theta^{-1} y),
     x < y = theta(r(y) theta^{-1} x)."""
-    a, rep, theta = c.alg, c.rep, c.theta
+    a, rep, theta = c.alg, c.rep, nested(c.theta)
     n, p = a.n, a.p
     theta_inv = mat_inverse(theta, p)
     succ = [[None] * n for _ in range(n)]
     prec = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            w = mat_vec(rep.l[i], column(theta_inv, j))
+            w = mat_vec(nested(rep.l)[i], column(theta_inv, j))
             succ[i][j] = mat_vec(theta, w)
-            w = mat_vec(rep.r[j], column(theta_inv, i))
+            w = mat_vec(nested(rep.r)[j], column(theta_inv, i))
             prec[i][j] = mat_vec(theta, w)
     return PreAdmPoisson.raw(MulTensor(n, p, succ), MulTensor(n, p, prec))
 
@@ -1897,16 +2080,16 @@ def pre_from_symplectic(a, g):
     """The pre-structure of omega(x>y, z) = omega(y, z*x),
     omega(x<y, z) = omega(x, y*z) for a nondegenerate gram matrix g."""
     star = a.star
-    n, p = star.n, star.p
+    n, p, c = star.n, star.p, nested(star)
     ginv_t = mat_inverse(transpose(g), p)
     succ = [[None] * n for _ in range(n)]
     prec = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            rhs = [sum_scalars(star.c[k][i][m] * g[j][m] for m in range(n))
+            rhs = [sum_scalars(c[k][i][m] * g[j][m] for m in range(n))
                    for k in range(n)]
             succ[i][j] = mat_vec(ginv_t, rhs)
-            rhs = [sum_scalars(star.c[j][k][m] * g[i][m] for m in range(n))
+            rhs = [sum_scalars(c[j][k][m] * g[i][m] for m in range(n))
                    for k in range(n)]
             prec[i][j] = mat_vec(ginv_t, rhs)
     return PreAdmPoisson.raw(MulTensor(n, p, succ), MulTensor(n, p, prec))
@@ -1917,12 +2100,12 @@ def pre_from_symplectic(a, g):
 
 def encode_mul(m):
     val = 0
-    n, p = m.n, m.p
+    n, p, c = m.n, m.p, nested(m)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 t = (i * n + j) * n + k
-                val += m.c[i][j][k].num * p ** t
+                val += c[i][j][k].num * p ** t
     return val
 
 

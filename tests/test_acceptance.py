@@ -9,7 +9,6 @@ import random
 import re
 from pathlib import Path
 
-from admpoisson.scalars import Scalar
 from admpoisson.tensors import MulTensor, identity, solve
 from admpoisson.algebras import (ADM_POISSON, AdmPoissonAlgebra,
                                  PoissonAlgebra, check_adm_poisson, check_poisson,
@@ -34,7 +33,7 @@ from admpoisson.search import encode_mul, decode_mul, SearchSpec, search
 from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
 
-from oracles import (t3_add, t3_sub, rand_mul, rand_mat, rand_vec, dim2_gf5_tensor_array,
+from oracles import (Scalar, t3_add, t3_sub, rand_mul, rand_mat, rand_vec, dim2_gf5_tensor_array,
                      poisson_mask_dim2_gf5, _bialgebra_residuals, iter_r_tensors, iter_maps)
 
 P = 5

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from admpoisson.scalars import Scalar, of
 from admpoisson.tensors import MulTensor
 from admpoisson.algebras import (check_adm_poisson, check_poisson,
                                  AdmPoissonAlgebra, PoissonAlgebra,
                                  polarize, depolarize, polarize_raw,
                                  depolarize_raw, AxiomReport)
 
-from oracles import (mul_op, mul_scale, rand_mul, rand_triple, adm_identity_on_vectors, vec_is_zero,
-                     poisson_identities_on_vectors, weak_associativity_holds)
+from oracles import (mul_op, mul_scale, of, rand_mul, rand_triple, adm_identity_on_vectors,
+                     vec_is_zero, poisson_identities_on_vectors, weak_associativity_holds)
 
 
 def idempotent_dim1(p=0):

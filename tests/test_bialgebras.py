@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from admpoisson.scalars import Scalar, of, one
 from admpoisson.tensors import MulTensor
 from admpoisson.algebras import AdmPoissonAlgebra, polarize, check_adm_poisson
 from admpoisson.bialgebras import (Comultiplication, dual_structure,
@@ -14,7 +13,7 @@ from admpoisson.bialgebras import (Comultiplication, dual_structure,
                                    check_poisson_bialgebra)
 from admpoisson.search import decode_mul
 
-from oracles import comul_scale, comul_tau, rand_mul
+from oracles import comul_scale, comul_tau, of, rand_mul
 from test_algebras import solvable_lie_dim2, comm_assoc_dim2
 
 

@@ -1,10 +1,10 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admpoisson.scalars import Scalar, of, one, zero
 from admpoisson.tensors import MulTensor
 from admpoisson.yangbaxter import RTensor
 from admpoisson.bialgebras import Comultiplication
@@ -13,7 +13,7 @@ from admpoisson.fileformat import (MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile,
                                    read_file, write_file)
 
 import oracles
-from oracles import product, rand_mul, rand_mat
+from oracles import Scalar, of, one, product, rand_mul, rand_mat, zero
 from test_cli import grammar_files
 
 
@@ -43,11 +43,11 @@ def test_parse_sample():
     star = af.ops["star"]
     assert product(star, 0, 1) == [of(-1, 2), one()]
     assert product(star, 1, 1) == [zero(), zero()]
-    assert af.tensors["r"].coeff[0][1] == of(3, 4)
-    assert af.reps["l"][0] == [[of(2)]]
-    assert af.maps["theta"] == [[one()], [zero()]]
-    assert af.comuls["alpha"].a[0][0][1] == one()
-    assert af.comuls["alpha"].a[0][1][0] == of(-1)
+    assert af.tensors["r"].coeff[0][1] == Fraction(3, 4)
+    assert af.reps["l"].tolist()[0] == [[2]]
+    assert af.maps["theta"].tolist() == [[1], [0]]
+    assert af.comuls["alpha"].a[0][0][1] == 1
+    assert af.comuls["alpha"].a[0][1][0] == -1
 
 
 def test_print_parse_identity():

@@ -1,12 +1,21 @@
+"""The oracle's own field arithmetic (tests/oracles.py: Scalar), the field
+validation it shares with the package (admpoisson.scalars), and the
+boundary between them: the package has no scalar type, and the oracle
+borrows no arithmetic from it."""
+
+import ast
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from admpoisson.scalars import (Scalar, ScalarModeError, check_characteristic,
-                                zero, one, of, half, third, _is_prime)
+import admpoisson
+import oracles
+from admpoisson.scalars import ScalarModeError, check_characteristic, _is_prime
 
-from oracles import parse_scalar
+from oracles import Scalar, zero, one, of, half, third, parse_scalar
 
 
 rationals = st.builds(Scalar,
@@ -117,13 +126,12 @@ def test_large_prime_is_validated_once():
 
 
 def test_arithmetic_does_not_validate_p_again(monkeypatch):
-    import admpoisson.scalars as scalars
     p = 2 ** 31 - 1
     a, b = Scalar(p - 2, 1, p), Scalar(123456789, 1, p)
     x, y = of(-3, 4), of(5, 6)
     constants = zero(p), one(p), zero(), one()
     calls = []
-    monkeypatch.setattr(scalars, "check_characteristic", calls.append)
+    monkeypatch.setattr(oracles, "check_characteristic", calls.append)
     for u, v in ((a, b), (x, y)):
         u + v, u - v, u * v, u / v, -u
     assert (zero(p), one(p), zero(), one()) == constants
@@ -153,3 +161,27 @@ def test_immutability_and_hash():
         a.num = 7
     assert hash(of(2, 4)) == hash(of(1, 2))
     assert of(2, 4) == of(1, 2)
+
+
+def test_scalar_arithmetic_lives_only_in_the_oracle():
+    """No module of the package defines a class Scalar, and tests/oracles.py
+    imports no arithmetic from it: from admpoisson.scalars only its error
+    and the field validation, from admpoisson.tensors only classes (the
+    structures, AxiomReport, ShapeError), none of its functions."""
+    for info in pkgutil.iter_modules(admpoisson.__path__):
+        path = Path(admpoisson.__path__[0]) / f"{info.name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "Scalar" not in {node.name for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)}, info.name
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("admpoisson")]
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("admpoisson")
+                for alias in node.names]
+    assert ("admpoisson.tensors", "MulTensor") in imported
+    for module, name in imported:
+        if module == "admpoisson.scalars":
+            assert name in ("ScalarModeError", "check_characteristic"), name
+        if module == "admpoisson.tensors":
+            assert name[0].isupper(), name

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from admpoisson.scalars import Scalar, zero, one, of
+from oracles import Scalar, nested, of
+from admpoisson.fileformat import parse_file
 from admpoisson.tensors import (Exact, MulTensor, Tensor3, Terms, evaluate, identity,
                                 solve)
 from admpoisson.algebras import AdmPoissonAlgebra, AxiomReport, check_adm_poisson
@@ -33,7 +35,7 @@ def test_mat_inverse_random():
         found = 0
         while found < 5:
             a = rand_mat(rng, 3, 3, p)
-            inv = solve(a, identity(3, p), p)
+            inv = nested(solve(a, identity(3, p), p))
             assert inv == mat_inverse(a, p)
             if inv is None:
                 continue
@@ -56,14 +58,14 @@ def column_of(b):
 def test_solve_linear_consistent_and_not():
     a = [[of(1), of(2)], [of(3), of(4)]]
     b = [of(5), of(6)]
-    x = solve(a, column_of(b))
+    x = nested(solve(a, column_of(b)))
     assert mat_vec(a, [row[0] for row in x]) == b
     # inconsistent: second row is twice the first but rhs is not
     a = [[of(1), of(2)], [of(2), of(4)]]
     assert solve(a, column_of([of(1), of(3)])) is None
     # underdetermined: the free variable is zero
     a = [[of(1), of(2)]]
-    assert solve(a, column_of([of(3)])) == [[of(3)], [of(0)]]
+    assert nested(solve(a, column_of([of(3)]))) == [[of(3)], [of(0)]]
 
 
 def scalar(rng, p, digits=1):
@@ -113,12 +115,12 @@ def test_solve_matches_the_old_elimination(p):
                 assert (new is None) == (old is None)
                 if old is not None:
                     assert isinstance(new, Exact) and new.num.shape == (len(a[0]), 1)
-                    assert [row[0] for row in new] == old
+                    assert [row[0] for row in nested(new)] == old
                     assert mat_vec(a, old) == b
                 seen["consistent" if old is not None else "inconsistent"] += 1
                 if len(a) == len(a[0]):
                     inv = solve(a, identity(n, p), p)
-                    assert inv == mat_inverse(a, p)
+                    assert nested(inv) == mat_inverse(a, p)
                     seen["inverse" if inv is not None else "singular"] += 1
     assert all(seen.values()), seen
 
@@ -134,7 +136,7 @@ def test_dual_endo_family_is_transpose():
     other = [rand_mat(rng, 2, 2, 5) for _ in range(3)]
     alg = AdmPoissonAlgebra.raw(MulTensor(3, 5))
     d = dual_rep(Representation.raw(alg, fam, other), check=False)
-    assert (d.l, d.r) == (dual_endo_family(other), dual)
+    assert (nested(d.l), nested(d.r)) == (dual_endo_family(other), dual)
 
 
 def test_left_right_mult_match_apply_mul():
@@ -145,8 +147,8 @@ def test_left_right_mult_match_apply_mul():
         y = rand_vec(rng, 3, p)
         assert mat_vec(left_mult(m, x), y) == apply_mul(m, x, y)
         assert mat_vec(right_mult(m, x), y) == apply_mul(m, y, x)
-        assert adjoint_families(m) == ([left_mult_basis(m, i) for i in range(3)],
-                                       [right_mult_basis(m, i) for i in range(3)])
+        assert tuple(map(nested, adjoint_families(m))) == (
+            [left_mult_basis(m, i) for i in range(3)], [right_mult_basis(m, i) for i in range(3)])
 
 
 def test_bv_vb_mul_match_apply_mul():
@@ -213,7 +215,7 @@ def test_tensor3_product_matches_formal_unit_oracle(slots):
 
 def test_ybe_operator_rejects_unknown_operator():
     m = MulTensor(2)
-    r = RTensor([[zero(), zero()], [zero(), zero()]])
+    r = RTensor([[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         ybe_operator(m, r, "Z")
 
@@ -221,13 +223,34 @@ def test_ybe_operator_rejects_unknown_operator():
 def test_from_entries_and_first_nonzero():
     m = MulTensor.from_entries(2, {(0, 1, 0): 3, (1, 0, 1): Scalar(2, 1, 5)},
                                p=5)
-    assert m.c[0][1][0] == Scalar(3, 1, 5)
-    assert m.c[1][0] == [zero(5), Scalar(2, 1, 5)]
-    assert RTensor.from_entries(2, {(1, 0): 4}, 5).coeff == [[zero(5), zero(5)],
-                                                             [Scalar(4, 1, 5), zero(5)]]
+    assert m.c[0][1][0] == 3
+    assert m.c[1][0] == [0, 2]
+    assert RTensor.from_entries(2, {(1, 0): Fraction(-1, 2)}, 5).coeff == [[0, 0], [2, 0]]
     t = Tensor3(2, 5)
     assert first_nonzero(t) is None and t.is_zero()
-    assert identity(2, 5).scalars() == [[one(5), zero(5)], [zero(5), one(5)]]
+    assert identity(2, 5).tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("p", [0, 5, 2 ** 31 - 1])
+def test_nested_numbers_build_what_the_parser_builds(p):
+    """ints, Fractions and numpy integers, negative ones too, go in as the
+    parser's tokens do; a denominator 0 mod p is refused with the parser's
+    reason, and a float is no exact number."""
+    field = f"gf {p}" if p else "rational"
+    af = parse_file(f"format 1\nfield {field}\ndim 2\nop star\nstar: e1 e1 = 1 e1\n"
+                    "tensor r: e1 e1 = 1/2\ntensor r: e1 e2 = -3\n"
+                    "tensor r: e2 e1 = -7/4\n")
+    for coeff in ([[Fraction(1, 2), -3], [Fraction(-7, 4), 0]],
+                  [[Fraction(2, 4), np.int64(-3)], [Fraction(7, -4), np.int64(0)]],
+                  np.array([[Fraction(1, 2), -3], [Fraction(-7, 4), 0]], dtype=object)):
+        assert RTensor(coeff, p).exact == af.tensors["r"].exact
+    assert MulTensor(2, p, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]) == af.ops["star"]
+    assert MulTensor(1, p, [[[np.int64(-1)]]]).c == [[[p - 1 if p else -1]]]
+    if p:
+        with pytest.raises(ZeroDivisionError, match=f"^denominator {p} is 0 mod {p}$"):
+            RTensor([[Fraction(1, p)]], p)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        RTensor([[0.5]], p)
 
 
 def test_exact_arrays_are_canonical():
@@ -239,7 +262,12 @@ def test_exact_arrays_are_canonical():
     assert a == Exact([[-1, 2], [0, -3]], 4) and hash(a) == hash(Exact([[-3, 6], [0, -9]], 12))
     assert a != Exact([[-1, 2], [0, -3]], 4, 5) and Exact([0, 0], 7).den == 1
     assert Exact([3, -1, 12], 2, 5).num.tolist() == [4, 2, 1]       # 3/2, -1/2, 6 mod 5
-    assert a.scalars() == [[Scalar(-1, 4), Scalar(1, 2)], [zero(), Scalar(-3, 4)]] == a
+    assert a.tolist() == [[Fraction(-1, 4), Fraction(1, 2)], [0, Fraction(-3, 4)]]
+    # the numbers of an Exact are Fractions over Q and ints over GF(p), and
+    # an Exact is no list: it equals none
+    assert Exact([[1, 2]]).tolist() == [[1, 2]] and Exact([[1, 2]]) != [[1, 2]]
+    assert Exact([1, -2, 3, 6], 3).tolist() == [Fraction(1, 3), Fraction(-2, 3), 1, 2]
+    assert {type(x) for x in Exact([3, -1, 12], 2, 5).tolist()} == {int}
     big = 2 ** 31
     assert Exact([big - 1]).num.dtype == np.int64 and Exact([big]).num.dtype == object
     assert Exact([1], 1, 2 ** 31 + 11).num.dtype == object

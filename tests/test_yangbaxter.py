@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from admpoisson.scalars import Scalar, of, one, zero
 from admpoisson.tensors import MulTensor
 from admpoisson.algebras import (AdmPoissonAlgebra, PoissonAlgebra,
                                  polarize_raw)
@@ -14,10 +13,10 @@ from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
 from admpoisson.bialgebras import check_adm_bialgebra
 from admpoisson.search import decode_mul
 
-from oracles import (column, comul_add, left_mult_basis, mat_add, mat_eq,
+from oracles import (column, comul_add, left_mult_basis, mat_add,
                      mat_inverse, mat_is_zero, mat_mul, mat_sub, r_add,
                      rand_mat, rand_mul, right_mult_basis, slot_product_oracle, t3_add,
-                     t3_sub, transpose, iter_r_tensors)
+                     t3_sub, transpose, iter_r_tensors, nested)
 from test_algebras import solvable_lie_dim2, comm_assoc_dim2
 
 
@@ -28,12 +27,13 @@ def rand_r(rng, n, p=0, skew=False):
 
 
 def test_sharp_convention():
-    # r#(f_i) = sum_j r[i][j] e_j: column i of the sharp matrix is row i of r
+    # r#(f_i) = sum_j r[i][j] e_j: column i of the sharp matrix, the
+    # coefficients of tau(r), is row i of r
     r = RTensor.from_entries(2, {(0, 1): 3, (1, 0): -2})
-    sharp = r.sharp()
-    assert column(sharp, 0) == [zero(), of(3)]
-    assert column(sharp, 1) == [of(-2), zero()]
-    assert mat_eq(sharp, transpose(r.coeff))
+    sharp = r.tau().coeff
+    assert column(sharp, 0) == [0, 3]
+    assert column(sharp, 1) == [-2, 0]
+    assert sharp == transpose(r.coeff)
 
 
 def test_rtensor_parts_and_tau():
@@ -43,7 +43,7 @@ def test_rtensor_parts_and_tau():
     assert r.skew_part().is_skew()
     assert r.sym_part().is_symmetric()
     assert r.tau().tau() == r
-    assert r.tau() == RTensor(transpose(r.coeff), 0)
+    assert r.tau() == RTensor(transpose(nested(r)), 0)
 
 
 def test_ybe_operator_matches_oracle():
@@ -52,7 +52,7 @@ def test_ybe_operator_matches_oracle():
         for _ in range(8):
             m = rand_mul(rng, 2, p)
             r = rand_r(rng, 2, p)
-            rm = r.coeff
+            rm = nested(r)
             o = lambda pat: slot_product_oracle(rm, rm, m, pat)
             assert ybe_operator(m, r, "P") == \
                 t3_sub(t3_sub(o("23.12"), o("13.23")), o("12.13"))
@@ -162,7 +162,7 @@ def test_operator_and_cyclic_forms_match_pybe(catalog_gf5):
         for r in iter_r_tensors(2, 5, skew=True):
             pybe = check_ybe(a, r, "adm_pybe").holds
             assert operator_form_check(a, r).holds == pybe
-            if mat_inverse(r.coeff, 5) is not None:
+            if mat_inverse(nested(r), 5) is not None:
                 assert cyclic_form_check(a, r).holds == pybe
 
 
@@ -177,8 +177,8 @@ def test_coboundary_correspondence_solution_satisfies_systems():
         if not ok:
             continue
         hits += 1
-        S = mat_add(r.coeff, transpose(r.coeff))
-        Y = r1.coeff
+        S = mat_add(nested(r), transpose(nested(r)))
+        Y = nested(r1)
         for i in range(2):
             L = left_mult_basis(star, i)
             R = right_mult_basis(star, i)
