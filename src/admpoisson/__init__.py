@@ -14,15 +14,12 @@ _EXPORTS = {
     "tensors": ("MulTensor", "Tensor3", "solve", "AxiomReport",
                 "Comultiplication", "RTensor"),
     "algebras": ("AdmPoissonAlgebra", "PoissonAlgebra", "check_adm_poisson",
-                 "check_poisson", "polarize", "depolarize", "polarize_raw",
-                 "depolarize_raw"),
+                 "check_poisson", "polarize", "depolarize"),
     "representations": ("Representation", "check_representation", "adjoint_rep",
-                        "dual_rep", "semidirect", "semidirect_raw",
-                        "PoissonRepresentation", "rep_to_poisson_rep",
-                        "poisson_rep_to_rep"),
-    "matched": ("MatchedPairData", "check_matched_pair", "bowtie", "bowtie_raw",
-                "BilinearForm", "check_invariant_form", "standard_form",
-                "manin_pair_data", "manin_double"),
+                        "dual_rep", "semidirect", "PoissonRepresentation",
+                        "rep_to_poisson_rep", "poisson_rep_to_rep"),
+    "matched": ("MatchedPairData", "check_matched_pair", "bowtie", "BilinearForm",
+                "check_invariant_form", "standard_form", "manin_pair_data", "manin_double"),
     "bialgebras": ("dual_structure", "comult_of_mul", "check_coalgebra",
                    "check_adm_bialgebra", "PoissonComultiplicationPair",
                    "split_comultiplication", "merge_comultiplication",
@@ -33,7 +30,7 @@ _EXPORTS = {
     "ooperators": ("OOperatorCandidate", "check_o_operator", "check_rota_baxter",
                    "rota_baxter_as_o_operator", "solution_from_o_operator",
                    "PreAdmPoisson", "check_pre_adm_poisson", "subadjacent",
-                   "subadjacent_raw", "pre_rep", "PrePoisson", "check_pre_poisson",
+                   "pre_rep", "PrePoisson", "check_pre_poisson",
                    "pre_to_prepoisson", "prepoisson_to_pre",
                    "induced_pre_from_o_operator", "canonical_solution",
                    "compatible_pre_from_invertible_o", "pre_from_symplectic"),

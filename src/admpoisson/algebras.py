@@ -63,22 +63,13 @@ class PoissonAlgebra(Record):
         return check_poisson(self.bracket, self.circ)
 
 
-def polarize_raw(star):
-    """(bracket, circ) = (skew part, symmetric part) of star, no validation."""
+def polarize(star):
+    """(bracket, circ) = (skew part, symmetric part) of star."""
     c = star.exact
     opp = c.transpose(1, 0, 2)
     return MulTensor(star.n, star.p, (c - opp) / 2), MulTensor(star.n, star.p, (c + opp) / 2)
 
 
-def depolarize_raw(bracket, circ):
-    """star = circ + bracket, no validation."""
+def depolarize(bracket, circ):
+    """star = circ + bracket."""
     return MulTensor(circ.n, circ.p, circ.exact + bracket.exact)
-
-
-def polarize(a):
-    bracket, circ = polarize_raw(a.star)
-    return PoissonAlgebra(bracket, circ)
-
-
-def depolarize(p):
-    return AdmPoissonAlgebra(depolarize_raw(p.bracket, p.circ))

@@ -8,15 +8,15 @@ the file format's e1-style basis naming.
 """
 
 import argparse
+import gc
 import os
 import sys
 
 from .scalars import check_characteristic
 from .tensors import ShapeError
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, check_adm_poisson,
-                       check_poisson, polarize_raw, depolarize_raw)
+                       check_poisson, depolarize, polarize)
 from .fileformat import AlgebraFile, FormatError, entry_strings, parse_file, print_file
-from . import search as searchmod
 # The other modules are imported by the functions that use them, so that a
 # command loads only the modules it runs.
 
@@ -99,7 +99,7 @@ def _poisson(af):
     if "bracket" in af.ops or "circ" in af.ops:
         br, circ = _get_op(af, "bracket"), _get_op(af, "circ")
     else:
-        br, circ = polarize_raw(_get_op(af, "star"))
+        br, circ = polarize(_get_op(af, "star"))
     _require(check_poisson(br, circ))
     return PoissonAlgebra.raw(br, circ)
 
@@ -283,28 +283,28 @@ PREDICATES = {
 # -------------------------------------------------------------- constructions
 
 def _build_polarize(af):
-    br, circ = polarize_raw(_get_op(af, "star"))
+    br, circ = polarize(_get_op(af, "star"))
     return AlgebraFile(af.p, br.n, bracket=br, circ=circ)
 
 
 def _build_depolarize(af):
     br, circ = _get_op(af, "bracket"), _get_op(af, "circ")
-    return AlgebraFile(af.p, br.n, star=depolarize_raw(br, circ))
+    return AlgebraFile(af.p, br.n, star=depolarize(br, circ))
 
 
 def _build_semidirect(af):
-    from .representations import semidirect_raw
+    from .representations import semidirect
     alg = _adm(af)
     rep = _rep(af, alg)
-    big = semidirect_raw(alg.star, rep.l, rep.r)
+    big = semidirect(alg.star, rep.l, rep.r)
     return AlgebraFile(af.p, big.n, star=big)
 
 
 def _build_bowtie(af):
-    from .matched import bowtie_raw, check_matched_pair
+    from .matched import bowtie, check_matched_pair
     mp = _matched_pair(af)
     _require(check_matched_pair(mp))
-    big = bowtie_raw(mp)
+    big = bowtie(mp)
     return AlgebraFile(af.p, big.n, star=big)
 
 
@@ -356,9 +356,9 @@ def _build_induced_pre(af):
 
 
 def _build_subadjacent(af):
-    from .ooperators import subadjacent_raw
+    from .ooperators import subadjacent
     pre = _pre(af)
-    return AlgebraFile(af.p, pre.n, star=subadjacent_raw(pre.succ, pre.prec))
+    return AlgebraFile(af.p, pre.n, star=subadjacent(pre.succ, pre.prec))
 
 
 def _build_canonical_solution(af):
@@ -370,7 +370,7 @@ def _build_canonical_solution(af):
 def _build_dual_rep(af):
     from .representations import dual_rep
     alg = _adm(af)
-    d = dual_rep(_rep(af, alg), check=False)
+    d = dual_rep(_rep(af, alg))
     return AlgebraFile(af.p, alg.n, d.vdim, star=alg.star, l=d.l, r=d.r)
 
 
@@ -431,6 +431,7 @@ def _cmd_build(args):
 
 
 def _cmd_search(args):
+    from . import search as searchmod
     _as_input_error(check_characteristic, args.field)
     algebra = rep = None
     if args.algebra:
@@ -461,6 +462,11 @@ def _cmd_search(args):
     return code
 
 
+# the keys of search.TARGETS, named here so that parsing imports no search code
+SEARCH_TARGETS = ("adm_poisson", "poisson", "adm_pybe_solution", "pre_adm_poisson",
+                  "o_operator")
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="admpoisson",
@@ -477,7 +483,7 @@ def make_parser():
     p_build.add_argument("--out", default=None)
 
     p_search = sub.add_parser("search", help="search for instances")
-    p_search.add_argument("target", choices=searchmod.SearchSpec.TARGETS)
+    p_search.add_argument("target", choices=SEARCH_TARGETS)
     p_search.add_argument("--dim", type=int, default=1)
     p_search.add_argument("--field", type=int, default=5,
                           help="prime characteristic (not 2 or 3)")
@@ -491,6 +497,20 @@ def make_parser():
 
 
 def run_command(argv):
+    """Run one command; return its exit code.  Its argparse parser is left
+    in reference cycles (each action points back at its group, each help
+    formatter at its sections) that only the cyclic collector frees.
+    Collecting the youngest generation on return frees them while they are
+    few, so commands run one after another in one process never promote
+    them into the full collections (about 10 ms each) that would otherwise
+    land in a later command."""
+    try:
+        return _run(argv)
+    finally:
+        gc.collect(0)
+
+
+def _run(argv):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

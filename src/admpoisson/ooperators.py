@@ -10,7 +10,7 @@ from .tensors import (Exact, MulTensor, Identity, Record, Terms, as_exact,
                       check_identities, evaluate, identity, solve)
 from .algebras import AdmPoissonAlgebra
 from .representations import (Representation, adjoint_families, adjoint_rep, dual_rep,
-                              semidirect_raw, check_representation)
+                              semidirect)
 from .yangbaxter import RTensor, CYCLIC_FORM
 
 
@@ -49,7 +49,7 @@ def check_rota_baxter(a, R):
                             star.p)
 
 
-def solution_from_o_operator(c, check=False):
+def solution_from_o_operator(c):
     """(semidirect product by the dual representation, skew tensor from theta).
 
     The tensor places theta in the P (x) V* corner and -theta^T in V* (x) P;
@@ -57,9 +57,8 @@ def solution_from_o_operator(c, check=False):
     """
     a, rep, theta = c.alg, c.rep, c.theta
     n, m, p = a.n, rep.vdim, a.p
-    drep = dual_rep(rep, check=check)
-    big_star = semidirect_raw(a.star, drep.l, drep.r)
-    big = AdmPoissonAlgebra(big_star) if check else AdmPoissonAlgebra.raw(big_star)
+    drep = dual_rep(rep)
+    big = AdmPoissonAlgebra.raw(semidirect(a.star, drep.l, drep.r))
     t = as_exact(theta, p)
     coeff = np.zeros((n + m, n + m), dtype=t.num.dtype)
     coeff[:n, n:], coeff[n:, :n] = t.num, -t.num.T
@@ -108,27 +107,16 @@ def check_pre_adm_poisson(pre):
                             pre.p)
 
 
-def subadjacent_raw(succ, prec):
+def subadjacent(succ, prec):
+    """The sum operation x*y = x>y + x<y."""
     return MulTensor(succ.n, succ.p, succ.exact + prec.exact)
 
 
-def subadjacent(pre):
-    return AdmPoissonAlgebra(subadjacent_raw(pre.succ, pre.prec))
-
-
-def pre_rep_raw(pre):
-    """(L_succ, R_prec) families over the (possibly invalid) sum algebra."""
-    star = subadjacent_raw(pre.succ, pre.prec)
-    l = adjoint_families(pre.succ)[0]
-    r = adjoint_families(pre.prec)[1]
-    return Representation.raw(AdmPoissonAlgebra.raw(star), l, r)
-
-
 def pre_rep(pre):
-    """The module structure of a pre-structure on its own space."""
-    rep = pre_rep_raw(pre)
-    check_representation(rep).require("a pre-structure")
-    return Representation.raw(AdmPoissonAlgebra(rep.alg.star), rep.l, rep.r)
+    """The module structure (L_succ, R_prec) of a pre-structure on its own
+    space, over its subadjacent algebra."""
+    alg = AdmPoissonAlgebra.raw(subadjacent(pre.succ, pre.prec))
+    return Representation.raw(alg, adjoint_families(pre.succ)[0], adjoint_families(pre.prec)[1])
 
 
 class PrePoisson(Record):
@@ -162,28 +150,18 @@ def check_pre_poisson(q):
     return check_identities(PRE_POISSON, {"d": q.dot.exact, "a": q.ast.exact}, q.dot.p)
 
 
-def pre_to_prepoisson_raw(succ, prec):
+def pre_to_prepoisson(succ, prec):
     """dot = (x>y + y<x)/2, ast = (x>y - y<x)/2."""
     s, flip = succ.exact, prec.exact.transpose(1, 0, 2)      # (i,j) -> e_j < e_i
     return (MulTensor(succ.n, succ.p, (s + flip) / 2),
             MulTensor(succ.n, succ.p, (s - flip) / 2))
 
 
-def prepoisson_to_pre_raw(dot, ast):
+def prepoisson_to_pre(dot, ast):
     """succ = dot + ast, prec(i,j) = e_j.e_i - e_j*e_i."""
     d, a = dot.exact, ast.exact
     return (MulTensor(dot.n, dot.p, d + a),
             MulTensor(dot.n, dot.p, (d - a).transpose(1, 0, 2)))
-
-
-def pre_to_prepoisson(pre):
-    dot, ast = pre_to_prepoisson_raw(pre.succ, pre.prec)
-    return PrePoisson(dot, ast)
-
-
-def prepoisson_to_pre(q):
-    succ, prec = prepoisson_to_pre_raw(q.dot, q.ast)
-    return PreAdmPoisson(succ, prec)
 
 
 def prepoisson_sum_pair(q):
@@ -204,20 +182,17 @@ SYMPLECTIC_PRE = (Terms("u:lk m:kit w:jt", "ijl"),   # w(x>y, z) = w(y, z*x)
                   Terms("u:lk m:jkt w:it", "ijl"))   # w(x<y, z) = w(x, y*z)
 
 
-def _pre_of(tables, operands, n, p, check):
+def _pre_of(tables, operands, n, p):
     """The pre-structure (succ, prec) of a pair of tables over `operands`."""
-    succ, prec = (MulTensor(n, p, evaluate(t, operands, p)) for t in tables)
-    return PreAdmPoisson(succ, prec, check=check)
+    return PreAdmPoisson.raw(*(MulTensor(n, p, evaluate(t, operands, p)) for t in tables))
 
 
-def induced_pre_from_o_operator(c, check=True):
-    """u > v = l(theta u) v, u < v = r(theta v) u on the module of a valid
-    O-operator; theta is then a homomorphism onto the image.  With
-    check=False neither the O-operator nor the result is checked."""
-    if check:
-        check_o_operator(c).require("an O-operator")
+def induced_pre_from_o_operator(c):
+    """u > v = l(theta u) v, u < v = r(theta v) u on the module: a
+    pre-structure when theta is an O-operator, and theta is then a
+    homomorphism onto the image."""
     return _pre_of(INDUCED_PRE, {"t": c.theta, "l": c.rep.l, "r": c.rep.r},
-                   c.rep.vdim, c.alg.p, check)
+                   c.rep.vdim, c.alg.p)
 
 
 def canonical_solution(pre):
@@ -230,18 +205,17 @@ def canonical_solution(pre):
 
 def compatible_pre_from_invertible_o(c):
     """For invertible theta on V with dim V = dim P, the transported
-    pre-structure on P: x > y = theta(l(x) theta^{-1} y),
-    x < y = theta(r(y) theta^{-1} x)."""
+    pair on P: x > y = theta(l(x) theta^{-1} y), x < y = theta(r(y) theta^{-1} x),
+    a pre-structure when theta is an O-operator."""
     a, rep, theta = c.alg, c.rep, c.theta
     n, p = a.n, a.p
     if rep.vdim != n:
         raise ValueError("theta must be square")
-    check_o_operator(c).require("an O-operator")
     theta_inv = solve(theta, identity(n, p), p)
     if theta_inv is None:
         raise ValueError("theta is not invertible")
     return _pre_of(TRANSPORTED_PRE, {"t": theta, "l": rep.l, "r": rep.r, "u": theta_inv},
-                   n, p, True)
+                   n, p)
 
 
 def pre_from_symplectic(a, omega):
@@ -259,7 +233,7 @@ def pre_from_symplectic(a, omega):
     # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
     if not check_identities(((CYCLIC_FORM,),), {"m": star.exact, "w": g}, p).holds:
         raise ValueError("omega is not cyclic on products")
-    return _pre_of(SYMPLECTIC_PRE, {"u": ginv_t, "m": star.exact, "w": g}, n, p, True)
+    return _pre_of(SYMPLECTIC_PRE, {"u": ginv_t, "m": star.exact, "w": g}, n, p)
 
 
 def rota_baxter_as_o_operator(a, R):

@@ -13,8 +13,7 @@ test suite).
 import numpy as np
 
 from .tensors import Exact, MulTensor, Identity, Record, as_exact, check_identities, common
-from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, polarize,
-                       depolarize_raw, polarize_raw)
+from .algebras import AdmPoissonAlgebra, PoissonAlgebra, depolarize, polarize
 
 
 def _vdim(family):
@@ -67,19 +66,18 @@ def adjoint_families(star):
     return star.exact.transpose(0, 2, 1), star.exact.transpose(1, 2, 0)
 
 
-def adjoint_rep(a, check=True):
+def adjoint_rep(a):
     """(L, R, P): the algebra acting on itself by left/right multiplication."""
-    return Representation(a, *adjoint_families(a.star), check=check)
+    return Representation.raw(a, *adjoint_families(a.star))
 
 
-def dual_rep(rep, check=True):
+def dual_rep(rep):
     """(r^T, l^T) on the dual module (the minus of the pairing-dual
     endomorphism cancels the minus in front of it)."""
-    return Representation(rep.alg, rep.r.transpose(0, 2, 1), rep.l.transpose(0, 2, 1),
-                          check=check)
+    return Representation.raw(rep.alg, rep.r.transpose(0, 2, 1), rep.l.transpose(0, 2, 1))
 
 
-def semidirect_raw(star, l, r):
+def semidirect(star, l, r):
     """Structure constants of (x+u)*(y+v) = x*y + l(x)v + r(y)u on P + V:
     e_i * v_b = sum_a l(e_i)[a][b] v_a and v_b * e_i = sum_a r(e_i)[a][b] v_a."""
     (c, l, r), den = common(star.exact, as_exact(l, star.p), as_exact(r, star.p))
@@ -89,13 +87,6 @@ def semidirect_raw(star, l, r):
     big[:n, n:, n:] = l.transpose(0, 2, 1)
     big[n:, :n, n:] = r.transpose(2, 0, 1)
     return MulTensor(n + m, star.p, Exact(big, den, star.p))
-
-
-def semidirect(a, rep):
-    """Semidirect product algebra on P + V (module part squares to zero)."""
-    if rep.alg != a:
-        raise ValueError("representation must be over the algebra")
-    return AdmPoissonAlgebra(semidirect_raw(a.star, rep.l, rep.r))
 
 
 class PoissonRepresentation(Record):
@@ -114,19 +105,17 @@ class PoissonRepresentation(Record):
                          check=check)
 
     def verify(self):
-        return check_representation(poisson_rep_to_rep(self, check=False))
+        return check_representation(poisson_rep_to_rep(self))
 
 
-def rep_to_poisson_rep(rep, check=True):
+def rep_to_poisson_rep(rep):
     """(S_bracket, S_circ) = (1/2(l - r), 1/2(l + r)) over the polarized algebra."""
-    palg = polarize(rep.alg) if check else \
-        PoissonAlgebra.raw(*polarize_raw(rep.alg.star))
-    return PoissonRepresentation(palg, (rep.l - rep.r) / 2, (rep.l + rep.r) / 2, check=False)
+    palg = PoissonAlgebra.raw(*polarize(rep.alg.star))
+    return PoissonRepresentation.raw(palg, (rep.l - rep.r) / 2, (rep.l + rep.r) / 2)
 
 
-def poisson_rep_to_rep(prep, check=True):
+def poisson_rep_to_rep(prep):
     """(l, r) = (S_circ + S_bracket, S_circ - S_bracket) over the depolarized algebra."""
     c, b = prep.s_circ, prep.s_bracket
-    star = depolarize_raw(prep.palg.bracket, prep.palg.circ)
-    alg = AdmPoissonAlgebra(star) if check else AdmPoissonAlgebra.raw(star)
-    return Representation(alg, c + b, c - b, check=check)
+    alg = AdmPoissonAlgebra.raw(depolarize(prep.palg.bracket, prep.palg.circ))
+    return Representation.raw(alg, c + b, c - b)

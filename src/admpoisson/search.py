@@ -149,16 +149,15 @@ class SearchShortfall(Exception):
 
 
 class SearchSpec:
-    """target in {adm_poisson, poisson, adm_pybe_solution, pre_adm_poisson,
-    o_operator}; algebra/rep constrain the tensor/operator targets."""
-
-    TARGETS = ("adm_poisson", "poisson", "adm_pybe_solution",
-               "pre_adm_poisson", "o_operator")
+    """target, a key of TARGETS; algebra/rep constrain the tensor/operator
+    targets, and the other targets take no algebra."""
 
     def __init__(self, target, dim, p=5, count=None, seed=0,
                  nonzero_only=False, skew=False, algebra=None, rep=None):
-        if target not in self.TARGETS:
+        if target not in TARGETS:
             raise ValueError(f"unknown target {target!r}")
+        if algebra is not None and target not in ("adm_pybe_solution", "o_operator"):
+            raise ValueError(f"{target} search takes no fixed algebra")
         check_characteristic(p)
         if p == 0:
             raise ValueError("search runs over finite fields")
@@ -184,10 +183,7 @@ def search(spec):
 
     A sampled search that runs out of attempts before it finds spec.count
     instances raises SearchShortfall after yielding those it found."""
-    run = {"adm_poisson": _search_adm, "poisson": _search_poisson,
-           "adm_pybe_solution": _search_pybe, "o_operator": _search_o_operator,
-           "pre_adm_poisson": _search_pre}[spec.target]
-    found = 0
+    found, run = 0, TARGETS[spec.target]
     try:
         for found, af in enumerate(islice(run(spec, spec.p, spec.dim), spec.count), 1):
             yield af
@@ -310,8 +306,8 @@ def _search_pre(spec, p, n):
     for _, column in adm_catalog_indices(n, p):
         star = MulTensor(n, p, Exact(column.reshape(n, n, n), 1, p))
         alg = AdmPoissonAlgebra.raw(star)
-        adj = adjoint_rep(alg, check=False)
-        dual = dual_rep(adj, check=False)
+        adj = adjoint_rep(alg)
+        dual = dual_rep(adj)
         for rep in [adj, dual] if check_representation(dual).holds else [adj]:
             m = rep.vdim
             thetas = np.stack([t for _, t in o_operator_hits(star, rep.l, rep.r, p)], axis=-1)
@@ -334,3 +330,9 @@ def _search_pre(spec, p, n):
                     raise RuntimeError(f"induced pre-structure fails {report.where()}")
                 seen.add(pair.tobytes())
                 yield AlgebraFile(p, n, succ=pre.succ, prec=pre.prec)
+
+
+# the search of each target
+TARGETS = {"adm_poisson": _search_adm, "poisson": _search_poisson,
+           "adm_pybe_solution": _search_pybe, "pre_adm_poisson": _search_pre,
+           "o_operator": _search_o_operator}

@@ -116,9 +116,9 @@ def common(*exacts):
 
 
 def _combined(op, x, y):
-    """op(x, y) entrywise; ShapeError when the sizes disagree."""
+    """op(x, y) entrywise; ShapeError when the shapes disagree."""
     if x.num.shape != y.num.shape:
-        raise ShapeError(f"operand sizes disagree: {len(x.num)} and {len(y.num)}")
+        raise ShapeError(f"operand shapes disagree: {x.num.shape} and {y.num.shape}")
     (a, b), den = common(x, y)
     return Exact(op(a, b), den, x.p)
 
@@ -221,14 +221,17 @@ def _from_entries(shape, entries, p):
 class Structure:
     """An immutable structure whose `rank` axes have n entries, stored as one
     Exact (`exact`); each subclass names its entries, read as nested numbers
-    (Exact.tolist())."""
+    (Exact.tolist()).  Data of another shape raises ShapeError."""
 
     __slots__ = ("n", "p", "exact")
     rank = 3
+    entries = "coefficients"
 
     def __init__(self, n, p=0, data=None):
         exact = (Exact(np.zeros((n,) * self.rank, dtype=np.int64), 1, p) if data is None
                  else as_exact(data, p))
+        if exact.num.shape != (n,) * self.rank:
+            raise ShapeError(f"{self.entries} are not {' x '.join([str(n)] * self.rank)}")
         for name, value in zip(Structure.__slots__, (n, p, exact)):
             object.__setattr__(self, name, value)
 
@@ -292,6 +295,7 @@ class MulTensor(Structure):
     """Structure constants c[i][j][k]: e_i <> e_j = sum_k c[i][j][k] e_k."""
 
     __slots__ = ()
+    entries = "structure constants"
     c = property(lambda self: self.exact.tolist())
 
     def __init__(self, n, p=0, c=None):
@@ -299,8 +303,6 @@ class MulTensor(Structure):
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
         super().__init__(n, p, c)
-        if self.exact.num.shape != (n, n, n):
-            raise ShapeError(f"structure constants are not {n} x {n} x {n}")
 
 
 class Tensor3(Structure):

@@ -25,7 +25,7 @@ import numpy as np
 
 from admpoisson.scalars import ScalarModeError, check_characteristic
 from admpoisson.tensors import Exact, MulTensor, Tensor3, AxiomReport, ShapeError
-from admpoisson.algebras import AdmPoissonAlgebra, PoissonAlgebra, polarize
+from admpoisson.algebras import AdmPoissonAlgebra, PoissonAlgebra
 from admpoisson.representations import Representation, PoissonRepresentation
 from admpoisson.bialgebras import Comultiplication, PoissonComultiplicationPair
 from admpoisson.yangbaxter import RTensor, SLOT_PATTERNS
@@ -697,18 +697,12 @@ def check_matched_pair(mp):
     return AxiomReport.ok()
 
 
-def check_invariant_form(a, form, require_symmetric=False,
-                         require_nondegenerate=False):
-    """B(x*y, z) = B(x, y*z) on basis triples, plus requested flags."""
+def check_invariant_form(a, form):
+    """B(x*y, z) = B(x, y*z) on basis triples."""
     star = a.star
     n = star.n
     assert form.n == n, "dimension mismatch"
     c, g = nested(star), nested(form.gram)
-    if require_symmetric and not form.is_symmetric():
-        return AxiomReport.fail("form-symmetric", (0, 0),
-                                g[0], transpose(g)[0])
-    if require_nondegenerate and not form.is_nondegenerate():
-        return AxiomReport.fail("form-nondegenerate", (0,), g[0], g[0][:])
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -1789,7 +1783,7 @@ def r_add(x, y):
 # pre-structure constructions without their validity checks
 
 
-def polarize_raw(star):
+def polarize(star):
     """(bracket, circ) = (skew part, symmetric part) of star, no validation."""
     h = half(star.p)
     opp = mul_op(star)
@@ -1798,7 +1792,7 @@ def polarize_raw(star):
     return bracket, circ
 
 
-def depolarize_raw(bracket, circ):
+def depolarize(bracket, circ):
     """star = circ + bracket, no validation."""
     return mul_add(circ, bracket)
 
@@ -1815,7 +1809,7 @@ def dual_families(l, r):
     return dual_endo_family(r), dual_endo_family(l)
 
 
-def semidirect_raw(star, l, r):
+def semidirect(star, l, r):
     """Structure constants of (x+u)*(y+v) = x*y + l(x)v + r(y)u on P + V."""
     n, p = star.n, star.p
     m = len(l[0])
@@ -1834,26 +1828,24 @@ def semidirect_raw(star, l, r):
     return MulTensor(n + m, p, big)
 
 
-def rep_to_poisson_rep(rep, check=True):
+def rep_to_poisson_rep(rep):
     """(S_bracket, S_circ) = (1/2(l - r), 1/2(l + r)) over the polarized algebra."""
     h = half(rep.alg.p)
     s_bracket = [mat_scale(h, mat_sub(a, b)) for a, b in zip(nested(rep.l), nested(rep.r))]
     s_circ = [mat_scale(h, mat_add(a, b)) for a, b in zip(nested(rep.l), nested(rep.r))]
-    palg = polarize(rep.alg) if check else \
-        PoissonAlgebra.raw(*polarize_raw(rep.alg.star))
-    return PoissonRepresentation(palg, s_bracket, s_circ, check=False)
+    palg = PoissonAlgebra.raw(*polarize(rep.alg.star))
+    return PoissonRepresentation.raw(palg, s_bracket, s_circ)
 
 
-def poisson_rep_to_rep(prep, check=True):
+def poisson_rep_to_rep(prep):
     """(l, r) = (S_circ + S_bracket, S_circ - S_bracket) over the depolarized algebra."""
     l = [mat_add(c, b) for c, b in zip(nested(prep.s_circ), nested(prep.s_bracket))]
     r = [mat_sub(c, b) for c, b in zip(nested(prep.s_circ), nested(prep.s_bracket))]
-    star = depolarize_raw(prep.palg.bracket, prep.palg.circ)
-    alg = AdmPoissonAlgebra(star) if check else AdmPoissonAlgebra.raw(star)
-    return Representation(alg, l, r, check=check)
+    star = depolarize(prep.palg.bracket, prep.palg.circ)
+    return Representation.raw(AdmPoissonAlgebra.raw(star), l, r)
 
 
-def bowtie_raw(mp):
+def bowtie(mp):
     """Structure constants of the bowtie sum on P1 + P2."""
     n1, n2, p = mp.p1.n, mp.p2.n, mp.p1.p
     n = n1 + n2
@@ -2006,7 +1998,7 @@ def solution_tensor(theta, n, m, p):
     return RTensor(coeff, p)
 
 
-def subadjacent_raw(succ, prec):
+def subadjacent(succ, prec):
     return mul_add(succ, prec)
 
 
@@ -2017,7 +2009,7 @@ def pre_rep_families(succ, prec):
     return l, r
 
 
-def pre_to_prepoisson_raw(succ, prec):
+def pre_to_prepoisson(succ, prec):
     """dot = (x>y + y<x)/2, ast = (x>y - y<x)/2."""
     h = half(succ.p)
     prec_flip = mul_op(prec)       # (i,j) -> e_j < e_i
@@ -2026,7 +2018,7 @@ def pre_to_prepoisson_raw(succ, prec):
     return dot, ast
 
 
-def prepoisson_to_pre_raw(dot, ast):
+def prepoisson_to_pre(dot, ast):
     """succ = dot + ast, prec(i,j) = e_j.e_i - e_j*e_i."""
     succ = mul_add(dot, ast)
     prec = mul_sub(mul_op(dot), mul_op(ast))

@@ -12,11 +12,11 @@ from pathlib import Path
 from admpoisson.tensors import MulTensor, identity, solve
 from admpoisson.algebras import (ADM_POISSON, AdmPoissonAlgebra,
                                  PoissonAlgebra, check_adm_poisson, check_poisson,
-                                 polarize_raw, depolarize_raw)
+                                 polarize, depolarize)
 from admpoisson.representations import (Representation, check_representation,
-                                        adjoint_rep, dual_rep, semidirect_raw)
+                                        adjoint_rep, dual_rep, semidirect)
 from admpoisson.matched import (MatchedPairData, check_matched_pair,
-                                bowtie_raw, manin_pair_data, standard_form,
+                                bowtie, manin_pair_data, standard_form,
                                 check_invariant_form)
 from admpoisson.bialgebras import (Comultiplication, comult_of_mul,
                                    dual_structure, check_adm_bialgebra,
@@ -28,7 +28,8 @@ from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
                                    operator_form_check, cyclic_form_check)
 from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    solution_from_o_operator, PreAdmPoisson,
-                                   check_pre_adm_poisson, canonical_solution)
+                                   check_pre_adm_poisson, canonical_solution,
+                                   pre_rep, subadjacent)
 from admpoisson.search import encode_mul, decode_mul, SearchSpec, search
 from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
@@ -55,7 +56,7 @@ def test_polarization_equivalence(capsys, catalog_gf5):
     # dim 1 exhaustive, exact both routes
     for m in dim1_algebras():
         assert check_adm_poisson(m).holds == \
-            check_poisson(*polarize_raw(m)).holds
+            check_poisson(*polarize(m)).holds
     # dim 2 exhaustive via the two independent vectorized routes
     import numpy as np
     adm = np.zeros(5 ** 8, dtype=bool)
@@ -70,13 +71,13 @@ def test_polarization_equivalence(capsys, catalog_gf5):
     for idx in sample:
         m = decode_mul(idx, 2, 5)
         assert bool(adm[idx]) == check_adm_poisson(m).holds
-        assert bool(poi[idx]) == check_poisson(*polarize_raw(m)).holds
+        assert bool(poi[idx]) == check_poisson(*polarize(m)).holds
     # random rational dim-3 tensors, both exact routes
     rng = random.Random(1002)
     for _ in range(1000):
         m = rand_mul(rng, 3, 0)
         assert check_adm_poisson(m).holds == \
-            check_poisson(*polarize_raw(m)).holds
+            check_poisson(*polarize(m)).holds
     report(capsys, f"PASS polarization-equivalence "
                    f"(dim1+dim2 exhaustive GF(5), {n_pass} algebras agree on "
                    f"both routes; 1000 random rational dim-3)")
@@ -95,7 +96,7 @@ def test_semidirect_equivalence(capsys):
                 rep_ok = check_representation(
                     Representation.raw(alg, l, r)).holds
                 big_ok = check_adm_poisson(
-                    semidirect_raw(star, l, r)).holds
+                    semidirect(star, l, r)).holds
                 assert rep_ok == big_ok
                 total += 1
                 agree_pos += rep_ok
@@ -110,12 +111,13 @@ def test_dual_of_adjoint_on_catalog(capsys, catalog_muls):
     for star in catalog_muls:
         alg = AdmPoissonAlgebra.raw(star)
         rep = adjoint_rep(alg)
-        d = dual_rep(rep, check=False)
+        assert check_representation(rep).holds
+        d = dual_rep(rep)
         assert check_representation(d).holds
-        assert dual_rep(d, check=False) == rep  # involution, exact
+        assert dual_rep(d) == rep  # involution, exact
     report(capsys, f"PASS dual-representation "
-                   f"({len(catalog_muls)} catalog algebras, dual of adjoint "
-                   f"valid, double dual exact)")
+                   f"({len(catalog_muls)} catalog algebras, adjoint and dual of "
+                   f"adjoint valid, double dual exact)")
 
 
 # 4 -----------------------------------------------------------------------
@@ -146,7 +148,7 @@ def test_matched_pair_iff_bowtie(capsys, catalog_gf5):
                                 algs[a1], algs[a2],
                                 [scalars[l1]], [scalars[r1]],
                                 [scalars[l2]], [scalars[r2]])
-                            big_ok = encode_mul(bowtie_raw(mp)) in catalog_set
+                            big_ok = encode_mul(bowtie(mp)) in catalog_set
                             if rep1_ok and valid[(a2, l2, r2)]:
                                 matched = check_matched_pair(mp).holds
                                 full_checked += 1
@@ -193,7 +195,7 @@ def test_three_way_bialgebra_equivalence(capsys, catalog_gf5):
         v1 = check_adm_bialgebra(a, alpha).holds
         mp = manin_pair_data(a, d)
         v2 = check_matched_pair(mp).holds
-        double = bowtie_raw(mp)
+        double = bowtie(mp)
         v3 = (check_adm_poisson(double).holds and
               check_invariant_form(AdmPoissonAlgebra.raw(double), B).holds)
         assert v1 == v2 == v3
@@ -213,7 +215,7 @@ def test_adm_iff_poisson_bialgebra(capsys, catalog_gf5):
         a = AdmPoissonAlgebra.raw(a_raw)
         alpha = comult_of_mul(d_raw)
         lhs = check_adm_bialgebra(a, alpha).holds
-        br, circ = polarize_raw(a_raw)
+        br, circ = polarize(a_raw)
         rhs = check_poisson_bialgebra(PoissonAlgebra.raw(br, circ),
                                       split_comultiplication(alpha)).holds
         assert lhs == rhs
@@ -265,7 +267,7 @@ def test_p_iff_q_and_adm_pybe_iff_pybe(capsys, catalog_muls):
     total = sols = 0
     for star in catalog_muls:
         a = AdmPoissonAlgebra.raw(star)
-        br, circ = polarize_raw(star)
+        br, circ = polarize(star)
         pa = PoissonAlgebra.raw(br, circ)
         for r in skew_rs:
             # skew r kills the symmetric part, so con1 holds throughout
@@ -357,13 +359,16 @@ def test_pre_structure_pipeline(capsys):
     assert len(pres) >= 50
     for pre in pres:
         assert check_pre_adm_poisson(pre).holds
+        assert check_representation(pre_rep(pre)).holds
+        AdmPoissonAlgebra(subadjacent(pre.succ, pre.prec))     # a checked build
         big, r = canonical_solution(pre)
         assert check_ybe(big, r, "adm_pybe").holds
         alpha = coboundary_alpha(big, r)
         assert check_adm_bialgebra(big, alpha).holds
     report(capsys, f"PASS pre-structure-pipeline ({len(pres)} instances, "
-                   f"canonical solution solves adm-pybe and its coboundary "
-                   f"is a bialgebra, 100%)")
+                   f"module structure and subadjacent algebra valid, canonical "
+                   f"solution solves adm-pybe and its coboundary is a bialgebra, "
+                   f"100%)")
 
 
 # 12 ----------------------------------------------------------------------
@@ -373,15 +378,15 @@ def test_rational_linear_identities(capsys):
     for _ in range(1000):
         star = rand_mul(rng, 2, 0)
         r = RTensor(rand_mat(rng, 2, 2, 0), 0)
-        br, circ = polarize_raw(star)
+        br, circ = polarize(star)
         A = ybe_operator(circ, r, "A")
         C = ybe_operator(br, r, "C")
         assert ybe_operator(star, r, "P") == t3_add(A, C)
         assert ybe_operator(star, r, "Q") == t3_sub(A, C)
     for _ in range(1000):
         m = rand_mul(rng, 3, 0)
-        br, circ = polarize_raw(m)
-        assert depolarize_raw(br, circ) == m
+        br, circ = polarize(m)
+        assert depolarize(br, circ) == m
         c = Comultiplication(3, 0, [[rand_vec(rng, 3, 0) for _ in range(3)]
                                     for _ in range(3)])
         assert merge_comultiplication(split_comultiplication(c)) == c
@@ -391,7 +396,7 @@ def test_rational_linear_identities(capsys):
         l = [rand_mat(rng, 2, 2, 0) for _ in range(2)]
         r = [rand_mat(rng, 2, 2, 0) for _ in range(2)]
         rep = Representation.raw(alg, l, r)
-        assert dual_rep(dual_rep(rep, check=False), check=False) == rep
+        assert dual_rep(dual_rep(rep)) == rep
     report(capsys, "PASS rational-linear-identities (1000 instances each: "
                    "P=A+C and Q=A-C, split/merge, polarize/depolarize, "
                    "double dual)")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admpoisson.cli import run_command, PREDICATES, CONSTRUCTIONS
+from admpoisson.cli import run_command, PREDICATES, CONSTRUCTIONS, SEARCH_TARGETS
 from admpoisson.fileformat import parse_file, print_file, read_file
 from admpoisson.algebras import check_adm_poisson
 
@@ -198,12 +198,18 @@ def test_build_out_flag(capsys, tmp_path):
     assert read_file(dest).ops.keys() == {"bracket", "circ"}
 
 
-def test_build_failure_exit_1(capsys):
+def test_build_failure_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "build", "polarize", CORPUS / "bad_adm.alg")
     # polarize has no validity requirement; use a construction that does
     code, out, err = run(capsys, "build", "adjoint-rep", CORPUS / "bad_adm.alg")
     assert code == 1
     assert out.startswith("FAIL adm-poisson")
+    # theta = 1 over the adjoint action of e1 e1 = e1 is no O-operator
+    path = tmp_path / "bad_theta.alg"
+    path.write_text("field gf 5\ndim 1\nvdim 1\nop star\nstar: e1 e1 = 1 e1\n"
+                    "rep l e1 = [1]\nrep r e1 = [1]\nmap theta = [1]\n")
+    assert run(capsys, "build", "induced-pre", path) == \
+        (1, "FAIL o-operator at (1,1): lhs=[1] rhs=[2]\n", "")
 
 
 # valid inputs whose evaluations end on an all-zero array over a
@@ -275,6 +281,19 @@ def test_search_cli_with_algebra(capsys):
     assert "# total" in out
     total = int(out.splitlines()[-1].split()[-1])
     assert total >= 1
+
+
+@pytest.mark.parametrize("target", ["adm_poisson", "poisson", "pre_adm_poisson"])
+def test_search_cli_refuses_an_algebra_for_a_target_that_fixes_none(capsys, target):
+    code, out, err = run(capsys, "search", target, "--field", "5",
+                         "--algebra", CORPUS / "ybe.alg")
+    assert (code, out) == (2, "")
+    assert err == f"error: {target} search takes no fixed algebra\n"
+
+
+def test_the_cli_names_every_search_target():
+    from admpoisson.search import TARGETS
+    assert SEARCH_TARGETS == tuple(TARGETS)
 
 
 @pytest.mark.parametrize("target", ["adm_pybe_solution", "o_operator"])
@@ -613,3 +632,40 @@ def test_a_check_evaluates_each_identity_once(monkeypatch, capsys, argv, code, c
                         or contract(terms, *a))
     assert run(capsys, *argv)[0] == code
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("construction,name,calls", [
+    ("adjoint-rep", "good_adm.alg", 1),             # the algebra
+    ("induced-pre", "rep_theta.alg", 3),            # the algebra, the action, theta
+    ("canonical-solution", "pre.alg", 1),           # the pre-structure
+])
+def test_a_build_checks_only_its_prerequisites(monkeypatch, capsys, construction, name,
+                                               calls):
+    """A build checks the structures it reads, once each, and does not
+    re-check what the construction's theorem guarantees of its result."""
+    import sys
+    from admpoisson import tensors
+    for module in ("matched", "bialgebras", "ooperators", "search"):
+        __import__(f"admpoisson.{module}")
+    seen, check = [], tensors.check_identities
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "admpoisson"]:
+        if getattr(module, "check_identities", None) is check:
+            monkeypatch.setattr(module, "check_identities",
+                                lambda *a: seen.append(a) or check(*a))
+    assert run(capsys, "build", construction, CORPUS / name)[0] == 0
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("argv", [("check", "adm-poisson", "good_adm.alg"),
+                                  ("build", "polarize", "good_adm.alg"),
+                                  ("check", "nonsense", "good_adm.alg")])
+def test_a_command_leaves_no_cyclic_garbage(capsys, argv):
+    """Commands run one after another in one process free their own
+    argparse parsers, so none is left for the full collections."""
+    import gc
+    argv = argv[:-1] + (CORPUS / argv[-1],)
+    run(capsys, *argv)
+    gc.collect()
+    for _ in range(3):
+        run(capsys, *argv)
+    assert gc.collect() == 0

@@ -5,7 +5,7 @@ import pytest
 from admpoisson.tensors import MulTensor
 from admpoisson.algebras import AdmPoissonAlgebra, check_adm_poisson
 from admpoisson.matched import (MatchedPairData, check_matched_pair,
-                                bowtie, bowtie_raw, BilinearForm,
+                                bowtie, BilinearForm,
                                 check_invariant_form, standard_form,
                                 manin_pair_data, manin_double)
 from admpoisson.bialgebras import (comult_of_mul, dual_structure,
@@ -28,7 +28,7 @@ def _zero_actions_pair(s1, s2):
 def test_zero_actions_give_direct_sum():
     mp = _zero_actions_pair(idempotent_dim1(), solvable_lie_dim2())
     assert check_matched_pair(mp).holds
-    big = bowtie(mp)
+    big = AdmPoissonAlgebra(bowtie(mp))
     assert big.n == 3
     # blocks multiply independently
     assert product(big.star, 0, 0) == [one(), zero(), zero()]
@@ -50,7 +50,7 @@ def test_matched_iff_bowtie_random_dim11():
         mp = MatchedPairData(AdmPoissonAlgebra.raw(s1),
                              AdmPoissonAlgebra.raw(s2), l1, r1, l2, r2)
         matched = check_matched_pair(mp).holds
-        big_ok = check_adm_poisson(bowtie_raw(mp)).holds
+        big_ok = check_adm_poisson(bowtie(mp)).holds
         assert matched == big_ok
         seen_good += matched
         seen_bad += not matched

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from admpoisson.tensors import ShapeError
-from admpoisson.algebras import AdmPoissonAlgebra, check_adm_poisson
+from admpoisson.algebras import AdmPoissonAlgebra, PoissonAlgebra, check_adm_poisson
 from admpoisson.representations import (Representation, check_representation,
                                         adjoint_rep,
-                                        dual_rep, semidirect, semidirect_raw,
+                                        dual_rep, semidirect,
                                         PoissonRepresentation,
                                         rep_to_poisson_rep,
                                         poisson_rep_to_rep)
@@ -44,7 +44,7 @@ def test_dual_rep_swaps_and_transposes():
 def test_double_dual_is_identity():
     a = AdmPoissonAlgebra(comm_assoc_dim2(5))
     rep = adjoint_rep(a)
-    dd = dual_rep(dual_rep(rep, check=False), check=False)
+    dd = dual_rep(dual_rep(rep))
     assert dd == rep
 
 
@@ -58,7 +58,7 @@ def test_semidirect_equivalence_samples():
     for l in fams:
         for r in fams[:5] + [fams[-1]]:
             rep_ok = check_representation(Representation.raw(a, l, r)).holds
-            big_ok = check_adm_poisson(semidirect_raw(a.star, l, r)).holds
+            big_ok = check_adm_poisson(semidirect(a.star, l, r)).holds
             assert rep_ok == big_ok
             seen_good += rep_ok
             seen_bad += not rep_ok
@@ -68,7 +68,7 @@ def test_semidirect_equivalence_samples():
 def test_semidirect_contains_factor_and_square_zero():
     a = AdmPoissonAlgebra(solvable_lie_dim2())
     rep = adjoint_rep(a)
-    big = semidirect(a, rep)
+    big = AdmPoissonAlgebra(semidirect(a.star, rep.l, rep.r))
     n = a.n
     for i in range(n):
         for j in range(n):
@@ -106,6 +106,9 @@ def test_poisson_rep_correspondence_roundtrip():
     a = AdmPoissonAlgebra(comm_assoc_dim2())
     rep = adjoint_rep(a)
     prep = rep_to_poisson_rep(rep)
+    # checked builds: the polarized algebra and the Poisson representation hold
+    palg = PoissonAlgebra(prep.palg.bracket, prep.palg.circ)
+    PoissonRepresentation(palg, prep.s_bracket, prep.s_circ)
     back = poisson_rep_to_rep(prep)
     assert back == rep
 
@@ -115,10 +118,9 @@ def test_poisson_rep_validation():
     rep = adjoint_rep(a)
     prep = rep_to_poisson_rep(rep)
     # corrupting the symmetric part breaks validity
-    from admpoisson.algebras import polarize
     bad = [[[of(5)]]]
     with pytest.raises(ValueError):
-        PoissonRepresentation(polarize(a), prep.s_bracket, bad)
+        PoissonRepresentation(prep.palg, prep.s_bracket, bad)
 
 
 def test_poisson_rep_round_trip_makes_no_scalars():

@@ -8,7 +8,7 @@ import pytest
 
 from admpoisson.tensors import AxiomReport, MulTensor
 from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
-                                 check_adm_poisson, check_poisson, polarize_raw)
+                                 check_adm_poisson, check_poisson, polarize)
 from admpoisson.representations import Representation, adjoint_rep
 from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson,
                                    check_pre_adm_poisson, check_o_operator,
@@ -62,7 +62,7 @@ def test_masks_against_exact_checkers():
                                          for _ in range(60)]:
         m = decode_mul(idx, 2, 5)
         assert bool(adm[idx]) == check_adm_poisson(m).holds
-        assert bool(poi[idx]) == check_poisson(*polarize_raw(m)).holds
+        assert bool(poi[idx]) == check_poisson(*polarize(m)).holds
 
 
 def test_catalog_counts(catalog_gf5):

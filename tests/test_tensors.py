@@ -6,8 +6,8 @@ import pytest
 
 from oracles import Scalar, nested, of
 from admpoisson.fileformat import parse_file
-from admpoisson.tensors import (Exact, MulTensor, Tensor3, Terms, evaluate, identity,
-                                solve)
+from admpoisson.tensors import (Exact, MulTensor, ShapeError, Tensor3, Terms, evaluate,
+                                identity, solve)
 from admpoisson.algebras import AdmPoissonAlgebra, AxiomReport, check_adm_poisson
 from admpoisson.representations import Representation, adjoint_families, dual_rep
 from admpoisson.yangbaxter import SLOT_PATTERNS, RTensor, ybe_operator
@@ -135,7 +135,7 @@ def test_dual_endo_family_is_transpose():
     # dual_rep transposes the families with numpy
     other = [rand_mat(rng, 2, 2, 5) for _ in range(3)]
     alg = AdmPoissonAlgebra.raw(MulTensor(3, 5))
-    d = dual_rep(Representation.raw(alg, fam, other), check=False)
+    d = dual_rep(Representation.raw(alg, fam, other))
     assert (nested(d.l), nested(d.r)) == (dual_endo_family(other), dual)
 
 
@@ -253,6 +253,15 @@ def test_nested_numbers_build_what_the_parser_builds(p):
         RTensor([[0.5]], p)
 
 
+def test_structures_refuse_data_of_another_shape():
+    """An r-tensor is n x n, as structure constants are n x n x n."""
+    for coeff in ([[1, 2, 3], [4, 5, 6]], [1, 2]):
+        with pytest.raises(ShapeError, match="^coefficients are not 2 x 2$"):
+            RTensor(coeff, 5)
+    with pytest.raises(ShapeError, match="^structure constants are not 2 x 2 x 2$"):
+        MulTensor(2, 5, [[1, 2], [3, 4]])
+
+
 def test_exact_arrays_are_canonical():
     """One value, one (p, shape, den, num): equal arrays hash alike whatever
     their denominator was; int64 holds entries and p below 2**31, Python
@@ -274,6 +283,9 @@ def test_exact_arrays_are_canonical():
     s = Exact([big - 1], 3) + Exact([big - 1], 5)
     assert s.num.tolist() == [8 * (big - 1)] and s.den == 15
     assert (Exact([1, 2], 1, 7) - Exact([3, 2], 1, 7)) / 2 == Exact([6, 0], 1, 7)
+    # arrays of one length and two shapes: the message names both shapes
+    with pytest.raises(ShapeError, match=r"^operand shapes disagree: \(2, 3\) and \(2, 2\)$"):
+        Exact([[1, 2, 3], [4, 5, 6]]) + Exact([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         a.num[0, 0] = 5
     with pytest.raises(AttributeError):

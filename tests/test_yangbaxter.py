@@ -4,7 +4,7 @@ import pytest
 
 from admpoisson.tensors import MulTensor
 from admpoisson.algebras import (AdmPoissonAlgebra, PoissonAlgebra,
-                                 polarize_raw)
+                                 polarize)
 from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
                                    coboundary_alpha,
                                    check_coboundary_conditions,
@@ -66,7 +66,7 @@ def test_p_equals_a_plus_c_rational():
     rng = random.Random(52)
     for _ in range(50):
         star = rand_mul(rng, 2)
-        br, circ = polarize_raw(star)
+        br, circ = polarize(star)
         r = rand_r(rng, 2)
         P = ybe_operator(star, r, "P")
         Q = ybe_operator(star, r, "Q")
@@ -80,7 +80,7 @@ def test_zero_r_solves_everything():
     a = AdmPoissonAlgebra(solvable_lie_dim2())
     r = RTensor.from_entries(2, {})
     assert check_ybe(a, r, "adm_pybe").holds
-    br, circ = polarize_raw(a.star)
+    br, circ = polarize(a.star)
     pa = PoissonAlgebra.raw(br, circ)
     for kind in ("cybe", "aybe", "pybe"):
         assert check_ybe(pa, r, kind).holds
@@ -91,7 +91,7 @@ def test_adm_pybe_iff_pybe_skew_samples(catalog_gf5):
     for idx in rng.sample(catalog_gf5, 30):
         star = decode_mul(idx, 2, 5)
         a = AdmPoissonAlgebra.raw(star)
-        br, circ = polarize_raw(star)
+        br, circ = polarize(star)
         pa = PoissonAlgebra.raw(br, circ)
         for r in iter_r_tensors(2, 5, skew=True):
             assert check_ybe(a, r, "adm_pybe").holds == \
