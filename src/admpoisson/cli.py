@@ -467,43 +467,60 @@ SEARCH_TARGETS = ("adm_poisson", "poisson", "adm_pybe_solution", "pre_adm_poisso
                   "o_operator")
 
 
-def make_parser():
+# each command: its function, its help line, and its subparser's arguments
+COMMANDS = {
+    "check": (_cmd_check, "verify a predicate on a file", [
+        ("predicate", dict(choices=sorted(PREDICATES))),
+        ("file", {}),
+    ]),
+    "build": (_cmd_build, "derive a structure from a file", [
+        ("construction", dict(choices=sorted(CONSTRUCTIONS))),
+        ("file", {}),
+        ("--out", dict(default=None)),
+    ]),
+    "search": (_cmd_search, "search for instances", [
+        ("target", dict(choices=SEARCH_TARGETS)),
+        ("--dim", dict(type=int, default=1)),
+        ("--field", dict(type=int, default=5, help="prime characteristic (not 2 or 3)")),
+        ("--count", dict(type=int, default=None)),
+        ("--seed", dict(type=int, default=0)),
+        ("--nonzero-only", dict(action="store_true")),
+        ("--skew", dict(action="store_true")),
+        ("--algebra", dict(default=None,
+                           help="file fixing the algebra (tensor/operator targets)")),
+    ]),
+}
+
+
+def make_parser(command=None):
+    """The top-level parser with the subparser of `command` only, or with
+    all three when `command` names none (no arguments, -h, an unknown
+    command); either reads the argv of `command` with the same messages."""
     parser = argparse.ArgumentParser(
         prog="admpoisson",
         description="Verify and build admissible-Poisson structures.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="verify a predicate on a file")
-    p_check.add_argument("predicate", choices=sorted(PREDICATES))
-    p_check.add_argument("file")
-
-    p_build = sub.add_parser("build", help="derive a structure from a file")
-    p_build.add_argument("construction", choices=sorted(CONSTRUCTIONS))
-    p_build.add_argument("file")
-    p_build.add_argument("--out", default=None)
-
-    p_search = sub.add_parser("search", help="search for instances")
-    p_search.add_argument("target", choices=SEARCH_TARGETS)
-    p_search.add_argument("--dim", type=int, default=1)
-    p_search.add_argument("--field", type=int, default=5,
-                          help="prime characteristic (not 2 or 3)")
-    p_search.add_argument("--count", type=int, default=None)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--nonzero-only", action="store_true")
-    p_search.add_argument("--skew", action="store_true")
-    p_search.add_argument("--algebra", default=None,
-                          help="file fixing the algebra (tensor/operator targets)")
+    one = command in COMMANDS
+    # with one subparser the usage line still names every command; the full
+    # parser keeps argparse's default, which its errors call `command`
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        _, help_line, arguments = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            subparser.add_argument(flag, **options)
     return parser
 
 
 def run_command(argv):
-    """Run one command; return its exit code.  Its argparse parser is left
-    in reference cycles (each action points back at its group, each help
-    formatter at its sections) that only the cyclic collector frees.
-    Collecting the youngest generation on return frees them while they are
-    few, so commands run one after another in one process never promote
-    them into the full collections (about 10 ms each) that would otherwise
-    land in a later command."""
+    """Run one command; return its exit code.  Its argparse parser, the
+    top-level parser and the subparser of the command, is left in reference
+    cycles (each action points back at its group, each help formatter at
+    its sections) that only the cyclic collector frees.  Collecting the
+    youngest generation on return frees them while they are few, so
+    commands run one after another in one process never promote them into
+    the full collections (about 10 ms each) that would otherwise land in a
+    later command."""
     try:
         return _run(argv)
     finally:
@@ -511,17 +528,13 @@ def run_command(argv):
 
 
 def _run(argv):
-    parser = make_parser()
+    parser = make_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "build":
-            return _cmd_build(args)
-        return _cmd_search(args)
+        return COMMANDS[args.command][0](args)
     except Failed as exc:
         print(exc)
         return 1

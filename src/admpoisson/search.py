@@ -149,8 +149,9 @@ class SearchShortfall(Exception):
 
 
 class SearchSpec:
-    """target, a key of TARGETS; algebra/rep constrain the tensor/operator
-    targets, and the other targets take no algebra."""
+    """target, a key of TARGETS; algebra constrains the tensor/operator
+    targets and rep the o_operator target, and the other targets take
+    neither."""
 
     def __init__(self, target, dim, p=5, count=None, seed=0,
                  nonzero_only=False, skew=False, algebra=None, rep=None):
@@ -158,6 +159,8 @@ class SearchSpec:
             raise ValueError(f"unknown target {target!r}")
         if algebra is not None and target not in ("adm_pybe_solution", "o_operator"):
             raise ValueError(f"{target} search takes no fixed algebra")
+        if rep is not None and target != "o_operator":
+            raise ValueError(f"{target} search takes no representation")
         check_characteristic(p)
         if p == 0:
             raise ValueError("search runs over finite fields")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admpoisson.cli import run_command, PREDICATES, CONSTRUCTIONS, SEARCH_TARGETS
+from admpoisson.cli import (run_command, make_parser, PREDICATES, CONSTRUCTIONS,
+                            SEARCH_TARGETS)
 from admpoisson.fileformat import parse_file, print_file, read_file
 from admpoisson.algebras import check_adm_poisson
 
@@ -654,6 +655,49 @@ def test_a_build_checks_only_its_prerequisites(monkeypatch, capsys, construction
                                 lambda *a: seen.append(a) or check(*a))
     assert run(capsys, "build", construction, CORPUS / name)[0] == 0
     assert len(seen) == calls
+
+
+GOOD = str(CORPUS / "good_adm.alg")
+USAGE_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"],
+    ["check", "-h"], ["build", "-h"], ["search", "-h"],
+    ["check", "adm-poisson"], ["build", "polarize"], ["search"],
+    ["check", "nonsense", GOOD], ["build", "nonsense", GOOD], ["search", "nonsense"],
+    ["check", "adm-poisson", GOOD, "--x"], ["build", "polarize", GOOD, "--x"],
+    ["search", "adm_poisson", "--x"],
+    ["check", "adm-poisson", GOOD, "extra"], ["build", "polarize", GOOD, "extra"],
+    ["search", "adm_poisson", "extra"],
+    ["search", "adm_poisson", "--dim", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV)
+def test_usage_errors_read_as_with_every_subparser(capsys, argv):
+    """run_command builds the subparser of its command only; its help and
+    usage errors are those of the parser of every command, byte for byte."""
+    with pytest.raises(SystemExit) as exc:
+        make_parser().parse_args(argv)
+    out = capsys.readouterr()
+    assert run(capsys, *argv) == (2 if exc.value.code else 0, out.out, out.err)
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    (["check", "adm-poisson", GOOD], 2),
+    (["build", "polarize", GOOD], 2),
+    (["search", "adm_poisson", "--dim", "1", "--field", "5"], 2),
+    ([], 4),
+    (["-h"], 4),
+    (["bogus"], 4),
+])
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys, argv, parsers):
+    """The top-level parser and the subparser of the command; all three
+    subparsers only when no command is named."""
+    import argparse
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    run(capsys, *argv)
+    assert len(built) == parsers
 
 
 @pytest.mark.parametrize("argv", [("check", "adm-poisson", "good_adm.alg"),

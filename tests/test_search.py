@@ -217,6 +217,11 @@ def test_search_rejects_bad_spec():
     for count in (0, -1):
         with pytest.raises(ValueError, match="count must be at least 1"):
             SearchSpec("adm_poisson", 1, count=count)
+    star = MulTensor.from_entries(1, {(0, 0, 0): 1}, 5)
+    rep = adjoint_rep(AdmPoissonAlgebra(star))
+    for target, algebra in (("adm_pybe_solution", star), ("adm_poisson", None)):
+        with pytest.raises(ValueError, match=f"{target} search takes no representation"):
+            SearchSpec(target, 1, p=5, algebra=algebra, rep=(rep.l, rep.r))
 
 
 TABLES = {"adm_poisson": (((ADM_POISSON,),), "c"),
