@@ -126,10 +126,10 @@ EXIT_CASES = [
     (["check", "adm-poisson", str(CORPUS / "good_adm.alg")], 0),
     (["check", "adm-poisson", str(CORPUS / "bad_adm.alg")], 1),
     (["check", "adm-poisson", str(CORPUS / "no_such_file.alg")], 2),
-    (["check", "adm-poisson", str(CORPUS / "good_adm.alg"), "--x"], 2),
-    (["search", "adm_poisson", "--dim", "x"], 2),
     (["search", "adm_poisson", "--dim", "3", "--field", "5", "--count", "2",
       "--nonzero-only"], 3),
+    (["check", "adm-poisson", str(CORPUS / "good_adm.alg"), "--x"], 2),
+    (["search", "adm_poisson", "--dim", "x"], 2),
 ]
 
 
