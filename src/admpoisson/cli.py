@@ -16,7 +16,7 @@ from .scalars import check_characteristic
 from .tensors import ShapeError
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, check_adm_poisson,
                        check_poisson, depolarize, polarize)
-from .fileformat import AlgebraFile, FormatError, entry_strings, parse_file, print_file
+from .fileformat import AlgebraFile, FormatError, entry_strings, print_file, read_file
 # The other modules are imported by the functions that use them, so that a
 # command loads only the modules it runs.
 
@@ -401,14 +401,11 @@ CONSTRUCTIONS = {
 
 def _read(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    try:
-        return parse_file(text)
+        return read_file(path)
     except FormatError as exc:
         raise InputError(f"{path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
 
 
 def _cmd_check(args):

@@ -9,9 +9,12 @@ Every target runs through one screen: batches of candidates, each a key
 and a column of base-p digits (candidate axis last), go through the
 identity tables beside the fixed operands.  Exhaustive sweeps take
 ascending batches of CHUNK; sampled searches take seeded draws in batches,
-in the order drawn.  Each hit is built from its own digit column, and
-every emitted hit is re-verified by the exact checker.  The targets beyond
-the algebra catalogs import the modules of their tables where they run.
+in the order drawn.  The screen is the check: it evaluates the identity
+tables exactly, under the one overflow rule of every check, so each hit is
+emitted as screened, built from its own digit column.  A target only
+validates its fixed input and names its hit source and the file a hit is
+printed in.  The targets beyond the algebra catalogs import the modules of
+their tables where they run.
 """
 
 import random
@@ -20,9 +23,8 @@ from itertools import islice
 import numpy as np
 
 from .scalars import check_characteristic
-from .tensors import Exact, MulTensor, RTensor, as_exact, contract, evaluation_dtype
-from .algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
-                       check_adm_poisson, check_poisson)
+from .tensors import Exact, MulTensor, RTensor, as_exact, cast_operands, contract
+from .algebras import ADM_POISSON, POISSON, AdmPoissonAlgebra, check_adm_poisson
 from .fileformat import MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile
 
 MAX_EXHAUSTIVE = 5 ** 9
@@ -62,13 +64,11 @@ def screen(groups, batches, operands, fixed, p):
     identity of `groups`.  `batches` yields (keys, digits), digits of shape
     (cells, B); operands(digits) names the candidates' operand arrays, and
     `fixed` the operands all candidates share, with a last axis of 1.
-    Each batch is cast once by evaluation_dtype, which bounds its memory;
-    a hit is a candidate at which every residual is zero."""
+    Each batch is cast once by cast_operands, which bounds its memory; a
+    hit is a candidate at which every residual is zero."""
     sides = [ident.residual for group in groups for ident in group]
     for keys, digits in batches:
-        arrays = {**fixed, **operands(digits)}
-        dtype = evaluation_dtype(sides, arrays, p - 1, p)
-        arrays = {name: a.astype(dtype, copy=False) for name, a in arrays.items()}
+        arrays = cast_operands(sides, {**fixed, **operands(digits)}, p - 1, p)
         fails = np.logical_or.reduce([contract(side, arrays, p).reshape(-1, len(keys)).any(0)
                                       for side in sides])
         for i in np.flatnonzero(~fails).tolist():
@@ -132,13 +132,14 @@ def adm_catalog_indices(n, p):
     yield from table_hits(((ADM_POISSON,),), "c", n, p)
 
 
-def _candidates(spec, hits, operands):
-    """The hits as Exacts by operand name, each built from its own digit
-    column; with nonzero_only, those with a nonzero operand."""
+def _instances(spec, hits, operands, build):
+    """The file build(ops) of each hit, ops its operands as Exacts by name,
+    built from its own digit column; with nonzero_only, of the hits with a
+    nonzero operand."""
     for _, column in hits:
         arrays = operands(column[:, None])
         if not spec.nonzero_only or any(a.any() for a in arrays.values()):
-            yield {name: Exact(a[..., 0], 1, spec.p) for name, a in arrays.items()}
+            yield build({name: Exact(a[..., 0], 1, spec.p) for name, a in arrays.items()})
 
 
 class SearchShortfall(Exception):
@@ -182,13 +183,15 @@ class SearchSpec:
 
 
 def search(spec):
-    """Yield verified instances as AlgebraFile objects, deterministically.
+    """Yield the instances that pass the screen as AlgebraFile objects,
+    deterministically.
 
     A sampled search that runs out of attempts before it finds spec.count
     instances raises SearchShortfall after yielding those it found."""
-    found, run = 0, TARGETS[spec.target]
+    hits, operands, build = TARGETS[spec.target](spec, spec.p, spec.dim)
+    found, instances = 0, _instances(spec, hits, operands, build)
     try:
-        for found, af in enumerate(islice(run(spec, spec.p, spec.dim), spec.count), 1):
+        for found, af in enumerate(islice(instances, spec.count), 1):
             yield af
     except _OutOfDraws as exc:
         raise SearchShortfall(found, spec.count, exc.args[0]) from None
@@ -203,10 +206,7 @@ def _search_adm(spec, p, n):
                       draws(spec, lambda: rng.randrange(space),
                             lambda keys: base_p_digits(keys, n ** 3, p)),
                       operations("c", n), {}, p)
-    for ops in _candidates(spec, hits, operations("c", n)):
-        m = MulTensor(n, p, ops["c"])
-        if check_adm_poisson(m).holds:
-            yield AlgebraFile(p, n, star=m)
+    return hits, operations("c", n), lambda ops: AlgebraFile(p, n, star=MulTensor(n, p, ops["c"]))
 
 
 def _search_poisson(spec, p, n):
@@ -228,10 +228,8 @@ def _search_poisson(spec, p, n):
         hits = screen(POISSON, draws(spec, lambda: [rng.randrange(p) for _ in range(cells)],
                                      lambda keys: np.array(keys, dtype=np.int64).T),
                       operands, {}, p)
-    for ops in _candidates(spec, hits, operands):
-        br, circ = MulTensor(n, p, ops["b"]), MulTensor(n, p, ops["o"])
-        if check_poisson(br, circ).holds:
-            yield AlgebraFile(p, n, bracket=br, circ=circ)
+    return hits, operands, lambda ops: AlgebraFile(
+        p, n, bracket=MulTensor(n, p, ops["b"]), circ=MulTensor(n, p, ops["o"]))
 
 
 def _fixed_algebra(spec, p, n, needs):
@@ -248,7 +246,7 @@ def _fixed_algebra(spec, p, n, needs):
 
 
 def _search_pybe(spec, p, n):
-    from .yangbaxter import YBE, check_ybe
+    from .yangbaxter import YBE
     alg = _fixed_algebra(spec, p, n, "a fixed algebra")
     upper = np.triu_indices(n, 1)
     cells = len(upper[0]) if spec.skew else n * n
@@ -264,15 +262,11 @@ def _search_pybe(spec, p, n):
         return dict.fromkeys("ab", (r - r.transpose(1, 0, 2)) % p)
     fixed = {"m": alg.star.exact.num[..., None]}
     hits = screen(((YBE["adm_pybe"][1],),), sweep(cells, p), operands, fixed, p)
-    for ops in _candidates(spec, hits, operands):
-        r = RTensor(ops["a"], p)
-        if check_ybe(alg, r, "adm_pybe").holds:
-            yield AlgebraFile(p, n, star=alg.star, r=r)
+    return hits, operands, lambda ops: AlgebraFile(p, n, star=alg.star, r=RTensor(ops["a"], p))
 
 
 def _search_o_operator(spec, p, n):
     from .representations import Representation, check_representation
-    from .ooperators import OOperatorCandidate, check_o_operator
     if spec.rep is None:
         raise ValueError("o_operator search needs an algebra and a representation")
     alg = _fixed_algebra(spec, p, n, "an algebra and a representation")
@@ -284,58 +278,53 @@ def _search_o_operator(spec, p, n):
     m = rep.vdim
     if p ** (n * m) > MAX_EXHAUSTIVE:
         raise ValueError("theta space too large")
-    for ops in _candidates(spec, o_operator_hits(alg.star, l, r, p),
-                           lambda digits: {"t": digits.reshape(n, m, -1)}):
-        if check_o_operator(OOperatorCandidate(alg, rep, ops["t"])).holds:
-            af = AlgebraFile(p, n, m, star=alg.star, l=l, r=r)
-            af.maps["theta"] = ops["t"]
-            yield af
+
+    def build(ops):
+        af = AlgebraFile(p, n, m, star=alg.star, l=l, r=r)
+        af.maps["theta"] = ops["t"]
+        return af
+    return (o_operator_hits(alg.star, l, r, p),
+            lambda digits: {"t": digits.reshape(n, m, -1)}, build)
 
 
 def _search_pre(spec, p, n):
     """Pre-structures: exhaustive over the raw pair space when affordable,
     otherwise induced by the O-operators over the algebra catalog."""
-    from .representations import adjoint_rep, check_representation, dual_rep
-    from .ooperators import (INDUCED_PRE, PRE_ADM_POISSON, OOperatorCandidate,
-                             PreAdmPoisson, check_o_operator, check_pre_adm_poisson)
+    from .ooperators import PRE_ADM_POISSON
     if p ** (2 * n ** 3) <= MAX_EXHAUSTIVE:
-        for ops in _candidates(spec, table_hits(PRE_ADM_POISSON, "sq", n, p),
-                               operations("sq", n)):
-            succ, prec = MulTensor(n, p, ops["s"]), MulTensor(n, p, ops["q"])
-            if check_pre_adm_poisson(PreAdmPoisson.raw(succ, prec)).holds:
-                yield AlgebraFile(p, n, succ=succ, prec=prec)
-        return
+        hits = table_hits(PRE_ADM_POISSON, "sq", n, p)
+    else:
+        hits = _induced_pre_hits(n, p)
+    return hits, operations("sq", n), lambda ops: AlgebraFile(
+        p, n, succ=MulTensor(n, p, ops["s"]), prec=MulTensor(n, p, ops["q"]))
+
+
+def _induced_pre_hits(n, p):
+    """Keys and digit columns (succ, then prec) of the distinct
+    pre-structures induced by the O-operators on the adjoint module of each
+    catalog algebra at (n, p), and on its dual where that is a module; the
+    O-operators of one module induce theirs at once, batch-last."""
+    from .representations import adjoint_rep, check_representation, dual_rep
+    from .ooperators import INDUCED_PRE
     seen = set()
     for _, column in adm_catalog_indices(n, p):
         star = MulTensor(n, p, Exact(column.reshape(n, n, n), 1, p))
-        alg = AdmPoissonAlgebra.raw(star)
-        adj = adjoint_rep(alg)
+        adj = adjoint_rep(AdmPoissonAlgebra.raw(star))
         dual = dual_rep(adj)
         for rep in [adj, dual] if check_representation(dual).holds else [adj]:
-            m = rep.vdim
             thetas = np.stack([t for _, t in o_operator_hits(star, rep.l, rep.r, p)], axis=-1)
-            # the pre-structures all the hits induce, batch-last; exact checks
-            # only for one about to be emitted
-            ops = {"t": thetas.reshape(n, m, -1),
-                   "l": rep.l.num[..., None], "r": rep.r.num[..., None]}
-            dtype = evaluation_dtype(INDUCED_PRE, ops, p - 1, p)
-            ops = {name: a.astype(dtype, copy=False) for name, a in ops.items()}
+            ops = cast_operands(INDUCED_PRE, {"t": thetas.reshape(n, rep.vdim, -1),
+                                              "l": rep.l.num[..., None],
+                                              "r": rep.r.num[..., None]}, p - 1, p)
             pres = np.stack([contract(t, ops, p) for t in INDUCED_PRE])
-            for theta, pair in zip(thetas.T, np.moveaxis(pres, -1, 0)):
-                if (spec.nonzero_only and not pair.any()) or pair.tobytes() in seen:
-                    continue
-                pre = PreAdmPoisson.raw(*(MulTensor(m, p, Exact(x, 1, p)) for x in pair))
-                theta = Exact(theta.reshape(n, m), 1, p)
-                if not check_o_operator(OOperatorCandidate(alg, rep, theta)).holds:
-                    continue
-                report = check_pre_adm_poisson(pre)
-                if not report.holds:
-                    raise RuntimeError(f"induced pre-structure fails {report.where()}")
-                seen.add(pair.tobytes())
-                yield AlgebraFile(p, n, succ=pre.succ, prec=pre.prec)
+            for pair in np.moveaxis(pres, -1, 0):
+                key = pair.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    yield key, pair.reshape(-1)
 
 
-# the search of each target
+# each target: its hits, their operands and the file of one hit
 TARGETS = {"adm_poisson": _search_adm, "poisson": _search_poisson,
            "adm_pybe_solution": _search_pybe, "pre_adm_poisson": _search_pre,
            "o_operator": _search_o_operator}

@@ -510,16 +510,17 @@ def _overflow_bound(side, maxabs, size, p):
     return max(p, side.weight * maxabs ** degree * size ** side.summed)
 
 
-def evaluation_dtype(sides, arrays, maxabs, p):
-    """The narrowest signed integer type that holds _overflow_bound of every
-    Terms of `sides` over `arrays`, whose entries are at most `maxabs` in
-    absolute value (a trailing candidate axis is not an axis of the bound);
-    object, for Python ints, above int64.  Every evaluation casts its
-    operand set to it once."""
+def cast_operands(sides, arrays, maxabs, p):
+    """`arrays` cast once to the narrowest signed integer type that holds
+    _overflow_bound of every Terms of `sides` over them, whose entries are
+    at most `maxabs` in absolute value (a trailing candidate axis is not an
+    axis of the bound); to object, for Python ints, above int64.  Every
+    evaluation casts its operand set through here."""
     size = max(max(arrays[name].shape[:rank], default=1)
                for side in sides for name, rank in side.ranks.items())
     bound = max(_overflow_bound(side, maxabs, size, p) for side in sides)
-    return next((t for limit, t in _INT_TYPES if bound <= limit), object)
+    dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
+    return {name: a.astype(dtype, copy=False) for name, a in arrays.items()}
 
 
 def _check_sizes(side, shapes):
@@ -537,11 +538,12 @@ def _check_sizes(side, shapes):
 
 
 def contract(terms, arrays, p):
-    """`terms` over `arrays`, integer arrays cast by evaluation_dtype, in
-    their dtype and reduced into [0, p) over GF(p).  The output has the
-    `out` axes, then the candidate axis of a batch when an operand has more
-    axes than its subscripts: the largest last axis, since an operand shared
-    by every candidate has a last axis of 1 and is broadcast."""
+    """`terms` over `arrays`, integer arrays of one dtype (cast_operands),
+    evaluated in that dtype and reduced into [0, p) over GF(p).  The output
+    has the `out` axes, then the candidate axis of a batch when an operand
+    has more axes than its subscripts: the largest last axis, since an
+    operand shared by every candidate has a last axis of 1 and is
+    broadcast."""
     shape = [arrays[name].shape[axis] for name, axis in terms.out_axes]
     batch = [arrays[name].shape[-1] for name, rank in terms.ranks.items()
              if arrays[name].ndim > rank]
@@ -566,8 +568,8 @@ def exact_operands(operands, p, sides):
     `sides`; returns (arrays, D).
 
     Raises ShapeError when the operands' axis sizes do not fit the letters
-    of `sides`.  The arrays are of evaluation_dtype, with maxabs the largest
-    |entry| after D is cleared."""
+    of `sides`.  The arrays are cast by cast_operands, with maxabs the
+    largest |entry| after D is cleared."""
     exacts = {name: as_exact(data, p) for name, data in operands.items()}
     shapes = {name: e.num.shape for name, e in exacts.items()}
     for side in sides:
@@ -575,8 +577,7 @@ def exact_operands(operands, p, sides):
     nums, den = common(*exacts.values())
     arrays = dict(zip(exacts, nums))
     maxabs = max(e.maxabs * (den // e.den) for e in exacts.values())
-    dtype = evaluation_dtype(sides, arrays, maxabs, p)
-    return {name: num.astype(dtype, copy=False) for name, num in arrays.items()}, den
+    return cast_operands(sides, arrays, maxabs, p), den
 
 
 def check_identities(groups, operands, p):

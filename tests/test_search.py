@@ -6,12 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admpoisson.tensors import AxiomReport, MulTensor
+from admpoisson.tensors import MulTensor
 from admpoisson.algebras import (ADM_POISSON, POISSON, AdmPoissonAlgebra,
                                  check_adm_poisson, check_poisson, polarize)
-from admpoisson.representations import Representation, adjoint_rep
-from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson,
-                                   check_pre_adm_poisson, check_o_operator,
+from admpoisson.representations import REPRESENTATION, Representation, adjoint_rep
+from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson, check_o_operator,
                                    OOperatorCandidate)
 from admpoisson.fileformat import read_file
 from admpoisson import search as searchmod
@@ -197,13 +196,29 @@ def test_search_pre_dim1_exhaustive():
     assert sorted(pairs) == [(s, (-s) % 5) for s in range(5)]
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_dim1_sweeps_emit_what_the_oracle_accepts(p):
+    """Each dim-1 sweep emits, in ascending order, exactly the structures
+    that the oracle's scalar loops accept."""
+    values = [MulTensor.from_entries(1, {(0, 0, 0): a}, p) for a in range(p)]
+    pairs = [(x, y) for y in values for x in values]    # digit 0 is the first operation
+    got = {target: list(search(SearchSpec(target, 1, p=p)))
+           for target in ("adm_poisson", "poisson", "pre_adm_poisson")}
+    assert [h.ops["star"] for h in got["adm_poisson"]] == \
+        [m for m in values if oracles.check_adm_poisson(m).holds]
+    assert [(h.ops["bracket"], h.ops["circ"]) for h in got["poisson"]] == \
+        [pair for pair in pairs if oracles.check_poisson(*pair).holds]
+    assert [(h.ops["succ"], h.ops["prec"]) for h in got["pre_adm_poisson"]] == \
+        [pair for pair in pairs if oracles.check_pre_adm_poisson(PreAdmPoisson.raw(*pair)).holds]
+
+
 def test_search_pre_dim2_yields_verified_instances():
-    hits = list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=10,
+    hits = list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=40,
                                   nonzero_only=True)))
-    assert len(hits) == 10
+    assert len(hits) == 40
     for h in hits:
         pre = PreAdmPoisson.raw(h.ops["succ"], h.ops["prec"])
-        assert check_pre_adm_poisson(pre).holds
+        assert oracles.check_pre_adm_poisson(pre).holds
         assert not (pre.succ.is_zero() and pre.prec.is_zero())
 
 
@@ -289,8 +304,9 @@ def test_batched_poisson_sampler_matches_the_per_draw_loop(monkeypatch, seed, p)
         for nonzero_only in (False, True):
             spec = SearchSpec("poisson", 2, p=p, count=2, seed=seed,
                               nonzero_only=nonzero_only)
-            assert [(h.ops["bracket"], h.ops["circ"]) for h in search(spec)] == \
-                want[nonzero_only]
+            got = [(h.ops["bracket"], h.ops["circ"]) for h in search(spec)]
+            assert got == want[nonzero_only]
+            assert all(oracles.check_poisson(*pair).holds for pair in got)
 
 
 @pytest.mark.parametrize("seed", [101, 202])
@@ -304,7 +320,9 @@ def test_batched_sampler_matches_the_per_candidate_loop(monkeypatch, seed,
     # hits fall in the first batch, and across batches of 1000 draws
     for chunk in (searchmod.CHUNK, 1000):
         monkeypatch.setattr(searchmod, "CHUNK", chunk)
-        assert [h.ops["star"] for h in search(spec)] == want
+        got = [h.ops["star"] for h in search(spec)]
+        assert got == want
+        assert all(oracles.check_adm_poisson(m).holds for m in got)
 
 
 def test_sampled_batches_are_bounded_by_the_output_cap(monkeypatch):
@@ -348,56 +366,105 @@ def test_count_1_builds_only_the_first_chunk(monkeypatch):
     assert built == [(0, searchmod.CHUNK)]
 
 
-def test_pre_search_reports_a_failed_recheck(monkeypatch):
-    # the re-check of an induced pre-structure is not an assert (python -O)
-    from admpoisson import ooperators
-    monkeypatch.setattr(ooperators, "check_pre_adm_poisson",
-                        lambda pre: AxiomReport.fail("pre1", (0, 0, 1), [], []))
-    with pytest.raises(RuntimeError, match=r"fails pre1 at \(1,1,2\)$"):
-        list(search(SearchSpec("pre_adm_poisson", 2, p=5, count=1)))
-
-
-# sha256 of the stdout of the command below, unchanged since the pre search
-# checked each hit twice
+# sha256 of the stdout of the command below, measured when the pre search
+# still checked each hit twice
 PRE_NONZERO_10_SHA256 = "421f2d9e68aec9e352f5b1eb303412ba8ccd9768ddeb9c9068f14f7247e38eb2"
 
 
-def test_pre_search_checks_each_hit_once(monkeypatch, capsys):
+def count_checks(monkeypatch):
+    """The tables of each tensors.check_identities call from now on, in a
+    list; every admpoisson module that bound the function calls the count."""
+    import sys
+    from admpoisson import tensors, representations, ooperators, yangbaxter  # noqa: F401
+    real, tables = tensors.check_identities, []
+
+    def counted(groups, operands, p):
+        tables.append(groups)
+        return real(groups, operands, p)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("admpoisson") and getattr(module, "check_identities", None) is real:
+            monkeypatch.setattr(module, "check_identities", counted)
+    return tables
+
+
+def test_pre_search_checks_no_hit(monkeypatch, capsys):
     """`search pre_adm_poisson --dim 2 --field 5 --count 10 --nonzero-only`
     contracts the screened hits of each module at once (so the hits of the
     last module are all screened) and skips those whose induced
-    pre-structure was already emitted before any exact check: it re-checks
-    the O-operator and the pre-structure once per emitted structure, and
-    prints what it printed before."""
-    from admpoisson import ooperators
+    pre-structure was already emitted.  Its only exact checks ask whether
+    each algebra's dual module is a representation: no O-operator and no
+    pre-structure is checked again.  It prints what it printed before."""
     from admpoisson.cli import run_command
-    calls = {"check_o_operator": 0, "check_pre_adm_poisson": 0, "hits": 0}
-
-    def counted(fn):
-        def wrapper(*args):
-            calls[fn.__name__] += 1
-            return fn(*args)
-        return wrapper
+    tables, hits = count_checks(monkeypatch), []
 
     def counted_hits(*args):
         for idx in o_operator_hits(*args):
-            calls["hits"] += 1
+            hits.append(idx)
             yield idx
 
-    for name in ("check_o_operator", "check_pre_adm_poisson"):
-        monkeypatch.setattr(ooperators, name, counted(getattr(ooperators, name)))
     monkeypatch.setattr(searchmod, "o_operator_hits", counted_hits)
     code = run_command(["search", "pre_adm_poisson", "--dim", "2", "--field", "5",
                         "--count", "10", "--nonzero-only"])
     out = capsys.readouterr().out
     assert code == 0 and out.count("# instance") == 10
     assert hashlib.sha256(out.encode()).hexdigest() == PRE_NONZERO_10_SHA256
-    assert calls["hits"] == 2655
-    assert calls["check_o_operator"] == calls["check_pre_adm_poisson"] == 10
+    assert len(hits) == 2655
+    assert tables and all(groups is REPRESENTATION for groups in tables)
 
 
-# sha256 of the stdout of four more searches, each measured before its
-# target was screened in batches
+# k[x]/(x^2) over GF(5) (e1 the unit, e2 = x) with its adjoint action
+UNITAL_GF5 = """format 1
+field gf 5
+dim 2
+vdim 2
+op star
+star: e1 e1 = 1 e1
+star: e1 e2 = 1 e2
+star: e2 e1 = 1 e2
+rep l e1 = [1,0 ; 0,1]
+rep l e2 = [0,0 ; 1,0]
+rep r e1 = [1,0 ; 0,1]
+rep r e2 = [0,0 ; 1,0]
+"""
+
+
+@pytest.fixture
+def search_files(tmp_path):
+    """The files the searches below name: ybe.alg of the corpus, and
+    unital.alg, UNITAL_GF5 written out."""
+    (tmp_path / "unital.alg").write_text(UNITAL_GF5, encoding="utf-8")
+    return {"ybe.alg": CORPUS / "ybe.alg", "unital.alg": tmp_path / "unital.alg"}
+
+
+@pytest.mark.parametrize("target,kwargs,checks", [
+    ("adm_poisson", {"dim": 2}, 0),
+    ("adm_poisson", {"dim": 2, "p": 7, "count": 2, "seed": 101}, 0),
+    ("poisson", {"dim": 1}, 0),
+    ("poisson", {"dim": 2, "p": 7, "count": 2, "seed": 5}, 0),
+    ("pre_adm_poisson", {"dim": 1, "p": 7}, 0),
+    ("adm_pybe_solution", {"dim": 2, "algebra": "ybe.alg"}, 1),
+    ("o_operator", {"dim": 2, "algebra": "unital.alg"}, 2)],
+    ids=["adm-sweep", "adm-sampled", "poisson-sweep", "poisson-sampled", "pre-sweep",
+         "adm-pybe", "o-operator"])
+def test_search_checks_only_its_fixed_input(monkeypatch, search_files, target, kwargs,
+                                            checks):
+    """The screen is the check: no emitted hit is checked again.  The only
+    exact checks of a search are those of its fixed input: the algebra is
+    adm-Poisson, and for o_operator the action is a representation."""
+    kwargs = {"p": 5, **kwargs}
+    if "algebra" in kwargs:
+        af = read_file(search_files[kwargs["algebra"]])
+        kwargs["algebra"] = af.ops["star"]
+        if target == "o_operator":
+            kwargs["rep"] = (af.reps["l"], af.reps["r"])
+    tables = count_checks(monkeypatch)
+    assert list(search(SearchSpec(target, **kwargs)))
+    assert tables == [((ADM_POISSON,),), REPRESENTATION][:checks]
+
+
+# sha256 of the stdout of more searches: the first four measured before
+# their target was screened in batches, the rest before the search stopped
+# checking each screened hit again
 SEARCH_SHA256 = [
     (["poisson", "--dim", "2", "--field", "5", "--count", "3", "--nonzero-only"],
      "ab8d372f3ca0797412cf5bd8efc6cf755c010e15bb61e8b8f185cef02b27a91f"),
@@ -407,14 +474,25 @@ SEARCH_SHA256 = [
      "c9b1ca439d6e4e741ed744fbf79a94b41b31113084e93eb9a896e652d24428ed"),
     (["adm_pybe_solution", "--dim", "2", "--field", "5", "--algebra", "ybe.alg", "--skew"],
      "6ddff64ad120d98572cf143511864554f4ceac2ead54a2f219fa41912d7371a4"),
+    (["adm_poisson", "--dim", "2", "--field", "5"],
+     "f907c659040c2d2949eb7afaeb0b1f1b93221a3ec6f1fd7468c8a5d9f2b3b7d2"),
+    (["adm_poisson", "--dim", "2", "--field", "5", "--nonzero-only", "--count", "20"],
+     "2ad8937b8f3d8932b4de240b4f4ed3639133b13f02be2f3f2c92fde8bf9d5d5c"),
+    (["adm_poisson", "--dim", "2", "--field", "7", "--count", "2", "--seed", "101"],
+     "2b02d37a4971f18c98e44ba1a16cbd713f9c9e8e589c9db65d87f51b8deb24a3"),
+    (["adm_poisson", "--dim", "2", "--field", "7", "--count", "2", "--seed", "202"],
+     "1b3d6d26c06281187df37053ba6ec1ad231fccefa39cca733b11857a2284484b"),
+    (["pre_adm_poisson", "--dim", "1", "--field", "7"],
+     "d8f94f9c9a06acf267efd98eafc47973d3f9527777402e59177b29cd3c0f53f7"),
+    (["o_operator", "--dim", "2", "--field", "5", "--algebra", "unital.alg"],
+     "a1d9f56aa155717b44d2a739eb48d59acd7ec52d572a9f0e6f355abb8bdef0c9"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", SEARCH_SHA256)
-def test_search_output_is_pinned(capsys, argv, digest):
+def test_search_output_is_pinned(capsys, search_files, argv, digest):
     from admpoisson.cli import run_command
-    code = run_command(["search"] + [str(CORPUS / a) if a.endswith(".alg") else a
-                                     for a in argv])
+    code = run_command(["search"] + [str(search_files.get(a, a)) for a in argv])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
