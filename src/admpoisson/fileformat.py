@@ -19,7 +19,9 @@ Indices are 1-based (e1, e2, ...). Printing is canonical and deterministic;
 parse(print(f)) == f and print(parse(text)) is a fixed point.
 """
 
+from itertools import chain, repeat
 from math import gcd, isqrt
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,7 +95,8 @@ def _parse_basis(tok, size, lineno, label="basis vector"):
 
 def _parse_scalar(tok, p, lineno):
     """'7' or '-3/4' as ints (num, den), den nonzero (mod p); p was validated
-    on the field line."""
+    on the field line.  The parser converts its tokens in bulk (_convert)
+    and calls this only to report the first bad one."""
     try:
         return int(tok), 1
     except ValueError:
@@ -109,42 +112,113 @@ def _parse_scalar(tok, p, lineno):
     return num, den
 
 
-def _cells(rows, start=0):
-    """A parsed matrix as (cells, fractions), its first flat index `start`."""
-    fracs = [v for row in rows for v in row]
-    return range(start, start + len(fracs)), fracs
+def _convert(toks, p):
+    """The coefficient tokens as (nums, dens), lists of ints (dens None when
+    no token is a fraction), or None when _parse_scalar rejects a token:
+    the same rule, a list at a time (int() strips the whitespace that
+    _parse_scalar strips before it splits at '/')."""
+    try:
+        return list(map(int, toks)), None
+    except ValueError:
+        pass
+    # each partition is freed before the next: a list of them would be a
+    # burst of new tracked tuples, which can set off a full collection
+    heads = [tok.partition("/")[0] for tok in toks]
+    tails = [tail if slash else "1" for _, slash, tail in map(str.partition, toks, repeat("/"))]
+    try:
+        nums = list(map(int, heads))
+        den_of = {tail: int(tail) for tail in set(tails)}
+    except ValueError:
+        return None
+    if any(d % p == 0 for d in den_of.values()) if p else 0 in den_of.values():
+        return None
+    return nums, list(map(den_of.__getitem__, tails))
 
 
-def _parse_matrix(text, p, lineno):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise FormatError(lineno, "matrix must be enclosed in [ ... ]")
-    rows = []
-    for row_s in text[1:-1].split(";"):
-        entries = [e for e in row_s.split(",")]
-        rows.append([_parse_scalar(e, p, lineno) for e in entries])
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise FormatError(lineno, "matrix rows have unequal lengths")
-    return rows
+def _check_tokens(marks, p):
+    """Raise the FormatError of the first bad coefficient or term in file
+    order, if there is one."""
+    for lineno, payload, target, cell in marks:
+        if target.arity:
+            _parse_terms(payload, target.shape[0], p, lineno, target.arity, cell)
+        else:
+            for tok in payload:
+                _parse_scalar(tok, p, lineno)
+
+
+def _target(shape=None, arity=0):
+    """One structure of a file while it is read.  `arity` is the number of
+    basis vectors in a term: 1 for an operation, 2 for a comultiplication,
+    0 for tensors, families and maps, whose entries are one token each.
+    `toks` and `cells` are the coefficient tokens and the flat cells they
+    add to; `seen` the keys of the lines read, for the duplicate checks.
+    A namespace rather than a class of this module, whose constructor
+    perfbench/tracer.py would count among the module's public calls."""
+    return SimpleNamespace(shape=shape, arity=arity, toks=[], cells=[], seen={})
 
 
 def parse_file(text):
-    af = AlgebraFile()
+    """The AlgebraFile of `text`.  One pass over the lines checks the
+    statements; the terms of each structure are then split at once and
+    all coefficient tokens converted at once.  Tokens and terms are
+    checked one by one only when something failed, in file order, so
+    that every error is the one a token-by-token reading meets first."""
+    af, targets, marks = AlgebraFile(), {}, []
+    try:
+        _read_statements(text, af, targets, marks)
+        for target in targets.values():
+            if target.arity:
+                _collect_terms(target, [m for m in marks if m[2] is target], af.p)
+    except FormatError:
+        _check_tokens(marks, af.p)      # a bad token on an earlier line comes first
+        raise
+    values = _convert(list(chain.from_iterable(t.toks for t in targets.values())), af.p)
+    if values is None:
+        _check_tokens(marks, af.p)      # raises
+    nums, dens = values
+    start = 0
+    for (kind, name), target in targets.items():
+        stop = start + len(target.toks)
+        exact = from_fractions(target.shape, target.cells, nums[start:stop],
+                               dens and dens[start:stop], af.p)
+        start = stop
+        if kind == "op":
+            af.ops[name] = MulTensor(target.shape[0], af.p, exact)
+        elif kind == "comul":
+            af.comuls[name] = Comultiplication(af.dim, af.p, exact)
+        elif kind == "tensor":
+            af.tensors[name] = RTensor(exact, af.p)
+        else:
+            (af.reps if kind == "rep" else af.maps)[name] = exact
+    return af
+
+
+def _read_statements(text, af, targets, marks):
+    """The line pass of parse_file: sets af's header, keeps a _target per
+    structure in `targets`, keyed (kind, name), and in `marks` the (line
+    number, payload, target, cell) of every line with coefficients, in
+    file order."""
     field_seen = False
-    op_sizes = {}                   # name -> "dim" | "vdim"
-    op_data = {}                    # name -> {(i, j): vec-of-scalar terms}
-    comul_names = set()
-    comul_data = {}                 # name -> {(i, j, k): scalar}
-    tensor_data = {}                # name -> {(i, j): scalar}
-    rep_data = {}                   # name -> {i: (line number, matrix)}
+    heads = {}      # 'NAME:' -> the _target of op NAME, when NAME has no ':'
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         words = line.split(None, 3)     # a statement of more words is rejected by length
         head = words[0]
+
+        # a product line as print_file writes it, read here when it is new
+        # and its indices are in range; the general data line takes the rest
+        target = heads.get(head)
+        if target is not None and len(words) == 4 and words[3][0] == "=":
+            size = target.shape[0]
+            i, j = _BASIS_INDEX.get(words[1], size), _BASIS_INDEX.get(words[2], size)
+            cell = i * size + j
+            if i < size and j < size and cell not in target.seen:
+                target.seen[cell] = None
+                marks.append((lineno, words[3][1:], target, cell))
+                continue
 
         if head == "format":
             if words[1:] != ["1"]:
@@ -191,27 +265,27 @@ def parse_file(text):
 
         if head == "op":
             if len(words) == 2:
-                name, size = words[1], "dim"
+                name, size = words[1], af.dim
             elif len(words) == 3 and words[2] == "vdim":
-                name, size = words[1], "vdim"
+                name, size = words[1], af.vdim
                 if af.vdim is None:
                     raise FormatError(lineno, "op on vdim but no vdim declared")
             else:
                 raise FormatError(lineno, f"bad op declaration {line!r}")
-            if name in op_sizes or name in comul_names:
+            if ("op", name) in targets or ("comul", name) in targets:
                 raise FormatError(lineno, f"duplicate name {name!r}")
-            op_sizes[name] = size
-            op_data[name] = {}
+            targets["op", name] = target = _target((size,) * 3, arity=1)
+            if ":" not in name:
+                heads[name + ":"] = target
             continue
 
         if head == "comul":
             if len(words) != 2:
                 raise FormatError(lineno, f"bad comul declaration {line!r}")
             name = words[1]
-            if name in comul_names or name in op_sizes:
+            if ("comul", name) in targets or ("op", name) in targets:
                 raise FormatError(lineno, f"duplicate name {name!r}")
-            comul_names.add(name)
-            comul_data[name] = {}
+            targets["comul", name] = _target((af.dim,) * 3, arity=2)
             continue
 
         if head == "tensor":
@@ -227,10 +301,15 @@ def parse_file(text):
                 raise FormatError(lineno, "tensor line needs 'NAME: ei ej = c'")
             i = _parse_basis(toks[0], af.dim, lineno)
             j = _parse_basis(toks[1], af.dim, lineno)
-            entry = tensor_data.setdefault(name, {})
-            if (i, j) in entry:
+            target = targets.get(("tensor", name))
+            if target is None:
+                target = targets["tensor", name] = _target((af.dim,) * 2)
+            if (i, j) in target.seen:
                 raise FormatError(lineno, f"duplicate tensor entry {toks[0]} {toks[1]}")
-            entry[(i, j)] = _parse_scalar(rhs, af.p, lineno)
+            target.seen[i, j] = None
+            marks.append((lineno, [rhs], target, None))
+            target.toks.append(rhs)
+            target.cells.append(i * af.dim + j)
             continue
 
         if head == "rep":
@@ -253,11 +332,13 @@ def parse_file(text):
             if af.rep_spaces.setdefault(name, space) != space:
                 raise FormatError(lineno, f"rep {name!r} mixes index spaces")
             i = _parse_basis(btok, size, lineno)
-            mat = _parse_matrix(rhs, af.p, lineno)
-            entry = rep_data.setdefault(name, {})
-            if i in entry:
+            target = targets.get(("rep", name))
+            if target is None:
+                target = targets["rep", name] = _target()
+            rows = _add_matrix(target, rhs, i, lineno, marks)
+            if i in target.seen:
                 raise FormatError(lineno, f"duplicate rep matrix for {btok}")
-            entry[i] = (lineno, mat)
+            target.seen[i] = (lineno, len(rows), len(rows[0]))
             continue
 
         if head == "map":
@@ -266,39 +347,42 @@ def parse_file(text):
             name = lhs.strip()
             if not name or not eq:
                 raise FormatError(lineno, "map line needs 'map NAME = [matrix]'")
-            if name in af.maps:
+            if ("map", name) in targets:
                 raise FormatError(lineno, f"duplicate map {name!r}")
-            rows = _parse_matrix(rhs, af.p, lineno)
-            af.maps[name] = from_fractions((len(rows), len(rows[0])), [_cells(rows)], af.p)
+            targets["map", name] = target = _target()
+            rows = _add_matrix(target, rhs, 0, lineno, marks)
+            target.shape = (len(rows), len(rows[0]))
             continue
 
         # data line: 'name: ...'
         if ":" in line:
             name, body = line.split(":", 1)
             name = name.strip()
-            if name in op_sizes:
-                size = af.dim if op_sizes[name] == "dim" else af.vdim
+            if ("op", name) in targets:
+                target = targets["op", name]
+                size = target.shape[0]
                 lhs, eq, rhs = body.partition("=")
                 toks = lhs.split()
                 if len(toks) != 2 or not eq:
                     raise FormatError(lineno, "product line needs 'NAME: ei ej = terms'")
                 i = _parse_basis(toks[0], size, lineno)
-                j = _parse_basis(toks[1], size, lineno)
-                if (i, j) in op_data[name]:
+                cell = i * size + _parse_basis(toks[1], size, lineno)
+                if cell in target.seen:
                     raise FormatError(lineno, f"duplicate product {toks[0]} {toks[1]}")
-                op_data[name][(i, j)] = _parse_terms(rhs, size, af.p, lineno, 1, i * size + j)
-                continue
-            if name in comul_names:
+            elif ("comul", name) in targets:
+                target = targets["comul", name]
                 lhs, eq, rhs = body.partition("=")
                 toks = lhs.split()
                 if len(toks) != 1 or not eq:
                     raise FormatError(lineno, "comul line needs 'NAME: ei = terms'")
-                i = _parse_basis(toks[0], af.dim, lineno)
-                if i in comul_data[name]:
+                cell = _parse_basis(toks[0], af.dim, lineno)
+                if cell in target.seen:
                     raise FormatError(lineno, f"duplicate comultiplication of {toks[0]}")
-                comul_data[name][i] = _parse_terms(rhs, af.dim, af.p, lineno, 2, i)
-                continue
-            raise FormatError(lineno, f"data line for undeclared name {name!r}")
+            else:
+                raise FormatError(lineno, f"data line for undeclared name {name!r}")
+            target.seen[cell] = None
+            marks.append((lineno, rhs, target, cell))
+            continue
 
         raise FormatError(lineno, f"unrecognized line {line!r}")
 
@@ -307,49 +391,84 @@ def parse_file(text):
     if af.dim is None:
         raise FormatError(1, "missing dim declaration")
 
-    for name, size_kind in op_sizes.items():
-        size = af.dim if size_kind == "dim" else af.vdim
-        af.ops[name] = MulTensor(size, af.p, from_fractions((size,) * 3,
-                                                            op_data[name].values(), af.p))
+    for (kind, name), target in targets.items():
+        if kind == "rep":
+            m = next(iter(target.seen.values()))[1]
+            for lineno, rows, cols in target.seen.values():
+                if rows != m or cols != m:
+                    raise FormatError(lineno, f"rep {name!r} matrices disagree in size")
+            target.shape = (af.dim if af.rep_spaces[name] == "dim" else af.vdim, m, m)
 
-    for name in comul_names:
-        af.comuls[name] = Comultiplication(af.dim, af.p, from_fractions(
-            (af.dim,) * 3, comul_data[name].values(), af.p))
 
-    for name, entries in tensor_data.items():
-        cells = [i * af.dim + j for i, j in entries]
-        af.tensors[name] = RTensor(from_fractions((af.dim,) * 2, [(cells, entries.values())],
-                                                  af.p), af.p)
+def _add_matrix(target, text, i, lineno, marks):
+    """Add the entries of the matrix `text`, '[a,b ; c,d]', to target as
+    the i-th matrix of its family (cells from i * rows**2), and return its
+    rows of tokens.  A ragged matrix is rejected after its tokens are
+    noted, since a token-by-token reading meets them first."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise FormatError(lineno, "matrix must be enclosed in [ ... ]")
+    rows = [row_s.split(",") for row_s in text[1:-1].split(";")]
+    toks = [tok for row in rows for tok in row]
+    start = i * len(rows) ** 2
+    marks.append((lineno, toks, target, None))
+    target.toks += toks
+    target.cells += range(start, start + len(toks))
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise FormatError(lineno, "matrix rows have unequal lengths")
+    return rows
 
-    for name, by_index in rep_data.items():
-        m = len(next(iter(by_index.values()))[1])
-        for lineno, mat in by_index.values():
-            if len(mat) != m or len(mat[0]) != m:
-                raise FormatError(lineno, f"rep {name!r} matrices disagree in size")
-        count = af.dim if af.rep_spaces[name] == "dim" else af.vdim
-        af.reps[name] = from_fractions((count, m, m), [_cells(mat, i * m * m) for i, (_, mat)
-                                                       in by_index.items()], af.p)
 
-    return af
+def _collect_terms(target, lines, p):
+    """Fill target.toks and target.cells from its term lines, the marks
+    (line number, right-hand side, target, cell) of `lines`.  Every line in
+    the spelling '<c> e<k> + ...' (arity 1) or '<c> e<j> e<k> + ...' (arity
+    2) with indices in range: all lines are joined and split once, and
+    their indices looked up at once in _BASIS_INDEX.  Otherwise each line
+    is read by _parse_terms, which raises the first error of a line."""
+    size, arity = target.shape[0], target.arity
+    rhss = [rhs for _, rhs, _, _ in lines]
+    joined = " + ".join(rhss)
+    toks = joined.split()
+    step = arity + 2
+    coefs, seps = toks[::step], toks[arity + 1::step]
+    # the joined text splits as its lines do exactly when every '+' is a
+    # separator token and the tokens between them make whole terms
+    if len(toks) == len(coefs) * step - 1 and joined.count("+") == len(seps) == seps.count("+"):
+        idx = [np.fromiter(map(_BASIS_INDEX.get, toks[a::step], repeat(size)), np.intp,
+                           len(coefs)) for a in range(1, arity + 1)]
+        if max(ks.max() for ks in idx) < size:
+            terms = np.fromiter(map(str.count, rhss, repeat("+")), np.intp, len(rhss)) + 1
+            cells = np.array([cell for _, _, _, cell in lines]).repeat(terms)
+            for ks in idx:
+                cells = cells * size + ks
+            target.toks, target.cells = coefs, cells
+            return
+    for lineno, rhs, _, cell in lines:
+        cells, coefs = _parse_terms(rhs, size, p, lineno, arity, cell)
+        target.toks += coefs
+        target.cells += cells
 
 
 def _parse_terms(rhs, size, p, lineno, arity, cell):
     """'1 e2 + -1/2 e1' (arity 1) or '1 e1 e2 + ...' (arity 2), or '0', as
-    (cells, fractions): each term's cell is the flat row-major index of
-    `cell` followed by its indices, its fraction (num, den)."""
+    (cells, coefficient tokens), each token checked in order: each term's
+    cell is the flat row-major index of `cell` followed by its indices."""
     if rhs.strip() == "0":
         return [], []
-    cells, fracs = [], []
+    cells, coefs = [], []
     for part in rhs.split("+"):
         toks = part.split()
         if len(toks) != 1 + arity:
             raise FormatError(lineno, f"bad term {part.strip()!r}")
-        fracs.append(_parse_scalar(toks[0], p, lineno))
+        _parse_scalar(toks[0], p, lineno)
+        coefs.append(toks[0])
         c = cell
         for t in toks[1:]:
             c = c * size + _parse_basis(t, size, lineno)
         cells.append(c)
-    return cells, fracs
+    return cells, coefs
 
 
 def entry_strings(x, p):

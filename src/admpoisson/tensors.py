@@ -13,7 +13,6 @@ on them (solve).  Numbers enter the Python API as nested ints and Fractions
 (as_exact) and leave it through Exact.tolist().
 """
 
-from itertools import chain
 from math import gcd, lcm, prod
 from operator import index
 
@@ -133,35 +132,50 @@ def as_exact(data, p):
             raise ScalarModeError(f"operands are not all over p={p}")
         return data
     a = np.array(data, dtype=object)
-    return from_fractions(a.shape, [(range(a.size), _fractions(a.ravel().tolist(), p))], p)
+    return from_fractions(a.shape, None, *_fractions(a.ravel().tolist(), p), p)
 
 
 def _fractions(numbers, p):
-    """The (numerator, denominator) int pairs of exact numbers, each
-    denominator nonzero (mod p)."""
+    """The numerators and the denominators of exact numbers, as two lists
+    of ints, each denominator nonzero (mod p)."""
     try:
-        fracs = [(index(x.numerator), index(x.denominator)) for x in numbers]
+        nums = [index(x.numerator) for x in numbers]
+        dens = [index(x.denominator) for x in numbers]
     except AttributeError as exc:
         raise TypeError(f"entries must be ints or Fractions: {exc}") from None
-    bad = next((d for _, d in fracs if (d % p == 0 if p else d == 0)), None)
+    bad = next((d for d in dens if (d % p == 0 if p else d == 0)), None)
     if bad is not None:
         raise ZeroDivisionError(f"denominator {bad} is 0 mod {p}" if p else "zero denominator")
-    return fracs
+    return nums, dens
 
 
-def from_fractions(shape, parts, p=0):
-    """The Exact of `shape` that sums the fractions of `parts`: pairs of
-    lists (cells, fractions), flat row-major indices and the (num, den) of
-    ints there, den nonzero (mod p)."""
-    cells = list(chain.from_iterable(c for c, _ in parts))
-    fracs = list(chain.from_iterable(f for _, f in parts))
-    nums, den = [n for n, _ in fracs], 1
-    if any(d != 1 for _, d in fracs):
-        den = 1 if p else lcm(*(abs(d) for _, d in fracs))
-        nums = [n * pow(d, -1, p) if p else n * (den // d) for n, d in fracs]
-    num = np.zeros(prod(shape), dtype=np.int64 if max(map(abs, nums), default=0) < _WIDE
-                   else object)
-    np.add.at(num, cells, nums)
+def from_fractions(shape, cells, nums, dens=None, p=0):
+    """The Exact of `shape` that sums the fractions nums[t] / dens[t] at the
+    flat row-major indices cells[t] (cells None: every cell, in order):
+    lists of ints, each den nonzero (mod p), and dens None when every den
+    is 1.  Each distinct den is scaled once; the entries stay int64 while
+    every value is below 2**31."""
+    den, wide, factors = 1, max(max(nums), -min(nums)) if nums else 0, None
+    if dens and (distinct := set(dens)) != {1}:
+        if p:
+            scale = {d: pow(d, -1, p) for d in distinct}
+        else:
+            den = lcm(*distinct)
+            scale = {d: den // d for d in distinct}
+        factors = list(map(scale.__getitem__, dens))
+        wide *= max(map(abs, scale.values()))
+    dtype = np.int64 if wide < _WIDE else object
+    vals = np.array(nums, dtype)
+    if factors is not None:
+        vals = vals * np.array(factors, dtype)
+    if cells is None:
+        return Exact(vals.reshape(shape), den, p)
+    cells = np.asarray(cells, dtype=np.intp)
+    num = np.zeros(prod(shape), dtype=dtype)
+    if dtype is object and np.bincount(cells).max(initial=0) < 2:
+        num[cells] = vals       # np.add.at is slow on Python ints
+    else:
+        np.add.at(num, cells, vals)     # a cell given twice sums its terms
     return Exact(num.reshape(shape), den, p)
 
 
@@ -215,7 +229,7 @@ def solve(a, b, p=0):
 def _from_entries(shape, entries, p):
     """The Exact of `shape`, zero except at `entries` (index tuple -> number)."""
     cells = [np.ravel_multi_index(key, shape) for key in entries]
-    return from_fractions(shape, [(cells, _fractions(entries.values(), p))], p)
+    return from_fractions(shape, cells, *_fractions(entries.values(), p), p)
 
 
 class Structure:

@@ -485,16 +485,21 @@ def test_no_assert_in_the_package():
 @st.composite
 def grammar_files(draw):
     """Parseable files from the line grammar, with operations, families,
-    maps and tensors sized by dim or vdim at random, so that operand sizes
-    often disagree."""
-    dim = draw(st.integers(1, 2))
-    vdim = draw(st.none() | st.integers(1, 3))
+    maps and tensors sized by dim or vdim (up to 4) at random, so that
+    operand sizes often disagree; products and comultiplications take up to
+    three terms, and coefficients include fractions and big integers."""
+    dim = draw(st.integers(1, 4))
+    vdim = draw(st.none() | st.integers(1, 4))
     lines = [f"field {draw(st.sampled_from(['rational', 'gf 5', 'gf 7']))}", f"dim {dim}"]
     spaces = {"dim": dim}
     if vdim:
         lines.append(f"vdim {vdim}")
         spaces["vdim"] = vdim
-    coef = st.sampled_from(["1", "-1", "2", "1/2"])
+    # denominators stay nonzero mod 5 and mod 7, so that the file parses
+    coef = (st.sampled_from(["1", "-1", "2", "1/2"])
+            | st.builds("{}/{}".format, st.integers(-99, 99),
+                        st.sampled_from([1, 3, 4, 6, 8, 9, 11, 12, 13, 16]))
+            | st.integers(-10 ** 30, 10 ** 30).map(str))
 
     def basis(n):
         return st.integers(1, n).map("e{}".format)
@@ -509,15 +514,17 @@ def grammar_files(draw):
         space = draw(st.sampled_from(sorted(spaces)))
         n = spaces[space]
         lines.append(f"op {name}" + (" vdim" if space == "vdim" else ""))
-        for (i, j), (c, k) in draw(st.dictionaries(st.tuples(basis(n), basis(n)),
-                                                   st.tuples(coef, basis(n)),
-                                                   max_size=3)).items():
-            lines.append(f"{name}: {i} {j} = {c} {k}")
+        for (i, j), terms in draw(st.dictionaries(
+                st.tuples(basis(n), basis(n)),
+                st.lists(st.tuples(coef, basis(n)), min_size=1, max_size=3),
+                max_size=3)).items():
+            lines.append(f"{name}: {i} {j} = " + " + ".join(f"{c} {k}" for c, k in terms))
     for name in draw(st.lists(st.sampled_from(["alpha", "delta", "Delta"]), unique=True)):
         lines.append(f"comul {name}")
-        for i, (c, j, k) in draw(st.dictionaries(basis(dim), st.tuples(
-                coef, basis(dim), basis(dim)), max_size=2)).items():
-            lines.append(f"{name}: {i} = {c} {j} {k}")
+        for i, terms in draw(st.dictionaries(basis(dim), st.lists(
+                st.tuples(coef, basis(dim), basis(dim)), min_size=1, max_size=3),
+                max_size=2)).items():
+            lines.append(f"{name}: {i} = " + " + ".join(f"{c} {j} {k}" for c, j, k in terms))
     for (i, j), c in draw(st.dictionaries(st.tuples(basis(dim), basis(dim)), coef,
                                           max_size=3)).items():
         lines.append(f"tensor r: {i} {j} = {c}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from admpoisson.tensors import MulTensor
 from admpoisson.yangbaxter import RTensor
 from admpoisson.bialgebras import Comultiplication
+from admpoisson import fileformat
 from admpoisson.fileformat import (MAX_DIM, MAX_OUTPUT_ENTRIES, AlgebraFile,
                                    FormatError, parse_file, print_file,
                                    read_file, write_file)
@@ -135,6 +137,13 @@ def test_repeated_terms_accumulate():
     ("field gf 1" + "0" * 5000 + "\ndim 1\n", 1),  # over int()'s digit limit
     ("field rational\ndim 2\nop star\nstar: e\u00b2 e1 = 1 e1\n", 4),
     ("field rational\ndim 2\nop star\nstar: e1 e1 = 1 e" + "9" * 5000 + "\n", 4),
+] + [
+    # a bad coefficient, matrix entry or tensor entry is reported before an
+    # error of a later line: a duplicate product, an undeclared name, a ragged matrix
+    (f"field rational\ndim 2\nop star\n{bad}\n{later}\n", 4)
+    for bad in ("star: e2 e2 = x e1", "map m = [1,1/0]", "tensor r: e1 e2 = 2/")
+    for later in ("star: e1 e1 = 1 e1\nstar: e1 e1 = 2 e1", "wibble: e1 e1 = 1 e1",
+                  "rep l e1 = [1,2 ; 3]")
 ])
 def test_errors_carry_line_numbers(text, line):
     with pytest.raises(FormatError) as exc:
@@ -245,6 +254,8 @@ def _one_op(field, rhs):
     "1/12345678901234567890 e2 + 2147483646/2147483645 e1 + -1/3 e1",
     "1/5 e1", "1/0 e1", "1/2147483647 e2", "x e1", "1 e3", "1 e1 +2 e2", "1 e1 + + 2 e2",
     "1 e01 + 2 e2", "1/2/3 e1", "/3 e1", "1_0 e2 + \u0663 e1", "1 e1 e2",
+    # values past int64 beside negative ones: numpy would make them floats
+    "-1 e1 + 9223372036854775809 e1", "-1 e1 + 9223372036854775808 e2", "1/ e1",
 ])
 def test_parsers_agree_on_coefficients(field, rhs):
     assert_parsers_agree(_one_op(field, rhs))
@@ -268,7 +279,152 @@ def test_parsers_agree_on_families_maps_tensors_and_comultiplications(field):
         assert_parsers_agree(text + bad)
 
 
-@settings(max_examples=200, deadline=None)
-@given(grammar_files() | mangled_files())
+# ---------------------------------------------------------------------------
+# dense files, whole and with one token corrupted
+
+
+def _coef(rng):
+    """A coefficient token whose denominator is nonzero mod 5 and mod 2**31 - 1."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return str(rng.randint(-9, 9))
+    if kind == 1:
+        return f"{rng.randint(-999, 999)}/{rng.choice([2, 3, 4, 6, 7, 9, 12, 10 ** 15 + 1])}"
+    if kind == 2:
+        return str(rng.randint(-10 ** 25, 10 ** 25))
+    return f"{rng.randint(-10 ** 12, 10 ** 12)}/-{rng.choice([3, 11, 2 ** 40 + 3])}"
+
+
+def _dense_lines(rng, field, n):
+    """The lines of a dense file over `field` at dim n (an operation, a
+    comultiplication, a family, a map and a tensor, every entry present),
+    each a list of (kind, text) pieces: kind 'coef', 'basis' or '+' for the
+    tokens a corruption may hit, '' for the rest."""
+    def terms(name, lhs, arity):
+        line = [("", f"{name}: {lhs} = ")]
+        for idx in itertools.product(range(1, n + 1), repeat=arity):
+            if len(line) > 1:
+                line += [("", " "), ("+", "+"), ("", " ")]
+            line.append(("coef", _coef(rng)))
+            for k in idx:
+                line += [("", " "), ("basis", f"e{k}")]
+        return line
+
+    def matrix(head, rows, cols):
+        line = [("", head + "[")]
+        for r in range(rows):
+            for c in range(cols):
+                line += [("", " ; " if r and not c else "," if c else ""), ("coef", _coef(rng))]
+        return line + [("", "]")]
+
+    lines = [[("", f"field {field}")], [("", f"dim {n}")], [("", "op star")]]
+    lines += [terms("star", f"e{i} e{j}", 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+    lines += [[("", "comul alpha")]] + [terms("alpha", f"e{i}", 2) for i in range(1, n + 1)]
+    lines += [matrix(f"rep l e{i} = ", n, n) for i in range(1, n + 1)]
+    lines += [matrix("map theta = ", n, n + 1)]
+    lines += [[("", f"tensor r: e{i} e{j} = "), ("coef", _coef(rng))]
+              for i in range(1, n + 1) for j in range(1, n + 1)]
+    return lines
+
+
+CORRUPTIONS = {
+    "coef": ["x", "1/0", "", "1/", "/3", "1_0", "\u0663", "2/5", "1/2/3", "+3", "0/0",
+             "1.5", "9" * 5000, "-", "e1"],
+    "basis": ["e0", "e5", "e01", "f1", "e", "e\u00b2", "", "e1e1", "1", "+"],
+    "+": ["-", "++", "", "+ +", "*", "+1", "e1", "=", ","],
+    "/": ["//", " / ", "", "\\", "/0", "/ ", "+/", ";"],
+}
+
+
+def _text(lines):
+    return "\n".join("".join(text for _, text in line) for line in lines) + "\n"
+
+
+def _spots(lines):
+    """kind -> the (line, piece) places of the tokens a corruption of that
+    kind may replace."""
+    return {kind: [(a, b) for a, line in enumerate(lines) for b, (k, text) in enumerate(line)
+                   if k == kind or kind == "/" and k == "coef" and "/" in text]
+            for kind in CORRUPTIONS}
+
+
+def _corrupted(lines, kind, spot, bad):
+    lines = [list(line) for line in lines]
+    a, b = spot
+    k, text = lines[a][b]
+    lines[a][b] = (k, text.replace("/", bad, 1) if kind == "/" else bad)
+    return _text(lines)
+
+
+@st.composite
+def corrupted_dense_files(draw):
+    """A dense file of dim 1-4 over Q, GF(5) or GF(2**31 - 1) with one
+    coefficient, basis vector, '+' or '/' replaced."""
+    field = draw(st.sampled_from(["rational", "gf 5", f"gf {2 ** 31 - 1}"]))
+    lines = _dense_lines(random.Random(draw(st.integers(0, 2 ** 32))), field,
+                         draw(st.integers(1, 4)))
+    spots = _spots(lines)
+    kind = draw(st.sampled_from(sorted(kind for kind in spots if spots[kind])))
+    return _corrupted(lines, kind, draw(st.sampled_from(spots[kind])),
+                      draw(st.sampled_from(CORRUPTIONS[kind])))
+
+
+@pytest.mark.parametrize("field", ["rational", "gf 5", f"gf {2 ** 31 - 1}"])
+def test_parsers_agree_on_every_corruption(field):
+    """Each corruption at the first, a middle and the last token of its kind
+    in a dim-2 dense file."""
+    lines = _dense_lines(random.Random(2), field, 2)
+    for kind, spots in _spots(lines).items():
+        for spot in {spots[0], spots[len(spots) // 2], spots[-1]}:
+            for bad in CORRUPTIONS[kind]:
+                assert_parsers_agree(_corrupted(lines, kind, spot, bad))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_files() | mangled_files() | corrupted_dense_files())
 def test_parsers_agree_on_the_line_grammar(text):
     assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("field", ["rational", "gf 5", f"gf {2 ** 31 - 1}"])
+def test_dense_files_parse_as_the_oracle_reads_them(field):
+    for seed in range(3):
+        for n in (1, 2, 4):
+            af, _ = assert_parsers_agree(_text(_dense_lines(random.Random(seed), field, n)))
+            assert isinstance(af, AlgebraFile)
+            assert len(af.ops) == len(af.comuls) == len(af.reps) == len(af.maps) == 1
+
+
+def _dim16(rng, field, repeat):
+    """A dense dim-16 product; with `repeat`, every fourth line names one
+    basis vector in two terms, so that their coefficients add up."""
+    lines = [f"field {field}", "dim 16", "op star"]
+    for i, j in itertools.product(range(1, 17), repeat=2):
+        ks = list(range(1, 17)) + ([rng.randint(1, 16)] if repeat and j % 4 == 0 else [])
+        lines.append(f"star: e{i} e{j} = " + " + ".join(f"{_coef(rng)} e{k}" for k in ks))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field,repeat", [("rational", True), (f"gf {2 ** 31 - 1}", False)])
+def test_dense_dim16_products_parse_as_the_oracle_reads_them(field, repeat):
+    text = _dim16(random.Random(16), field, repeat)
+    af, printed = assert_parsers_agree(text)
+    assert isinstance(af, AlgebraFile) and af.ops["star"].exact.num.shape == (16,) * 3
+    assert parse_file(printed) == af
+
+
+def test_a_valid_dense_file_converts_its_tokens_in_bulk(monkeypatch):
+    """No coefficient of a valid dense file goes through _parse_scalar, the
+    token-by-token check kept for errors."""
+    calls = []
+    checked = fileformat._parse_scalar
+    monkeypatch.setattr(fileformat, "_parse_scalar",
+                        lambda *args: calls.append(args) or checked(*args))
+    for text in (_dim16(random.Random(8), "rational", True),
+                 _text(_dense_lines(random.Random(8), "rational", 4)),
+                 _text(_dense_lines(random.Random(8), "gf 5", 3))):
+        parse_file(text)
+    assert calls == []
+    with pytest.raises(FormatError):     # the check still runs where a token is bad
+        parse_file(_text(_dense_lines(random.Random(8), "rational", 2)).replace("e2 = ", "e2 = x"))
+    assert calls

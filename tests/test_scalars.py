@@ -4,7 +4,10 @@ boundary between them: the package has no scalar type, and the oracle
 borrows no arithmetic from it."""
 
 import ast
+import os
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,6 +86,41 @@ def test_characteristic_validation():
     for bad in (2, 3, 4, 6, 9, 15):
         with pytest.raises(ValueError):
             check_characteristic(bad)
+
+
+M61 = 2 ** 61 - 1
+
+
+def test_large_moduli_are_decided_by_miller_rabin():
+    # the largest prime below the proven range of the test
+    for p in (M61, 2 ** 31 - 1, 1000003, 3317044064679887385961813):
+        check_characteristic(p)
+    # strong pseudoprimes to the bases up to 7 and up to 37, and a product of
+    # two primes near 10**9, which trial division took too long to refute
+    for bad in (3215031751, 318665857834031151167461, (10 ** 9 + 7) * (10 ** 9 + 9)):
+        with pytest.raises(ValueError, match=f"modulus {bad} is not prime"):
+            check_characteristic(bad)
+
+
+def test_a_modulus_above_the_proven_range_is_refused():
+    for big in (3317044064679887385961981, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match=f"modulus {big} is too large"):
+            check_characteristic(big)
+
+
+@pytest.mark.parametrize("p,code,out,err", [
+    (M61, 0, "OK adm-poisson (dim 1, 1 triples checked)\n", ""),
+    (3317044064679887385961981, 2, "", "line 1: modulus 3317044064679887385961981 is too large"),
+])
+def test_the_cli_answers_on_a_large_modulus(tmp_path, p, code, out, err):
+    path = tmp_path / "big.alg"
+    path.write_text(f"field gf {p}\ndim 1\nop star\nstar: e1 e1 = {M61 - 1} e1\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "admpoisson.cli", "check", "adm-poisson",
+                           str(path)], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert err in proc.stderr
 
 
 def test_zero_division():
