@@ -151,8 +151,8 @@ class SearchShortfall(Exception):
 
 class SearchSpec:
     """target, a key of TARGETS; algebra constrains the tensor/operator
-    targets and rep the o_operator target, and the other targets take
-    neither."""
+    targets, rep the o_operator target and skew the adm_pybe_solution
+    target, and the other targets take none of them."""
 
     def __init__(self, target, dim, p=5, count=None, seed=0,
                  nonzero_only=False, skew=False, algebra=None, rep=None):
@@ -162,6 +162,8 @@ class SearchSpec:
             raise ValueError(f"{target} search takes no fixed algebra")
         if rep is not None and target != "o_operator":
             raise ValueError(f"{target} search takes no representation")
+        if skew and target != "adm_pybe_solution":
+            raise ValueError(f"{target} search takes no --skew")
         check_characteristic(p)
         if p == 0:
             raise ValueError("search runs over finite fields")

@@ -8,11 +8,13 @@ Comultiplication those of a comultiplication and RTensor those of an
 r-tensor; Record is the immutable base of the structures checked against
 their identities.
 Identities and contractions are tables of signed einsum terms evaluated on
-the integers (check_identities, evaluate), and linear systems are eliminated
+the integers, each by a plan of its distinct contractions (contract,
+check_identities, evaluate), and linear systems are eliminated
 on them (solve).  Numbers enter the Python API as nested ints and Fractions
 (as_exact) and leave it through Exact.tolist().
 """
 
+from itertools import permutations
 from math import gcd, lcm, prod
 from operator import index
 
@@ -448,28 +450,97 @@ class Terms:
     with repeated letters summed as in np.einsum.  Coefficients are stored
     times `den`, which must clear them; the terms of `minus` are subtracted.
     Operand axes past the subscripts (the candidate axis of a batch) are
-    carried through, last, to the output.
+    carried through, last, to the output.  `plan` is compiled on first use
+    (see _compile).
     """
 
-    __slots__ = ("terms", "ranks", "degrees", "weight", "summed", "out_axes", "joined")
+    __slots__ = ("terms", "out", "ranks", "degrees", "weight", "summed", "out_axes", "joined",
+                 "_plan")
 
     def __init__(self, text, out, den=1, minus=""):
         signed = _signed_terms(text) + [(-a, b, f) for a, b, f in _signed_terms(minus)]
-        self.terms, self.ranks = [], {}
+        self.terms, self.out, self.ranks, self._plan = [], out, {}, None
         for num, cden, factors in signed:
             if den % cden:
                 raise ValueError(f"coefficient {num}/{cden} in {text!r} is not cleared")
-            spec = ",".join(subs + "..." for _, subs in factors) + "->" + out + "..."
-            self.terms.append((num * (den // cden), [n for n, _ in factors], spec))
+            self.terms.append((num * (den // cden), factors))
             self.ranks.update((n, len(subs)) for n, subs in factors)
         self.degrees = {len(factors) for _, _, factors in signed}
-        self.weight = sum(abs(k) for k, _, _ in self.terms)
+        self.weight = sum(abs(k) for k, _ in self.terms)
         self.summed = max((len(set("".join(subs for _, subs in f)) - set(out))
                            for _, _, f in signed), default=0)
         # where each output axis's size can be read: (operand, axis)
         self.out_axes = [next(((n, subs.index(c)) for _, _, f in signed
                                for n, subs in f if c in subs), None) for c in out]
         self.joined = _joined_axes([f for _, _, f in signed], out)
+
+    @property
+    def plan(self):
+        if self._plan is None:
+            self._plan = _compile(self.terms, self.out)
+        return self._plan
+
+
+def _canonical(factors, out):
+    """The contraction of one term up to the order of its factors and the
+    names of its letters: the least (names, labels, free labels) over the
+    factor orders, each letter labelled by its first appearance; with the
+    label of each letter."""
+    best = None
+    for order in permutations(factors):
+        label = {}
+        for _, subs in order:
+            for c in subs:
+                label.setdefault(c, len(label))
+        key = (tuple((name, tuple(label[c] for c in subs)) for name, subs in order),
+               tuple(sorted(label[c] for c in out)))
+        if best is None or key < best[0]:
+            best = key, label
+    return best
+
+
+def _laid_out(key):
+    """The einsum of a canonical contraction of two factors over operands
+    laid out as einsum runs fast: summed axes last in the first factor and
+    first in the others (a candidate axis stays last).  Returns (spec,
+    [(name, axis order, or None to take the operand as it is), ...]); the
+    output axes are the free labels in order."""
+    factors, free = key
+    letters, layout = [], []
+    for f, (name, labels) in enumerate(factors):
+        axes = range(len(labels))
+        summed = sorted((a for a in axes if labels[a] not in free), key=labels.__getitem__)
+        kept = [a for a in axes if labels[a] in free]
+        order = tuple(kept + summed if f == 0 else summed + kept)
+        letters.append("".join(chr(97 + labels[a]) for a in order) + "...")
+        layout.append((name, None if order == tuple(axes) else order))
+    return ",".join(letters) + "->" + "".join(chr(97 + c) for c in free) + "...", layout
+
+
+def _compile(terms, out):
+    """The plan of a sum of terms: its distinct contractions, each (spec,
+    layout, written, steps), where a step (k, axes) adds k times the
+    contraction's output transposed by axes (None: as it is).  A
+    contraction of two factors is laid out by _laid_out.  One of one or
+    three factors is `written`: it runs as its first term is written, into
+    a buffer of the output's shape, which einsum runs about twice as fast
+    for three factors as the layout of two (measured at dims 4-8)."""
+    plan, index = [], {}
+    for k, factors in terms:
+        key, label = _canonical(factors, out)
+        if key not in index:
+            if len(factors) == 2:
+                (spec, layout), outputs, written = _laid_out(key), key[1], False
+            else:
+                spec = ",".join(subs + "..." for _, subs in factors) + "->" + out + "..."
+                layout = [(name, None) for name, _ in factors]
+                outputs, written = [label[c] for c in out], True
+            index[key] = len(plan), outputs
+            plan.append((spec, layout, written, []))
+        c, outputs = index[key]
+        axes = tuple(outputs.index(label[ch]) for ch in out)
+        plan[c][3].append((k, None if axes == tuple(range(len(out))) else axes))
+    return plan
 
 
 def _joined_axes(terms, out):
@@ -557,20 +628,45 @@ def contract(terms, arrays, p):
     has the `out` axes, then the candidate axis of a batch when an operand
     has more axes than its subscripts: the largest last axis, since an
     operand shared by every candidate has a last axis of 1 and is
-    broadcast."""
+    broadcast.  Each distinct contraction of the plan is evaluated once, on
+    its operands laid out once per call, and added transposed to each of its
+    terms; every partial sum stays within _overflow_bound in any order."""
     shape = [arrays[name].shape[axis] for name, axis in terms.out_axes]
     batch = [arrays[name].shape[-1] for name, rank in terms.ranks.items()
              if arrays[name].ndim > rank]
+    tail = ()
     if batch:
         shape.append(max(batch))
-    dtype = arrays[terms.terms[0][1][0]].dtype
-    total = np.zeros(shape, dtype=dtype)
-    term = np.empty(shape, dtype=dtype)
-    for k, names, spec in terms.terms:
-        # into a buffer of our own: a one-factor einsum may return a view
-        np.einsum(spec, *(arrays[name] for name in names), out=term)
-        term *= k
-        total += term
+        tail = (len(terms.out),)
+    total, laid = None, {}
+    for spec, layout, written, steps in terms.plan:
+        operands = []
+        for name, order in layout:
+            a = arrays[name]
+            if order is not None:
+                if (name, order) not in laid:
+                    laid[name, order] = np.ascontiguousarray(
+                        a.transpose(order + tuple(range(len(order), a.ndim))))
+                a = laid[name, order]
+            operands.append(a)
+        if written:
+            # into a buffer of our own: a one-factor einsum may return a view
+            res = np.einsum(spec, *operands, out=np.empty(shape, operands[0].dtype))
+        else:
+            res = np.einsum(spec, *operands)
+            if res.ndim < len(shape):
+                res = res[..., None]
+        for k, axes in steps:
+            term = res if axes is None else res.transpose(axes + tail)
+            if total is None:
+                total = np.empty(shape, dtype=res.dtype)
+                np.multiply(term, k, out=total)
+            elif k == 1:
+                total += term
+            elif k == -1:
+                total -= term
+            else:
+                total += term * k
     if p:
         total %= p
     return total
@@ -607,18 +703,19 @@ def check_identities(groups, operands, p):
                                                for ident in group])
     for group in groups:
         residuals = [contract(ident.residual, arrays, p) for ident in group]
+        if not any(res.any() for res in residuals):
+            continue
         failing = np.stack([res.reshape(res.shape[:len(ident.index)] + (-1,)).any(-1)
                             for ident, res in zip(group, residuals)], axis=-1)
-        if failing.any():
-            *idx, which = np.unravel_index(failing.argmax(), failing.shape)
-            idx = tuple(int(i) for i in idx)
-            ident = group[which]
-            # on Python ints: lhs - residual may leave a narrow dtype
-            lhs = np.atleast_1d(contract(ident.lhs, arrays, p)[idx]).astype(object)
-            rhs = lhs - np.atleast_1d(residuals[which][idx]).astype(object)
-            scale = ident.den * den ** ident.degree
-            return AxiomReport.fail(ident.name, idx, Exact(lhs, scale, p),
-                                    Exact(rhs % p if p else rhs, scale, p))
+        *idx, which = np.unravel_index(failing.argmax(), failing.shape)
+        idx = tuple(int(i) for i in idx)
+        ident = group[which]
+        # on Python ints: lhs - residual may leave a narrow dtype
+        lhs = np.atleast_1d(contract(ident.lhs, arrays, p)[idx]).astype(object)
+        rhs = lhs - np.atleast_1d(residuals[which][idx]).astype(object)
+        scale = ident.den * den ** ident.degree
+        return AxiomReport.fail(ident.name, idx, Exact(lhs, scale, p),
+                                Exact(rhs % p if p else rhs, scale, p))
     return AxiomReport.ok()
 
 

@@ -16,7 +16,8 @@ r = sum r[i][j] e_i (x) e_j):
 import numpy as np
 
 from .tensors import (Comultiplication, Exact, RTensor, Tensor3, Terms, Identity,
-                      evaluate, check_identities, common, identity, solve)
+                      check_identities, common, contract, evaluate, exact_operands,
+                      identity, solve)
 
 
 # Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
@@ -141,17 +142,20 @@ def check_coboundary_conditions(a, r, which):
         return check_identities(((CON1,),), {"m": star.exact, "r": r.exact}, p)
     if which not in EQV and which not in COSP:
         raise ValueError(f"unknown condition {which!r}")
-    M = sym_defect(star, r)
     if which in EQV:
-        return check_identities(((EQV[which],),), {"m": star.exact, "M": M}, p)
+        return check_identities(((EQV[which],),), {"m": star.exact, "M": sym_defect(star, r)}, p)
     ident = COSP[which]
-    ops = {"m": star.exact, "M": M, "P": ybe_operator(star, r, "P").exact,
-           "Q": ybe_operator(star, r, "Q").exact}
-    ops.update((name, evaluate(terms, {"r": r.exact, "m": star.exact}, p))
-               for name, terms in _R_TIMES_M.items() if name in ident.residual.ranks)
+    # M, P, Q and the contractions it names, from one operand set of (m, r);
+    # P and Q take r as both a and b
+    sides = {name: terms for name, terms in (("M", SYM_DEFECT), ("P", YBE_OPERATORS["P"]),
+                                             ("Q", YBE_OPERATORS["Q"]), *_R_TIMES_M.items())
+             if name in ident.residual.ranks}
+    arrays, den = exact_operands({"m": star.exact, "r": r.exact, "a": r.exact, "b": r.exact},
+                                 p, sides.values())
+    ops = {name: Exact(contract(terms, arrays, p), den ** max(terms.degrees), p)
+           for name, terms in sides.items()}
     # the witness is the first nonzero entry of the residual at (i, a, b)
-    return check_identities([[ident]], {k: ops[k] for k in ident.residual.ranks},
-                            p).first_entry()
+    return check_identities([[ident]], {"m": star.exact, **ops}, p).first_entry()
 
 
 # At (i, j) = (f_i, f_j) with r#(f_i) = r[i][.]:

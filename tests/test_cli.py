@@ -292,6 +292,16 @@ def test_search_cli_refuses_an_algebra_for_a_target_that_fixes_none(capsys, targ
     assert err == f"error: {target} search takes no fixed algebra\n"
 
 
+@pytest.mark.parametrize("target, fixed", [
+    ("adm_poisson", []), ("poisson", []), ("pre_adm_poisson", []),
+    ("o_operator", ["--algebra", BAD_ADM_GF5])])
+def test_search_cli_refuses_skew_for_a_target_without_r(capsys, target, fixed):
+    code, out, err = run(capsys, "search", target, "--dim", "2", "--field", "5", "--skew",
+                         *fixed)
+    assert (code, out) == (2, "")
+    assert err == f"error: {target} search takes no --skew\n"
+
+
 def test_the_cli_names_every_search_target():
     from admpoisson.search import TARGETS
     assert SEARCH_TARGETS == tuple(TARGETS)
@@ -302,7 +312,8 @@ def test_search_cli_rejects_a_fixed_algebra_that_is_not_adm_poisson(capsys, targ
     # the witness is the one `check adm-poisson` prints, 1-based
     assert run(capsys, "check", "adm-poisson", BAD_ADM_GF5)[1].startswith(
         "FAIL adm-poisson at (1,1,2):")
-    code, out, err = run(capsys, "search", target, "--dim", "2", "--field", "5", "--skew",
+    skew = ["--skew"] if target == "adm_pybe_solution" else []
+    code, out, err = run(capsys, "search", target, "--dim", "2", "--field", "5", *skew,
                          "--algebra", BAD_ADM_GF5)
     assert (code, out) == (2, "")
     assert err == "error: the fixed algebra is not adm-Poisson: it fails adm-poisson at (1,1,2)\n"

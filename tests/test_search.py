@@ -237,6 +237,11 @@ def test_search_rejects_bad_spec():
     for target, algebra in (("adm_pybe_solution", star), ("adm_poisson", None)):
         with pytest.raises(ValueError, match=f"{target} search takes no representation"):
             SearchSpec(target, 1, p=5, algebra=algebra, rep=(rep.l, rep.r))
+    for target, algebra in (("adm_poisson", None), ("poisson", None),
+                            ("pre_adm_poisson", None), ("o_operator", star)):
+        with pytest.raises(ValueError, match=f"{target} search takes no --skew"):
+            SearchSpec(target, 1, p=5, skew=True, algebra=algebra)
+    assert SearchSpec("adm_pybe_solution", 1, p=5, skew=True, algebra=star).skew
 
 
 TABLES = {"adm_poisson": (((ADM_POISSON,),), "c"),
