@@ -490,48 +490,61 @@ COMMANDS = {
 
 
 def make_parser(command=None):
-    """The top-level parser with the subparser of `command` only, or with
-    all three when `command` names none (no arguments, -h, an unknown
-    command); either reads the argv of `command` with the same messages."""
+    """The parser of `command` alone, `admpoisson COMMAND`, built as argparse
+    builds its subparser; or, when `command` names none (no arguments, -h,
+    an unknown command), the top-level parser with all three subparsers."""
+    if command in COMMANDS:
+        return _add_arguments(argparse.ArgumentParser(prog=f"admpoisson {command}"), command)
     parser = argparse.ArgumentParser(
         prog="admpoisson",
         description="Verify and build admissible-Poisson structures.")
-    one = command in COMMANDS
-    # with one subparser the usage line still names every command; the full
-    # parser keeps argparse's default, which its errors call `command`
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
-    for name in [command] if one else COMMANDS:
-        _, help_line, arguments = COMMANDS[name]
-        subparser = sub.add_parser(name, help=help_line)
-        for flag, options in arguments:
-            subparser.add_argument(flag, **options)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
+    return parser
+
+
+def _add_arguments(parser, command):
+    for flag, options in COMMANDS[command][2]:
+        parser.add_argument(flag, **options)
     return parser
 
 
 def run_command(argv):
-    """Run one command; return its exit code.  Its argparse parser, the
-    top-level parser and the subparser of the command, is left in reference
-    cycles (each action points back at its group, each help formatter at
-    its sections) that only the cyclic collector frees.  Collecting the
-    youngest generation on return frees them while they are few, so
-    commands run one after another in one process never promote them into
-    the full collections (about 10 ms each) that would otherwise land in a
-    later command."""
+    """Run one command; return its exit code.  A known command is read by
+    its own parser; the top-level parser is built only when argv names no
+    command, or to report an argument the command's parser left over.
+    Either is left in reference cycles (each action points back at its
+    group, each help formatter at its sections) that only the cyclic
+    collector frees.  Collecting the youngest generation on return frees
+    them while they are few, so commands run one after another in one
+    process never promote them into the full collections (about 10 ms
+    each) that would otherwise land in a later command."""
     try:
         return _run(argv)
     finally:
         gc.collect(0)
 
 
+def _parse(argv):
+    """(command, namespace) of argv; SystemExit on help and usage errors."""
+    if argv and argv[0] in COMMANDS:
+        args, extras = make_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return argv[0], args
+    # no command, or arguments left over: the top-level parser reads argv,
+    # and reports them as its own "unrecognized arguments"
+    args = make_parser().parse_args(argv)
+    return args.command, args
+
+
 def _run(argv):
-    parser = make_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        command, args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command][0](args)
+        return COMMANDS[command][0](args)
     except Failed as exc:
         print(exc)
         return 1

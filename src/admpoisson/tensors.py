@@ -499,19 +499,34 @@ def _canonical(factors, out):
     return best
 
 
+def _fast_as_written(key):
+    """Whether einsum runs a canonical contraction of two factors as fast on
+    its operands as they are as laid out: when the summed labels, in one
+    order, lead the axes of one factor and lead or end those of the other,
+    a copy costs more than it saves (measured at dims 2-8)."""
+    factors, free = key
+    summed = [tuple(c for c in labels if c not in free) for _, labels in factors]
+    m = len(summed[0])
+    lead = [labels[:m] == summed[0] for _, labels in factors]
+    end = [labels[len(labels) - m:] == summed[0] for _, labels in factors]
+    return summed[0] == summed[1] and (lead[0] and (lead[1] or end[1]) or lead[1] and end[0])
+
+
 def _laid_out(key):
     """The einsum of a canonical contraction of two factors over operands
     laid out as einsum runs fast: summed axes last in the first factor and
-    first in the others (a candidate axis stays last).  Returns (spec,
+    first in the others (a candidate axis stays last), unless it runs as
+    fast on the operands as they are (_fast_as_written).  Returns (spec,
     [(name, axis order, or None to take the operand as it is), ...]); the
     output axes are the free labels in order."""
     factors, free = key
+    as_written = _fast_as_written(key)
     letters, layout = [], []
     for f, (name, labels) in enumerate(factors):
         axes = range(len(labels))
         summed = sorted((a for a in axes if labels[a] not in free), key=labels.__getitem__)
         kept = [a for a in axes if labels[a] in free]
-        order = tuple(kept + summed if f == 0 else summed + kept)
+        order = tuple(axes) if as_written else tuple(kept + summed if f == 0 else summed + kept)
         letters.append("".join(chr(97 + labels[a]) for a in order) + "...")
         layout.append((name, None if order == tuple(axes) else order))
     return ",".join(letters) + "->" + "".join(chr(97 + c) for c in free) + "...", layout

@@ -686,12 +686,17 @@ USAGE_ARGV = [
     ["check", "adm-poisson", GOOD, "extra"], ["build", "polarize", GOOD, "extra"],
     ["search", "adm_poisson", "extra"],
     ["search", "adm_poisson", "--dim", "x"],
+    # where a parser of its own could read otherwise than the subparser
+    ["check", "--", "adm-poisson"], ["build", "polarize", GOOD, "--out"],
+    ["search", "--dim", "2"], ["search", "adm_poisson", "--nonz", "--x"],
+    ["search", "adm_poisson", "--dim=x"], ["check", "adm-poisson", GOOD, "-h"],
+    ["--", "check", "adm-poisson", GOOD],
 ]
 
 
 @pytest.mark.parametrize("argv", USAGE_ARGV)
 def test_usage_errors_read_as_with_every_subparser(capsys, argv):
-    """run_command builds the subparser of its command only; its help and
+    """run_command builds the parser of its command only; its help and
     usage errors are those of the parser of every command, byte for byte."""
     with pytest.raises(SystemExit) as exc:
         make_parser().parse_args(argv)
@@ -699,17 +704,38 @@ def test_usage_errors_read_as_with_every_subparser(capsys, argv):
     assert run(capsys, *argv) == (2 if exc.value.code else 0, out.out, out.err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "adm-poisson", GOOD],
+    ["check", "--", "adm-poisson", GOOD],
+    ["build", "--out", "x.alg", "polarize", GOOD],
+    ["build", "polarize", "--", GOOD],
+    ["search", "adm_poisson", "--nonz", "--sk"],
+    ["search", "--dim=2", "adm_poisson", "--field=7"],
+    ["search", "adm_poisson", "--seed", "-1", "--count", "3"],
+    ["search", "--alg", GOOD, "--", "o_operator"],
+])
+def test_a_command_parser_reads_as_its_subparser(argv):
+    """What the parser of a command reads from the arguments after it is
+    what the parser of every command reads, but for `command`."""
+    full = vars(make_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    args, extras = make_parser(argv[0]).parse_known_args(argv[1:])
+    assert extras == [] and vars(args) == full
+
+
 @pytest.mark.parametrize("argv,parsers", [
-    (["check", "adm-poisson", GOOD], 2),
-    (["build", "polarize", GOOD], 2),
-    (["search", "adm_poisson", "--dim", "1", "--field", "5"], 2),
+    (["check", "adm-poisson", GOOD], 1),
+    (["build", "polarize", GOOD], 1),
+    (["search", "adm_poisson", "--dim", "1", "--field", "5"], 1),
+    (["check", "adm-poisson", GOOD, "--x"], 5),
     ([], 4),
     (["-h"], 4),
     (["bogus"], 4),
 ])
 def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys, argv, parsers):
-    """The top-level parser and the subparser of the command; all three
-    subparsers only when no command is named."""
+    """The parser of the command alone; the top-level parser and all three
+    subparsers when no command is named, and beside the command's parser
+    when an argument is left over, to report it."""
     import argparse
     built, init = [], argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",

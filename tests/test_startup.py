@@ -130,6 +130,7 @@ EXIT_CASES = [
       "--nonzero-only"], 3),
     (["check", "adm-poisson", str(CORPUS / "good_adm.alg"), "--x"], 2),
     (["search", "adm_poisson", "--dim", "x"], 2),
+    (["search", "adm_poisson", "--nonz", "--x"], 2),
 ]
 
 

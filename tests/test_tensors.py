@@ -312,3 +312,20 @@ def test_witnesses_are_exact_rows():
     # 1/2, 1 against 2/4, 3/4: the numerators differ at 0, the values at 1
     report = AxiomReport.fail("x", (0,), Exact([1, 2], 2), Exact([2, 3], 4)).first_entry()
     assert report.witness == ("x", (0,), Exact([1]), Exact([3], 4))
+
+
+@pytest.mark.parametrize("text, out, copied", [
+    ("r:pq m:psa", "qsa", []),          # the summed axis leads both factors
+    ("a:suv b:ijs", "uvij", []),        # it leads one factor and ends the other
+    ("a:stuv b:ijst", "ijuv", []),
+    ("a:ak b:ikb", "iba", ["b"]),       # it lies between kept axes of b
+    ("c:jks c:isl", "jkil", ["c"]),
+    ("a:ijs b:aus", "ijau", ["b"]),     # it ends both factors
+    ("a:ijst b:tsuv", "ijuv", ["b"]),   # in another order in b
+])
+def test_a_plan_copies_only_the_operands_einsum_runs_slowly(text, out, copied):
+    """A contraction of two factors is run on its operands as they are when
+    its summed axes, in one order, lead one factor and lead or end the
+    other; otherwise the operands that are not laid out are copied."""
+    ((_, layout, _, _),) = Terms(text, out).plan
+    assert [name for name, order in layout if order is not None] == copied
