@@ -16,7 +16,8 @@ from .scalars import check_characteristic
 from .tensors import ShapeError
 from .algebras import (AdmPoissonAlgebra, PoissonAlgebra, check_adm_poisson,
                        check_poisson, depolarize, polarize)
-from .fileformat import AlgebraFile, FormatError, entry_strings, print_file, read_file
+from .fileformat import (AlgebraFile, FormatError, entry_strings, print_file, read_file,
+                         write_file)
 # The other modules are imported by the functions that use them, so that a
 # command loads only the modules it runs.
 
@@ -414,13 +415,12 @@ def _cmd_check(args):
 
 
 def _cmd_build(args):
-    text = print_file(CONSTRUCTIONS[args.construction](_read(args.file)))
+    af = CONSTRUCTIONS[args.construction](_read(args.file))
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.write(print_file(af))
         return 0
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(args.out, af)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}")
     print(f"OK {args.construction} -> {args.out}")

@@ -80,13 +80,13 @@ class AlgebraFile:
         return {k: as_exact(v, self.p) for k, v in part.items()}
 
 
-def _parse_basis(tok, size, lineno, label="basis vector"):
+def _parse_basis(tok, size, lineno):
     i = _BASIS_INDEX.get(tok, size)
     if i < size:
         return i
     digits = tok[1:]
     if not (tok.startswith("e") and digits.isascii() and digits.isdecimal()):
-        raise FormatError(lineno, f"expected {label} like 'e1', got {tok!r}")
+        raise FormatError(lineno, f"expected basis vector like 'e1', got {tok!r}")
     # compare lengths first: int() refuses very long digit strings
     if len(digits.lstrip("0")) > len(str(size)) or not 1 <= int(digits) <= size:
         raise FormatError(lineno, f"index {tok} out of range (size {size})")
@@ -96,7 +96,7 @@ def _parse_basis(tok, size, lineno, label="basis vector"):
 def _parse_scalar(tok, p, lineno):
     """'7' or '-3/4' as ints (num, den), den nonzero (mod p); p was validated
     on the field line.  The parser converts its tokens in bulk (_convert)
-    and calls this only to report the first bad one."""
+    and calls this only on the checked reading of a file that failed."""
     try:
         return int(tok), 1
     except ValueError:
@@ -114,9 +114,10 @@ def _parse_scalar(tok, p, lineno):
 
 def _convert(toks, p):
     """The coefficient tokens as (nums, dens), lists of ints (dens None when
-    no token is a fraction), or None when _parse_scalar rejects a token:
-    the same rule, a list at a time (int() strips the whitespace that
-    _parse_scalar strips before it splits at '/')."""
+    no token is a fraction), by the rule of _parse_scalar, a list at a time
+    (int() strips the whitespace that _parse_scalar strips before it splits
+    at '/').  A bad token raises a FormatError without its line, which the
+    checked reading of parse_file finds."""
     try:
         return list(map(int, toks)), None
     except ValueError:
@@ -129,21 +130,10 @@ def _convert(toks, p):
         nums = list(map(int, heads))
         den_of = {tail: int(tail) for tail in set(tails)}
     except ValueError:
-        return None
+        raise FormatError(0, "bad scalar")
     if any(d % p == 0 for d in den_of.values()) if p else 0 in den_of.values():
-        return None
+        raise FormatError(0, "bad scalar")
     return nums, list(map(den_of.__getitem__, tails))
-
-
-def _check_tokens(marks, p):
-    """Raise the FormatError of the first bad coefficient or term in file
-    order, if there is one."""
-    for lineno, payload, target, cell in marks:
-        if target.arity:
-            _parse_terms(payload, target.shape[0], p, lineno, target.arity, cell)
-        else:
-            for tok in payload:
-                _parse_scalar(tok, p, lineno)
 
 
 def _target(shape=None, arity=0):
@@ -151,31 +141,30 @@ def _target(shape=None, arity=0):
     basis vectors in a term: 1 for an operation, 2 for a comultiplication,
     0 for tensors, families and maps, whose entries are one token each.
     `toks` and `cells` are the coefficient tokens and the flat cells they
-    add to; `seen` the keys of the lines read, for the duplicate checks.
-    A namespace rather than a class of this module, whose constructor
-    perfbench/tracer.py would count among the module's public calls."""
+    add to (for terms, until _collect_terms splits them, the right-hand
+    sides and cells of the lines); `seen` the keys of the lines read, for
+    the duplicate checks.  A namespace rather than a class of this module,
+    whose constructor perfbench/tracer.py would count among the module's
+    public calls."""
     return SimpleNamespace(shape=shape, arity=arity, toks=[], cells=[], seen={})
 
 
 def parse_file(text):
     """The AlgebraFile of `text`.  One pass over the lines checks the
     statements; the terms of each structure are then split at once and
-    all coefficient tokens converted at once.  Tokens and terms are
-    checked one by one only when something failed, in file order, so
-    that every error is the one a token-by-token reading meets first."""
-    af, targets, marks = AlgebraFile(), {}, []
+    all coefficient tokens converted at once.  When any step fails, the
+    text is read again with each token and term checked where it stands,
+    and the first error in file order is raised."""
+    af, targets = AlgebraFile(), {}
     try:
-        _read_statements(text, af, targets, marks)
+        _read_statements(text, af, targets)
         for target in targets.values():
             if target.arity:
-                _collect_terms(target, [m for m in marks if m[2] is target], af.p)
+                _collect_terms(target)
+        nums, dens = _convert(list(chain.from_iterable(t.toks for t in targets.values())), af.p)
     except FormatError:
-        _check_tokens(marks, af.p)      # a bad token on an earlier line comes first
+        _read_statements(text, AlgebraFile(), {}, checked=True)    # raises the first error
         raise
-    values = _convert(list(chain.from_iterable(t.toks for t in targets.values())), af.p)
-    if values is None:
-        _check_tokens(marks, af.p)      # raises
-    nums, dens = values
     start = 0
     for (kind, name), target in targets.items():
         stop = start + len(target.toks)
@@ -193,11 +182,11 @@ def parse_file(text):
     return af
 
 
-def _read_statements(text, af, targets, marks):
-    """The line pass of parse_file: sets af's header, keeps a _target per
-    structure in `targets`, keyed (kind, name), and in `marks` the (line
-    number, payload, target, cell) of every line with coefficients, in
-    file order."""
+def _read_statements(text, af, targets, checked=False):
+    """The line pass of parse_file: sets af's header and keeps a _target per
+    structure in `targets`, keyed (kind, name).  With `checked`, every
+    coefficient and term is also checked on its line, so the first error
+    in file order is raised."""
     field_seen = False
     heads = {}      # 'NAME:' -> the _target of op NAME, when NAME has no ':'
 
@@ -208,17 +197,12 @@ def _read_statements(text, af, targets, marks):
         words = line.split(None, 3)     # a statement of more words is rejected by length
         head = words[0]
 
-        # a product line as print_file writes it, read here when it is new
-        # and its indices are in range; the general data line takes the rest
+        # a product line as print_file writes it, without the general split
+        # (the checked reading keeps no heads: its terms need checking)
         target = heads.get(head)
         if target is not None and len(words) == 4 and words[3][0] == "=":
-            size = target.shape[0]
-            i, j = _BASIS_INDEX.get(words[1], size), _BASIS_INDEX.get(words[2], size)
-            cell = i * size + j
-            if i < size and j < size and cell not in target.seen:
-                target.seen[cell] = None
-                marks.append((lineno, words[3][1:], target, cell))
-                continue
+            _add_terms(target, words[1:3], words[3][1:], lineno)
+            continue
 
         if head == "format":
             if words[1:] != ["1"]:
@@ -275,7 +259,7 @@ def _read_statements(text, af, targets, marks):
             if ("op", name) in targets or ("comul", name) in targets:
                 raise FormatError(lineno, f"duplicate name {name!r}")
             targets["op", name] = target = _target((size,) * 3, arity=1)
-            if ":" not in name:
+            if ":" not in name and not checked:
                 heads[name + ":"] = target
             continue
 
@@ -307,7 +291,8 @@ def _read_statements(text, af, targets, marks):
             if (i, j) in target.seen:
                 raise FormatError(lineno, f"duplicate tensor entry {toks[0]} {toks[1]}")
             target.seen[i, j] = None
-            marks.append((lineno, [rhs], target, None))
+            if checked:
+                _parse_scalar(rhs, af.p, lineno)
             target.toks.append(rhs)
             target.cells.append(i * af.dim + j)
             continue
@@ -335,7 +320,7 @@ def _read_statements(text, af, targets, marks):
             target = targets.get(("rep", name))
             if target is None:
                 target = targets["rep", name] = _target()
-            rows = _add_matrix(target, rhs, i, lineno, marks)
+            rows = _add_matrix(target, rhs, i, lineno, af.p if checked else None)
             if i in target.seen:
                 raise FormatError(lineno, f"duplicate rep matrix for {btok}")
             target.seen[i] = (lineno, len(rows), len(rows[0]))
@@ -350,7 +335,7 @@ def _read_statements(text, af, targets, marks):
             if ("map", name) in targets:
                 raise FormatError(lineno, f"duplicate map {name!r}")
             targets["map", name] = target = _target()
-            rows = _add_matrix(target, rhs, 0, lineno, marks)
+            rows = _add_matrix(target, rhs, 0, lineno, af.p if checked else None)
             target.shape = (len(rows), len(rows[0]))
             continue
 
@@ -358,30 +343,17 @@ def _read_statements(text, af, targets, marks):
         if ":" in line:
             name, body = line.split(":", 1)
             name = name.strip()
-            if ("op", name) in targets:
-                target = targets["op", name]
-                size = target.shape[0]
-                lhs, eq, rhs = body.partition("=")
-                toks = lhs.split()
-                if len(toks) != 2 or not eq:
-                    raise FormatError(lineno, "product line needs 'NAME: ei ej = terms'")
-                i = _parse_basis(toks[0], size, lineno)
-                cell = i * size + _parse_basis(toks[1], size, lineno)
-                if cell in target.seen:
-                    raise FormatError(lineno, f"duplicate product {toks[0]} {toks[1]}")
-            elif ("comul", name) in targets:
-                target = targets["comul", name]
-                lhs, eq, rhs = body.partition("=")
-                toks = lhs.split()
-                if len(toks) != 1 or not eq:
-                    raise FormatError(lineno, "comul line needs 'NAME: ei = terms'")
-                cell = _parse_basis(toks[0], af.dim, lineno)
-                if cell in target.seen:
-                    raise FormatError(lineno, f"duplicate comultiplication of {toks[0]}")
-            else:
+            target = targets.get(("op", name)) or targets.get(("comul", name))
+            if target is None:
                 raise FormatError(lineno, f"data line for undeclared name {name!r}")
-            target.seen[cell] = None
-            marks.append((lineno, rhs, target, cell))
+            lhs, eq, rhs = body.partition("=")
+            toks = lhs.split()
+            if len(toks) != 3 - target.arity or not eq:
+                raise FormatError(lineno, "product line needs 'NAME: ei ej = terms'"
+                                  if target.arity == 1 else "comul line needs 'NAME: ei = terms'")
+            _add_terms(target, toks, rhs, lineno)
+            if checked:
+                _check_terms(rhs, target.shape[0], af.p, lineno, target.arity)
             continue
 
         raise FormatError(lineno, f"unrecognized line {line!r}")
@@ -400,18 +372,21 @@ def _read_statements(text, af, targets, marks):
             target.shape = (af.dim if af.rep_spaces[name] == "dim" else af.vdim, m, m)
 
 
-def _add_matrix(target, text, i, lineno, marks):
+def _add_matrix(target, text, i, lineno, p=None):
     """Add the entries of the matrix `text`, '[a,b ; c,d]', to target as
     the i-th matrix of its family (cells from i * rows**2), and return its
-    rows of tokens.  A ragged matrix is rejected after its tokens are
-    noted, since a token-by-token reading meets them first."""
+    rows of tokens.  Given p, on the checked reading, each entry is checked
+    as a scalar over p before the rows are compared, since a token-by-token
+    reading meets them first."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise FormatError(lineno, "matrix must be enclosed in [ ... ]")
     rows = [row_s.split(",") for row_s in text[1:-1].split(";")]
     toks = [tok for row in rows for tok in row]
+    if p is not None:
+        for tok in toks:
+            _parse_scalar(tok, p, lineno)
     start = i * len(rows) ** 2
-    marks.append((lineno, toks, target, None))
     target.toks += toks
     target.cells += range(start, start + len(toks))
     width = len(rows[0])
@@ -420,55 +395,70 @@ def _add_matrix(target, text, i, lineno, marks):
     return rows
 
 
-def _collect_terms(target, lines, p):
-    """Fill target.toks and target.cells from its term lines, the marks
-    (line number, right-hand side, target, cell) of `lines`.  Every line in
-    the spelling '<c> e<k> + ...' (arity 1) or '<c> e<j> e<k> + ...' (arity
-    2) with indices in range: all lines are joined and split once, and
-    their indices looked up at once in _BASIS_INDEX.  Otherwise each line
-    is read by _parse_terms, which raises the first error of a line."""
-    size, arity = target.shape[0], target.arity
-    rhss = [rhs for _, rhs, _, _ in lines]
-    joined = " + ".join(rhss)
-    toks = joined.split()
-    step = arity + 2
-    coefs, seps = toks[::step], toks[arity + 1::step]
-    # the joined text splits as its lines do exactly when every '+' is a
-    # separator token and the tokens between them make whole terms
-    if len(toks) == len(coefs) * step - 1 and joined.count("+") == len(seps) == seps.count("+"):
-        idx = [np.fromiter(map(_BASIS_INDEX.get, toks[a::step], repeat(size)), np.intp,
-                           len(coefs)) for a in range(1, arity + 1)]
-        if max(ks.max() for ks in idx) < size:
-            terms = np.fromiter(map(str.count, rhss, repeat("+")), np.intp, len(rhss)) + 1
-            cells = np.array([cell for _, _, _, cell in lines]).repeat(terms)
-            for ks in idx:
-                cells = cells * size + ks
-            target.toks, target.cells = coefs, cells
-            return
-    for lineno, rhs, _, cell in lines:
-        cells, coefs = _parse_terms(rhs, size, p, lineno, arity, cell)
-        target.toks += coefs
-        target.cells += cells
+def _add_terms(target, btoks, rhs, lineno):
+    """Record the data line 'NAME: <btoks> = <rhs>' of an operation (two
+    basis tokens) or a comultiplication (one): the cell of its basis tokens,
+    checked to be new, and its right-hand side for _collect_terms."""
+    size = target.shape[0]
+    cell = 0
+    for tok in btoks:
+        cell = cell * size + _parse_basis(tok, size, lineno)
+    if cell in target.seen:
+        what = "product" if target.arity == 1 else "comultiplication of"
+        raise FormatError(lineno, f"duplicate {what} {' '.join(btoks)}")
+    target.seen[cell] = None
+    target.toks.append(rhs)
+    target.cells.append(cell)
 
 
-def _parse_terms(rhs, size, p, lineno, arity, cell):
-    """'1 e2 + -1/2 e1' (arity 1) or '1 e1 e2 + ...' (arity 2), or '0', as
-    (cells, coefficient tokens), each token checked in order: each term's
-    cell is the flat row-major index of `cell` followed by its indices."""
+def _collect_terms(target):
+    """Split the right-hand sides in target.toks into coefficient tokens,
+    and their line cells in target.cells into term cells.  A term reads
+    '<c> e<k>' (arity 1) or '<c> e<j> e<k>' (arity 2): all lines are joined
+    and split at once, and their basis tokens looked up at once in
+    _BASIS_INDEX.  If the joined split fails, '0' lines (no terms) are
+    dropped and every '+' spaced, and it is tried once more; basis tokens
+    outside the table, such as 'e01', go through _parse_basis.  A bad term
+    raises a FormatError whose line the checked reading finds."""
+    size, arity, step = target.shape[0], target.arity, target.arity + 2
+    rhss, cells = target.toks, target.cells
+    for _ in range(2):
+        joined = " + ".join(rhss)
+        toks = joined.split()
+        coefs, seps = toks[::step], toks[arity + 1::step]
+        # the joined text splits as its lines do exactly when every '+' is a
+        # separator token and the tokens between them make whole terms
+        if not rhss or (len(toks) == len(coefs) * step - 1
+                        and joined.count("+") == len(seps) == seps.count("+")):
+            break
+        kept = [n for n, rhs in enumerate(rhss) if rhs.strip() != "0"]
+        rhss, cells = [rhss[n].replace("+", " + ") for n in kept], [cells[n] for n in kept]
+    else:
+        raise FormatError(0, "bad term")
+    terms = np.fromiter(map(str.count, rhss, repeat("+")), np.intp, len(rhss)) + 1
+    cells = np.array(cells, np.intp).repeat(terms)
+    for a in range(1, arity + 1):
+        btoks = toks[a::step]
+        ks = np.fromiter(map(_BASIS_INDEX.get, btoks, repeat(size)), np.intp, len(btoks))
+        if ks.max(initial=0) >= size:       # 'e01', or an index out of range
+            for n in np.flatnonzero(ks >= size):
+                ks[n] = _parse_basis(btoks[n], size, 0)
+        cells = cells * size + ks
+    target.toks, target.cells = coefs, cells
+
+
+def _check_terms(rhs, size, p, lineno, arity):
+    """Raise the first error, in token order, of the terms `rhs`: '1 e2 +
+    -1/2 e1' (arity 1), '1 e1 e2 + ...' (arity 2), or '0' for none."""
     if rhs.strip() == "0":
-        return [], []
-    cells, coefs = [], []
+        return
     for part in rhs.split("+"):
         toks = part.split()
         if len(toks) != 1 + arity:
             raise FormatError(lineno, f"bad term {part.strip()!r}")
         _parse_scalar(toks[0], p, lineno)
-        coefs.append(toks[0])
-        c = cell
         for t in toks[1:]:
-            c = c * size + _parse_basis(t, size, lineno)
-        cells.append(c)
-    return cells, coefs
+            _parse_basis(t, size, lineno)
 
 
 def entry_strings(x, p):

@@ -428,3 +428,41 @@ def test_a_valid_dense_file_converts_its_tokens_in_bulk(monkeypatch):
     with pytest.raises(FormatError):     # the check still runs where a token is bad
         parse_file(_text(_dense_lines(random.Random(8), "rational", 2)).replace("e2 = ", "e2 = x"))
     assert calls
+
+
+# every spelling the grammar allows: a '0' line, '+' without spaces, 'e01'
+MIXED_SPELLINGS = """\
+field {field}
+dim 3
+op star
+star: e1 e1 = 1 e1 + -1/2 e2
+star: e1 e2 = 0
+star: e2 e1 = 1 e1+2 e2
+star: e2 e2 = 3 e01 + 1/3 e3
+star: e3 e3 = 4/3 e3 +-1 e3
+comul alpha
+alpha: e1 = 1 e1 e2 + 2 e3 e3
+alpha: e2 = 0
+alpha: e3 = 1 e1 e2+-2/3 e2 e1 + 5 e03 e001
+"""
+
+
+@pytest.mark.parametrize("field", ["rational", "gf 7", f"gf {2 ** 31 - 1}"])
+def test_every_spelling_of_terms_is_read_in_bulk(monkeypatch, field):
+    """Terms in any spelling are split and converted with the canonical
+    ones: neither the term checker nor _parse_scalar runs on a valid file,
+    and both run where a term is bad."""
+    calls = []
+    for name in ("_check_terms", "_parse_scalar"):
+        checked = getattr(fileformat, name)
+        monkeypatch.setattr(fileformat, name,
+                            lambda *args, checked=checked: calls.append(args) or checked(*args))
+    text = MIXED_SPELLINGS.format(field=field)
+    af, _ = assert_parsers_agree(text)
+    assert calls == []
+    assert isinstance(af, AlgebraFile) and set(af.ops) == {"star"} and set(af.comuls) == {"alpha"}
+    for good, bad in (("e03", "e04"), ("+-2/3", "+-2/0"), ("e1+2", "e1+2+")):
+        with pytest.raises(FormatError) as exc:
+            parse_file(text.replace(good, bad))
+        assert exc.value.lineno == 1 + text[:text.index(good)].count("\n")
+    assert calls

@@ -144,6 +144,21 @@ def test_console_entry_matches_run_command(capsys, argv, code):
         assert console(argv, flags) == expected, flags
 
 
+def test_a_bad_coefficient_after_a_zero_line_through_the_console_entry(capsys, tmp_path):
+    """A file whose one error is a coefficient after a '0' line: the text
+    is read again with each term checked where it stands, and the error
+    names that coefficient's line, with and without -O, as in process."""
+    path = tmp_path / "bad_coefficient.alg"
+    path.write_text("field gf 5\ndim 2\nop star\nstar: e1 e1 = 0\n"
+                    "star: e1 e2 = 1 e1 + 2/5 e2\nstar: e2 e2 = 1 e2\n")
+    argv = ["check", "adm-poisson", str(path)]
+    expected = in_process(capsys, argv)
+    assert expected == (2, "", f"error: {path}: line 5: bad scalar '2/5': "
+                               "denominator 5 is 0 mod 5\n")
+    for flags in ((), ("-O",)):
+        assert console(argv, flags) == expected, flags
+
+
 def test_build_out_file_is_complete(capsys, tmp_path):
     good = str(CORPUS / "good_adm.alg")
     text = in_process(capsys, ["build", "polarize", good])[1]
