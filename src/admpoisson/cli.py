@@ -8,6 +8,7 @@ the file format's e1-style basis naming.
 """
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -417,10 +418,10 @@ def _cmd_check(args):
 def _cmd_build(args):
     af = CONSTRUCTIONS[args.construction](_read(args.file))
     if not args.out:
-        sys.stdout.write(print_file(af))
+        sys.stdout.write(_as_input_error(print_file, af))
         return 0
     try:
-        write_file(args.out, af)
+        _as_input_error(write_file, args.out, af)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}")
     print(f"OK {args.construction} -> {args.out}")
@@ -489,10 +490,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser(command=None):
     """The parser of `command` alone, `admpoisson COMMAND`, built as argparse
     builds its subparser; or, when `command` names none (no arguments, -h,
-    an unknown command), the top-level parser with all three subparsers."""
+    an unknown command), the top-level parser with all three subparsers.
+    Each is built once per process and kept: parsing leaves a parser as it
+    was, and its help is formatted at the terminal width of the moment."""
     if command in COMMANDS:
         return _add_arguments(argparse.ArgumentParser(prog=f"admpoisson {command}"), command)
     parser = argparse.ArgumentParser(
@@ -510,22 +514,6 @@ def _add_arguments(parser, command):
     return parser
 
 
-def run_command(argv):
-    """Run one command; return its exit code.  A known command is read by
-    its own parser; the top-level parser is built only when argv names no
-    command, or to report an argument the command's parser left over.
-    Either is left in reference cycles (each action points back at its
-    group, each help formatter at its sections) that only the cyclic
-    collector frees.  Collecting the youngest generation on return frees
-    them while they are few, so commands run one after another in one
-    process never promote them into the full collections (about 10 ms
-    each) that would otherwise land in a later command."""
-    try:
-        return _run(argv)
-    finally:
-        gc.collect(0)
-
-
 def _parse(argv):
     """(command, namespace) of argv; SystemExit on help and usage errors."""
     if argv and argv[0] in COMMANDS:
@@ -538,10 +526,19 @@ def _parse(argv):
     return args.command, args
 
 
-def _run(argv):
+def run_command(argv):
+    """Run one command; return its exit code.  A known command is read by
+    its own parser; the top-level parser is used only when argv names no
+    command, or to report an argument the command's parser left over.
+    The parsers are kept (make_parser), so a command leaves no reference
+    cycles for the cyclic collector.  Help and usage text is the exception:
+    its help formatter points at its sections and they back at it, so that
+    path collects the youngest generation, freeing them while they are few
+    rather than in a full collection (about 10 ms) within a later command."""
     try:
         command, args = _parse(argv)
     except SystemExit as exc:
+        gc.collect(0)
         return 2 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[command][0](args)

@@ -19,6 +19,8 @@ Indices are 1-based (e1, e2, ...). Printing is canonical and deterministic;
 parse(print(f)) == f and print(parse(text)) is a fixed point.
 """
 
+import sys
+from functools import partial
 from itertools import chain, repeat
 from math import gcd, isqrt
 from types import SimpleNamespace
@@ -461,13 +463,31 @@ def _check_terms(rhs, size, p, lineno, arity):
             _parse_basis(t, size, lineno)
 
 
-def entry_strings(x, p):
+def entry_strings(x, p, readable=False):
     """The entries of an Exact (or nested numbers) over p as strings, '' for
-    0: the one spelling of numbers in files and in witnesses."""
+    0: the one spelling of numbers in files and in witnesses.  Each is
+    exact at any length, although str() writes no more digits than int()
+    reads, sys.get_int_max_str_digits(), a limit of the whole process.  With
+    `readable`, an entry over that limit raises a ValueError that names it
+    instead, since a file that holds it could not be read back."""
     e = as_exact(x, p)
-    return np.array([f"{a // g}/{e.den // g}" if (g := gcd(a, e.den)) != e.den else
-                     str(a // g) if a else "" for a in e.num.ravel().tolist()],
-                    dtype=object).reshape(e.num.shape)
+    num = e.num.ravel().tolist()
+    try:
+        strings = _spell(num, e.den, str)
+    except ValueError:
+        if readable:
+            raise ValueError(f"an entry has more than {sys.get_int_max_str_digits()} digits, "
+                             "the most that a number of a file may have "
+                             "(sys.get_int_max_str_digits())") from None
+        from decimal import Decimal     # exact and bound by no such limit; rarely imported
+        strings = _spell(num, e.den, lambda a: str(Decimal(a)))
+    return np.array(strings, dtype=object).reshape(e.num.shape)
+
+
+def _spell(num, den, digits):
+    """The entries num/den in lowest terms, each integer written by digits."""
+    return [f"{digits(a // g)}/{digits(den // g)}" if (g := gcd(a, den)) != den else
+            digits(a // g) if a else "" for a in num]
 
 
 def _fmt_matrix(mat):
@@ -475,6 +495,9 @@ def _fmt_matrix(mat):
 
 
 def print_file(af):
+    """The canonical text of af; a ValueError when an entry has more digits
+    than the parser reads (entry_strings)."""
+    strings = partial(entry_strings, readable=True)
     out = ["format 1", "field rational" if af.p == 0 else f"field gf {af.p}", f"dim {af.dim}"]
     if af.vdim is not None:
         out.append(f"vdim {af.vdim}")
@@ -482,7 +505,7 @@ def print_file(af):
         m = af.ops[name]
         tag = " vdim" if af.vdim is not None and m.n == af.vdim != af.dim else ""
         out.append(f"op {name}{tag}")
-        s = entry_strings(m.exact, m.p)
+        s = strings(m.exact, m.p)
         for i in range(m.n):
             for j in range(m.n):
                 terms = [f"{v} e{k + 1}" for k, v in enumerate(s[i, j]) if v]
@@ -491,7 +514,7 @@ def print_file(af):
     for name in sorted(af.comuls):
         c = af.comuls[name]
         out.append(f"comul {name}")
-        for i, plane in enumerate(entry_strings(c.exact, c.p)):
+        for i, plane in enumerate(strings(c.exact, c.p)):
             terms = [f"{v} e{j + 1} e{k + 1}" for (j, k), v in np.ndenumerate(plane) if v]
             if terms:
                 out.append(f"{name}: e{i + 1} = " + " + ".join(terms))
@@ -499,14 +522,14 @@ def print_file(af):
         r = af.tensors[name]
         # keep an explicit zero entry so that a zero tensor survives reparsing
         out += [f"tensor {name}: e{i + 1} e{j + 1} = {v}" for (i, j), v
-                in np.ndenumerate(entry_strings(r.exact, r.p)) if v] or [
+                in np.ndenumerate(strings(r.exact, r.p)) if v] or [
                     f"tensor {name}: e1 e1 = 0"]
     for name in sorted(af.reps):
         tag = " vdim" if af.rep_spaces.get(name, "dim") == "vdim" else ""
-        for i, mat in enumerate(entry_strings(af.reps[name], af.p)):
+        for i, mat in enumerate(strings(af.reps[name], af.p)):
             out.append(f"rep {name}{tag} e{i + 1} = {_fmt_matrix(mat)}")
     for name in sorted(af.maps):
-        out.append(f"map {name} = {_fmt_matrix(entry_strings(af.maps[name], af.p))}")
+        out.append(f"map {name} = {_fmt_matrix(strings(af.maps[name], af.p))}")
     return "\n".join(out) + "\n"
 
 
@@ -516,5 +539,6 @@ def read_file(path):
 
 
 def write_file(path, af):
+    text = print_file(af)       # before the file is opened: it may raise
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(print_file(af))
+        fh.write(text)

@@ -735,13 +735,52 @@ def test_a_command_parser_reads_as_its_subparser(argv):
 def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys, argv, parsers):
     """The parser of the command alone; the top-level parser and all three
     subparsers when no command is named, and beside the command's parser
-    when an argument is left over, to report it."""
+    when an argument is left over, to report it.  Each is built once per
+    process: running the command again builds none."""
     import argparse
+    make_parser.cache_clear()
     built, init = [], argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: built.append(self) or init(self, *a, **k))
-    run(capsys, *argv)
+    first = run(capsys, *argv)
     assert len(built) == parsers
+    built.clear()
+    assert run(capsys, *argv) == first and built == []
+
+
+KEPT_ARGV = USAGE_ARGV + [
+    ["check", "adm-poisson", GOOD], ["check", "adm-poisson", CORPUS / "bad_adm.alg"],
+    ["build", "polarize", GOOD],
+]
+
+
+def test_a_kept_parser_reads_as_a_fresh_one(capsys):
+    """Help, usage errors, a passing and a failing check and a build, run
+    twice in one process on the kept parsers, print what they print on
+    parsers built for each run."""
+    fresh = []
+    for argv in KEPT_ARGV:
+        make_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    make_parser.cache_clear()
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in KEPT_ARGV] == fresh
+
+
+def test_a_kept_parser_formats_help_at_the_width_of_the_moment(monkeypatch, capsys):
+    """The help formatter reads the terminal width when it formats, so a
+    parser built at one width writes the help of another as a fresh one
+    does."""
+    make_parser.cache_clear()
+    kept = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        kept[columns] = run(capsys, "check", "-h")
+    assert kept["40"] != kept["120"]
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        make_parser.cache_clear()
+        assert run(capsys, "check", "-h") == kept[columns]
 
 
 @pytest.mark.parametrize("argv", [("check", "adm-poisson", "good_adm.alg"),
@@ -757,3 +796,43 @@ def test_a_command_leaves_no_cyclic_garbage(capsys, argv):
     for _ in range(3):
         run(capsys, *argv)
     assert gc.collect() == 0
+
+
+def test_a_witness_is_printed_exactly_at_any_length(tmp_path, capsys):
+    """A witness entry of more digits than str() writes in this process
+    (sys.get_int_max_str_digits(), 4,300 by default) is printed in full:
+    as str() writes it with the limit lifted."""
+    import sys
+    n = str(7 ** 4000)[:3000]
+    path = tmp_path / "long.alg"
+    path.write_text(f"field rational\ndim 2\nop star\nstar: e1 e1 = {n} e1 + 1 e2\n"
+                    "star: e2 e2 = 3 e1\nstar: e2 e1 = 5 e2\n")
+    argvs = [("check", "adm-poisson", path), ("build", "coboundary-alpha", path)]
+    runs = [run(capsys, *argv) for argv in argvs]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        unlimited = run(capsys, *argvs[0])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert runs == [unlimited, unlimited]
+    code, out, err = unlimited
+    assert (code, err) == (1, "") and out.startswith("FAIL adm-poisson at (1,1,1): lhs=[")
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+
+
+def test_a_build_too_long_to_read_back_is_an_input_error(tmp_path, capsys):
+    """A built file with an entry of more digits than the parser reads is
+    not printed: exit code 2, a message that names the limit, no file."""
+    import sys
+    n = str(7 ** 4000)[:2500]
+    path, out = tmp_path / "long.alg", tmp_path / "out.alg"
+    path.write_text(f"field rational\ndim 2\nop star\nstar: e1 e1 = {n} e1\n"
+                    f"star: e1 e2 = {n} e2\nstar: e2 e1 = {n} e2\n"
+                    f"tensor r: e1 e2 = {n}\ntensor r: e2 e1 = -{n}\n")
+    assert run(capsys, "check", "adm-poisson", path)[0] == 0
+    error = (f"error: an entry has more than {sys.get_int_max_str_digits()} digits, the most "
+             "that a number of a file may have (sys.get_int_max_str_digits())\n")
+    assert run(capsys, "build", "coboundary-alpha", path) == (2, "", error)
+    assert run(capsys, "build", "coboundary-alpha", path, "--out", out) == (2, "", error)
+    assert not out.exists()

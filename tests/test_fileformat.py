@@ -466,3 +466,22 @@ def test_every_spelling_of_terms_is_read_in_bulk(monkeypatch, field):
             parse_file(text.replace(good, bad))
         assert exc.value.lineno == 1 + text[:text.index(good)].count("\n")
     assert calls
+
+
+def test_print_file_writes_only_what_parse_file_reads():
+    """An entry of as many digits as int() reads prints and reads back; one
+    digit more, and print_file raises instead of writing a file that
+    parse_file would refuse."""
+    import sys
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() and str() convert any number of digits in this process")
+    for digits in (limit, limit + 1):
+        text = f"field rational\ndim 1\nop star\nstar: e1 e1 = -{'7' * digits}/2 e1\n"
+        af = AlgebraFile(0, 1, star=MulTensor(1, 0, [[[Fraction(-(10 ** digits - 1) // 9 * 7,
+                                                                  2)]]]))
+        if digits == limit:
+            assert parse_file(text) == af and parse_file(print_file(af)) == af
+        else:
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                print_file(af)
