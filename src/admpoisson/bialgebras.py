@@ -8,8 +8,9 @@ convention (M (x) id) alpha(x) = M A_x, (id (x) M) alpha(x) = A_x M^T and
 tau(alpha(x)) = A_x^T, which the pair-condition residuals below exploit.
 """
 
-from .tensors import Comultiplication, MulTensor, Identity, Record, check_identities
-from .algebras import AxiomReport, check_poisson
+from .tensors import (Comultiplication, MulTensor, Identity, Record, check_identities,
+                      rewritten)
+from .algebras import ADM_POISSON, AxiomReport, check_poisson
 
 
 def dual_structure(c):
@@ -22,14 +23,13 @@ def comult_of_mul(m):
     return Comultiplication(m.n, m.p, m.exact.transpose(2, 0, 1))
 
 
-# The coassociativity-type condition at x = e_i, coordinate (p, q, s) of
-# the triple tensor, with U[p][q][s] = sum_m a[i][p][m] a[m][q][s] (alpha
-# applied to the second leg) and V[p][q][s] = sum_m a[i][m][s] a[m][p][q]
-# (to the first leg):
-#   U - V + 1/3( U[p][s][q] - U[q][p][s] - U[s][p][q] + U[q][s][p] ) = 0.
-COALGEBRA = Identity("coalgebra", "ipq", "s",
-                     "a:ipm a:mqs - a:ims a:mpq + 1/3 a:ipm a:msq"
-                     " - 1/3 a:iqm a:mps - 1/3 a:ism a:mpq + 1/3 a:iqm a:msp")
+# The coassociativity-type condition at x = e_l, coordinate (i, j, k) of the
+# triple tensor, with U = (id (x) alpha) alpha(x), V = (alpha (x) id) alpha(x):
+#   U - V + 1/3( U[i][k][j] - U[j][i][k] - U[k][i][j] + U[j][k][i] ) = 0,
+# the adm-Poisson identity of the dual product c[x][y][z] = a[z][x][y]
+# (dual_structure) with all its terms on the left.
+COALGEBRA = Identity("coalgebra", "lij", "k",
+                     rewritten(ADM_POISSON.text[1], {"c": "a:201"}, minus=ADM_POISSON.text[0]))
 
 
 def check_coalgebra(c):

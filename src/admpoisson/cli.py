@@ -66,6 +66,18 @@ def _get_tensor(af, name="r"):
     return _lookup(af.tensors, "a tensor", (name,), True)
 
 
+def _name_of(table, value):
+    return next(name for name, v in table.items() if v is value)
+
+
+def _fitted(af, r, alg):
+    """r, the file's tensor, when it is n x n over the algebra."""
+    if r.n != alg.n:
+        raise InputError(f"tensor {_name_of(af.tensors, r)!r} is {r.n} x {r.n}, "
+                         f"but the algebra has dim {alg.n}")
+    return r
+
+
 def _get_rep_family(af, *names):
     return _lookup(af.reps, "a representation family", names, False)
 
@@ -88,10 +100,19 @@ def _adm(af):
     return AdmPoissonAlgebra.raw(star)
 
 
+def _action(af, n):
+    """The file's families (l, r): n square matrices each, all of one size."""
+    l, r = _get_rep_family(af, "l", "L"), _get_rep_family(af, "r", "R")
+    if l.num.shape != r.num.shape or len(l) != n:
+        (nl, ml), (nr, mr) = ((_name_of(af.reps, f), f.num.shape[1]) for f in (l, r))
+        raise InputError(f"reps {nl!r} and {nr!r} hold {len(l)} and {len(r)} matrices of "
+                         f"sizes {ml} and {mr}, but the algebra needs {n} of one size")
+    return l, r
+
+
 def _rep(af, alg, tag=None):
     from .representations import Representation, check_representation
-    rep = Representation.raw(alg, _get_rep_family(af, "l", "L"),
-                             _get_rep_family(af, "r", "R"))
+    rep = Representation.raw(alg, *_action(af, alg.n))
     _require(check_representation(rep), tag)
     return rep
 
@@ -215,7 +236,7 @@ def _check_ybe(name):
         from .yangbaxter import check_ybe
         r = _get_tensor(af)
         alg = _adm(af) if name == "adm-pybe" else _poisson(af)
-        _require(check_ybe(alg, r, name.replace("-", "_")))
+        _require(check_ybe(alg, _fitted(af, r, alg), name.replace("-", "_")))
         return f"OK {name} (dim {alg.n})"
     return run
 
@@ -229,7 +250,7 @@ def _check_on_r(name):
         check = {"operator-form": operator_form_check, "cyclic-form": cyclic_form_check}.get(
             name, lambda a, r: check_coboundary_conditions(a, r, name))
         alg = _adm(af)
-        _require(_as_input_error(check, alg, _get_tensor(af)))
+        _require(_as_input_error(check, alg, _fitted(af, _get_tensor(af), alg)))
         return f"OK {name} (dim {alg.n})"
     return run
 
@@ -324,7 +345,8 @@ def _build_manin_double(af):
 def _build_coboundary_alpha(af):
     from .yangbaxter import coboundary_alpha
     alg = _adm(af)
-    return AlgebraFile(af.p, alg.n, star=alg.star, alpha=coboundary_alpha(alg, _get_tensor(af)))
+    r = _fitted(af, _get_tensor(af), alg)
+    return AlgebraFile(af.p, alg.n, star=alg.star, alpha=coboundary_alpha(alg, r))
 
 
 def _build_split(af):
@@ -440,7 +462,7 @@ def _cmd_search(args):
                              f"--field {args.field}")
         algebra = _get_op(af, "star")
         if args.target == "o_operator":
-            rep = (_get_rep_family(af, "l", "L"), _get_rep_family(af, "r", "R"))
+            rep = _action(af, algebra.n)
     spec = _as_input_error(searchmod.SearchSpec, args.target, args.dim, p=args.field,
                            count=args.count, seed=args.seed, nonzero_only=args.nonzero_only,
                            skew=args.skew, algebra=algebra, rep=rep)

@@ -7,11 +7,11 @@ theta(v_j) = sum_i theta[i][j] e_i.
 import numpy as np
 
 from .tensors import (Exact, MulTensor, Identity, Record, Terms, as_exact,
-                      check_identities, evaluate, identity, solve)
+                      check_identities, evaluate, identity, rewritten, solve)
 from .algebras import AdmPoissonAlgebra
-from .representations import (Representation, adjoint_families, adjoint_rep, dual_rep,
-                              semidirect)
-from .yangbaxter import RTensor, CYCLIC_FORM
+from .representations import (REPRESENTATION, Representation, adjoint_families, adjoint_rep,
+                              dual_rep, semidirect)
+from .yangbaxter import CYCLIC_FORM, O_OPERATOR_TEXT, RTensor
 
 
 class OOperatorCandidate(Record):
@@ -25,13 +25,11 @@ class OOperatorCandidate(Record):
         super().__init__(alg, rep, theta)
 
 
-# theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) at the module
-# basis pair (u, v) = (v_i, v_j), coordinate z, over the operation c.
-_O_OPERATOR = ("t:xi t:yj c:xyz", "t:xi l:xaj t:za + t:yj r:yai t:za")
-O_OPERATOR = Identity("o-operator", "ij", "z", *_O_OPERATOR)
+# The O-operator identity (yangbaxter.O_OPERATOR_TEXT).
+O_OPERATOR = Identity("o-operator", "ij", "z", *O_OPERATOR_TEXT)
 # R(x) * R(y) = R( R(x)*y + x*R(y) ): the same identity with theta = R over
 # the adjoint action (l, r) = (L, R).
-ROTA_BAXTER = Identity("rota-baxter", "ij", "z", *_O_OPERATOR)
+ROTA_BAXTER = Identity("rota-baxter", "ij", "z", *O_OPERATOR_TEXT)
 
 
 def check_o_operator(c):
@@ -75,30 +73,18 @@ class PreAdmPoisson(Record):
         return check_pre_adm_poisson(self)
 
 
-# Products of the basis triple (x, y, z) = (e_i, e_j, e_k), coordinate l,
-# with x>y = succ (s) and x<y = prec (q).
-_X_Y_Z, _X_ZY = "s:jks s:isl", "q:kjs s:isl"            # x>(y>z), x>(z<y)
-_Y_XZ, _Y_ZX = "s:iks s:jsl", "q:kis s:jsl"             # y>(x>z), y>(z<x)
-_Z_XY = "s:ijs q:ksl + q:ijs q:ksl"                     # z<(x>y) + z<(x<y)
-_Z_YX = "s:jis q:ksl + q:jis q:ksl"                     # z<(y>x) + z<(y<x)
-
-
-def _third(terms, sign):
-    """' sign 1/3 t' for each term t of 'a + b + ...'."""
-    return "".join(f" {sign} 1/3 {t}" for t in terms.split(" + "))
-
-
-# The three defining residuals, one group: pre1 wins ties at a triple.
+# The three defining residuals, one group: pre1 wins ties at a triple.  A
+# pre-structure is one whose (L_succ, R_prec) represents x*y = x>y + x<y
+# (pre_rep), so they are c2-c4 at (x, y) = (e_i, e_j), the matrix entry
+# [a][b] read as coordinate a of (x, y, z = e_b), all on the left: pre1 =
+# -c2, pre2 = c3, pre3 = c4.  They are written on succ (s) and prec (q),
+# not on their sum, so a screen casts its candidates as they are.
+_PRE_OPERANDS = {"c": "s:012 + q:012", "l": "s:021", "r": "q:201"}
+_C2, _C3, _C4 = (ident.text for ident in REPRESENTATION[0])
 PRE_ADM_POISSON = ((
-    Identity("pre1", "ijk", "l",
-             f"- s:ijs s:skl - q:ijs s:skl + {_X_Y_Z}" + _third(_X_ZY, "+")
-             + _third(_Z_XY, "-") + _third(_Y_XZ, "-") + _third(_Y_ZX, "+")),
-    Identity("pre2", "ijk", "l",
-             f"- {_X_ZY} + s:iks q:sjl" + _third(_X_Y_Z, "-")
-             + _third(_Y_XZ, "+") + _third(_Z_XY, "+") + _third(_Z_YX, "-")),
-    Identity("pre3", "ijk", "l",
-             "- s:ijs q:ksl - q:ijs q:ksl + q:kis q:sjl" + _third(_Z_YX, "-")
-             + _third(_Y_ZX, "+") + _third(_X_ZY, "+") + _third(_X_Y_Z, "-")),
+    Identity("pre1", "ijb", "a", rewritten(_C2[1], _PRE_OPERANDS, minus=_C2[0])),
+    Identity("pre2", "ijb", "a", rewritten(_C3[0], _PRE_OPERANDS, minus=_C3[1])),
+    Identity("pre3", "ijb", "a", rewritten(_C4[0], _PRE_OPERANDS, minus=_C4[1])),
 ),)
 
 
@@ -172,14 +158,11 @@ def prepoisson_sum_pair(q):
 
 
 # The pre-structures that O-operators induce, over theta (t), the action
-# (l, r) and the inverse u of an invertible theta; the symplectic ones over
-# the operation m, the form w and the inverse u of its transpose.
+# (l, r) and the inverse u of an invertible theta.
 INDUCED_PRE = (Terms("t:ai l:akj", "ijk"),          # v_i > v_j = l(theta v_i) v_j
                Terms("t:ai r:akj", "jik"))          # v_j < v_i = r(theta v_i) v_j
 TRANSPORTED_PRE = (Terms("t:ka l:iab u:bj", "ijk"),  # theta(l(x) theta^-1 y)
                    Terms("t:ka r:jab u:bi", "ijk"))  # theta(r(y) theta^-1 x)
-SYMPLECTIC_PRE = (Terms("u:lk m:kit w:jt", "ijl"),   # w(x>y, z) = w(y, z*x)
-                  Terms("u:lk m:jkt w:it", "ijl"))   # w(x<y, z) = w(x, y*z)
 
 
 def _pre_of(tables, operands, n, p):
@@ -220,20 +203,25 @@ def compatible_pre_from_invertible_o(c):
 
 def pre_from_symplectic(a, omega):
     """The pre-structure induced by a skew nondegenerate cyclic form:
-    omega(x>y, z) = omega(y, z*x),  omega(x<y, z) = omega(x, y*z)."""
+    omega(x>y, z) = omega(y, z*x),  omega(x<y, z) = omega(x, y*z): the one
+    transported by theta = omega^{-1}, an invertible O-operator of the
+    coadjoint representation, whose inverse is omega
+    (compatible_pre_from_invertible_o)."""
     star = a.star
     n, p = star.n, star.p
     g = as_exact(omega.gram, p)
     if not (g + g.transpose()).is_zero():
         raise ValueError("omega must be skew-symmetric")
-    ginv_t = solve(g.transpose(), identity(n, p), p)
-    if ginv_t is None:
+    g_inv = solve(g, identity(n, p), p)
+    if g_inv is None:
         raise ValueError("omega must be nondegenerate")
     # the defining relations only produce a pre-structure when the form is
     # cyclic on products: omega(x*y,z) + omega(y*z,x) + omega(z*x,y) = 0
     if not check_identities(((CYCLIC_FORM,),), {"m": star.exact, "w": g}, p).holds:
         raise ValueError("omega is not cyclic on products")
-    return _pre_of(SYMPLECTIC_PRE, {"u": ginv_t, "m": star.exact, "w": g}, n, p)
+    # the coadjoint action (l, r) = (R^T, L^T): l(x)[a][b] = m[a][x][b], r = m
+    return _pre_of(TRANSPORTED_PRE, {"t": g_inv, "l": star.exact.transpose(1, 0, 2),
+                                     "r": star.exact, "u": g}, n, p)
 
 
 def rota_baxter_as_o_operator(a, R):

@@ -31,14 +31,6 @@ MAX_EXHAUSTIVE = 5 ** 9
 CHUNK = 4096            # candidates screened at a time
 
 
-def encode_mul(m):
-    return sum(d * m.p ** t for t, d in enumerate(m.exact.num.ravel().tolist()))
-
-
-def decode_mul(idx, n, p):
-    return MulTensor(n, p, Exact(base_p_digits([idx], n ** 3, p).reshape(n, n, n), 1, p))
-
-
 def base_p_digits(indices, cells, p):
     """Base-p digits 0 .. cells-1 of each index, shape (cells, len(indices)).
     Wide indices are cut with Python divmod into int64 blocks of k digits,

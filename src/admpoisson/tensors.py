@@ -14,7 +14,7 @@ on them (solve).  Numbers enter the Python API as nested ints and Fractions
 (as_exact) and leave it through Exact.tolist().
 """
 
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm, prod
 from operator import index
 
@@ -442,6 +442,24 @@ def _signed_terms(text):
     return terms
 
 
+def rewritten(text, subs, minus=""):
+    """The terms of `text` less those of `minus`, each factor of an operand
+    named in `subs` replaced by a sum over the positions of its subscripts
+    and multiplied out: {"c": "a:201"} makes c:xyz a:zxy, and
+    {"c": "s:012 + q:012"} makes it s:xyz + q:xyz."""
+    out = []
+    for num, den, factors in _signed_terms(text) + [(-a, b, f) for a, b, f in
+                                                    _signed_terms(minus)]:
+        sums = [[(a, b, [(new, "".join(letters[int(k)] for k in pos)) for new, pos in f])
+                 for a, b, f in _signed_terms(subs[name])] if name in subs
+                else [(1, 1, [(name, letters)])] for name, letters in factors]
+        for parts in product(*sums):
+            k, d = num * prod(a for a, _, _ in parts), den * prod(b for _, b, _ in parts)
+            out.append(f"{'-' if k < 0 else '+'} {abs(k)}/{d} "
+                       + " ".join(f"{name}:{s}" for _, _, f in parts for name, s in f))
+    return " ".join(out)
+
+
 class Terms:
     """A sum of signed einsum terms over named operands onto the `out` axes.
 
@@ -585,12 +603,13 @@ class Identity:
     evaluated only for a witness.  Both are stored times `den`, which clears
     every coefficient; every term has `degree` factors, so scaling all
     operands by a common denominator D scales both sides by D**degree.
+    `text` keeps the two sides as written, to derive identities from.
     """
 
-    __slots__ = ("name", "index", "lhs", "residual", "den", "degree")
+    __slots__ = ("name", "index", "text", "lhs", "residual", "den", "degree")
 
     def __init__(self, name, index, value, lhs, rhs=""):
-        self.name, self.index = name, index
+        self.name, self.index, self.text = name, index, (lhs, rhs)
         self.den = lcm(*(b for _, b, _ in _signed_terms(f"{lhs} + {rhs}")))
         self.lhs = Terms(lhs, index + value, self.den)
         self.residual = Terms(lhs, index + value, self.den, minus=rhs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .tensors import (Comultiplication, Exact, RTensor, Tensor3, Terms, Identity,
                       check_identities, common, contract, evaluate, exact_operands,
-                      identity, solve)
+                      identity, rewritten, solve)
 
 
 # Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
@@ -73,10 +73,13 @@ def check_ybe(alg, r, kind):
                             mul.p)
 
 
-# alpha(e_i) = r L(e_i)^T - R(e_i) r, and the symmetric-part defect
-# M(e_i) = L(e_i) S - S R(e_i)^T with S = r + tau(r), as matrices [a][b].
+# alpha(e_i) = r L(e_i)^T - R(e_i) r, the defect D(e_i) = L(e_i) s - s R(e_i)^T
+# of a matrix s, and the symmetric-part defect M(e_i), D(e_i) of
+# S = r + tau(r), as matrices [a][b].
 COBOUNDARY_ALPHA = Terms("r:ak m:ikb - m:kia r:kb", "iab")
-_SYM_DEFECT = "m:ika r:kb + m:ika r:bk - r:ak m:kib - r:ka m:kib"
+_DEFECT = "m:ika s:kb - s:ak m:kib"
+DEFECT = Terms(_DEFECT, "iab")
+_SYM_DEFECT = rewritten(_DEFECT, {"s": "r:01 + r:10"})
 SYM_DEFECT = Terms(_SYM_DEFECT, "iab")
 
 
@@ -158,10 +161,14 @@ def check_coboundary_conditions(a, r, which):
     return check_identities([[ident]], {"m": star.exact, **ops}, p).first_entry()
 
 
-# At (i, j) = (f_i, f_j) with r#(f_i) = r[i][.]:
+# theta(u) * theta(v) = theta( l(theta u) v + r(theta v) u ) at the module
+# basis pair (u, v) = (v_i, v_j), coordinate z: the O-operator identity.
+O_OPERATOR_TEXT = ("t:xi t:yj c:xyz", "t:xi l:xaj t:za + t:yj r:yai t:za")
+# At (i, j) = (f_i, f_j), with r#(f_i) = r[i][.] an O-operator of the
+# coadjoint action (l, r) = (R^T, L^T):
 #   r#(f_i) * r#(f_j) = r#( R(r#(f_i))^T f_j + L(r#(f_j))^T f_i ).
-OPERATOR_FORM = Identity("operator-form", "ij", "z", "r:ix r:jy m:xyz",
-                         "r:ik m:bkj r:bz + r:jk m:kbi r:bz")
+OPERATOR_FORM = Identity("operator-form", "ij", "z", *(rewritten(
+    side, {"t": "r:10", "l": "m:102", "r": "m:012", "c": "m:012"}) for side in O_OPERATOR_TEXT))
 # w(x*y, z) + w(y*z, x) + w(z*x, y) = 0 at (x, y, z) = (e_i, e_j, e_k).
 CYCLIC_FORM = Identity("cyclic-form", "ijk", "", "m:ijs w:sk + m:jks w:si + m:kis w:sj")
 
@@ -186,36 +193,35 @@ def cyclic_form_check(a, r):
     return check_identities(((CYCLIC_FORM,),), {"m": star.exact, "w": omega}, star.p)
 
 
-# coboundary_correspondence's two systems for the unknown Y = r1 at x = e_x,
-# entry [u][v], with L_x[v][t] = m:xtv, R_x[u][t] = m:txu and S = r + r^T:
-#   Y L_x^T - R_x Y = S L_x^T - R_x S,   L_x Y - Y R_x^T = S R_x^T - L_x S,
-# each as the coefficient of Y[a][b] (e the identity) and its right-hand side.
-CORRESPONDENCE = (
-    (Terms("e:ua m:xbv - e:bv m:axu", "xuvab"),
-     Terms("r:ut m:xtv + r:tu m:xtv - m:txu r:tv - m:txu r:vt", "xuv")),
-    (Terms("e:bv m:xau - e:ua m:bxv", "xuvab"),
-     Terms("r:ut m:txv + r:tu m:txv - m:xtu r:tv - m:xtu r:vt", "xuv")),
-)
+def correspondence_system(a, r):
+    """The two auxiliary linear systems of an r1, for all basis x,
+
+        (id (x) L(x) - R(x) (x) id)(S - r1) = 0,
+        (L(x) (x) id - id (x) R(x))(S + r1) = 0,
+
+    with S = r + tau(r), that is alpha(r1) = alpha(S) and D(r1) = -D(S), as
+    one augmented matrix [coefficients of r1's entries | right-hand side]:
+    the rows of x, u, v in order, each the first system's and the second's."""
+    star = a.star
+    n, p = star.n, star.p
+    # each operator on r1's n^2 basis matrices, on the batch axis, then on +-S
+    (basis, s), den = common(identity(n * n, p), r.exact + r.exact.transpose())
+    basis = basis.reshape(n, n, n * n)
+    systems = [evaluate(table, {"m": star.exact, name: Exact(
+                   np.concatenate([basis, sign * s[..., None]], axis=2), den, p)}, p)
+               for table, name, sign in ((COBOUNDARY_ALPHA, "r", 1), (DEFECT, "s", -1))]
+    (a1, a2), den = common(*systems)
+    return Exact(np.stack([a1, a2], axis=3).reshape(-1, n * n + 1), den, p)
 
 
 def coboundary_correspondence(a, r):
-    """Decide whether some r1 satisfies the two auxiliary linear systems
-
-        (id (x) L(x) - R(x) (x) id)(S - r1) = 0,
-        (L(x) (x) id - id (x) R(x))(S + r1) = 0      for all basis x,
-
-    with S = r + tau(r); returns (solvable, r1-or-None) with free variables
-    of the exact elimination set to zero.
-    """
-    star = a.star
-    n, p = star.n, star.p
-    ops = {"m": star.exact, "r": r.exact, "e": identity(n, p)}
-    # both systems on one denominator, which cancels from a Y = b
-    (a1, b1, a2, b2), _ = common(*(evaluate(t, ops, p) for system in CORRESPONDENCE
-                                   for t in system))
-    # the rows of x, u, v in order, each the first system's and the second's
-    sol = solve(Exact(np.stack([a1, a2], axis=3).reshape(-1, n * n), 1, p),
-                Exact(np.stack([b1, b2], axis=3).reshape(-1, 1), 1, p), p)
+    """Decide whether some r1 solves correspondence_system; returns
+    (solvable, r1-or-None) with free variables of the exact elimination
+    set to zero."""
+    n, p = a.star.n, a.star.p
+    # the system's denominator cancels from a Y = b
+    aug = correspondence_system(a, r).num
+    sol = solve(Exact(aug[:, :-1], 1, p), Exact(aug[:, -1:], 1, p), p)
     if sol is None:
         return False, None
     return True, RTensor(Exact(sol.num.reshape(n, n), sol.den, p), p)

@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from admpoisson.search import adm_catalog_indices, decode_mul
+from admpoisson.search import adm_catalog_indices
+from oracles import decode_mul
 
 
 @pytest.fixture(scope="session")

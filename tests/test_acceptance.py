@@ -30,12 +30,13 @@ from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    solution_from_o_operator, PreAdmPoisson,
                                    check_pre_adm_poisson, canonical_solution,
                                    pre_rep, subadjacent)
-from admpoisson.search import encode_mul, decode_mul, SearchSpec, search
+from admpoisson.search import SearchSpec, search
 from admpoisson.cli import run_command
 from admpoisson.fileformat import parse_file, print_file
 
-from oracles import (Scalar, t3_add, t3_sub, rand_mul, rand_mat, rand_vec, dim2_gf5_tensor_array,
-                     poisson_mask_dim2_gf5, _bialgebra_residuals, iter_r_tensors, iter_maps)
+from oracles import (Scalar, encode_mul, decode_mul, t3_add, t3_sub, rand_mul, rand_mat,
+                     rand_vec, dim2_gf5_tensor_array, poisson_mask_dim2_gf5,
+                     _bialgebra_residuals, iter_r_tensors, iter_maps)
 
 P = 5
 CORPUS = Path(__file__).parent / "corpus"

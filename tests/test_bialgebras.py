@@ -11,9 +11,8 @@ from admpoisson.bialgebras import (Comultiplication, dual_structure,
                                    split_comultiplication,
                                    merge_comultiplication,
                                    check_poisson_bialgebra)
-from admpoisson.search import decode_mul
 
-from oracles import comul_scale, comul_tau, of, rand_mul
+from oracles import comul_scale, comul_tau, decode_mul, of, rand_mul
 from test_algebras import solvable_lie_dim2, comm_assoc_dim2
 
 

@@ -484,6 +484,45 @@ def test_mismatched_operand_sizes_are_input_errors(tmp_path, flags):
 
 
 
+# files whose r or action does not fit the algebra in size: each command
+# that reads them names the file's structure and the sizes that disagree
+SIZE_FILES = {
+    "r_small.alg": ("field gf 5\ndim 1\nvdim 2\nop star vdim\ntensor r: e1 e1 = 1\n",
+                    "tensor 'r' is 1 x 1, but the algebra has dim 2"),
+    "r_large.alg": ("field rational\ndim 2\nvdim 1\nop star vdim\nstar: e1 e1 = 1 e1\n"
+                    "tensor s: e1 e2 = 1\ntensor s: e2 e1 = -1\n",
+                    "tensor 's' is 2 x 2, but the algebra has dim 1"),
+    "rep_count.alg": ("field gf 5\ndim 1\nvdim 2\nop star\nstar: e1 e1 = 1 e1\n"
+                      "rep l vdim e1 = [1]\nrep r vdim e1 = [1]\nmap theta = [1]\n",
+                      "reps 'l' and 'r' hold 2 and 2 matrices of sizes 1 and 1, "
+                      "but the algebra needs 1 of one size"),
+    "rep_size.alg": ("field gf 5\ndim 1\nvdim 2\nop star\nstar: e1 e1 = 1 e1\n"
+                     "rep L e1 = [1,0 ; 0,1]\nrep R e1 = [1]\nmap theta = [1,0]\n",
+                     "reps 'L' and 'R' hold 1 and 1 matrices of sizes 2 and 1, "
+                     "but the algebra needs 1 of one size"),
+}
+ON_R = ["adm-pybe", "cybe", "aybe", "pybe", "con1", "eqv1", "eqv2", "eqv3", "cosp", "cosp2",
+        "operator-form", "cyclic-form"]
+ON_REP = ["rep", "o-operator"]
+SIZE_CASES = [(["check", pred, name], name) for name in ("r_small.alg", "r_large.alg")
+              for pred in ON_R] + \
+    [(["build", "coboundary-alpha", name], name) for name in ("r_small.alg", "r_large.alg")] + \
+    [([cmd, what, name], name) for name in ("rep_count.alg", "rep_size.alg")
+     for cmd, what in [("check", pred) for pred in ON_REP] +
+     [("build", cons) for cons in ("semidirect", "dual-rep", "solution-from-o", "induced-pre")]] + \
+    [(["search", "o_operator", "--dim", "1", "--field", "5", "--algebra", name], name)
+     for name in ("rep_count.alg", "rep_size.alg")]
+
+
+@pytest.mark.parametrize("argv, name", SIZE_CASES, ids=lambda v: "-".join(v) if
+                         isinstance(v, list) else v)
+def test_size_mismatches_name_the_files_structures(capsys, tmp_path, argv, name):
+    text, message = SIZE_FILES[name]
+    (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv[:-1], tmp_path / name)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_no_assert_in_the_package():
     # validation must not rely on assert, which `python -O` strips
     import ast

@@ -44,22 +44,21 @@ from admpoisson.matched import (BilinearForm, MatchedPairData, bowtie,
 from admpoisson.bialgebras import (Comultiplication, check_adm_bialgebra, check_coalgebra,
                                    check_poisson_bialgebra, comult_of_mul, dual_structure,
                                    merge_comultiplication, split_comultiplication)
-from admpoisson.ooperators import (PRE_ADM_POISSON, SYMPLECTIC_PRE,
-                                   TRANSPORTED_PRE, OOperatorCandidate, PreAdmPoisson,
-                                   PrePoisson, canonical_solution, check_o_operator,
-                                   check_pre_adm_poisson, check_pre_poisson,
+from admpoisson.ooperators import (PRE_ADM_POISSON, TRANSPORTED_PRE, OOperatorCandidate,
+                                   PreAdmPoisson, PrePoisson, canonical_solution,
+                                   check_o_operator, check_pre_adm_poisson, check_pre_poisson,
                                    check_rota_baxter, compatible_pre_from_invertible_o,
                                    induced_pre_from_o_operator, pre_from_symplectic,
                                    pre_rep, pre_to_prepoisson,
                                    prepoisson_sum_pair, prepoisson_to_pre,
                                    solution_from_o_operator, subadjacent)
-from admpoisson.yangbaxter import (CORRESPONDENCE, CYCLIC_FORM, SLOT_PATTERNS,
-                                   YBE_OPERATORS, RTensor, check_coboundary_conditions,
-                                   check_ybe, coboundary_alpha, coboundary_correspondence,
+from admpoisson.yangbaxter import (CYCLIC_FORM, SLOT_PATTERNS, YBE_OPERATORS, RTensor,
+                                   check_coboundary_conditions, check_ybe, coboundary_alpha,
+                                   coboundary_correspondence, correspondence_system,
                                    cyclic_form_check, operator_form_check, sym_defect,
                                    ybe_operator)
 from admpoisson import search
-from admpoisson.search import adm_catalog_indices, base_p_digits, decode_mul, table_hits
+from admpoisson.search import adm_catalog_indices, base_p_digits, table_hits
 
 FIELDS = [0, 5, 10007, 2 ** 31 - 1]
 DIMS = [1, 2, 3, 4]
@@ -91,11 +90,12 @@ def invertible(rng, n, p):
             return m, inv
 
 
-def rebase(ops, rng, p):
+def rebase(ops, rng, p, basis=None):
     """The same structures on the basis given by the columns of a random
-    invertible matrix: c'[i][j][k] = sum inv[k][w] c[u][v][w] P[u][i] P[v][j]."""
+    invertible matrix P (or of basis = (P, its inverse)):
+    c'[i][j][k] = sum inv[k][w] c[u][v][w] P[u][i] P[v][j]."""
     n = ops[0].n
-    P, inv = invertible(rng, n, p)
+    P, inv = basis or invertible(rng, n, p)
     out = []
     for m in ops:
         mc = nested(m)
@@ -219,7 +219,8 @@ def test_catalog_mask_gives_the_same_769_indices(catalog_gf5):
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_exhaustive_sweep_masks_match_the_loops(p):
     # candidate idx holds its first operation in the low base-p digits
-    pairs = [(decode_mul(i % p, 1, p), decode_mul(i // p, 1, p)) for i in range(p * p)]
+    pairs = [(oracles.decode_mul(i % p, 1, p), oracles.decode_mul(i // p, 1, p))
+             for i in range(p * p)]
     arrays = search.operations("bo", 1)(base_p_digits(np.arange(p * p), 2, p)).values()
     for idx in (0, 1, p, p * p - 1):
         assert [int(a[..., idx].flat[0]) for a in arrays] == \
@@ -230,7 +231,7 @@ def test_exhaustive_sweep_masks_match_the_loops(p):
         [i for i, (s, q) in enumerate(pairs)
          if oracles.check_pre_adm_poisson(PreAdmPoisson.raw(s, q)).holds]
     assert [idx for idx, _ in adm_catalog_indices(1, p)] == \
-        [i for i in range(p) if oracles.check_adm_poisson(decode_mul(i, 1, p)).holds]
+        [i for i in range(p) if oracles.check_adm_poisson(oracles.decode_mul(i, 1, p)).holds]
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -632,14 +633,11 @@ def test_index_constructions(p):
 
 @pytest.mark.parametrize("p", FIELDS[1:])
 def test_search_decoding(p):
-    """decode_mul, encode_mul and the digit columns of maps read base-p
-    digits as the loops did, also above int64 (GF(2^31-1) at dim 3)."""
+    """The digit columns of maps read base-p digits as the loops did, also
+    above int64 (GF(2^31-1) at dim 3)."""
     rng = random.Random(13000 + p % 997)
     for n in DIMS[:3]:
         for idx in [0, p ** (n ** 3) - 1] + [rng.randrange(p ** (n ** 3)) for _ in range(5)]:
-            m = decode_mul(idx, n, p)
-            assert m == oracles.decode_mul(idx, n, p)
-            assert search.encode_mul(m) == oracles.encode_mul(m) == idx
             rows, cols = n, rng.choice(DIMS)
             idx %= p ** (rows * cols)
             assert base_p_digits([idx], rows * cols, p).reshape(rows, cols).tolist() == \
@@ -662,7 +660,7 @@ def table_pre(tables, operands, n, p):
                                for t in tables))
 
 
-@compares("ooperators.INDUCED_PRE", "ooperators.TRANSPORTED_PRE", "ooperators.SYMPLECTIC_PRE")
+@compares("ooperators.INDUCED_PRE", "ooperators.TRANSPORTED_PRE")
 @pytest.mark.parametrize("p", FIELDS)
 def test_induced_pre_structures(p):
     rng = random.Random(14000 + p % 997)
@@ -684,17 +682,21 @@ def test_induced_pre_structures(p):
         ops = {"t": theta, "l": rep.l, "r": rep.r, "u": inv}
         assert table_pre(TRANSPORTED_PRE, ops, n, p) == \
             oracles.compatible_pre_from_invertible_o(OOperatorCandidate(alg, rep, theta))
-        g, ginv = invertible(rng, n, p)
-        ops = {"u": oracles.transpose(ginv), "m": alg.star.c, "w": g}
-        assert table_pre(SYMPLECTIC_PRE, ops, n, p) == oracles.pre_from_symplectic(alg, g)
-    # the canonical solutions' inverses are symplectic forms on their doubles
+    # the canonical solutions' inverses are symplectic forms on their doubles,
+    # also on a random basis (gram P^T omega P), where the pre-structures of
+    # theta = omega^-1 and of theta = omega differ
     for a, r in canonical_doubles(p, rng):
         omega = oracles.mat_inverse(nested(r), p)
-        assert pre_from_symplectic(a, BilinearForm(omega, p)) == \
-            oracles.pre_from_symplectic(a, omega)
+        P, inv = invertible(rng, a.n, p)
+        (star,) = rebase([a.star], rng, p, (P, inv))
+        for alg, g in ((a, omega), (AdmPoissonAlgebra.raw(star),
+                                    oracles.mat_mul(oracles.transpose(P),
+                                                    oracles.mat_mul(omega, P)))):
+            assert pre_from_symplectic(alg, BilinearForm(g, p)) == \
+                oracles.pre_from_symplectic(alg, g)
 
 
-@compares("yangbaxter.CORRESPONDENCE")
+@compares("yangbaxter.DEFECT")
 @pytest.mark.parametrize("p", FIELDS)
 def test_coboundary_correspondence(p):
     rng = random.Random(15000 + p % 997)
@@ -704,13 +706,9 @@ def test_coboundary_correspondence(p):
                      sparse_mul(rng, n, p, 0.6), MulTensor(n, p)):
             a = AdmPoissonAlgebra.raw(star)
             for r in (RTensor(matrix(rng, n, n, p), p), random_skew(rng, n, p)):
-                ops = {"m": star.c, "r": r.coeff,
-                       "e": [[Scalar(int(i == j), 1, p) for j in range(n)] for i in range(n)]}
-                (a1, b1), (a2, b2) = [[np.array(nested(evaluate(t, ops, p)), dtype=object)
-                                       for t in system] for system in CORRESPONDENCE]
                 rows, rhs = oracles.correspondence_system(a, r)
-                assert np.stack([a1, a2], axis=3).reshape(-1, n * n).tolist() == rows
-                assert np.stack([b1, b2], axis=3).ravel().tolist() == rhs
+                assert nested(correspondence_system(a, r)) == \
+                    [row + [b] for row, b in zip(rows, rhs)]
                 got = coboundary_correspondence(a, r)
                 assert got == oracles.coboundary_correspondence(a, r)
                 seen[got[0]] += 1

@@ -10,9 +10,8 @@ from admpoisson.matched import (MatchedPairData, check_matched_pair,
                                 manin_pair_data, manin_double)
 from admpoisson.bialgebras import (comult_of_mul, dual_structure,
                                    check_adm_bialgebra)
-from admpoisson.search import decode_mul
 
-from oracles import (left_mult_basis, mat_eq, mat_zero, nested, one, product, rand_mat,
+from oracles import (decode_mul, left_mult_basis, mat_eq, mat_zero, nested, one, product, rand_mat,
                      right_mult_basis, transpose, zero)
 from test_algebras import idempotent_dim1, solvable_lie_dim2, comm_assoc_dim2
 

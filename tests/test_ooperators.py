@@ -20,7 +20,6 @@ from admpoisson.ooperators import (OOperatorCandidate, check_o_operator,
                                    canonical_solution,
                                    compatible_pre_from_invertible_o,
                                    pre_from_symplectic)
-from admpoisson.search import decode_mul
 
 from oracles import (apply_mul, column, mat_identity, mat_inverse, mat_vec, mat_zero,
                      nested, of, one, product, rand_mat, iter_maps, zero)

@@ -161,11 +161,11 @@ def test_einsum_counts_are_stated_in_advance(monkeypatch):
                      for evaluate in (contract, contract_by_terms)) == counts, ident.name
     sides = [t.residual if isinstance(t, Identity) else t for _, t in module_tables()]
     assert [sum(count(t, evaluate) for t in sides)
-            for evaluate in (contract, contract_by_terms)] == [203, 286]
+            for evaluate in (contract, contract_by_terms)] == [193, 274]
     # each table object once (YBE_OPERATORS["A"] is YBE_OPERATORS["P"])
     distinct = list({id(t): t for t in sides}.values())
     assert [sum(count(t, evaluate) for t in distinct)
-            for evaluate in (contract, contract_by_terms)] == [200, 283]
+            for evaluate in (contract, contract_by_terms)] == [190, 271]
 
 
 IMPORT_SCRIPT = """\

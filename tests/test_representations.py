@@ -10,7 +10,6 @@ from admpoisson.representations import (Representation, check_representation,
                                         PoissonRepresentation,
                                         rep_to_poisson_rep,
                                         poisson_rep_to_rep)
-from admpoisson.search import decode_mul
 
 from oracles import (mat_eq, mat_zero, nested, of, product, rand_mat, rep_consequence_holds,
                      transpose)

@@ -14,14 +14,14 @@ from admpoisson.ooperators import (PRE_ADM_POISSON, PreAdmPoisson, check_o_opera
                                    OOperatorCandidate)
 from admpoisson.fileformat import read_file
 from admpoisson import search as searchmod
-from admpoisson.search import (encode_mul, decode_mul, base_p_digits, operations, screen,
+from admpoisson.search import (base_p_digits, operations, screen,
                                table_hits, adm_catalog_indices, SearchSpec,
                                SearchShortfall, search, o_operator_hits)
 
 import oracles
-from oracles import (rand_mat, rand_mul, brute_count_adm, dim2_gf5_tensor_array,
-                     poisson_mask_dim2_gf5, sample_adm_poisson, sample_poisson,
-                     iter_r_tensors, iter_maps, nested)
+from oracles import (decode_mul, encode_mul, rand_mat, rand_mul, brute_count_adm,
+                     dim2_gf5_tensor_array, poisson_mask_dim2_gf5, sample_adm_poisson,
+                     sample_poisson, iter_r_tensors, iter_maps, nested)
 
 CORPUS = Path(__file__).parent / "corpus"
 

@@ -11,9 +11,8 @@ from admpoisson.yangbaxter import (RTensor, ybe_operator, check_ybe,
                                    operator_form_check, cyclic_form_check,
                                    coboundary_correspondence)
 from admpoisson.bialgebras import check_adm_bialgebra
-from admpoisson.search import decode_mul
 
-from oracles import (column, comul_add, left_mult_basis, mat_add,
+from oracles import (column, comul_add, decode_mul, left_mult_basis, mat_add,
                      mat_inverse, mat_is_zero, mat_mul, mat_sub, r_add,
                      rand_mat, rand_mul, right_mult_basis, slot_product_oracle, t3_add,
                      t3_sub, transpose, iter_r_tensors, nested)
