@@ -62,6 +62,12 @@ def _get_op(af, *names):
     return _lookup(af.ops, "an operation", names, len(names) == 1)
 
 
+def _get_pair(af, first, second):
+    """The two operations a command reads together, each by its own name:
+    a file's only operation stands in for neither."""
+    return tuple(_lookup(af.ops, "an operation", (name,), False) for name in (first, second))
+
+
 def _get_tensor(af, name="r"):
     return _lookup(af.tensors, "a tensor", (name,), True)
 
@@ -120,7 +126,7 @@ def _rep(af, alg, tag=None):
 def _poisson(af):
     """The (bracket, circ) pair, polarizing a single 'star' if necessary."""
     if "bracket" in af.ops or "circ" in af.ops:
-        br, circ = _get_op(af, "bracket"), _get_op(af, "circ")
+        br, circ = _get_pair(af, "bracket", "circ")
     else:
         br, circ = polarize(_get_op(af, "star"))
     _require(check_poisson(br, circ))
@@ -131,8 +137,7 @@ def _matched_pair(af):
     from .matched import MatchedPairData
     if af.vdim is None:
         raise InputError("matched-pair files need both dim and vdim")
-    s1 = _get_op(af, "star1")
-    s2 = _get_op(af, "star2")
+    s1, s2 = _get_pair(af, "star1", "star2")
     if s1.n != af.dim or s2.n != af.vdim:
         raise InputError("star1 must live on dim, star2 on vdim")
     fams = {name: _get_rep_family(af, name) for name in ("l1", "r1", "l2", "r2")}
@@ -163,7 +168,7 @@ def _o_operator(af):
 
 def _pre(af):
     from .ooperators import PreAdmPoisson, check_pre_adm_poisson
-    pre = PreAdmPoisson.raw(_get_op(af, "succ"), _get_op(af, "prec"))
+    pre = PreAdmPoisson.raw(*_get_pair(af, "succ", "prec"))
     _require(check_pre_adm_poisson(pre))
     return pre
 
@@ -279,8 +284,8 @@ def _check_pre_adm(af):
 
 def _check_pre_poisson(af):
     from .ooperators import PrePoisson, check_pre_poisson
-    dot = _get_op(af, "dot")
-    _require(check_pre_poisson(PrePoisson.raw(dot, _get_op(af, "ast"))))
+    dot, ast = _get_pair(af, "dot", "ast")
+    _require(check_pre_poisson(PrePoisson.raw(dot, ast)))
     return f"OK pre-poisson (dim {dot.n}, {dot.n ** 3} triples checked)"
 
 
@@ -311,7 +316,7 @@ def _build_polarize(af):
 
 
 def _build_depolarize(af):
-    br, circ = _get_op(af, "bracket"), _get_op(af, "circ")
+    br, circ = _get_pair(af, "bracket", "circ")
     return AlgebraFile(af.p, br.n, star=depolarize(br, circ))
 
 

@@ -167,7 +167,7 @@ TRANSPORTED_PRE = (Terms("t:ka l:iab u:bj", "ijk"),  # theta(l(x) theta^-1 y)
 
 def _pre_of(tables, operands, n, p):
     """The pre-structure (succ, prec) of a pair of tables over `operands`."""
-    return PreAdmPoisson.raw(*(MulTensor(n, p, evaluate(t, operands, p)) for t in tables))
+    return PreAdmPoisson.raw(*(MulTensor(n, p, e) for e in evaluate(tables, operands, p)))
 
 
 def induced_pre_from_o_operator(c):

@@ -8,8 +8,9 @@ Comultiplication those of a comultiplication and RTensor those of an
 r-tensor; Record is the immutable base of the structures checked against
 their identities.
 Identities and contractions are tables of signed einsum terms evaluated on
-the integers, each by a plan of its distinct contractions (contract,
-check_identities, evaluate), and linear systems are eliminated
+the integers, each by a plan of its distinct contractions (contract) or,
+at dims 1-3, all the tables of a call by one compiled flat-monomial
+kernel (check_identities, evaluate), and linear systems are eliminated
 on them (solve).  Numbers enter the Python API as nested ints and Fractions
 (as_exact) and leave it through Exact.tolist().
 """
@@ -629,16 +630,21 @@ def _overflow_bound(side, maxabs, size, p):
     return max(p, side.weight * maxabs ** degree * size ** side.summed)
 
 
+def _narrowest(bound):
+    """The narrowest signed integer type that holds `bound`, or object, for
+    Python ints, above int64."""
+    return next((t for limit, t in _INT_TYPES if bound <= limit), object)
+
+
 def cast_operands(sides, arrays, maxabs, p):
-    """`arrays` cast once to the narrowest signed integer type that holds
-    _overflow_bound of every Terms of `sides` over them, whose entries are
-    at most `maxabs` in absolute value (a trailing candidate axis is not an
-    axis of the bound); to object, for Python ints, above int64.  Every
-    evaluation casts its operand set through here."""
+    """`arrays` cast once to the _narrowest type that holds _overflow_bound
+    of every Terms of `sides` over them, whose entries are at most `maxabs`
+    in absolute value (a trailing candidate axis is not an axis of the
+    bound).  Every einsum evaluation casts its operand set through here; a
+    kernel evaluation takes its type by the same rule (_evaluated)."""
     size = max(max(arrays[name].shape[:rank], default=1)
                for side in sides for name, rank in side.ranks.items())
-    bound = max(_overflow_bound(side, maxabs, size, p) for side in sides)
-    dtype = next((t for limit, t in _INT_TYPES if bound <= limit), object)
+    dtype = _narrowest(max(_overflow_bound(side, maxabs, size, p) for side in sides))
     return {name: a.astype(dtype, copy=False) for name, a in arrays.items()}
 
 
@@ -706,9 +712,142 @@ def contract(terms, arrays, p):
     return total
 
 
+# (tuple of Terms, operand shapes) -> their _Kernel, or None where their plans
+# evaluate them: the shapes have passed _check_sizes (see _evaluated)
+_KERNELS = {}
+_ONE = np.ones(1, dtype=np.int64)
+
+
+def _strides(letters, dims, term_letters):
+    """The stride of each of `term_letters` in the row-major flat index of
+    `letters` over axes of `dims` (0 for a letter not among them)."""
+    return [sum(prod(dims[a + 1:]) for a, c in enumerate(letters) if c == t)
+            for t in term_letters]
+
+
+class _Kernel:
+    """A tuple of Terms over operands of fixed shapes as flat monomials: each
+    a coefficient times entries of one vector, added into one cell of the
+    Terms' outputs laid end to end.  The vector holds the entries of the
+    operands in `names`, in order, then a 1 that pads the terms of lower
+    degree; `factors` (degree x monomials) index it.  Each term gives one
+    monomial for each assignment of its letters; equal monomials (factors
+    sorted) are merged and those of coefficient 0 dropped, but for one in
+    each cell left empty, so np.add.reduceat from `starts` sums each cell.
+    `outputs` holds each output's (start, stop, shape) in the cells, and
+    `bounds` the (weight, degree, size**summed) of each _overflow_bound."""
+
+    __slots__ = ("names", "coefs", "factors", "starts", "outputs", "bounds")
+
+    def __init__(self, sides, shapes):
+        names = sorted({name for side in sides for name in side.ranks})
+        sizes = [prod(shapes[name]) for name in names]
+        base = dict(zip(names, np.cumsum([0] + sizes).tolist()))
+        one, degree = sum(sizes), max(max(side.degrees) for side in sides)
+        rows, coefs, outputs, cells = [], [], [], 0
+        for side in sides:
+            dims = tuple(shapes[name][axis] for name, axis in side.out_axes)
+            for k, factors in side.terms:
+                size = {c: shapes[name][axis] for name, subs in factors
+                        for axis, c in enumerate(subs)}
+                # the row of a monomial: its cell, then the offsets of its factors
+                flat = [(side.out, dims, cells)] + [(subs, shapes[name], base[name])
+                                                    for name, subs in factors]
+                pad = degree - len(factors)
+                strides = [_strides(*f[:2], size) for f in flat] + [[0] * len(size)] * pad
+                count = prod(size.values())
+                grid = np.indices(tuple(size.values()), np.int32).reshape(len(size), count)
+                rows.append(np.array(strides, np.int32) @ grid
+                            + np.array([f[2] for f in flat] + [one] * pad, np.int32)[:, None])
+                coefs.append(np.full(count, k))
+            outputs.append((cells, cells + prod(dims), dims))
+            cells += prod(dims)
+        rows.append(np.array([np.arange(cells)] + [np.full(cells, one)] * degree, np.int32))
+        coefs.append(np.zeros(cells, int))      # a monomial 0 in every cell
+        rows = np.concatenate(rows, axis=1)
+        for last in range(degree, 1, -1):       # sort each monomial's factors
+            for f in range(1, last):
+                rows[f], rows[f + 1] = (np.minimum(rows[f], rows[f + 1]),
+                                        np.maximum(rows[f], rows[f + 1]))
+        # one key a monomial, the digits of its row in base one + 1
+        key = rows[0].astype(np.int64 if cells * (one + 1) ** degree < 2 ** 63 else object)
+        for f in rows[1:]:
+            key = key * (one + 1) + f
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        rows, coefs = rows[:, order[first]], np.add.reduceat(np.concatenate(coefs)[order], first)
+        filled = np.zeros(cells, bool)
+        filled[rows[0, coefs != 0]] = True
+        keep = (coefs != 0) | (rows[1] == one) & ~filled[rows[0]]
+        rows, coefs = rows[:, keep], coefs[keep]
+        size = max(max(shapes[name], default=1) for name in names)
+        self.names, self.outputs = names, outputs
+        self.coefs = coefs.astype(np.min_scalar_type(-1 - int(abs(coefs).max())))
+        self.factors = rows[1:].astype(np.min_scalar_type(one))
+        self.starts = np.flatnonzero(np.r_[True, rows[0, 1:] != rows[0, :-1]])
+        self.bounds = [(side.weight, max(side.degrees), size ** side.summed) for side in sides]
+
+    def __call__(self, arrays, maxabs, p):
+        """The outputs over `arrays` (name -> integer array), whose entries
+        are at most `maxabs` in absolute value, in the type cast_operands
+        would take and reduced into [0, p) over GF(p); None when that type
+        is object."""
+        dtype = _narrowest(max(p, *(w * maxabs ** d * s for w, d, s in self.bounds)))
+        if dtype is object:
+            return None
+        vector = np.concatenate([*(arrays[name].ravel() for name in self.names), _ONE],
+                                dtype=dtype, casting="unsafe")
+        prods = vector.take(self.factors[0])
+        for f in self.factors[1:]:
+            prods *= vector.take(f)
+        prods *= self.coefs
+        out = np.add.reduceat(prods, self.starts)
+        if p:
+            out %= p
+        return [out[a:b].reshape(dims) for a, b, dims in self.outputs]
+
+
+def _evaluated(sides, operands, p):
+    """The values of `sides` over one structure's operands (Exacts, or
+    nested numbers) scaled by one common denominator D, as integer arrays
+    of their `out` shapes, and D.
+
+    Raises ShapeError when the operands' axis sizes do not fit the letters
+    of `sides`.  When every operand axis has 1 to 3 entries (no candidate
+    axis) the sides are evaluated at once by their _Kernel, compiled on the
+    first call with these sides and operand shapes, unless their values
+    need Python ints; otherwise, and at larger shapes, where the plans run
+    faster, each side is contracted by its plan on operands cast by
+    cast_operands."""
+    exacts = {name: as_exact(data, p) for name, data in operands.items()}
+    key = (tuple(sides), tuple((name, e.num.shape) for name, e in exacts.items()))
+    if key not in _KERNELS:
+        shapes = dict(key[1])
+        for side in sides:
+            _check_sizes(side, shapes)
+        small = all(len(shapes[name]) == rank and set(shapes[name]) <= {1, 2, 3}
+                    for side in sides for name, rank in side.ranks.items())
+        _KERNELS[key] = _Kernel(sides, shapes) if small else None
+    kernel = _KERNELS[key]
+    arrays, den, maxabs = _scaled(exacts)
+    values = kernel(arrays, maxabs, p) if kernel is not None else None
+    if values is None:
+        arrays = cast_operands(sides, arrays, maxabs, p)
+        values = [contract(side, arrays, p) for side in sides]
+    return values, den
+
+
+def _scaled(exacts):
+    """The nums of one structure's Exacts (name -> Exact) on one common
+    denominator D, by name; D; and the largest |num|."""
+    nums, den = common(*exacts.values())
+    return dict(zip(exacts, nums)), den, max(e.maxabs * (den // e.den) for e in exacts.values())
+
+
 def exact_operands(operands, p, sides):
     """One structure's operands (Exacts, or nested lists of numbers) as
-    integer arrays scaled by one common denominator D, for evaluating
+    integer arrays scaled by one common denominator D, for contracting
     `sides`; returns (arrays, D).
 
     Raises ShapeError when the operands' axis sizes do not fit the letters
@@ -718,25 +857,25 @@ def exact_operands(operands, p, sides):
     shapes = {name: e.num.shape for name, e in exacts.items()}
     for side in sides:
         _check_sizes(side, shapes)
-    nums, den = common(*exacts.values())
-    arrays = dict(zip(exacts, nums))
-    maxabs = max(e.maxabs * (den // e.den) for e in exacts.values())
+    arrays, den, maxabs = _scaled(exacts)
     return cast_operands(sides, arrays, maxabs, p), den
 
 
 def check_identities(groups, operands, p):
     """The first failing identity of a sequence of groups, or ok.
 
-    Each residual is contracted once.  Within a group the witness is the
-    first index, in lexicographic order, at which any residual is nonzero;
-    ties go to the identity listed first.  Only its lhs is contracted again:
-    its lhs and rhs (lhs - residual) are the Exacts of the value axes at
-    that index (of one entry when the identity has no value axes).
+    The residuals of all groups are evaluated at once (_evaluated).  Within
+    a group the witness is the first index, in lexicographic order, at which
+    any residual is nonzero; ties go to the identity listed first.  Only its
+    lhs is evaluated again, contracted by its plan: its lhs and rhs (lhs -
+    residual) are the Exacts of the value axes at that index (of one entry
+    when the identity has no value axes).
     """
-    arrays, den = exact_operands(operands, p, [ident.residual for group in groups
-                                               for ident in group])
+    values, den = _evaluated([ident.residual for group in groups for ident in group],
+                             operands, p)
+    values = iter(values)
     for group in groups:
-        residuals = [contract(ident.residual, arrays, p) for ident in group]
+        residuals = [next(values) for _ in group]
         if not any(res.any() for res in residuals):
             continue
         failing = np.stack([res.reshape(res.shape[:len(ident.index)] + (-1,)).any(-1)
@@ -745,6 +884,7 @@ def check_identities(groups, operands, p):
         idx = tuple(int(i) for i in idx)
         ident = group[which]
         # on Python ints: lhs - residual may leave a narrow dtype
+        arrays, _ = exact_operands(operands, p, [ident.lhs])
         lhs = np.atleast_1d(contract(ident.lhs, arrays, p)[idx]).astype(object)
         rhs = lhs - np.atleast_1d(residuals[which][idx]).astype(object)
         scale = ident.den * den ** ident.degree
@@ -753,8 +893,11 @@ def check_identities(groups, operands, p):
     return AxiomReport.ok()
 
 
-def evaluate(terms, operands, p):
-    """Terms over the operands it names (Exacts or nested numbers), as an
-    Exact."""
-    arrays, den = exact_operands({name: operands[name] for name in terms.ranks}, p, [terms])
-    return Exact(contract(terms, arrays, p), den ** max(terms.degrees), p)
+def evaluate(tables, operands, p):
+    """Terms, or a sequence of Terms evaluated at once, over the operands
+    they name (Exacts or nested numbers), as an Exact or a list of Exacts."""
+    sides = [tables] if isinstance(tables, Terms) else list(tables)
+    values, den = _evaluated(sides, {name: operands[name] for side in sides
+                                     for name in side.ranks}, p)
+    exacts = [Exact(v, den ** max(side.degrees), p) for side, v in zip(sides, values)]
+    return exacts[0] if isinstance(tables, Terms) else exacts

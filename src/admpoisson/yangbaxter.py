@@ -16,8 +16,7 @@ r = sum r[i][j] e_i (x) e_j):
 import numpy as np
 
 from .tensors import (Comultiplication, Exact, RTensor, Tensor3, Terms, Identity,
-                      check_identities, common, contract, evaluate, exact_operands,
-                      identity, rewritten, solve)
+                      check_identities, common, evaluate, identity, rewritten, solve)
 
 
 # Left operand a[i][.] and right operand b[.][.] placed in triple-tensor
@@ -153,10 +152,8 @@ def check_coboundary_conditions(a, r, which):
     sides = {name: terms for name, terms in (("M", SYM_DEFECT), ("P", YBE_OPERATORS["P"]),
                                              ("Q", YBE_OPERATORS["Q"]), *_R_TIMES_M.items())
              if name in ident.residual.ranks}
-    arrays, den = exact_operands({"m": star.exact, "r": r.exact, "a": r.exact, "b": r.exact},
-                                 p, sides.values())
-    ops = {name: Exact(contract(terms, arrays, p), den ** max(terms.degrees), p)
-           for name, terms in sides.items()}
+    ops = dict(zip(sides, evaluate(sides.values(), {"m": star.exact, "r": r.exact,
+                                                     "a": r.exact, "b": r.exact}, p)))
     # the witness is the first nonzero entry of the residual at (i, a, b)
     return check_identities([[ident]], {"m": star.exact, **ops}, p).first_entry()
 

@@ -407,7 +407,7 @@ def test_rational_linear_identities(capsys):
 
 def test_cli_contract_on_corpus(capsys):
     files = sorted(CORPUS.glob("*.alg"))
-    assert len(files) == 10
+    assert len(files) == 13
     # parse/print roundtrip on all syntactically valid corpus files
     for f in files:
         if f.name == "badformat.alg":
@@ -431,5 +431,5 @@ def test_cli_contract_on_corpus(capsys):
     out = capsys.readouterr().out.splitlines()[0]
     assert re.fullmatch(
         r"FAIL [\w-]+ at \(\d+(,\d+)*\): lhs=\[.*\] rhs=\[.*\]", out), out
-    report(capsys, "PASS cli-contract (10-file corpus: roundtrips, "
+    report(capsys, "PASS cli-contract (13-file corpus: roundtrips, "
                    "exit codes 0/1/2, witness format)")

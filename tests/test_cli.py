@@ -16,7 +16,9 @@ CORPUS = Path(__file__).parent / "corpus"
 
 CORPUS_FILES = ["good_adm.alg", "bad_adm.alg", "poisson_pair.alg",
                 "rep_theta.alg", "ybe.alg", "matched.alg", "bialg.alg",
-                "pre.alg", "prepoisson.alg", "badformat.alg"]
+                "pre.alg", "prepoisson.alg", "badformat.alg",
+                # one operation each, of a pair a command reads together
+                "circ_only.alg", "succ_only.alg", "dot_only.alg"]
 # a GF(5) file whose operation is not adm-Poisson, with a zero action
 BAD_ADM_GF5 = Path(__file__).parent / "bad_adm_gf5.alg"
 
@@ -29,7 +31,7 @@ def run(capsys, *argv):
 
 def test_corpus_is_complete():
     assert sorted(CORPUS_FILES) == sorted(p.name for p in CORPUS.glob("*.alg"))
-    assert len(CORPUS_FILES) == 10
+    assert len(CORPUS_FILES) == 13
 
 
 @pytest.mark.parametrize("name", [n for n in CORPUS_FILES
@@ -40,6 +42,23 @@ def test_corpus_roundtrip(name):
     printed = print_file(af)
     assert parse_file(printed) == af
     assert print_file(parse_file(printed)) == printed
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["build", "depolarize", "good_adm.alg"], "bracket"),
+    (["check", "pre-adm", "good_adm.alg"], "succ"),
+    (["build", "subadjacent", "good_adm.alg"], "succ"),
+    (["check", "pre-poisson", "good_adm.alg"], "dot"),
+    (["check", "poisson", "circ_only.alg"], "bracket"),
+    (["check", "pre-adm", "succ_only.alg"], "prec"),
+    (["check", "pre-poisson", "dot_only.alg"], "ast"),
+    (["check", "matched-pair", "rep_theta.alg"], "star1"),
+])
+def test_a_command_reading_two_operations_refuses_a_file_with_one(capsys, argv, missing):
+    """The file's only operation stands in for a name only where the
+    command reads one operation: star + star is not a depolarized pair."""
+    assert run(capsys, *argv[:-1], CORPUS / argv[-1]) == (
+        2, "", f"error: file does not define an operation named {missing!r}\n")
 
 
 # expected (predicate, file, exit code, first-line prefix)
@@ -682,10 +701,13 @@ def test_readme_lists_every_predicate_and_construction():
     (["check", "rep", CORPUS / "rep_theta.alg"], 0, 4),         # the algebra, c2-c4
 ])
 def test_a_check_evaluates_each_identity_once(monkeypatch, capsys, argv, code, calls):
-    """Each identity's residual is contracted once; only the failing
-    identity's lhs is contracted again, for its witness."""
+    """Each identity's residual is evaluated once (these files are small
+    enough for the kernel); only the failing identity's lhs is evaluated
+    again, contracted for its witness."""
     from admpoisson import tensors
-    seen, contract = [], tensors.contract
+    seen, evaluated, contract = [], tensors._evaluated, tensors.contract
+    monkeypatch.setattr(tensors, "_evaluated", lambda sides, *a: seen.extend(sides)
+                        or evaluated(sides, *a))
     monkeypatch.setattr(tensors, "contract", lambda terms, *a: seen.append(terms)
                         or contract(terms, *a))
     assert run(capsys, *argv)[0] == code

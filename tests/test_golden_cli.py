@@ -68,7 +68,7 @@ def test_corpus_transcript_is_golden():
 def test_transcript_covers_every_command_and_file():
     runs = GOLDEN.read_text().count("$ admpoisson ")
     files = len(list((TESTS / "corpus").glob("*.alg")))
-    assert runs == files * (len(PREDICATES) + len(CONSTRUCTIONS)) == 370
+    assert runs == files * (len(PREDICATES) + len(CONSTRUCTIONS)) == 481
 
 
 if __name__ == "__main__":

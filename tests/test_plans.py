@@ -1,4 +1,5 @@
-"""Contraction plans evaluate each table as its terms do, with fewer einsums.
+"""Contraction plans and flat-monomial kernels evaluate each table as its
+terms do.
 
 `tensors.contract` evaluates a Terms table by its plan: the distinct
 contractions of its terms, each evaluated once on operands laid out for
@@ -8,6 +9,13 @@ with oracles.contract_by_terms (one einsum a term, as written) in every
 integer evaluation type and object, over Q, GF(5) and GF(2^31 - 1), unbatched
 and batch-last with one operand broadcast.  The einsum counts of the tables
 are stated here, and a plan is compiled on first use, never on import.
+
+At dims 1-3 `check_identities` and `evaluate` run the tables' kernels
+(`tensors._Kernel`): each table, and some of mixed degree, is compared with
+the oracle on Python ints at the largest entries each integer type is
+chosen for, over Q, GF(5) and GF(10007); every check reports as the plans
+do on perturbed structures; the kernels of all tables take at most 1 MB;
+and a shape mismatch is raised on every call.
 """
 
 import ast
@@ -17,6 +25,7 @@ import json
 import os
 import random
 import subprocess
+from fractions import Fraction
 import sys
 from pathlib import Path
 
@@ -25,9 +34,12 @@ import pytest
 
 import admpoisson
 from admpoisson import tensors
-from admpoisson.tensors import Identity, Terms, _overflow_bound, contract
+from admpoisson.tensors import (Exact, Identity, ShapeError, Terms, _overflow_bound,
+                                check_identities, contract)
 from admpoisson.algebras import ADM_POISSON, POISSON
-from admpoisson.bialgebras import COALGEBRA
+from admpoisson.bialgebras import COALGEBRA, DEFBI, POISSON_BIALGEBRA
+from admpoisson.matched import MATCH_1_3
+from admpoisson.ooperators import PRE_ADM_POISSON, PRE_POISSON
 from admpoisson.representations import REPRESENTATION
 from oracles import contract_by_terms
 
@@ -174,8 +186,9 @@ import admpoisson
 from admpoisson.tensors import Terms
 for mod in pkgutil.iter_modules(admpoisson.__path__):
     importlib.import_module(f"admpoisson.{mod.name}")
+from admpoisson import tensors
 terms = [t for t in gc.get_objects() if isinstance(t, Terms)]
-print(json.dumps([len(terms), sum(t._plan is not None for t in terms)]))
+print(json.dumps([len(terms), sum(t._plan is not None for t in terms) + len(tensors._KERNELS)]))
 """
 
 
@@ -188,3 +201,129 @@ def test_importing_every_table_compiles_no_plan():
     terms = Terms("a:ijs b:skl + a:kjs b:sil", "ijkl")
     assert terms._plan is None
     assert len(terms.plan) == 1 and terms._plan is terms.plan
+
+
+# ---------------------------------------------------------------------------
+# flat-monomial kernels (dims 1-3)
+
+KERNEL_FIELDS = [0, 5, 10007]
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64]
+# degrees 1 to 4 in one table, a letter repeated within a factor, a
+# coefficient cleared by den
+MIXED = [Terms("a:ijs b:skl + 2 a:ijl c:k - c:i c:j c:k c:l", "ijkl"),
+         Terms("a:iis b:sjk - 1/2 a:jik + b:kji c:i", "ijk", den=2)]
+TABLES = list({id(terms): terms for _, terms in SIDES}.values())
+DISTINCT = TABLES + MIXED
+
+
+def shapes_at(terms, n):
+    return {name: (n,) * rank for name, rank in terms.ranks.items()}
+
+
+def limit_of(terms, n, p, dtype):
+    """The largest maxabs (at most p - 1 over GF(p)) at which `terms` is
+    evaluated in `dtype` at dim n, or None when it is evaluated in a
+    narrower type or wider even at 1."""
+    top, lo, hi = np.iinfo(dtype).max, 0, p - 1 if p else 2 ** 62
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _overflow_bound(terms, mid, n, p) <= top else (lo, mid - 1)
+    return lo if lo and tensors._narrowest(_overflow_bound(terms, lo, n, p)) is dtype else None
+
+
+@pytest.mark.parametrize("p", KERNEL_FIELDS)
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda t: t.__name__)
+def test_each_kernel_equals_the_term_by_term_sum_at_its_type_limit(dtype, p):
+    """Each table's kernel at dims 1-3, on entries at the largest maxabs
+    its type is chosen for (all of them at it, and random ones up to it),
+    equals the term-by-term sum on Python ints."""
+    rng = random.Random(26000 + p % 1000 + INT_DTYPES.index(dtype))
+    compared = 0
+    for terms in DISTINCT:
+        for n in (1, 2, 3):
+            m = limit_of(terms, n, p, dtype)
+            if m is None:
+                continue
+            shapes = shapes_at(terms, n)
+            kernel = tensors._Kernel([terms], shapes)
+            low = 0 if p else -m
+            for draw in (lambda: m, lambda: rng.randint(low, m)):
+                arrays = {name: np.array([draw() for _ in range(int(np.prod(shape)))],
+                                         dtype=np.int64 if m < 2 ** 31 else object
+                                         ).reshape(shape) for name, shape in shapes.items()}
+                (got,) = kernel(arrays, m, p)
+                want = contract_by_terms(terms, {k: a.astype(object)
+                                                 for k, a in arrays.items()}, p)
+                assert got.shape == want.shape and (got.astype(object) == want).all(), \
+                    (terms.terms, n)
+                compared += 1
+    # entries stay below p: GF(5) reaches no type past int16, GF(10007) no int8
+    unreached = (dtype, p) in {(np.int8, 10007), (np.int32, 5), (np.int64, 5)}
+    assert compared == 6 * len(DISTINCT) if p == 0 else (compared > 0) != unreached
+
+
+def perturbed(ranks, n, p, rng):
+    """Operands at dim n: random entries (fractions over Q), zero but for
+    one entry, and zero."""
+    def entry():
+        return rng.randrange(p) if p else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    kinds = []
+    for fill in ("dense", "one", "zero"):
+        ops = {name: np.zeros((n,) * rank, dtype=object) for name, rank in ranks.items()}
+        for name, a in ops.items():
+            if fill == "dense":
+                a.flat[:] = [entry() for _ in range(a.size)]
+        if fill == "one":
+            name = rng.choice(sorted(ops))
+            ops[name].flat[rng.randrange(ops[name].size)] = entry() or 1
+        kinds.append({name: a.tolist() for name, a in ops.items()})
+    return kinds
+
+
+GROUPS = [((t,),) for _, t in module_tables() if isinstance(t, Identity)] + [
+    POISSON, REPRESENTATION, PRE_ADM_POISSON, PRE_POISSON, (DEFBI,), (POISSON_BIALGEBRA,),
+    MATCH_1_3]
+
+
+@pytest.mark.parametrize("p", KERNEL_FIELDS)
+def test_kernel_checks_report_as_the_plans_do(monkeypatch, p):
+    """check_identities at dims 1-3 gives the reports of the einsum plans:
+    verdict, identity name, index, lhs and rhs."""
+    rng = random.Random(26100 + p % 1000)
+    cases = []
+    for groups in GROUPS:
+        ranks = {name: rank for group in groups for ident in group
+                 for name, rank in ident.residual.ranks.items()}
+        for n in (1, 2, 3):
+            cases += [(groups, ops) for ops in perturbed(ranks, n, p, rng)]
+    by_kernel = [check_identities(groups, ops, p) for groups, ops in cases]
+    assert len(tensors._KERNELS) > 0
+    monkeypatch.setattr(tensors, "_KERNELS", {})
+    monkeypatch.setattr(tensors, "_Kernel", lambda sides, shapes: None)
+    by_plan = [check_identities(groups, ops, p) for groups, ops in cases]
+    for got, want in zip(by_kernel, by_plan):
+        assert (got.holds, got.witness) == (want.holds, want.witness)
+    assert sum(not r.holds for r in by_plan) > len(cases) / 4
+    assert sum(r.holds for r in by_plan) > len(cases) / 4
+
+
+def test_the_kernels_of_every_table_at_dims_1_to_3_take_at_most_1_mb():
+    total = 0
+    for terms in TABLES:
+        for n in (1, 2, 3):
+            kernel = tensors._Kernel([terms], shapes_at(terms, n))
+            total += kernel.coefs.nbytes + kernel.factors.nbytes + kernel.starts.nbytes
+    assert total <= 2 ** 20
+
+
+def test_a_shape_mismatch_raises_on_every_call_and_compiles_nothing():
+    c = Exact(np.zeros((2, 3, 2), dtype=np.int64), 1, 5)
+    star = Exact(np.zeros((2, 2, 2), dtype=np.int64), 1, 5)
+    act = Exact(np.zeros((2, 3, 2), dtype=np.int64), 1, 5)
+    before = dict(tensors._KERNELS)
+    for _ in range(3):
+        with pytest.raises(ShapeError):
+            check_identities(((ADM_POISSON,),), {"c": c}, 5)
+        with pytest.raises(ShapeError):
+            check_identities(REPRESENTATION, {"c": star, "l": act, "r": act}, 5)
+    assert tensors._KERNELS == before
